@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, RiskEstimates
+from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS, RiskEstimates
 from .data_io import (
     RollingPlan,
     diagnostics_export,
@@ -33,21 +33,7 @@ from .harness import plan_from_record, run_grid
 from .models import make_spec
 from .oracle import oracle_result
 
-_RECORD_KEYS = (
-    "gamma1",
-    "var_x",
-    "eta1",
-    "eta2",
-    "covar_int",
-    "coes_int",
-    "covar1",
-    "covar2",
-    "covar3",
-    "coes1",
-    "coes2",
-    "coes3",
-    "coes4",
-)
+_RECORD_KEYS = RECORD_KEYS  # older name, still imported by callers
 
 
 def _parse_k(text: str) -> tuple[int, ...]:
@@ -80,8 +66,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _estimates_lines(estimates: RiskEstimates) -> list[str]:
-    record = estimates.to_record()
-    lines = [f"{key}\t{record[key]:.10g}" for key in _RECORD_KEYS]
+    lines = [f"{key}\t{value:.10g}" for key, value in estimates.to_record().items()]
     for warning in estimates.warnings:
         lines.append(f"warning\t{warning.code}: {warning.message}")
     return lines
@@ -140,7 +125,7 @@ def _cmd_estimate(args) -> int:
     sample = loss_pair(series_x, series_y)
     estimates = estimate_with_k_values(sample, _parse_k(args.k), args.tau)
     if args.json:
-        record = {key: estimates.to_record()[key] for key in _RECORD_KEYS}
+        record = estimates.to_record()
         record["warnings"] = [
             {"code": w.code, "message": w.message} for w in estimates.warnings
         ]
@@ -169,15 +154,14 @@ def _cmd_rolling(args) -> int:
     k_field = ks[0] if len(ks) == 1 else (ks[0], ks[-1])
     plan = RollingPlan(window=args.window, k=k_field, tau_prime=args.tau, step=args.step)
     rows = rolling_estimates(series_x, series_y, plan)
-    lines = ["\t".join(("date",) + _RECORD_KEYS + ("note",))]
+    lines = ["\t".join(("date",) + RECORD_KEYS + ("note",))]
     for row in rows:
         if row.estimates is None:
-            cells = [row.timestamp.isoformat()] + [""] * len(_RECORD_KEYS)
+            cells = [row.timestamp.isoformat()] + [""] * len(RECORD_KEYS)
             cells.append(f"gap: {row.reason}")
         else:
-            record = row.estimates.to_record()
             cells = [row.timestamp.isoformat()]
-            cells += [f"{record[key]:.10g}" for key in _RECORD_KEYS]
+            cells += [f"{value:.10g}" for value in row.estimates.to_record().values()]
             cells.append("")
         lines.append("\t".join(cells))
     text = "\n".join(lines) + "\n"

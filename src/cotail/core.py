@@ -5,6 +5,9 @@ pair of loss vectors, a per-margin order-statistic/rank index with a
 deterministic tie-break, and a tail configuration bundling the
 intermediate order ``k``, the derived count ``m``, and the extrapolation
 level.  All containers are frozen; estimators never mutate a sample.
+Each margin index is computed once per sample, on first use, and cached
+on it (``LossPairSample.x_index`` / ``y_index``), so every estimator and
+every k run on one sample share the same two sorts.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class LossPairSample:
     coerced to 1-D float arrays of equal nonzero length with only finite
     entries.  A single pair is allowed (samplers may produce one); every
     estimator additionally requires n >= k + 1 >= 2 via its own k check.
+    The stored arrays are read-only views, so the cached margin indexes
+    always describe them.
     """
 
     xs: np.ndarray
@@ -53,12 +58,31 @@ class LossPairSample:
             raise ValueError("need at least one paired observation")
         if not np.isfinite(xs).all() or not np.isfinite(ys).all():
             raise ValueError("loss values must be finite")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        for name, values in (("xs", xs), ("ys", ys)):
+            view = values.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
         return self.xs.shape[0]
+
+    # Plain properties rather than functools.cached_property: before Python
+    # 3.12 that holds one class-wide lock while it computes, which would make
+    # the harness's worker threads take turns at sorting their own samples.
+    @property
+    def x_index(self) -> MarginIndex:
+        """Order statistics and ranks of ``xs``, built on first use and cached."""
+        if "_x_index" not in self.__dict__:
+            object.__setattr__(self, "_x_index", build_margin_index(self.xs))
+        return self._x_index
+
+    @property
+    def y_index(self) -> MarginIndex:
+        """Order statistics and ranks of ``ys``, built on first use and cached."""
+        if "_y_index" not in self.__dict__:
+            object.__setattr__(self, "_y_index", build_margin_index(self.ys))
+        return self._y_index
 
 
 @dataclass(frozen=True)

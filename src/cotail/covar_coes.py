@@ -3,8 +3,10 @@
 The intermediate estimators work at level 1 - k/n via filtered order
 statistics; the extrapolated families push them to an extreme level tau'
 using the Hill estimate and either an adjustment factor (variants 1-2) or
-the intermediate estimate itself (variants 3-4).  ``estimate_all`` bundles
-every estimator from one pass of ranks and order statistics.
+the intermediate estimate itself (variants 3-4).  Every estimator reads the
+margin indexes cached on the sample, so ``estimate_all`` over any number of
+k values costs one sort per margin, and ``RECORD_KEYS`` is the one flat
+schema of its result.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LossPairSample,
-    WarningRecord,
-    build_margin_index,
-    validate_tail_config,
-)
+from .core import LossPairSample, WarningRecord, validate_tail_config
 from .empirical import empirical_var, hill_estimate
 from .tail_copula import eta_hat
+
+ESTIMATOR_NAMES = ("covar1", "covar2", "covar3", "coes1", "coes2", "coes3", "coes4")
+RECORD_KEYS = ("gamma1", "var_x", "eta1", "eta2", "covar_int", "coes_int") + ESTIMATOR_NAMES
 
 
 @dataclass(frozen=True)
@@ -44,30 +44,32 @@ class RiskEstimates:
     warnings: tuple[WarningRecord, ...]
 
     def to_record(self) -> dict[str, float]:
-        """Flat mapping with stable keys (covar1..covar3, coes1..coes4)."""
-        rec = {
-            "gamma1": self.gamma1_hat,
-            "var_x": self.var_x_hat,
-            "eta1": self.eta_hat_1,
-            "eta2": self.eta_hat_2,
-            "covar_int": self.covar_int,
-            "coes_int": self.coes_int,
-        }
-        for i in (1, 2, 3):
-            rec[f"covar{i}"] = self.covar_ext[i]
-        for i in (1, 2, 3, 4):
-            rec[f"coes{i}"] = self.coes_ext[i]
-        return rec
+        """Flat mapping keyed by ``RECORD_KEYS``, in that order."""
+        values = (
+            self.gamma1_hat, self.var_x_hat, self.eta_hat_1, self.eta_hat_2,
+            self.covar_int, self.coes_int,
+            *(self.covar_ext[i] for i in (1, 2, 3)),
+            *(self.coes_ext[i] for i in (1, 2, 3, 4)),
+        )
+        return dict(zip(RECORD_KEYS, values, strict=True))
 
-
-ESTIMATOR_NAMES = ("covar1", "covar2", "covar3", "coes1", "coes2", "coes3", "coes4")
+    @classmethod
+    def from_record(
+        cls, record: dict[str, float], warnings: tuple[WarningRecord, ...] = ()
+    ) -> "RiskEstimates":
+        """Inverse of ``to_record``; the first six keys follow the field order."""
+        values = [record[key] for key in RECORD_KEYS]
+        return cls(
+            *values[:6],
+            covar_ext=dict(zip((1, 2, 3), values[6:9])),
+            coes_ext=dict(zip((1, 2, 3, 4), values[9:])),
+            warnings=warnings,
+        )
 
 
 def _filtered_xs(sample: LossPairSample, k: int) -> tuple[np.ndarray, float]:
     """Ascending X values of the k+1 observations with Y >= Y_{n-k,n}."""
-    n = sample.n
-    y_index = build_margin_index(sample.ys)
-    var_y = empirical_var(y_index, k)
+    var_y = empirical_var(sample.y_index, k)
     filtered = np.sort(sample.xs[sample.ys >= var_y])
     if filtered.size != k + 1:
         raise ValueError(
@@ -77,13 +79,24 @@ def _filtered_xs(sample: LossPairSample, k: int) -> tuple[np.ndarray, float]:
     return filtered, var_y
 
 
-def intermediate_covar(sample: LossPairSample, k: int) -> float:
-    """CoVaR at level 1 - k/n: the (k+2-m)-th smallest filtered X value."""
+def _intermediate(sample: LossPairSample, k: int) -> tuple[float, float]:
+    """(CoVaR, CoES) at level 1 - k/n from one filtered subsample.
+
+    CoVaR is the (k+2-m)-th smallest filtered X value; CoES is
+    (n/k^2) * sum of X over the joint exceedances of CoVaR and Y_{n-k,n}.
+    """
     config, _ = validate_tail_config(sample.n, k)
-    filtered, _ = _filtered_xs(sample, k)
+    filtered, var_y = _filtered_xs(sample, k)
     if not 1 <= k + 2 - config.m <= filtered.size:
         raise ValueError(f"order-statistic index k+2-m={k + 2 - config.m} out of range")
-    return float(filtered[k + 1 - config.m])
+    covar = float(filtered[k + 1 - config.m])
+    joint = (sample.xs >= covar) & (sample.ys >= var_y)
+    return covar, float(sample.n / (k * k) * np.sum(sample.xs[joint]))
+
+
+def intermediate_covar(sample: LossPairSample, k: int) -> float:
+    """CoVaR at level 1 - k/n: the (k+2-m)-th smallest filtered X value."""
+    return _intermediate(sample, k)[0]
 
 
 def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
@@ -108,11 +121,7 @@ def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
 
 def intermediate_coes(sample: LossPairSample, k: int) -> float:
     """CoES at level 1 - k/n: (n/k^2) * sum of X over the joint exceedances."""
-    covar = intermediate_covar(sample, k)
-    _, var_y = _filtered_xs(sample, k)
-    n = sample.n
-    joint = (sample.xs >= covar) & (sample.ys >= var_y)
-    return float(n / (k * k) * np.sum(sample.xs[joint]))
+    return _intermediate(sample, k)[1]
 
 
 def _extrapolation_base(gamma: float, d: float) -> float:
@@ -124,7 +133,8 @@ def _covar_from_eta(gamma: float, eta: float, var_x: float, d: float) -> float:
 
 
 def _checked_gamma(sample: LossPairSample, k: int) -> float:
-    gamma = hill_estimate(build_margin_index(sample.xs), k)
+    """Hill estimate of the X margin, rejected outside (0, 1)."""
+    gamma = hill_estimate(sample.x_index, k)
     if not 0.0 < gamma < 1.0:
         raise ValueError(
             f"tail index estimate gamma1={gamma:.4f} outside (0, 1); "
@@ -145,7 +155,7 @@ def extrapolate_covar(
     if variant == 3:
         return _extrapolation_base(gamma, config.d) * intermediate_covar(sample, k)
     eta = eta_hat(sample, k, variant)
-    var_x = empirical_var(build_margin_index(sample.xs), k)
+    var_x = empirical_var(sample.x_index, k)
     return _covar_from_eta(gamma, eta.value, var_x, config.d)
 
 
@@ -158,7 +168,7 @@ def extrapolate_coes(
         raise ValueError(f"CoES variant must be 1, 2, 3 or 4, got {variant}")
     if variant == 4:
         config, _ = validate_tail_config(sample.n, k, tau_prime)
-        gamma = hill_estimate(build_margin_index(sample.xs), k)
+        gamma = hill_estimate(sample.x_index, k)
         return _extrapolation_base(gamma, config.d) * intermediate_coes(sample, k)
     gamma = _checked_gamma(sample, k)
     return extrapolate_covar(sample, k, tau_prime, variant) / (1.0 - gamma)
@@ -173,18 +183,11 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
     """
     config, warnings = validate_tail_config(sample.n, k, tau_prime)
     d = config.d
-    x_index = build_margin_index(sample.xs)
-    gamma = hill_estimate(x_index, k)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(
-            f"tail index estimate gamma1={gamma:.4f} outside (0, 1); "
-            "extrapolation is invalid"
-        )
-    var_x = empirical_var(x_index, k)
+    gamma = _checked_gamma(sample, k)
+    var_x = empirical_var(sample.x_index, k)
     eta1 = eta_hat(sample, k, 1)
     eta2 = eta_hat(sample, k, 2)
-    covar_int = intermediate_covar(sample, k)
-    coes_int = intermediate_coes(sample, k)
+    covar_int, coes_int = _intermediate(sample, k)
 
     covar_ext = {
         1: _covar_from_eta(gamma, eta1.value, var_x, d),

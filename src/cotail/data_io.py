@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import LossPairSample, WarningRecord, validate_tail_config
-from .covar_coes import RiskEstimates, estimate_all
+from .covar_coes import RECORD_KEYS, RiskEstimates, estimate_all
 from .empirical import hill_curve, tail_prob_curve
 from .tail_copula import r_hat
 
@@ -136,10 +136,6 @@ def loss_pair(series_x: ReturnSeries, series_y: ReturnSeries) -> LossPairSample:
     return LossPairSample(xs=series_x.losses, ys=series_y.losses)
 
 
-def _mean_over(estimates: Sequence[RiskEstimates], pick) -> float:
-    return float(np.mean([pick(est) for est in estimates]))
-
-
 def average_estimates(
     estimates: Sequence[RiskEstimates], failed: Sequence[str] = ()
 ) -> RiskEstimates:
@@ -165,17 +161,9 @@ def average_estimates(
                 f"failed and were excluded: {'; '.join(failed)}",
             )
         )
-    return RiskEstimates(
-        gamma1_hat=_mean_over(estimates, lambda e: e.gamma1_hat),
-        var_x_hat=_mean_over(estimates, lambda e: e.var_x_hat),
-        eta_hat_1=_mean_over(estimates, lambda e: e.eta_hat_1),
-        eta_hat_2=_mean_over(estimates, lambda e: e.eta_hat_2),
-        covar_int=_mean_over(estimates, lambda e: e.covar_int),
-        coes_int=_mean_over(estimates, lambda e: e.coes_int),
-        covar_ext={i: _mean_over(estimates, lambda e: e.covar_ext[i]) for i in (1, 2, 3)},
-        coes_ext={i: _mean_over(estimates, lambda e: e.coes_ext[i]) for i in (1, 2, 3, 4)},
-        warnings=tuple(warnings),
-    )
+    records = [est.to_record() for est in estimates]
+    means = {key: float(np.mean([rec[key] for rec in records])) for key in RECORD_KEYS}
+    return RiskEstimates.from_record(means, tuple(warnings))
 
 
 def estimate_with_k_values(
@@ -256,10 +244,7 @@ def diagnostics_export(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    from .core import build_margin_index
-
-    margin = build_margin_index(sample.xs)
-    curve = hill_curve(margin, ks[0], ks[-1])
+    curve = hill_curve(sample.x_index, ks[0], ks[-1])
     positions = {int(k): i for i, k in enumerate(curve.ks)}
     hill_rows = [
         (k, float(curve.gammas[positions[k]]), float(curve.lo[positions[k]]), float(curve.hi[positions[k]]))

@@ -77,13 +77,11 @@ def tail_prob_curve(sample: LossPairSample, taus) -> TailProbCurve:
     if np.any((taus <= 0.0) | (taus >= 1.0)):
         raise ValueError("every tau must lie in (0, 1)")
     n = sample.n
-    xs_sorted = np.sort(sample.xs)
-    ys_sorted = np.sort(sample.ys)
     p_hat = np.empty(taus.size)
     for j, tau in enumerate(taus):
         idx = math.ceil(n * tau)
-        var_x = xs_sorted[idx - 1]
-        var_y = ys_sorted[idx - 1]
+        var_x = sample.x_index.sorted[idx - 1]
+        var_y = sample.y_index.sorted[idx - 1]
         p_hat[j] = np.mean((sample.xs >= var_x) & (sample.ys >= var_y))
     return TailProbCurve(taus=taus, p_hat=p_hat, square=(1.0 - taus) ** 2)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossPairSample, build_margin_index, validate_tail_config
+from .core import LossPairSample, validate_tail_config
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class EtaEstimate:
 
 
 def fit_tail_copula(sample: LossPairSample, k: int, variant: int) -> TailCopulaEstimate:
-    """Precompute ranks and return a reusable R-hat evaluator."""
+    """Return a reusable R-hat evaluator on the sample's cached ranks."""
     _check_variant(variant)
     n = sample.n
     if not 1 <= k <= n - 1:
@@ -72,8 +72,8 @@ def fit_tail_copula(sample: LossPairSample, k: int, variant: int) -> TailCopulaE
         variant=variant,
         k=k,
         n=n,
-        ranks_x=build_margin_index(sample.xs).ranks,
-        ranks_y=build_margin_index(sample.ys).ranks,
+        ranks_x=sample.x_index.ranks,
+        ranks_y=sample.y_index.ranks,
     )
 
 
@@ -116,8 +116,8 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
     n = sample.n
     config, _ = validate_tail_config(n, k)
     m = config.m
-    ranks_x = build_margin_index(sample.xs).ranks
-    ranks_y = build_margin_index(sample.ys).ranks
+    ranks_x = sample.x_index.ranks
+    ranks_y = sample.y_index.ranks
     if variant == 1:
         depths = np.sort(n - ranks_x[ranks_y >= n - k])
         if depths.size != k + 1:
@@ -161,8 +161,8 @@ def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
     n = sample.n
     config, _ = validate_tail_config(n, k)
     m = config.m
-    ranks_x = build_margin_index(sample.xs).ranks
-    ranks_y = build_margin_index(sample.ys).ranks
+    ranks_x = sample.x_index.ranks
+    ranks_y = sample.y_index.ranks
     if variant == 1:
         depths_x = n - ranks_x[ranks_y >= n - k]  # candidates restricted to the filter
         for j in range(k + 1):

@@ -62,6 +62,17 @@ def test_loss_pair_sample_coerces_and_validates():
         LossPairSample(xs=[[1.0, 2.0]], ys=[[1.0, 2.0]])
 
 
+def test_loss_pair_sample_caches_read_only_margin_indexes():
+    xs = np.array([3.0, 1.0, 2.0])
+    sample = LossPairSample(xs=xs, ys=[1.0, 2.0, 3.0])
+    assert sample.x_index is sample.x_index
+    assert sample.x_index.ranks.tolist() == [3, 1, 2]
+    assert sample.y_index.sorted.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        sample.xs[0] = 0.0  # the cached index would go stale
+    xs[0] = 0.0  # the caller's own array stays writable
+
+
 def test_validate_tail_config_typical_cell():
     config, warnings = validate_tail_config(500, 120, 0.99)
     assert config.m == 29

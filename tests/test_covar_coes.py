@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import cotail.core
 from cotail.core import LossPairSample
 from cotail.covar_coes import (
     ESTIMATOR_NAMES,
+    RECORD_KEYS,
+    RiskEstimates,
     _covar_from_eta,
     _extrapolation_base,
     estimate_all,
@@ -15,6 +18,7 @@ from cotail.covar_coes import (
     intermediate_covar,
     intermediate_covar_scan,
 )
+from cotail.data_io import estimate_with_k_values
 from cotail.models import make_spec, sample_model
 
 
@@ -206,3 +210,63 @@ def test_cauchy_adjustment_variants_agree():
         if abs(one - two) / min(one, two) < 0.10:
             hits += 1
     assert hits >= 95
+
+
+def _outcome(sample, k, tau_prime):
+    """The full result of estimate_all, or its error message."""
+    try:
+        estimates = estimate_all(sample, k, tau_prime)
+    except ValueError as exc:
+        return str(exc)
+    return estimates.to_record(), estimates.warnings
+
+
+def test_each_margin_is_sorted_once_per_sample(monkeypatch):
+    calls = []
+    original = cotail.core.build_margin_index
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(cotail.core, "build_margin_index", counting)
+    rng = np.random.default_rng(17)
+    estimate_all(sample_model(make_spec("Cauchy"), 2000, rng), 250, 0.999)
+    assert calls == [2000, 2000]
+    calls.clear()
+    sample = sample_model(make_spec("Cauchy"), 1000, rng)
+    estimate_with_k_values(sample, range(60, 81), 0.999)
+    assert calls == [1000, 1000]
+
+
+@pytest.mark.parametrize("family", ["Logistic", "Cauchy", "Pareto2", "StudentT"])
+def test_shared_sample_matches_fresh_sample_per_k(family):
+    """Reusing one sample's cached indexes over a k-range changes no result."""
+    rng = np.random.default_rng(4242)
+    for _ in range(3):
+        shared = sample_model(make_spec(family), 1000, rng)
+        for k in range(60, 81):
+            fresh = LossPairSample(xs=shared.xs.copy(), ys=shared.ys.copy())
+            assert _outcome(shared, k, 0.999) == _outcome(fresh, k, 0.999)
+
+
+def test_shared_sample_raises_like_fresh_sample_on_threshold_tie():
+    n = 200
+    xs = np.arange(1.0, n + 1.0) ** 2
+    ys = np.arange(1.0, n + 1.0)
+    ys[178] = 180.0  # Y_(n-20,n) is now tied, Y_(n-30,n) is not
+    shared = LossPairSample(xs=xs, ys=ys)
+    assert isinstance(_outcome(shared, 30, 0.999), tuple)
+    with pytest.raises(ValueError, match="tie") as on_shared:
+        estimate_all(shared, 20, 0.999)
+    with pytest.raises(ValueError, match="tie") as on_fresh:
+        estimate_all(LossPairSample(xs=xs, ys=ys), 20, 0.999)
+    assert str(on_shared.value) == str(on_fresh.value)
+
+
+def test_record_round_trip_follows_record_keys():
+    estimates = estimate_all(comonotone(200), 20, 0.99)
+    record = estimates.to_record()
+    assert tuple(record) == RECORD_KEYS
+    assert ESTIMATOR_NAMES == RECORD_KEYS[6:]
+    assert RiskEstimates.from_record(record, estimates.warnings) == estimates

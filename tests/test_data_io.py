@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cotail.core
 from cotail.core import LossPairSample
 from cotail.covar_coes import estimate_all
 from cotail.data_io import (
@@ -286,6 +287,19 @@ class TestDiagnostics:
             _, r1, r2 = line.split("\t")
             assert float(r1) == 0.0
             assert float(r2) == 0.0
+
+    def test_each_margin_is_sorted_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cotail.core.build_margin_index
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(cotail.core, "build_margin_index", counting)
+        sample = sample_model(make_spec("Cauchy"), 500, np.random.default_rng(3))
+        diagnostics_export(sample, range(20, 101), [0.9, 0.95, 0.99], tmp_path)
+        assert calls == [500, 500]
 
     def test_line_endings_are_unix(self, tmp_path):
         values = np.arange(1.0, 101.0)
