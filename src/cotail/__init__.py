@@ -13,8 +13,6 @@ from .covar_coes import (
     RECORD_KEYS,
     RiskEstimates,
     estimate_all,
-    extrapolate_coes,
-    extrapolate_covar,
     intermediate_coes,
     intermediate_covar,
 )
@@ -49,7 +47,6 @@ from .oracle import (
     eta_star,
     eta_true,
     joint_survival,
-    joint_survival_quad,
     oracle_result,
     true_coes,
     true_covar,
@@ -58,7 +55,6 @@ from .tail_copula import (
     EtaEstimate,
     TailCopulaEstimate,
     eta_hat,
-    eta_hat_bruteforce,
     fit_tail_copula,
     r_hat,
 )
@@ -89,18 +85,14 @@ __all__ = [
     "empirical_var",
     "estimate_all",
     "eta_hat",
-    "eta_hat_bruteforce",
     "eta_star",
     "eta_true",
-    "extrapolate_coes",
-    "extrapolate_covar",
     "fit_tail_copula",
     "hill_curve",
     "hill_estimate",
     "intermediate_coes",
     "intermediate_covar",
     "joint_survival",
-    "joint_survival_quad",
     "load_pair_series",
     "loss_pair",
     "make_spec",

@@ -16,35 +16,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS, RiskEstimates
+from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS
 from .data_io import (
     RollingPlan,
     diagnostics_export,
     estimate_with_k_values,
+    format_tsv,
+    k_values,
     load_pair_series,
     loss_pair,
     rolling_estimates,
+    write_text,
 )
 from .harness import plan_from_record, run_grid
 from .models import make_spec
 from .oracle import oracle_result
 
-_RECORD_KEYS = RECORD_KEYS  # older name, still imported by callers
 
-
-def _parse_k(text: str) -> tuple[int, ...]:
-    """A single k ("120") or an inclusive range ("80:100")."""
+def _parse_k(text: str) -> int | tuple[int, int]:
+    """A single k ("120") or an inclusive range ("80:100") as (80, 100)."""
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi:
-            raise ValueError(f"empty k range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+        return int(lo_text), int(hi_text)
+    return int(text)
 
 
 def _parse_tau_grid(text: str) -> list[float]:
@@ -60,24 +59,15 @@ def _parse_tau_grid(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",") if piece.strip()]
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
-def _estimates_lines(estimates: RiskEstimates) -> list[str]:
-    lines = [f"{key}\t{value:.10g}" for key, value in estimates.to_record().items()]
-    for warning in estimates.warnings:
-        lines.append(f"warning\t{warning.code}: {warning.message}")
-    return lines
-
-
 def _cmd_simulate(args) -> int:
     with open(args.plan, encoding="utf-8") as handle:
         payload = json.load(handle)
-    records = payload["plans"] if isinstance(payload, dict) else payload
+    records = payload.get("plans") if isinstance(payload, dict) else payload
     if not isinstance(records, list) or not records:
-        raise ValueError("plan file must hold a nonempty list of plan records")
+        raise ValueError(
+            "plan file must hold a nonempty list of plan records, "
+            "or an object whose 'plans' field holds one"
+        )
     plans = []
     for index, record in enumerate(records):
         derived = int(
@@ -87,35 +77,28 @@ def _cmd_simulate(args) -> int:
     table_text, tables = run_grid(plans, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "table.txt", table_text)
+    write_text(out / "table.txt", table_text)
 
-    msre_lines = [
-        "\t".join(
-            ("plan", "family", "n", "k", "tau_prime", "replications")
-            + ESTIMATOR_NAMES
-            + ("failures",)
-        )
+    runs = list(enumerate(zip(plans, tables)))
+    msre_rows = [
+        ("plan", "family", "n", "k", "tau_prime", "replications", *ESTIMATOR_NAMES, "failures")
+    ] + [
+        (index, plan.spec.family, plan.n, plan.k, plan.tau_prime, plan.replications,
+         *(table.msre[name] for name in ESTIMATOR_NAMES), table.failure_count)
+        for index, (plan, table) in runs
     ]
-    ratio_lines = ["plan\tfamily\testimator\tratio"]
-    for index, (plan, table) in enumerate(zip(plans, tables)):
-        cells = [
-            str(index),
-            plan.spec.family,
-            str(plan.n),
-            str(plan.k),
-            f"{plan.tau_prime:.10g}",
-            str(plan.replications),
-        ]
-        cells += [f"{table.msre[name]:.10g}" for name in ESTIMATOR_NAMES]
-        cells.append(str(table.failure_count))
-        msre_lines.append("\t".join(cells))
-        for name in ESTIMATOR_NAMES:
-            for ratio in table.ratios[name]:
-                ratio_lines.append(
-                    f"{index}\t{plan.spec.family}\t{name}\t{ratio:.10g}"
-                )
-    _write_text(out / "msre.tsv", "\n".join(msre_lines) + "\n")
-    _write_text(out / "ratios.tsv", "\n".join(ratio_lines) + "\n")
+    # a stream, not a list: ratios.tsv has a row per replication and estimator
+    ratio_rows = chain(
+        [("plan", "family", "estimator", "ratio")],
+        (
+            (index, plan.spec.family, name, ratio)
+            for index, (plan, table) in runs
+            for name in ESTIMATOR_NAMES
+            for ratio in table.ratios[name]
+        ),
+    )
+    write_text(out / "msre.tsv", format_tsv(msre_rows))
+    write_text(out / "ratios.tsv", format_tsv(ratio_rows))
     print(table_text, end="")
     return 0
 
@@ -123,7 +106,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     series_x, series_y = load_pair_series(args.x, args.y)
     sample = loss_pair(series_x, series_y)
-    estimates = estimate_with_k_values(sample, _parse_k(args.k), args.tau)
+    estimates = estimate_with_k_values(sample, k_values(_parse_k(args.k)), args.tau)
     if args.json:
         record = estimates.to_record()
         record["warnings"] = [
@@ -131,15 +114,15 @@ def _cmd_estimate(args) -> int:
         ]
         print(json.dumps(record, indent=2))
     else:
-        print("\n".join(_estimates_lines(estimates)))
+        rows = list(estimates.to_record().items())
+        rows += [("warning", f"{w.code}: {w.message}") for w in estimates.warnings]
+        print(format_tsv(rows), end="")
     return 0
 
 
 def _cmd_diagnose(args) -> int:
     series_x, series_y = load_pair_series(args.x, args.y)
     sample = loss_pair(series_x, series_y)
-    if args.kmin > args.kmax:
-        raise ValueError(f"empty k range [{args.kmin}, {args.kmax}]")
     paths = diagnostics_export(
         sample, range(args.kmin, args.kmax + 1), _parse_tau_grid(args.taugrid), args.out
     )
@@ -150,23 +133,16 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_rolling(args) -> int:
     series_x, series_y = load_pair_series(args.x, args.y)
-    ks = _parse_k(args.k)
-    k_field = ks[0] if len(ks) == 1 else (ks[0], ks[-1])
-    plan = RollingPlan(window=args.window, k=k_field, tau_prime=args.tau, step=args.step)
-    rows = rolling_estimates(series_x, series_y, plan)
-    lines = ["\t".join(("date",) + RECORD_KEYS + ("note",))]
-    for row in rows:
+    plan = RollingPlan(window=args.window, k=_parse_k(args.k), tau_prime=args.tau, step=args.step)
+    rows = [("date", *RECORD_KEYS, "note")]
+    for row in rolling_estimates(series_x, series_y, plan):
         if row.estimates is None:
-            cells = [row.timestamp.isoformat()] + [""] * len(RECORD_KEYS)
-            cells.append(f"gap: {row.reason}")
+            rows.append((row.timestamp, *[""] * len(RECORD_KEYS), f"gap: {row.reason}"))
         else:
-            cells = [row.timestamp.isoformat()]
-            cells += [f"{value:.10g}" for value in row.estimates.to_record().values()]
-            cells.append("")
-        lines.append("\t".join(cells))
-    text = "\n".join(lines) + "\n"
+            rows.append((row.timestamp, *row.estimates.to_record().values(), ""))
+    text = format_tsv(rows)
     if args.out:
-        _write_text(Path(args.out), text)
+        write_text(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -175,11 +151,11 @@ def _cmd_rolling(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = make_spec(args.model, theta=args.theta, nu=args.nu, rho=args.rho)
     result = oracle_result(spec, args.tau)
-    print("family\ttau\tvar_y\tcovar\tcoes\ttol")
-    print(
-        f"{spec.family}\t{result.tau:.10g}\t{result.var_y:.10g}"
-        f"\t{result.covar:.10g}\t{result.coes:.10g}\t{result.abs_tol:.3g}"
-    )
+    rows = [
+        ("family", "tau", "var_y", "covar", "coes", "tol"),
+        (spec.family, result.tau, result.var_y, result.covar, result.coes, f"{result.abs_tol:.3g}"),
+    ]
+    print(format_tsv(rows), end="")
     return 0
 
 

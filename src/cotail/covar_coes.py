@@ -1,8 +1,9 @@
 """Intermediate and extrapolated CoVaR/CoES estimators.
 
 The intermediate estimators work at level 1 - k/n via filtered order
-statistics; the extrapolated families push them to an extreme level tau'
-using the Hill estimate and either an adjustment factor (variants 1-2) or
+statistics.  ``estimate_all`` is the one entry point for the extrapolated
+families: it pushes them to an extreme level tau' with the Hill estimate,
+the factor d^(2 gamma) and either an adjustment factor (variants 1-2) or
 the intermediate estimate itself (variants 3-4).  Every estimator reads the
 margin indexes cached on the sample, so ``estimate_all`` over any number of
 k values costs one sort per margin, and ``RECORD_KEYS`` is the one flat
@@ -99,103 +100,43 @@ def intermediate_covar(sample: LossPairSample, k: int) -> float:
     return _intermediate(sample, k)[0]
 
 
-def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
-    """Defining right-continuous inverse, by scanning the filtered X values.
-
-    Returns sup{s : C_n(s) >= (k/n)^2} where C_n(s) counts observations with
-    X >= s and Y >= Y_{n-k,n}.  The threshold comparison is integer-exact
-    (n * count >= k^2).  Test oracle for ``intermediate_covar``.
-    """
-    n = sample.n
-    validate_tail_config(n, k)
-    filtered, _ = _filtered_xs(sample, k)
-    best = None
-    for j in range(filtered.size):
-        count = filtered.size - j  # filtered values >= filtered[j], tie-free
-        if n * count >= k * k:
-            best = filtered[j]
-    if best is None:
-        raise ValueError("no filtered X value attains the C_n level")
-    return float(best)
-
-
 def intermediate_coes(sample: LossPairSample, k: int) -> float:
     """CoES at level 1 - k/n: (n/k^2) * sum of X over the joint exceedances."""
     return _intermediate(sample, k)[1]
 
 
-def _extrapolation_base(gamma: float, d: float) -> float:
-    return d ** (2.0 * gamma)
-
-
-def _covar_from_eta(gamma: float, eta: float, var_x: float, d: float) -> float:
-    return _extrapolation_base(gamma, d) * eta ** (-gamma) * var_x
-
-
-def _checked_gamma(sample: LossPairSample, k: int) -> float:
-    """Hill estimate of the X margin, rejected outside (0, 1)."""
-    gamma = hill_estimate(sample.x_index, k)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(
-            f"tail index estimate gamma1={gamma:.4f} outside (0, 1); "
-            "extrapolation is invalid"
-        )
-    return gamma
-
-
-def extrapolate_covar(
-    sample: LossPairSample, k: int, tau_prime: float, variant: int
-) -> float:
-    """Extrapolated CoVaR at tau'; variants 1-2 via eta-hat, 3 via the
-    intermediate CoVaR."""
-    if variant not in (1, 2, 3):
-        raise ValueError(f"CoVaR variant must be 1, 2 or 3, got {variant}")
-    config, _ = validate_tail_config(sample.n, k, tau_prime)
-    gamma = _checked_gamma(sample, k)
-    if variant == 3:
-        return _extrapolation_base(gamma, config.d) * intermediate_covar(sample, k)
-    eta = eta_hat(sample, k, variant)
-    var_x = empirical_var(sample.x_index, k)
-    return _covar_from_eta(gamma, eta.value, var_x, config.d)
-
-
-def extrapolate_coes(
-    sample: LossPairSample, k: int, tau_prime: float, variant: int
-) -> float:
-    """Extrapolated CoES at tau'; variants 1-3 are CoVaR/(1 - gamma), 4 is
-    the extrapolated intermediate CoES (computable for any gamma)."""
-    if variant not in (1, 2, 3, 4):
-        raise ValueError(f"CoES variant must be 1, 2, 3 or 4, got {variant}")
-    if variant == 4:
-        config, _ = validate_tail_config(sample.n, k, tau_prime)
-        gamma = hill_estimate(sample.x_index, k)
-        return _extrapolation_base(gamma, config.d) * intermediate_coes(sample, k)
-    gamma = _checked_gamma(sample, k)
-    return extrapolate_covar(sample, k, tau_prime, variant) / (1.0 - gamma)
-
-
 def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstimates:
     """Compute every intermediate and extrapolated estimator in one pass.
+
+    With d = k/(n(1 - tau')), CoVaR variants 1-2 are
+    d^(2 gamma) * eta^(-gamma) * VaR_X, variant 3 is d^(2 gamma) * CoVaR_int,
+    CoES variants 1-3 are CoVaR/(1 - gamma) and variant 4 is
+    d^(2 gamma) * CoES_int.
 
     Raises:
         ValueError: gamma1_hat outside (0, 1) (the variant 1-3
             extrapolations are undefined), or any component failure.
     """
     config, warnings = validate_tail_config(sample.n, k, tau_prime)
-    d = config.d
-    gamma = _checked_gamma(sample, k)
+    gamma = hill_estimate(sample.x_index, k)
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(
+            f"tail index estimate gamma1={gamma:.4f} outside (0, 1); "
+            "extrapolation is invalid"
+        )
     var_x = empirical_var(sample.x_index, k)
     eta1 = eta_hat(sample, k, 1)
     eta2 = eta_hat(sample, k, 2)
     covar_int, coes_int = _intermediate(sample, k)
 
+    base = config.d ** (2.0 * gamma)
     covar_ext = {
-        1: _covar_from_eta(gamma, eta1.value, var_x, d),
-        2: _covar_from_eta(gamma, eta2.value, var_x, d),
-        3: _extrapolation_base(gamma, d) * covar_int,
+        1: base * eta1.value ** (-gamma) * var_x,
+        2: base * eta2.value ** (-gamma) * var_x,
+        3: base * covar_int,
     }
     coes_ext = {i: covar_ext[i] / (1.0 - gamma) for i in (1, 2, 3)}
-    coes_ext[4] = _extrapolation_base(gamma, d) * coes_int
+    coes_ext[4] = base * coes_int
 
     for eta in (eta1, eta2):
         if eta.clamped:

@@ -5,7 +5,9 @@ decimal price).  Two assets are aligned on the intersection of their
 dates, and losses are negative log returns of the aligned prices.  The
 rolling driver re-estimates on a moving window, optionally averaging the
 estimates over a range of k values, and records per-window failures as
-gaps with a reason instead of aborting.
+gaps with a reason instead of aborting.  ``k_values`` is the one reading of
+a k or (kmin, kmax) range, and ``format_tsv`` / ``write_text`` produce
+every TSV the package writes: floats as ``.10g``, UTF-8, LF line endings.
 """
 
 from __future__ import annotations
@@ -67,16 +69,16 @@ class RollingPlan:
         object.__setattr__(self, "step", int(self.step))
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        for k in self.k_values():
+        for k in k_values(self.k):
             validate_tail_config(self.window, k, self.tau_prime)
 
-    def k_values(self) -> tuple[int, ...]:
-        if isinstance(self.k, tuple):
-            lo, hi = (int(v) for v in self.k)
-            if lo > hi:
-                raise ValueError(f"empty k range ({lo}, {hi})")
-            return tuple(range(lo, hi + 1))
-        return (int(self.k),)
+
+def k_values(k: int | tuple[int, int]) -> range:
+    """The k values of a single k or of an inclusive range (kmin, kmax)."""
+    lo, hi = (int(v) for v in k) if isinstance(k, tuple) else (int(k), int(k))
+    if lo > hi:
+        raise ValueError(f"empty k range ({lo}, {hi})")
+    return range(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,8 @@ def estimate_with_k_values(
     sample: LossPairSample, ks: Sequence[int], tau_prime: float
 ) -> RiskEstimates:
     """estimate_all averaged over the k values; raises if every k fails."""
+    if len(ks) == 0:
+        raise ValueError("need at least one k value")
     successes: list[RiskEstimates] = []
     failures: list[str] = []
     for k in ks:
@@ -197,7 +201,7 @@ def rolling_estimates(
     total = losses_x.size
     if plan.window > total:
         raise ValueError(f"window {plan.window} exceeds loss series length {total}")
-    ks = plan.k_values()
+    ks = k_values(plan.k)
     rows: list[RollingRow] = []
     for end in range(plan.window, total + 1, plan.step):
         stamp = series_x.timestamps[end]
@@ -213,17 +217,19 @@ def rolling_estimates(
     return rows
 
 
-def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def format_tsv(rows: Iterable[Sequence]) -> str:
+    """Tab-separated lines, each ending in LF; floats print as ``.10g``,
+    every other cell as ``str``.  The first row is the header, if any."""
+    return "".join(
+        "\t".join(f"{cell:.10g}" if isinstance(cell, float) else str(cell) for cell in row) + "\n"
+        for row in rows
+    )
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 with LF line endings on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(header) + "\n")
-        for row in rows:
-            handle.write("\t".join(_format_cell(cell) for cell in row) + "\n")
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.10g}"
-    return str(cell)
+        handle.write(text)
 
 
 def diagnostics_export(
@@ -262,7 +268,7 @@ def diagnostics_export(
         "tailprob": out / "tailprob.tsv",
         "r11": out / "r11.tsv",
     }
-    _write_tsv(paths["hill"], ("k", "gamma", "lo", "hi"), hill_rows)
-    _write_tsv(paths["tailprob"], ("tau", "p_hat", "square"), prob_rows)
-    _write_tsv(paths["r11"], ("k", "r1", "r2"), r_rows)
+    write_text(paths["hill"], format_tsv([("k", "gamma", "lo", "hi"), *hill_rows]))
+    write_text(paths["tailprob"], format_tsv([("tau", "p_hat", "square"), *prob_rows]))
+    write_text(paths["r11"], format_tsv([("k", "r1", "r2"), *r_rows]))
     return paths

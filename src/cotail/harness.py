@@ -12,6 +12,7 @@ plan seed, so results are bit-identical regardless of worker count.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
@@ -69,6 +70,8 @@ def plan_from_record(record: dict, default_seed: int | None = None) -> Experimen
     Expected keys: model (a ModelSpec record), n, k, tau_prime,
     replications, and optionally seed (falling back to ``default_seed``).
     """
+    if not isinstance(record, dict):
+        raise ValueError(f"plan record must be an object, got {record!r}")
     allowed = {"model", "n", "k", "tau_prime", "replications", "seed"}
     unknown = set(record) - allowed
     if unknown:
@@ -79,6 +82,11 @@ def plan_from_record(record: dict, default_seed: int | None = None) -> Experimen
     seed = record.get("seed", default_seed)
     if seed is None:
         raise ValueError("plan record has no seed and no default was provided")
+    if not isinstance(record["model"], dict):
+        raise ValueError(f"plan field 'model' must be an object, got {record['model']!r}")
+    for name, value in {**record, "seed": seed}.items():
+        if name != "model" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"plan field {name!r} must be a number, got {value!r}")
     return ExperimentPlan(
         spec=ModelSpec.from_record(record["model"]),
         n=record["n"],

@@ -18,6 +18,7 @@ inside R are exposed for the oracle and for estimator validation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,10 @@ class ModelSpec:
             raise ValueError(f"unknown ModelSpec fields: {sorted(unknown)}")
         if "family" not in record:
             raise ValueError("ModelSpec record requires a 'family' field")
+        for name in ("theta", "nu", "rho"):
+            value = record.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"ModelSpec field {name!r} must be a number, got {value!r}")
         return make_spec(
             record["family"],
             theta=record.get("theta"),

@@ -12,9 +12,6 @@ by bracketed bisection, and true CoES adds the tail integral
 
 evaluated with the substitution s = c/u on u in (0, 1].  Results are
 memoized per (model, tau); the harness asks once per experiment.
-
-A deliberately independent 2-D quadrature route over the raw densities
-(``joint_survival_quad``) exists so the closed forms can be cross-checked.
 """
 
 from __future__ import annotations
@@ -114,61 +111,6 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
     if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
         raise ValueError(f"StudentT survival quadrature did not converge (err={err:g})")
     return 2.0 * value
-
-
-def _quad_over_quadrant(density, a: float, b: float) -> float:
-    """int_a^inf int_b^inf density(z1, z2) dz2 dz1.
-
-    Each semi-infinite axis is folded onto (0, 1] by
-    z = lo + max(lo, 1)*((1 - u)/u)^2; the square makes the u -> 0 endpoint
-    behavior polynomial for the regularly-varying tails here (indices
-    >= 5/2), which plain infinite-limit rules flag as slowly convergent,
-    and the scale keeps the fold conditioned for large lower limits.
-    """
-    scale1, scale2 = max(a, 1.0), max(b, 1.0)
-
-    def transformed(u2: float, u1: float) -> float:
-        r1 = (1.0 - u1) / u1
-        r2 = (1.0 - u2) / u2
-        jac = scale1 * scale2 * 4.0 * r1 * r2 / (u1 * u1 * u2 * u2)
-        return density(a + scale1 * r1 * r1, b + scale2 * r2 * r2) * jac
-
-    value, _ = integrate.dblquad(transformed, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
-    return value
-
-
-def joint_survival_quad(spec: ModelSpec, s: float, t: float) -> float:
-    """P(X >= s, Y >= t) by direct 2-D quadrature of the pre-transform density.
-
-    Independent route used only to audit the closed forms; Logistic has no
-    tractable planar density here and is rejected.
-    """
-    if s < 0.0 or t < 0.0:
-        raise ValueError("survival arguments must be nonnegative")
-    if spec.family == "Logistic":
-        raise ValueError("no 2-D density route for the Logistic model")
-    a = s ** (1.0 / spec.x_exponent)
-    b = t
-    if spec.family == "Pareto2":
-        theta = spec.theta
-        return _quad_over_quadrant(
-            lambda z1, z2: theta * (theta + 1.0) * (1.0 + z1 + z2) ** (-theta - 2.0), a, b
-        )
-    if spec.family == "Cauchy":
-        return 4.0 * _quad_over_quadrant(
-            lambda z1, z2: (1.0 + z1 * z1 + z2 * z2) ** -1.5 / (2.0 * math.pi), a, b
-        )
-    nu, rho = spec.nu, spec.rho
-    det = 1.0 - rho * rho
-    log_norm = gammaln(0.5 * nu + 1.0) - gammaln(0.5 * nu) - math.log(nu * math.pi) - 0.5 * math.log(det)
-
-    def density(z1: float, z2: float) -> float:
-        quad_form = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / det
-        return math.exp(log_norm - (0.5 * nu + 1.0) * math.log1p(quad_form / nu))
-
-    pos = _quad_over_quadrant(density, a, b)
-    neg = _quad_over_quadrant(lambda z1, z2: density(z1, -z2), a, b)
-    return 2.0 * (pos + neg)
 
 
 def true_covar(spec: ModelSpec, tau: float) -> float:

@@ -3,9 +3,10 @@
 Two rank-based estimators of the tail copula R are provided, together with
 the adjustment-factor estimators eta-hat obtained by inverting R-hat(., 1)
 at level k/n.  The inversion has a closed order-statistic form (the
-filtered-sub-sample procedure) and a brute-force candidate scan used as a
-definitional test oracle; both share the same value expressions so that
-they agree bit-for-bit on tie-free data.
+filtered-sub-sample procedure).  Its final value expressions
+(``_eta1_value`` / ``_eta2_value``) are shared with the brute-force
+candidate scan kept among the tests, so the two agree bit-for-bit on
+tie-free data.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _check_variant(variant: int) -> None:
 
 
 def _eta1_value(n: int, k: int, depth: int) -> float:
-    # (n/k) * Z~ with Z~ = depth/n; shared by the procedure and the scan so
-    # the two produce identical floats.
+    # (n/k) * Z~ with Z~ = depth/n; shared by the procedure and the test
+    # scan so the two produce identical floats.
     return (n / k) * (depth / n)
 
 
@@ -146,34 +147,6 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
     if raw < floor:
         return EtaEstimate(variant=variant, value=floor, clamped=True, raw=raw)
     return EtaEstimate(variant=variant, value=min(raw, 1.0), clamped=False, raw=raw)
-
-
-def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
-    """Definitional inf over the jump candidates of R-hat(., 1); unclamped.
-
-    Scans the finite candidate set where R-hat(., 1) can jump — variant 1:
-    (n/k)(j/n) for j = 0..k; variant 2: (n + 1/2 - r)/k for r = n down to
-    n - k + 1 — and returns the smallest candidate c with
-    R-hat(c, 1) >= k/n.  Threshold comparisons are integer-exact
-    (count * n >= k^2 via count >= m).
-    """
-    _check_variant(variant)
-    n = sample.n
-    config, _ = validate_tail_config(n, k)
-    m = config.m
-    ranks_x = sample.x_index.ranks
-    ranks_y = sample.y_index.ranks
-    if variant == 1:
-        depths_x = n - ranks_x[ranks_y >= n - k]  # candidates restricted to the filter
-        for j in range(k + 1):
-            if int(np.count_nonzero(depths_x <= j)) >= m:
-                return _eta1_value(n, k, j)
-    else:
-        in_filter = ranks_x[ranks_y >= n - k + 1]
-        for r in range(n, n - k, -1):
-            if int(np.count_nonzero(in_filter >= r)) >= m:
-                return _eta2_value(n, k, r)
-    raise _not_attained(k, n)
 
 
 def _not_attained(k: int, n: int) -> ValueError:

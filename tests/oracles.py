@@ -1,0 +1,126 @@
+"""Definitional test oracles for the package's fast estimators and closed forms.
+
+Each routine here computes a quantity the package computes another way,
+straight from its definition: the intermediate CoVaR by scanning the
+filtered X values, eta-hat by scanning the jump candidates of
+R-hat(., 1), and the models' joint survival by 2-D quadrature of the raw
+densities.  The scans import the package's own value expressions
+(``_filtered_xs``, ``_eta1_value``, ``_eta2_value``), so on tie-free data
+they agree with the procedures bit-for-bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import integrate
+from scipy.special import gammaln
+
+from cotail.core import LossPairSample, validate_tail_config
+from cotail.covar_coes import _filtered_xs
+from cotail.models import ModelSpec
+from cotail.tail_copula import _check_variant, _eta1_value, _eta2_value, _not_attained
+
+
+def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
+    """Defining right-continuous inverse, by scanning the filtered X values.
+
+    Returns sup{s : C_n(s) >= (k/n)^2} where C_n(s) counts observations with
+    X >= s and Y >= Y_{n-k,n}.  The threshold comparison is integer-exact
+    (n * count >= k^2).  Test oracle for ``intermediate_covar``.
+    """
+    n = sample.n
+    validate_tail_config(n, k)
+    filtered, _ = _filtered_xs(sample, k)
+    best = None
+    for j in range(filtered.size):
+        count = filtered.size - j  # filtered values >= filtered[j], tie-free
+        if n * count >= k * k:
+            best = filtered[j]
+    if best is None:
+        raise ValueError("no filtered X value attains the C_n level")
+    return float(best)
+
+
+def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
+    """Definitional inf over the jump candidates of R-hat(., 1); unclamped.
+
+    Scans the finite candidate set where R-hat(., 1) can jump — variant 1:
+    (n/k)(j/n) for j = 0..k; variant 2: (n + 1/2 - r)/k for r = n down to
+    n - k + 1 — and returns the smallest candidate c with
+    R-hat(c, 1) >= k/n.  Threshold comparisons are integer-exact
+    (count * n >= k^2 via count >= m).
+    """
+    _check_variant(variant)
+    n = sample.n
+    config, _ = validate_tail_config(n, k)
+    m = config.m
+    ranks_x = sample.x_index.ranks
+    ranks_y = sample.y_index.ranks
+    if variant == 1:
+        depths_x = n - ranks_x[ranks_y >= n - k]  # candidates restricted to the filter
+        for j in range(k + 1):
+            if int(np.count_nonzero(depths_x <= j)) >= m:
+                return _eta1_value(n, k, j)
+    else:
+        in_filter = ranks_x[ranks_y >= n - k + 1]
+        for r in range(n, n - k, -1):
+            if int(np.count_nonzero(in_filter >= r)) >= m:
+                return _eta2_value(n, k, r)
+    raise _not_attained(k, n)
+
+
+def _quad_over_quadrant(density, a: float, b: float) -> float:
+    """int_a^inf int_b^inf density(z1, z2) dz2 dz1.
+
+    Each semi-infinite axis is folded onto (0, 1] by
+    z = lo + max(lo, 1)*((1 - u)/u)^2; the square makes the u -> 0 endpoint
+    behavior polynomial for the regularly-varying tails here (indices
+    >= 5/2), which plain infinite-limit rules flag as slowly convergent,
+    and the scale keeps the fold conditioned for large lower limits.
+    """
+    scale1, scale2 = max(a, 1.0), max(b, 1.0)
+
+    def transformed(u2: float, u1: float) -> float:
+        r1 = (1.0 - u1) / u1
+        r2 = (1.0 - u2) / u2
+        jac = scale1 * scale2 * 4.0 * r1 * r2 / (u1 * u1 * u2 * u2)
+        return density(a + scale1 * r1 * r1, b + scale2 * r2 * r2) * jac
+
+    value, _ = integrate.dblquad(transformed, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
+    return value
+
+
+def joint_survival_quad(spec: ModelSpec, s: float, t: float) -> float:
+    """P(X >= s, Y >= t) by direct 2-D quadrature of the pre-transform density.
+
+    Independent route used only to audit the closed forms; Logistic has no
+    tractable planar density here and is rejected.
+    """
+    if s < 0.0 or t < 0.0:
+        raise ValueError("survival arguments must be nonnegative")
+    if spec.family == "Logistic":
+        raise ValueError("no 2-D density route for the Logistic model")
+    a = s ** (1.0 / spec.x_exponent)
+    b = t
+    if spec.family == "Pareto2":
+        theta = spec.theta
+        return _quad_over_quadrant(
+            lambda z1, z2: theta * (theta + 1.0) * (1.0 + z1 + z2) ** (-theta - 2.0), a, b
+        )
+    if spec.family == "Cauchy":
+        return 4.0 * _quad_over_quadrant(
+            lambda z1, z2: (1.0 + z1 * z1 + z2 * z2) ** -1.5 / (2.0 * math.pi), a, b
+        )
+    nu, rho = spec.nu, spec.rho
+    det = 1.0 - rho * rho
+    log_norm = gammaln(0.5 * nu + 1.0) - gammaln(0.5 * nu) - math.log(nu * math.pi) - 0.5 * math.log(det)
+
+    def density(z1: float, z2: float) -> float:
+        quad_form = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / det
+        return math.exp(log_norm - (0.5 * nu + 1.0) * math.log1p(quad_form / nu))
+
+    pos = _quad_over_quadrant(density, a, b)
+    neg = _quad_over_quadrant(lambda z1, z2: density(z1, -z2), a, b)
+    return 2.0 * (pos + neg)

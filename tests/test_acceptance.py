@@ -16,12 +16,13 @@ import pytest
 
 from cotail.cli import main
 from cotail.core import LossPairSample, build_margin_index
-from cotail.covar_coes import estimate_all, intermediate_covar, intermediate_covar_scan
+from cotail.covar_coes import estimate_all, intermediate_covar
 from cotail.empirical import hill_estimate
 from cotail.harness import ExperimentPlan, run_experiment
 from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
 from cotail.oracle import true_coes, true_covar
-from cotail.tail_copula import eta_hat, eta_hat_bruteforce, r_hat
+from cotail.tail_copula import eta_hat, r_hat
+from oracles import eta_hat_bruteforce, intermediate_covar_scan
 
 GRID_K = {500: 120, 1000: 150, 2000: 250, 5000: 300}
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from cotail.cli import _RECORD_KEYS, _parse_k, _parse_tau_grid, main
+from cotail.cli import _parse_k, _parse_tau_grid, main
+from cotail.covar_coes import RECORD_KEYS
 from cotail.data_io import estimate_with_k_values, load_pair_series, loss_pair
 from cotail.models import make_spec, sample_model
 from cotail.oracle import true_coes, true_covar
@@ -28,10 +29,21 @@ def price_files(tmp_path):
 
 
 def test_parse_k():
-    assert _parse_k("120") == (120,)
-    assert _parse_k("80:100") == tuple(range(80, 101))
+    assert _parse_k("120") == 120
+    assert _parse_k("80:100") == (80, 100)
+    assert _parse_k("100:80") == (100, 80)  # the range check lives in data_io
     with pytest.raises(ValueError):
-        _parse_k("100:80")
+        _parse_k("80:")
+
+
+@pytest.mark.parametrize("command", ["estimate", "rolling"])
+def test_inverted_k_range_exits_with_error(command, price_files, capsys):
+    argv = [command, "--x", str(price_files["x"]), "--y", str(price_files["y"]),
+            "--k", "100:80", "--tau", "0.99"]
+    if command == "rolling":
+        argv += ["--window", "300"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: empty k range")
 
 
 def test_parse_tau_grid():
@@ -51,10 +63,10 @@ def test_estimate_text_output(price_files, capsys):
                "--k", "60", "--tau", "0.99"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("\t")[0] for line in lines[: len(_RECORD_KEYS)]] == list(_RECORD_KEYS)
+    assert [line.split("\t")[0] for line in lines[: len(RECORD_KEYS)]] == list(RECORD_KEYS)
     sample = loss_pair(*load_pair_series(price_files["x"], price_files["y"]))
     expected = estimate_with_k_values(sample, (60,), 0.99).to_record()
-    for line in lines[: len(_RECORD_KEYS)]:
+    for line in lines[: len(RECORD_KEYS)]:
         key, value = line.split("\t")
         assert float(value) == pytest.approx(expected[key], rel=1e-9)
 
@@ -64,10 +76,10 @@ def test_estimate_json_output(price_files, capsys):
                "--k", "50:70", "--tau", "0.99", "--json"])
     assert rc == 0
     record = json.loads(capsys.readouterr().out)
-    assert set(record) == set(_RECORD_KEYS) | {"warnings"}
+    assert set(record) == set(RECORD_KEYS) | {"warnings"}
     sample = loss_pair(*load_pair_series(price_files["x"], price_files["y"]))
     expected = estimate_with_k_values(sample, tuple(range(50, 71)), 0.99).to_record()
-    for key in _RECORD_KEYS:
+    for key in RECORD_KEYS:
         assert record[key] == pytest.approx(expected[key], rel=1e-12)
     assert isinstance(record["warnings"], list)
 
@@ -141,11 +153,11 @@ def test_rolling_stdout_matches_file(tmp_path, price_files, capsys):
     assert out_path.read_text(encoding="utf-8") == stdout
 
     lines = stdout.splitlines()
-    assert lines[0] == "\t".join(("date",) + _RECORD_KEYS + ("note",))
+    assert lines[0] == "\t".join(("date",) + RECORD_KEYS + ("note",))
     assert len(lines) == 1 + 3  # ends at losses 300, 350, 400
     for line in lines[1:]:
         cells = line.split("\t")
-        assert len(cells) == 1 + len(_RECORD_KEYS) + 1
+        assert len(cells) == 1 + len(RECORD_KEYS) + 1
         assert cells[-1] == ""  # no gaps on this fixture
         float(cells[1])  # numeric payload
 
@@ -164,7 +176,7 @@ def test_rolling_gap_rows(tmp_path, capsys):
     assert len(rows) == 2
     for row in rows:
         cells = row.split("\t")
-        assert cells[1:-1] == [""] * len(_RECORD_KEYS)
+        assert cells[1:-1] == [""] * len(RECORD_KEYS)
         assert cells[-1].startswith("gap: ")
 
 
@@ -213,12 +225,24 @@ def test_diagnose_rejects_inverted_range(price_files, tmp_path, capsys):
 
 
 def test_simulate_rejects_empty_plan(tmp_path, capsys):
+    good = _plan_records()[0]
+    payloads = {
+        "[]": None,
+        '{"foo": []}': "'plans'",
+        "[1]": "plan record",
+        json.dumps([{**good, "model": 5}]): "'model'",
+        json.dumps([{**good, "tau_prime": "0.99"}]): "'tau_prime'",
+    }
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text("[]", encoding="utf-8")
-    rc = main(["simulate", "--plan", str(plan_path), "--seed", "1",
-               "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "error: " in capsys.readouterr().err
+    for payload, field in payloads.items():
+        plan_path.write_text(payload, encoding="utf-8")
+        rc = main(["simulate", "--plan", str(plan_path), "--seed", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1, payload
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), payload
+        if field is not None:
+            assert field in err, payload
 
 
 def test_missing_subcommand_exits():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,17 +7,13 @@ from cotail.covar_coes import (
     ESTIMATOR_NAMES,
     RECORD_KEYS,
     RiskEstimates,
-    _covar_from_eta,
-    _extrapolation_base,
     estimate_all,
-    extrapolate_coes,
-    extrapolate_covar,
     intermediate_coes,
     intermediate_covar,
-    intermediate_covar_scan,
 )
 from cotail.data_io import estimate_with_k_values
 from cotail.models import make_spec, sample_model
+from oracles import intermediate_covar_scan
 
 
 def comonotone(n):
@@ -73,19 +67,27 @@ def test_intermediate_coes_tied_maxima():
 
 
 def test_extrapolation_formula_values():
-    # gamma=1/4, eta=1/4, VaR_X=7, d=5
-    assert _covar_from_eta(0.25, 0.25, 7.0, 5.0) == pytest.approx(
-        7.0 * math.sqrt(10.0), rel=1e-12
-    )
-    assert _extrapolation_base(0.25, 5.0) * 7.0 == pytest.approx(
-        7.0 * math.sqrt(5.0), rel=1e-12
-    )
-    assert _covar_from_eta(0.25, 0.25, 7.0, 5.0) / 0.75 == pytest.approx(
-        7.0 * math.sqrt(10.0) / 0.75, rel=1e-12
-    )
-    assert _extrapolation_base(0.25, 5.0) * 7.5 == pytest.approx(
-        7.5 * math.sqrt(5.0), rel=1e-12
-    )
+    """All seven extrapolations follow the paper's formulas from the record's
+    own gamma, eta, VaR_X and intermediate estimates, with d = k/(n(1-tau'))."""
+    rng = np.random.default_rng(2718)
+    n, k, tau_prime = 2000, 250, 0.999
+    for family in ("Cauchy", "Pareto2", "StudentT"):
+        estimates = estimate_all(sample_model(make_spec(family), n, rng), k, tau_prime)
+        gamma = estimates.gamma1_hat
+        base = (k / (n * (1.0 - tau_prime))) ** (2.0 * gamma)
+        covar = {
+            1: base * estimates.eta_hat_1 ** -gamma * estimates.var_x_hat,
+            2: base * estimates.eta_hat_2 ** -gamma * estimates.var_x_hat,
+            3: base * estimates.covar_int,
+        }
+        coes = {i: covar[i] / (1.0 - gamma) for i in (1, 2, 3)}
+        coes[4] = base * estimates.coes_int
+        assert set(estimates.covar_ext) == set(covar)
+        assert set(estimates.coes_ext) == set(coes)
+        for i, value in covar.items():
+            assert estimates.covar_ext[i] == pytest.approx(value, rel=1e-12)
+        for i, value in coes.items():
+            assert estimates.coes_ext[i] == pytest.approx(value, rel=1e-12)
 
 
 def test_extrapolation_at_intermediate_level_is_identity():
@@ -95,8 +97,6 @@ def test_extrapolation_at_intermediate_level_is_identity():
     estimates = estimate_all(sample, 4, tau_prime)
     assert estimates.covar_ext[3] == estimates.covar_int == 7.0
     assert estimates.coes_ext[4] == estimates.coes_int == 7.5
-    assert extrapolate_covar(sample, 4, tau_prime, 3) == 7.0
-    assert extrapolate_coes(sample, 4, tau_prime, 4) == 7.5
 
 
 def test_estimate_all_record_layout():
@@ -149,10 +149,11 @@ def test_extrapolations_monotone_in_tau_prime():
     rng = np.random.default_rng(99)
     sample = sample_model(make_spec("Cauchy"), 500, rng)
     levels = [0.995, 0.999, 0.9995, 0.9999]
+    results = [estimate_all(sample, 80, t) for t in levels]
     for variant in (1, 2, 3):
-        values = [extrapolate_covar(sample, 80, t, variant) for t in levels]
+        values = [r.covar_ext[variant] for r in results]
         assert all(a <= b for a, b in zip(values, values[1:]))
-    values = [extrapolate_coes(sample, 80, t, 4) for t in levels]
+    values = [r.coes_ext[4] for r in results]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -162,21 +163,6 @@ def test_gamma_outside_unit_interval_rejected():
     sample = LossPairSample(xs=xs, ys=np.arange(1.0, n + 1.0))
     with pytest.raises(ValueError, match="gamma1"):
         estimate_all(sample, k, 0.99)
-    with pytest.raises(ValueError, match="gamma1"):
-        extrapolate_covar(sample, k, 0.99, 1)
-    with pytest.raises(ValueError, match="gamma1"):
-        extrapolate_coes(sample, k, 0.99, 2)
-    # the intermediate-CoES extrapolation has no gamma gate
-    value = extrapolate_coes(sample, k, 0.99, 4)
-    assert math.isfinite(value) and value > 0.0
-
-
-def test_variant_bounds_rejected():
-    sample = comonotone(8)
-    with pytest.raises(ValueError):
-        extrapolate_covar(sample, 4, 0.9, 4)
-    with pytest.raises(ValueError):
-        extrapolate_coes(sample, 4, 0.9, 5)
 
 
 def test_warning_codes_collected():

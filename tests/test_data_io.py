@@ -13,6 +13,7 @@ from cotail.data_io import (
     average_estimates,
     diagnostics_export,
     estimate_with_k_values,
+    k_values,
     load_pair_series,
     loss_pair,
     rolling_estimates,
@@ -61,8 +62,10 @@ class TestReturnSeries:
 
 class TestRollingPlan:
     def test_k_values(self):
-        assert RollingPlan(window=100, k=20, tau_prime=0.99).k_values() == (20,)
-        assert RollingPlan(window=100, k=(10, 12), tau_prime=0.99).k_values() == (10, 11, 12)
+        assert k_values(20) == range(20, 21)
+        assert k_values((10, 12)) == range(10, 13)
+        with pytest.raises(ValueError, match="empty k range"):
+            k_values((12, 10))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +192,8 @@ class TestAveraging:
     def test_average_requires_input(self):
         with pytest.raises(ValueError):
             average_estimates([])
+        with pytest.raises(ValueError, match="need at least one k value"):
+            estimate_with_k_values(self._fixture(), [], 0.9)
 
 
 class TestRolling:

@@ -68,6 +68,8 @@ class TestModelSpec:
             ModelSpec.from_record({"family": "Cauchy", "beta": 1.0})
         with pytest.raises(ValueError):
             ModelSpec.from_record({"theta": 0.5})
+        with pytest.raises(ValueError, match="'theta' must be a number"):
+            ModelSpec.from_record({"family": "Pareto2", "theta": "2"})
 
 
 class TestSampler:

@@ -8,11 +8,11 @@ from cotail.oracle import (
     eta_star,
     eta_true,
     joint_survival,
-    joint_survival_quad,
     oracle_result,
     true_coes,
     true_covar,
 )
+from oracles import joint_survival_quad
 
 
 def test_joint_survival_known_values():
