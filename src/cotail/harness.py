@@ -38,10 +38,11 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("n", "k", "replications", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+                raise ValueError(f"plan field {name!r} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.seed < 0:

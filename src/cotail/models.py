@@ -189,17 +189,16 @@ def _sample_logistic_frechet(
 
 
 def student_t_cdf(x, nu: float):
-    """CDF of the Student-t distribution via the regularized incomplete beta.
+    """CDF of the Student-t distribution (``scipy.special.stdtr``).
 
     Accepts scalars or arrays; symmetric (F(-x) = 1 - F(x)), F(0) = 1/2.
+    Upper-tail probabilities are best read as F(-x), which keeps full
+    relative precision where 1 - F(x) would cancel.
     """
     if nu <= 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {nu}")
-    arr = np.asarray(x, dtype=float)
-    w = nu / (nu + arr * arr)
-    tail = 0.5 * special.betainc(0.5 * nu, 0.5, w)
-    out = np.where(arr > 0.0, 1.0 - tail, np.where(arr < 0.0, tail, 0.5))
-    if np.isscalar(x) or arr.ndim == 0:
+    out = special.stdtr(nu, x)
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -225,8 +224,11 @@ def true_tail_copula(spec: ModelSpec, x: float, y: float) -> float:
     if x == 0.0 or y == 0.0:
         return 0.0
     if spec.family == "Logistic":
+        # x + y - (x^(1/t) + y^(1/t))^t, factored through the larger
+        # argument so that the difference does not cancel
         t = spec.theta
-        return x + y - (x ** (1.0 / t) + y ** (1.0 / t)) ** t
+        lo, hi = min(x, y), max(x, y)
+        return lo - hi * math.expm1(t * math.log1p((lo / hi) ** (1.0 / t)))
     if spec.family == "Cauchy":
         return x + y - math.hypot(x, y)
     if spec.family == "Pareto2":
@@ -253,15 +255,14 @@ def pre_margin_survival(spec: ModelSpec, z: float) -> float:
         return 1.0 - 2.0 / math.pi * math.atan(z)
     if spec.family == "Pareto2":
         return (1.0 + z) ** (-spec.theta)
-    return 2.0 * (1.0 - student_t_cdf(z, spec.nu))
+    return 2.0 * student_t_cdf(-z, spec.nu)
 
 
 def marginal_quantiles(spec: ModelSpec, tau: float) -> tuple[float, float]:
     """(VaR_X(tau), VaR_Y(tau)) from the analytic margins.
 
     The pre-transform margin quantile is closed-form except for StudentT,
-    where F(t; nu) = (1 + tau)/2 is solved by bracketed bisection on
-    ``student_t_cdf`` (tolerance 1e-10, at most 200 iterations).
+    where it is the t quantile at (1 + tau)/2 (``scipy.special.stdtrit``).
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
@@ -272,26 +273,5 @@ def marginal_quantiles(spec: ModelSpec, tau: float) -> tuple[float, float]:
     elif spec.family == "Pareto2":
         q = (1.0 - tau) ** (-1.0 / spec.theta) - 1.0
     else:
-        q = _student_quantile((1.0 + tau) / 2.0, spec.nu)
+        q = float(special.stdtrit(spec.nu, (1.0 + tau) / 2.0))
     return q**spec.x_exponent, q
-
-
-def _student_quantile(p: float, nu: float) -> float:
-    """Solve F(t; nu) = p for p in (1/2, 1) by doubling bracket + bisection."""
-    lo = 0.0
-    hi = 1.0
-    for _ in range(200):
-        if student_t_cdf(hi, nu) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"failed to bracket the t quantile for p={p}, nu={nu}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, nu) >= p:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    raise ValueError(f"t quantile bisection did not converge for p={p}, nu={nu}")

@@ -6,7 +6,7 @@ quadrature (StudentT).  True CoVaR solves
 
     P(X >= c, Y >= VaR_Y(tau)) = (1 - tau)^2
 
-by bracketed bisection, and true CoES adds the tail integral
+by Brent's method on a doubled bracket, and true CoES adds the tail integral
 
     CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds
 
@@ -20,7 +20,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gammaln
 
 from .models import ModelSpec, marginal_quantiles, pre_margin_survival, student_t_cdf, true_tail_copula
@@ -41,6 +41,9 @@ class OracleResult:
     abs_tol: float
 
 
+# relative tolerance of every oracle root
+_RTOL = 1e-10
+
 _CACHE: dict[tuple[ModelSpec, float], OracleResult] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -50,16 +53,19 @@ def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
     if s < 0.0 or t < 0.0:
         raise ValueError("survival arguments must be nonnegative")
     if spec.family == "Logistic":
-        # inclusion-exclusion on the logistic max-stable CDF; the s = 0 or
-        # t = 0 edges reduce to one Frechet margin
+        # inclusion-exclusion 1 - e^-x - e^-y + e^-V on the logistic
+        # max-stable CDF (x = 1/z, y = 1/t, V = x + y - R(x, y)), regrouped
+        # into two nonnegative terms so tail probabilities do not cancel;
+        # the s = 0 or t = 0 edges reduce to one Frechet margin
         z = s ** (1.0 / spec.x_exponent)
         if z == 0.0:
             return pre_margin_survival(spec, t)
         if t == 0.0:
             return pre_margin_survival(spec, z)
-        inv = 1.0 / spec.theta
-        joint_cdf = math.exp(-((z**-inv + t**-inv) ** spec.theta))
-        return 1.0 - math.exp(-1.0 / z) - math.exp(-1.0 / t) + joint_cdf
+        x, y = 1.0 / z, 1.0 / t
+        return math.expm1(-x) * math.expm1(-y) + math.exp(-x - y) * math.expm1(
+            true_tail_copula(spec, x, y)
+        )
     if spec.family == "Cauchy":
         return 4.0 * _cauchy_quadrant(s ** (1.0 / spec.x_exponent), t)
     if spec.family == "Pareto2":
@@ -68,11 +74,15 @@ def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
 
 
 def _cauchy_quadrant(a: float, b: float) -> float:
-    """P(C1 >= a, C2 >= b), a, b >= 0, spherical bivariate Cauchy."""
-    root = math.sqrt(1.0 + a * a + b * b)
-    return (
-        0.5 * math.pi - math.atan(a) - math.atan(b) + math.atan(a * b / root)
-    ) / (2.0 * math.pi)
+    """P(C1 >= a, C2 >= b), a, b >= 0, spherical bivariate Cauchy.
+
+    (C1, C2) is the central projection of a uniform direction in R^3, so
+    the quadrant has probability Omega/(2 pi), Omega the solid angle of the
+    cone spanned by (0, 1, 0), (0, 0, 1) and (1, a, b).  The Van
+    Oosterom-Strackee formula gives tan(Omega/2) = 1/(a + b + |(1, a, b)|):
+    a sum of positive terms, free of cancellation however deep the tail.
+    """
+    return math.atan2(1.0, a + b + math.hypot(1.0, a, b)) / math.pi
 
 
 def _t_pdf(z: float, nu: float) -> float:
@@ -91,9 +101,9 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
     if a == 0.0 and b == 0.0:
         return 1.0
     if a == 0.0:
-        return 2.0 * (1.0 - student_t_cdf(b, nu))
+        return 2.0 * student_t_cdf(-b, nu)
     if b == 0.0:
-        return 2.0 * (1.0 - student_t_cdf(a, nu))
+        return 2.0 * student_t_cdf(-a, nu)
     coef = math.sqrt((1.0 - rho * rho) / (nu + 1.0))
     scale = max(a, 1.0)
 
@@ -103,7 +113,7 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
         r = (1.0 - u) / u
         z = a + scale * r * r
         sigma = coef * math.sqrt(nu + z * z)
-        upper = 1.0 - student_t_cdf((b - rho * z) / sigma, nu + 1.0)
+        upper = student_t_cdf((rho * z - b) / sigma, nu + 1.0)
         lower = student_t_cdf((-b - rho * z) / sigma, nu + 1.0)
         return _t_pdf(z, nu) * (upper + lower) * scale * 2.0 * r / (u * u)
 
@@ -114,42 +124,43 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
 
 
 def true_covar(spec: ModelSpec, tau: float) -> float:
-    """Root c of P(X >= c, Y >= VaR_Y(tau)) = (1 - tau)^2, rel. tol 1e-9."""
+    """Root c of P(X >= c, Y >= VaR_Y(tau)) = (1 - tau)^2, rel. tol 1e-10."""
     return _solve_covar(spec, tau)[0]
 
 
-def _solve_covar(spec: ModelSpec, tau: float) -> tuple[float, float, float]:
-    """(covar, var_y, achieved root half-width)."""
+def _root_above(g, lo: float, hi: float, what: str) -> float:
+    """Root of g above lo, where g(lo) >= 0 and g turns negative further out.
+
+    hi doubles (lo following it) until g(hi) < 0; Brent's method then
+    narrows [lo, hi] to relative tolerance _RTOL.
+    """
+    for _ in range(200):
+        if g(hi) < 0.0:
+            # xtol ~ 0 leaves the relative tolerance in charge for small roots
+            return optimize.brentq(g, lo, hi, xtol=1e-300, rtol=_RTOL)
+        lo, hi = hi, 2.0 * hi
+    raise ValueError(f"failed to bracket the {what} root")
+
+
+def _solve_covar(spec: ModelSpec, tau: float) -> tuple[float, float]:
+    """(covar, var_y)."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     var_x, var_y = marginal_quantiles(spec, tau)
     target = (1.0 - tau) ** 2
-    lo = var_x
-    s_lo = joint_survival(spec, lo, var_y)
+    s_lo = joint_survival(spec, var_x, var_y)
     if s_lo < target:
         # under exact independence the root sits at VaR_X itself and float
         # rounding can push the survival a hair below the target
         if s_lo >= target * (1.0 - 1e-9):
-            return lo, var_y, 1e-9 * lo
+            return var_x, var_y
         raise ValueError(
-            f"no root at or above VaR_X: survival at {lo:g} already below (1-tau)^2"
+            f"no root at or above VaR_X: survival at {var_x:g} already below (1-tau)^2"
         )
-    hi = 2.0 * lo
-    for _ in range(200):
-        if joint_survival(spec, hi, var_y) < target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("failed to bracket the CoVaR root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if joint_survival(spec, mid, var_y) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return 0.5 * (lo + hi), var_y, 0.5 * (hi - lo)
+    covar = _root_above(
+        lambda c: joint_survival(spec, c, var_y) - target, var_x, 2.0 * var_x, "CoVaR"
+    )
+    return covar, var_y
 
 
 def true_coes(spec: ModelSpec, tau: float) -> float:
@@ -176,7 +187,7 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    covar, var_y, root_tol = _solve_covar(spec, tau)
+    covar, var_y = _solve_covar(spec, tau)
     tail, quad_err = _tail_integral(spec, covar, var_y)
     scale = (1.0 - tau) ** -2
     coes = covar + scale * tail
@@ -185,7 +196,7 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         var_y=var_y,
         covar=covar,
         coes=coes,
-        abs_tol=max(root_tol, scale * quad_err),
+        abs_tol=max(_RTOL * covar, scale * quad_err),
     )
     with _CACHE_LOCK:
         _CACHE.setdefault(key, result)
@@ -203,19 +214,4 @@ def eta_star(spec: ModelSpec, tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     target = 1.0 - tau
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if true_tail_copula(spec, hi, 1.0) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("failed to bracket the eta* root")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if true_tail_copula(spec, mid, 1.0) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(hi, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    return _root_above(lambda eta: target - true_tail_copula(spec, eta, 1.0), 0.0, 1.0, "eta*")

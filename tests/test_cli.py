@@ -232,6 +232,7 @@ def test_simulate_rejects_empty_plan(tmp_path, capsys):
         "[1]": "plan record",
         json.dumps([{**good, "model": 5}]): "'model'",
         json.dumps([{**good, "tau_prime": "0.99"}]): "'tau_prime'",
+        json.dumps([{**good, "n": 200.7}]): "'n'",
     }
     plan_path = tmp_path / "plan.json"
     for payload, field in payloads.items():

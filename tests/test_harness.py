@@ -63,6 +63,22 @@ def test_plan_from_record():
         plan_from_record({"model": {"family": "Cauchy"}, "seed": 1})
 
 
+@pytest.mark.parametrize("field", ["n", "k", "replications", "seed"])
+def test_plan_rejects_fractional_counts(field):
+    record = {
+        "model": {"family": "Cauchy"},
+        "n": 1000,
+        "k": 150,
+        "tau_prime": 0.995,
+        "replications": 10,
+        "seed": 99,
+    }
+    with pytest.raises(ValueError, match=f"'{field}' must be a whole number"):
+        plan_from_record({**record, field: record[field] + 0.5})
+    integral = plan_from_record({**record, field: float(record[field])})
+    assert getattr(integral, field) == record[field]
+
+
 def test_single_replication_reproducible():
     plan = _plan(replications=1, seed=12345)
     first = run_experiment(plan)

@@ -221,6 +221,14 @@ class TestMargins:
             _, var_y = marginal_quantiles(spec, tau)
             expected = special.stdtrit(spec.nu, (1.0 + tau) / 2.0)
             assert var_y == pytest.approx(float(expected), rel=1e-8)
+        # references that do not go through scipy: nu = 1 is the Cauchy
+        # quantile tan(pi(p - 1/2)), nu = 2 has F^-1(p) = (2p - 1)/sqrt(2p(1 - p))
+        for tau in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            p = (1.0 + tau) / 2.0
+            _, cauchy = marginal_quantiles(make_spec("StudentT", nu=1.0), tau)
+            assert cauchy == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-12)
+            _, two = marginal_quantiles(make_spec("StudentT", nu=2.0), tau)
+            assert two == pytest.approx((2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p)), rel=1e-12)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from cotail.oracle import (
     true_coes,
     true_covar,
 )
-from oracles import joint_survival_quad
+from oracles import covar_coes_mp, joint_survival_quad
 
 
 def test_joint_survival_known_values():
@@ -89,6 +89,16 @@ def test_eta_star_solves_tail_copula_level():
         spec = make_spec(family)
         root = eta_star(spec, 0.99)
         assert true_tail_copula(spec, root, 1.0) == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["Logistic", "Cauchy", "Pareto2"])
+@pytest.mark.parametrize("tau", [0.99, 0.999, 0.9999])
+def test_oracle_matches_mpmath_audit(family, tau):
+    """CoVaR solves the defining equation and CoES matches a 40-digit tail integral."""
+    result = oracle_result(make_spec(family), tau)
+    level_ratio, coes = covar_coes_mp(make_spec(family), tau, result.covar)
+    assert abs(level_ratio - 1.0) <= 1e-8
+    assert abs(result.coes / coes - 1.0) <= 1e-8
 
 
 def test_pareto2_quad_route_matches_closed_form():
