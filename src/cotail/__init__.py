@@ -51,13 +51,7 @@ from .oracle import (
     true_coes,
     true_covar,
 )
-from .tail_copula import (
-    EtaEstimate,
-    TailCopulaEstimate,
-    eta_hat,
-    fit_tail_copula,
-    r_hat,
-)
+from .tail_copula import EtaEstimate, eta_hat, r_hat
 
 __version__ = "0.1.0"
 
@@ -77,7 +71,6 @@ __all__ = [
     "RollingPlan",
     "RollingRow",
     "TailConfig",
-    "TailCopulaEstimate",
     "TailProbCurve",
     "WarningRecord",
     "build_margin_index",
@@ -87,7 +80,6 @@ __all__ = [
     "eta_hat",
     "eta_star",
     "eta_true",
-    "fit_tail_copula",
     "hill_curve",
     "hill_estimate",
     "intermediate_coes",

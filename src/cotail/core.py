@@ -7,11 +7,14 @@ intermediate order ``k``, the derived count ``m``, and the extrapolation
 level.  All containers are frozen; estimators never mutate a sample.
 Each margin index is computed once per sample, on first use, and cached
 on it (``LossPairSample.x_index`` / ``y_index``), so every estimator and
-every k run on one sample share the same two sorts.
+every k run on one sample share the same two sorts.  ``MarginIndex.top``
+is the one place the tie rule lives: the conditioning subsample of every
+tail estimator is ``y_index.top(k + 1)`` (or ``top(k)``).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,20 +90,37 @@ class LossPairSample:
 
 @dataclass(frozen=True)
 class MarginIndex:
-    """Order statistics and 1-based ranks for one margin.
+    """Order statistics, 1-based ranks and sorting order for one margin.
 
     ``sorted`` is the ascending order-statistic vector; ``ranks[i]`` is the
-    rank of observation i among the n values.  Ties are broken by original
-    position (earlier index, smaller rank), so ranks are always a
-    permutation of 1..n and ``sorted[ranks[i] - 1] == values[i]``.
+    rank of observation i among the n values; ``order`` is the stable
+    argsort, so ``sorted == values[order]`` and ``ranks[order] == 1..n``.
+    Ties are broken by original position (earlier index, smaller rank), so
+    ranks are always a permutation of 1..n and
+    ``sorted[ranks[i] - 1] == values[i]``.
     """
 
     sorted: np.ndarray
     ranks: np.ndarray
+    order: np.ndarray
 
     @property
     def n(self) -> int:
         return self.sorted.shape[0]
+
+    def top(self, count: int) -> np.ndarray:
+        """Positions of the ``count`` highest-ranked observations, ascending.
+
+        This is the package's one tie rule for a conditioning event: among
+        equal values, the later observation ranks higher.  Without a tie at
+        the cut the result is exactly {i : values[i] >= sorted[n - count]};
+        with one, it keeps every larger value and fills up with the latest
+        of the tied observations, so it always has ``count`` elements.
+        Equals ``np.flatnonzero(ranks > n - count)``.
+        """
+        if not 0 <= count <= self.n:
+            raise ValueError(f"count must satisfy 0 <= count <= n={self.n}, got {count}")
+        return np.sort(self.order[self.n - count :])
 
 
 def build_margin_index(values) -> MarginIndex:
@@ -122,7 +142,14 @@ def build_margin_index(values) -> MarginIndex:
     order = np.argsort(arr, kind="stable")
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(1, arr.size + 1)
-    return MarginIndex(sorted=arr[order], ranks=ranks)
+    return MarginIndex(sorted=arr[order], ranks=ranks, order=order)
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; integral floats such as 1000.0 pass, 1000.7 raises."""
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

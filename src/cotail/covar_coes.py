@@ -1,7 +1,10 @@
 """Intermediate and extrapolated CoVaR/CoES estimators.
 
-The intermediate estimators work at level 1 - k/n via filtered order
-statistics.  ``estimate_all`` is the one entry point for the extrapolated
+The intermediate estimators work at level 1 - k/n on the filtered
+subsample: the X values of the k+1 observations with the largest system
+loss, ``y_index.top(k + 1)`` (Y >= Y_(n-k,n); a tie at that threshold is
+broken by rank and reported as a ``ties_at_threshold`` warning).
+``estimate_all`` is the one entry point for the extrapolated
 families: it pushes them to an extreme level tau' with the Hill estimate,
 the factor d^(2 gamma) and either an adjustment factor (variants 1-2) or
 the intermediate estimate itself (variants 3-4).  Every estimator reads the
@@ -68,31 +71,17 @@ class RiskEstimates:
         )
 
 
-def _filtered_xs(sample: LossPairSample, k: int) -> tuple[np.ndarray, float]:
-    """Ascending X values of the k+1 observations with Y >= Y_{n-k,n}."""
-    var_y = empirical_var(sample.y_index, k)
-    filtered = np.sort(sample.xs[sample.ys >= var_y])
-    if filtered.size != k + 1:
-        raise ValueError(
-            f"system losses tie at the threshold Y_(n-k,n)={var_y}: filtered "
-            f"size {filtered.size} != k+1 = {k + 1}"
-        )
-    return filtered, var_y
-
-
 def _intermediate(sample: LossPairSample, k: int) -> tuple[float, float]:
-    """(CoVaR, CoES) at level 1 - k/n from one filtered subsample.
+    """(CoVaR, CoES) at level 1 - k/n from the filtered subsample.
 
     CoVaR is the (k+2-m)-th smallest filtered X value; CoES is
-    (n/k^2) * sum of X over the joint exceedances of CoVaR and Y_{n-k,n}.
+    (n/k^2) * sum of the filtered X values >= CoVaR.  The subsample keeps
+    the original order, so the sum adds the values in index order.
     """
     config, _ = validate_tail_config(sample.n, k)
-    filtered, var_y = _filtered_xs(sample, k)
-    if not 1 <= k + 2 - config.m <= filtered.size:
-        raise ValueError(f"order-statistic index k+2-m={k + 2 - config.m} out of range")
-    covar = float(filtered[k + 1 - config.m])
-    joint = (sample.xs >= covar) & (sample.ys >= var_y)
-    return covar, float(sample.n / (k * k) * np.sum(sample.xs[joint]))
+    filtered = sample.xs[sample.y_index.top(k + 1)]
+    covar = float(np.sort(filtered)[k + 1 - config.m])
+    return covar, float(sample.n / (k * k) * np.sum(filtered[filtered >= covar]))
 
 
 def intermediate_covar(sample: LossPairSample, k: int) -> float:
@@ -118,6 +107,16 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
             extrapolations are undefined), or any component failure.
     """
     config, warnings = validate_tail_config(sample.n, k, tau_prime)
+    y_sorted = sample.y_index.sorted
+    threshold = y_sorted[sample.n - k - 1]
+    if k < sample.n - 1 and y_sorted[sample.n - k - 2] == threshold:
+        warnings.append(
+            WarningRecord(
+                "ties_at_threshold",
+                f"system losses tie at the threshold Y_(n-k,n)={threshold}: the k+1 "
+                "conditioning observations are chosen by rank, later ones first",
+            )
+        )
     gamma = hill_estimate(sample.x_index, k)
     if not 0.0 < gamma < 1.0:
         raise ValueError(

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LossPairSample, WarningRecord, validate_tail_config
+from .core import LossPairSample, WarningRecord, _whole_number, validate_tail_config
 from .covar_coes import RECORD_KEYS, RiskEstimates, estimate_all
 from .empirical import hill_curve, tail_prob_curve
 from .tail_copula import r_hat
@@ -65,8 +65,9 @@ class RollingPlan:
     step: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", int(self.window))
-        object.__setattr__(self, "step", int(self.step))
+        for name in ("window", "step"):
+            value = _whole_number(getattr(self, name), f"rolling field {name!r}")
+            object.__setattr__(self, name, value)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
         for k in k_values(self.k):
@@ -75,7 +76,7 @@ class RollingPlan:
 
 def k_values(k: int | tuple[int, int]) -> range:
     """The k values of a single k or of an inclusive range (kmin, kmax)."""
-    lo, hi = (int(v) for v in k) if isinstance(k, tuple) else (int(k), int(k))
+    lo, hi = (_whole_number(v, "k") for v in (k if isinstance(k, tuple) else (k, k)))
     if lo > hi:
         raise ValueError(f"empty k range ({lo}, {hi})")
     return range(lo, hi + 1)
@@ -241,7 +242,7 @@ def diagnostics_export(
     tailprob.tsv: empirical joint tail probability against (1 - tau)^2;
     r11.tsv: both tail-copula estimates at (1, 1) over k_range.
     """
-    ks = sorted({int(k) for k in k_range})
+    ks = sorted({_whole_number(k, "k") for k in k_range})
     if not ks:
         raise ValueError("empty k range")
     taus = [float(t) for t in tau_grid]

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .covar_coes import ESTIMATOR_NAMES, estimate_all
-from .core import validate_tail_config
+from .core import _whole_number, validate_tail_config
 from .models import ModelSpec, sample_model
 from .oracle import oracle_result
 
@@ -39,10 +39,8 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "replications", "seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-                raise ValueError(f"plan field {name!r} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = _whole_number(getattr(self, name), f"plan field {name!r}")
+            object.__setattr__(self, name, value)
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.seed < 0:

@@ -1,13 +1,16 @@
 """Definitional test oracles for the package's fast estimators and closed forms.
 
 Each routine here computes a quantity the package computes another way,
-straight from its definition: the intermediate CoVaR by scanning the
-filtered X values, eta-hat by scanning the jump candidates of
-R-hat(., 1), the models' joint survival by 2-D quadrature of the raw
-densities, and the closed-form CoVaR level and CoES tail integral in
-40-digit arithmetic.  The scans import the package's own value expressions
-(``_filtered_xs``, ``_eta1_value``, ``_eta2_value``), so on tie-free data
-they agree with the procedures bit-for-bit.
+straight from its definition: the intermediate CoVaR by scanning the X
+values of the observations with Y >= Y_(n-k,n), eta-hat by scanning the
+jump candidates of R-hat(., 1), the models' joint survival by 2-D
+quadrature of the raw densities, and the closed-form CoVaR level and CoES
+tail integral in 40-digit arithmetic.  The CoVaR scan selects its
+conditioning set by value with its own sort, independently of the
+package's ``MarginIndex.top``, so it is defined only when Y does not tie at
+the threshold.  The eta-hat scan imports the package's value expressions
+(``_eta1_value``, ``_eta2_value``), so on tie-free data both scans agree
+with the procedures bit-for-bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cotail.core import LossPairSample, validate_tail_config
-from cotail.covar_coes import _filtered_xs
 from cotail.models import ModelSpec
 from cotail.tail_copula import _check_variant, _eta1_value, _eta2_value, _not_attained
 
@@ -31,10 +33,17 @@ def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
     Returns sup{s : C_n(s) >= (k/n)^2} where C_n(s) counts observations with
     X >= s and Y >= Y_{n-k,n}.  The threshold comparison is integer-exact
     (n * count >= k^2).  Test oracle for ``intermediate_covar``.
+
+    Raises:
+        ValueError: if Y ties at Y_{n-k,n}, so that the conditioning set by
+            value does not have exactly k+1 elements.
     """
     n = sample.n
     validate_tail_config(n, k)
-    filtered, _ = _filtered_xs(sample, k)
+    var_y = np.sort(sample.ys)[n - k - 1]
+    filtered = np.sort(sample.xs[sample.ys >= var_y])
+    if filtered.size != k + 1:
+        raise ValueError(f"Y ties at Y_(n-k,n)={var_y}: {filtered.size} values >= it, not k+1")
     best = None
     for j in range(filtered.size):
         count = filtered.size - j  # filtered values >= filtered[j], tie-free
@@ -80,7 +89,10 @@ def _quad_over_quadrant(density, a: float, b: float) -> float:
     z = lo + max(lo, 1)*((1 - u)/u)^2; the square makes the u -> 0 endpoint
     behavior polynomial for the regularly-varying tails here (indices
     >= 5/2), which plain infinite-limit rules flag as slowly convergent,
-    and the scale keeps the fold conditioned for large lower limits.
+    and the scale keeps the fold conditioned for large lower limits.  Each
+    folded axis is split at u = 1/2 and the four pieces are integrated
+    separately: over the whole square, QUADPACK's extrapolation met
+    roundoff (and warned) on some Pareto2 cells.
     """
     scale1, scale2 = max(a, 1.0), max(b, 1.0)
 
@@ -90,8 +102,12 @@ def _quad_over_quadrant(density, a: float, b: float) -> float:
         jac = scale1 * scale2 * 4.0 * r1 * r2 / (u1 * u1 * u2 * u2)
         return density(a + scale1 * r1 * r1, b + scale2 * r2 * r2) * jac
 
-    value, _ = integrate.dblquad(transformed, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
-    return value
+    halves = ((0.0, 0.5), (0.5, 1.0))
+    return sum(
+        integrate.dblquad(transformed, lo1, hi1, lo2, hi2, epsabs=1e-10, epsrel=1e-8)[0]
+        for lo1, hi1 in halves
+        for lo2, hi2 in halves
+    )
 
 
 def joint_survival_quad(spec: ModelSpec, s: float, t: float) -> float:

@@ -28,6 +28,16 @@ def test_margin_index_ties_broken_by_position():
     assert index.ranks.tolist() == [2, 3, 1]
 
 
+def test_top_takes_the_later_of_tied_values():
+    index = build_margin_index([2.0, 5.0, 2.0, 1.0])
+    assert index.order.tolist() == [3, 0, 2, 1]
+    assert index.top(2).tolist() == [1, 2]  # 5.0 and the later of the two 2.0s
+    assert index.top(0).tolist() == []
+    assert index.top(4).tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        index.top(5)
+
+
 def test_margin_index_rank_permutation_roundtrip():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -35,12 +35,15 @@ def test_intermediate_covar_m_equals_k():
     assert intermediate_covar(comonotone(5), 4) == 2.0
 
 
-def test_intermediate_covar_rejects_threshold_ties():
+def test_intermediate_covar_breaks_threshold_ties_by_rank():
+    # Y_(3,5) = 2 is tied; the later of the two tied observations ranks
+    # higher, so the k+1 = 3 conditioning X values are 3, 4, 5 (m = 1)
     sample = LossPairSample(
         xs=np.arange(1.0, 6.0), ys=np.array([1.0, 2.0, 2.0, 3.0, 4.0])
     )
-    with pytest.raises(ValueError, match="tie"):
-        intermediate_covar(sample, 2)
+    assert sample.y_index.top(3).tolist() == [2, 3, 4]
+    assert intermediate_covar(sample, 2) == 5.0
+    assert intermediate_coes(sample, 2) == 5.0 / 4.0 * 5.0
 
 
 def test_intermediate_covar_matches_scan():
@@ -236,18 +239,18 @@ def test_shared_sample_matches_fresh_sample_per_k(family):
             assert _outcome(shared, k, 0.999) == _outcome(fresh, k, 0.999)
 
 
-def test_shared_sample_raises_like_fresh_sample_on_threshold_tie():
+def test_shared_sample_matches_fresh_sample_on_threshold_tie():
     n = 200
     xs = np.arange(1.0, n + 1.0) ** 2
     ys = np.arange(1.0, n + 1.0)
     ys[178] = 180.0  # Y_(n-20,n) is now tied, Y_(n-30,n) is not
     shared = LossPairSample(xs=xs, ys=ys)
-    assert isinstance(_outcome(shared, 30, 0.999), tuple)
-    with pytest.raises(ValueError, match="tie") as on_shared:
-        estimate_all(shared, 20, 0.999)
-    with pytest.raises(ValueError, match="tie") as on_fresh:
-        estimate_all(LossPairSample(xs=xs, ys=ys), 20, 0.999)
-    assert str(on_shared.value) == str(on_fresh.value)
+    untied = _outcome(shared, 30, 0.999)
+    assert "ties_at_threshold" not in {w.code for w in untied[1]}
+    on_shared = _outcome(shared, 20, 0.999)
+    on_fresh = _outcome(LossPairSample(xs=xs, ys=ys), 20, 0.999)
+    assert on_shared == on_fresh
+    assert "ties_at_threshold" in {w.code for w in on_shared[1]}
 
 
 def test_record_round_trip_follows_record_keys():

@@ -76,6 +76,33 @@ class TestRollingPlan:
             RollingPlan(window=100, k=120, tau_prime=0.99)
 
 
+def _plan(**fields):
+    return RollingPlan(**{"window": 1000, "k": 60, "tau_prime": 0.99, **fields})
+
+
+def _diagnosed_k(k, out_dir):
+    values = np.arange(1.0, 101.0)
+    paths = diagnostics_export(LossPairSample(xs=values, ys=values), [k], [0.9], out_dir)
+    return int(paths["r11"].read_text(encoding="utf-8").splitlines()[1].split("\t")[0])
+
+
+@pytest.mark.parametrize(
+    "name, whole, build",
+    [
+        pytest.param("'window'", 1000, lambda v, _: _plan(window=v).window, id="window"),
+        pytest.param("'step'", 2, lambda v, _: _plan(step=v).step, id="step"),
+        pytest.param("k", 60, lambda v, _: k_values(_plan(k=(v, 80)).k)[0], id="kmin"),
+        pytest.param("k", 80, lambda v, _: k_values(_plan(k=(60, v)).k)[-1], id="kmax"),
+        pytest.param("k", 20, _diagnosed_k, id="diagnose-k"),
+    ],
+)
+def test_fractional_counts_rejected(name, whole, build, tmp_path):
+    """A fractional count names its field; an integral float such as 1000.0 passes."""
+    with pytest.raises(ValueError, match=f"{name} must be a whole number, got {whole + 0.7}"):
+        build(whole + 0.7, tmp_path)
+    assert build(float(whole), tmp_path) == whole
+
+
 class TestLoader:
     def test_aligns_on_common_dates(self, tmp_path):
         days = _dates(4)
@@ -154,22 +181,22 @@ class TestLoader:
 
 class TestAveraging:
     def _fixture(self):
-        # ranks of xs track ys so the tail-dependence step succeeds; ys ties
-        # three-deep exactly at the k=10 threshold order statistic
+        # ranks of xs track ys so the tail-dependence step succeeds; the 30
+        # smallest xs are shifted below zero, so the Hill threshold
+        # X_(n-k,n) is not positive for k = 10 but is for k = 5 and 8
         rng = np.random.default_rng(808)
         idx = np.arange(40)
         xs = ((40.0 - idx) / 41.0 + 0.002 * rng.random(40)) ** -0.3
-        ys = np.arange(40.0)
-        ys[28] = ys[29] = ys[30] = 29.0
-        return LossPairSample(xs=xs, ys=ys)
+        xs[:30] -= 10.0
+        return LossPairSample(xs=xs, ys=np.arange(40.0))
 
     def test_k_range_skips_failing_k(self):
         sample = self._fixture()
-        with pytest.raises(ValueError, match="tie"):
+        with pytest.raises(ValueError, match="not positive"):
             estimate_all(sample, 10, 0.9)
         averaged = estimate_with_k_values(sample, [5, 8, 10], 0.9)
         direct = average_estimates(
-            [estimate_all(sample, 5, 0.9), estimate_all(sample, 8, 0.9)], ["k=10: tie"]
+            [estimate_all(sample, 5, 0.9), estimate_all(sample, 8, 0.9)], ["k=10: not positive"]
         )
         assert averaged.gamma1_hat == direct.gamma1_hat
         assert averaged.covar_ext == direct.covar_ext
