@@ -15,7 +15,7 @@ schema of its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,52 +23,41 @@ from .core import LossPairSample, WarningRecord, validate_tail_config
 from .empirical import empirical_var, hill_estimate
 from .tail_copula import eta_hat
 
-ESTIMATOR_NAMES = ("covar1", "covar2", "covar3", "coes1", "coes2", "coes3", "coes4")
-RECORD_KEYS = ("gamma1", "var_x", "eta1", "eta2", "covar_int", "coes_int") + ESTIMATOR_NAMES
-
 
 @dataclass(frozen=True)
 class RiskEstimates:
     """Every estimator for one (sample, k, tau') in a single record.
 
-    ``covar_ext`` maps variant 1..3 and ``coes_ext`` variant 1..4 to the
-    extrapolated estimates; ``coes_ext[i] = covar_ext[i] / (1 - gamma1_hat)``
-    for i <= 3 by construction.  ``warnings`` aggregates the structured
-    non-fatal conditions met along the way.
+    The fields before ``warnings`` are the record schema, ``RECORD_KEYS``, in
+    output order: gamma-hat, VaR_X, the two eta-hat variants, the intermediate
+    CoVaR/CoES, then the extrapolated CoVaR variants 1-3 and CoES variants
+    1-4 (``coes{i} = covar{i} / (1 - gamma1)`` for i <= 3 by construction).
+    ``warnings`` aggregates the structured non-fatal conditions met along the
+    way.
     """
 
-    gamma1_hat: float
-    var_x_hat: float
-    eta_hat_1: float
-    eta_hat_2: float
+    gamma1: float
+    var_x: float
+    eta1: float
+    eta2: float
     covar_int: float
     coes_int: float
-    covar_ext: dict[int, float]
-    coes_ext: dict[int, float]
+    covar1: float
+    covar2: float
+    covar3: float
+    coes1: float
+    coes2: float
+    coes3: float
+    coes4: float
     warnings: tuple[WarningRecord, ...]
 
     def to_record(self) -> dict[str, float]:
         """Flat mapping keyed by ``RECORD_KEYS``, in that order."""
-        values = (
-            self.gamma1_hat, self.var_x_hat, self.eta_hat_1, self.eta_hat_2,
-            self.covar_int, self.coes_int,
-            *(self.covar_ext[i] for i in (1, 2, 3)),
-            *(self.coes_ext[i] for i in (1, 2, 3, 4)),
-        )
-        return dict(zip(RECORD_KEYS, values, strict=True))
+        return {key: getattr(self, key) for key in RECORD_KEYS}
 
-    @classmethod
-    def from_record(
-        cls, record: dict[str, float], warnings: tuple[WarningRecord, ...] = ()
-    ) -> "RiskEstimates":
-        """Inverse of ``to_record``; the first six keys follow the field order."""
-        values = [record[key] for key in RECORD_KEYS]
-        return cls(
-            *values[:6],
-            covar_ext=dict(zip((1, 2, 3), values[6:9])),
-            coes_ext=dict(zip((1, 2, 3, 4), values[9:])),
-            warnings=warnings,
-        )
+
+RECORD_KEYS = tuple(f.name for f in fields(RiskEstimates) if f.name != "warnings")
+ESTIMATOR_NAMES = RECORD_KEYS[6:]
 
 
 def _intermediate(sample: LossPairSample, k: int) -> tuple[float, float]:
@@ -103,7 +92,7 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
     d^(2 gamma) * CoES_int.
 
     Raises:
-        ValueError: gamma1_hat outside (0, 1) (the variant 1-3
+        ValueError: gamma1 outside (0, 1) (the variant 1-3
             extrapolations are undefined), or any component failure.
     """
     config, warnings = validate_tail_config(sample.n, k, tau_prime)
@@ -129,13 +118,9 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
     covar_int, coes_int = _intermediate(sample, k)
 
     base = config.d ** (2.0 * gamma)
-    covar_ext = {
-        1: base * eta1.value ** (-gamma) * var_x,
-        2: base * eta2.value ** (-gamma) * var_x,
-        3: base * covar_int,
-    }
-    coes_ext = {i: covar_ext[i] / (1.0 - gamma) for i in (1, 2, 3)}
-    coes_ext[4] = base * coes_int
+    covar1 = base * eta1.value ** (-gamma) * var_x
+    covar2 = base * eta2.value ** (-gamma) * var_x
+    covar3 = base * covar_int
 
     for eta in (eta1, eta2):
         if eta.clamped:
@@ -155,13 +140,18 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
             )
         )
     return RiskEstimates(
-        gamma1_hat=gamma,
-        var_x_hat=var_x,
-        eta_hat_1=eta1.value,
-        eta_hat_2=eta2.value,
+        gamma1=gamma,
+        var_x=var_x,
+        eta1=eta1.value,
+        eta2=eta2.value,
         covar_int=covar_int,
         coes_int=coes_int,
-        covar_ext=covar_ext,
-        coes_ext=coes_ext,
+        covar1=covar1,
+        covar2=covar2,
+        covar3=covar3,
+        coes1=covar1 / (1.0 - gamma),
+        coes2=covar2 / (1.0 - gamma),
+        coes3=covar3 / (1.0 - gamma),
+        coes4=base * coes_int,
         warnings=tuple(warnings),
     )

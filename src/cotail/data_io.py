@@ -92,7 +92,8 @@ class RollingRow:
 
 
 def _load_price_file(path) -> dict[datetime.date, float]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often write
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
@@ -164,9 +165,8 @@ def average_estimates(
                 f"failed and were excluded: {'; '.join(failed)}",
             )
         )
-    records = [est.to_record() for est in estimates]
-    means = {key: float(np.mean([rec[key] for rec in records])) for key in RECORD_KEYS}
-    return RiskEstimates.from_record(means, tuple(warnings))
+    means = {key: float(np.mean([getattr(est, key) for est in estimates])) for key in RECORD_KEYS}
+    return RiskEstimates(**means, warnings=tuple(warnings))
 
 
 def estimate_with_k_values(

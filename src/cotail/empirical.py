@@ -44,7 +44,8 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
         k: intermediate order, 1 <= k <= n - 1.
 
     Returns:
-        The tail-index estimate, always >= 0.
+        The tail-index estimate, always >= 0: a tied top can leave the
+        difference of logs a rounding error below zero, so it is clamped.
     """
     n = margin.n
     if not 1 <= k <= n - 1:
@@ -55,7 +56,7 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
             f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive"
         )
     top = margin.sorted[n - k :]
-    return float(np.mean(np.log(top)) - math.log(threshold))
+    return max(0.0, float(np.mean(np.log(top)) - math.log(threshold)))
 
 
 def empirical_var(margin: MarginIndex, k: int) -> float:

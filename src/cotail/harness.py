@@ -143,9 +143,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
         if isinstance(outcome, ValueError):
             failure_count += 1
             continue
-        record = outcome.to_record()
         for name in ESTIMATOR_NAMES:
-            estimates[name].append(record[name])
+            estimates[name].append(getattr(outcome, name))
         for warning in outcome.warnings:
             warning_counts[warning.code] = warning_counts.get(warning.code, 0) + 1
     if failure_count == plan.replications:

@@ -169,12 +169,11 @@ def test_criterion_6_invariant_suite():
 
         sample = sample_model(make_spec("Cauchy"), 400, np.random.default_rng(3141))
         estimates = estimate_all(sample, 60, 0.995)
-        one_minus_gamma = 1.0 - estimates.gamma1_hat
+        one_minus_gamma = 1.0 - estimates.gamma1
         for i in (1, 2, 3):
-            assert estimates.coes_ext[i] == estimates.covar_ext[i] / one_minus_gamma
-            assert np.isclose(
-                estimates.coes_ext[i] * one_minus_gamma, estimates.covar_ext[i], rtol=5e-16
-            )
+            covar, coes = getattr(estimates, f"covar{i}"), getattr(estimates, f"coes{i}")
+            assert coes == covar / one_minus_gamma
+            assert np.isclose(coes * one_minus_gamma, covar, rtol=5e-16)
 
 
 def test_criterion_7_sampler_fidelity():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,21 +78,19 @@ def test_extrapolation_formula_values():
     n, k, tau_prime = 2000, 250, 0.999
     for family in ("Cauchy", "Pareto2", "StudentT"):
         estimates = estimate_all(sample_model(make_spec(family), n, rng), k, tau_prime)
-        gamma = estimates.gamma1_hat
+        gamma = estimates.gamma1
         base = (k / (n * (1.0 - tau_prime))) ** (2.0 * gamma)
         covar = {
-            1: base * estimates.eta_hat_1 ** -gamma * estimates.var_x_hat,
-            2: base * estimates.eta_hat_2 ** -gamma * estimates.var_x_hat,
+            1: base * estimates.eta1 ** -gamma * estimates.var_x,
+            2: base * estimates.eta2 ** -gamma * estimates.var_x,
             3: base * estimates.covar_int,
         }
         coes = {i: covar[i] / (1.0 - gamma) for i in (1, 2, 3)}
         coes[4] = base * estimates.coes_int
-        assert set(estimates.covar_ext) == set(covar)
-        assert set(estimates.coes_ext) == set(coes)
         for i, value in covar.items():
-            assert estimates.covar_ext[i] == pytest.approx(value, rel=1e-12)
+            assert getattr(estimates, f"covar{i}") == pytest.approx(value, rel=1e-12)
         for i, value in coes.items():
-            assert estimates.coes_ext[i] == pytest.approx(value, rel=1e-12)
+            assert getattr(estimates, f"coes{i}") == pytest.approx(value, rel=1e-12)
 
 
 def test_extrapolation_at_intermediate_level_is_identity():
@@ -98,8 +98,8 @@ def test_extrapolation_at_intermediate_level_is_identity():
     sample = comonotone(8)
     tau_prime = 1.0 - 4.0 / 8.0
     estimates = estimate_all(sample, 4, tau_prime)
-    assert estimates.covar_ext[3] == estimates.covar_int == 7.0
-    assert estimates.coes_ext[4] == estimates.coes_int == 7.5
+    assert estimates.covar3 == estimates.covar_int == 7.0
+    assert estimates.coes4 == estimates.coes_int == 7.5
 
 
 def test_estimate_all_record_layout():
@@ -108,8 +108,6 @@ def test_estimate_all_record_layout():
     for name in ESTIMATOR_NAMES:
         assert name in record
     assert record["covar_int"] == 7.0
-    assert set(estimates.covar_ext) == {1, 2, 3}
-    assert set(estimates.coes_ext) == {1, 2, 3, 4}
 
 
 def test_coes_is_covar_over_one_minus_gamma():
@@ -120,12 +118,13 @@ def test_coes_is_covar_over_one_minus_gamma():
             estimates = estimate_all(sample, 60, 0.995)
         except ValueError:
             continue
-        gamma = estimates.gamma1_hat
+        gamma = estimates.gamma1
         for i in (1, 2, 3):
-            assert estimates.coes_ext[i] == estimates.covar_ext[i] / (1.0 - gamma)
+            covar, coes = getattr(estimates, f"covar{i}"), getattr(estimates, f"coes{i}")
+            assert coes == covar / (1.0 - gamma)
             assert np.isclose(
-                estimates.coes_ext[i] * (1.0 - gamma),
-                estimates.covar_ext[i],
+                coes * (1.0 - gamma),
+                covar,
                 rtol=5e-16,
                 atol=0.0,
             )
@@ -140,12 +139,11 @@ def test_scale_equivariance_in_x():
     moved = estimate_all(scaled, 80, 0.999)
     assert moved.covar_int == c * base.covar_int
     assert moved.coes_int == c * base.coes_int
-    assert moved.var_x_hat == c * base.var_x_hat
-    assert moved.eta_hat_1 == base.eta_hat_1
-    assert moved.eta_hat_2 == base.eta_hat_2
-    for i in (1, 2, 3):
-        assert moved.covar_ext[i] == pytest.approx(c * base.covar_ext[i], rel=1e-12)
-    assert moved.coes_ext[4] == pytest.approx(c * base.coes_ext[4], rel=1e-12)
+    assert moved.var_x == c * base.var_x
+    assert moved.eta1 == base.eta1
+    assert moved.eta2 == base.eta2
+    for name in ("covar1", "covar2", "covar3", "coes4"):
+        assert getattr(moved, name) == pytest.approx(c * getattr(base, name), rel=1e-12)
 
 
 def test_extrapolations_monotone_in_tau_prime():
@@ -153,11 +151,9 @@ def test_extrapolations_monotone_in_tau_prime():
     sample = sample_model(make_spec("Cauchy"), 500, rng)
     levels = [0.995, 0.999, 0.9995, 0.9999]
     results = [estimate_all(sample, 80, t) for t in levels]
-    for variant in (1, 2, 3):
-        values = [r.covar_ext[variant] for r in results]
+    for name in ("covar1", "covar2", "covar3", "coes4"):
+        values = [getattr(r, name) for r in results]
         assert all(a <= b for a, b in zip(values, values[1:]))
-    values = [r.coes_ext[4] for r in results]
-    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_gamma_outside_unit_interval_rejected():
@@ -195,7 +191,7 @@ def test_cauchy_adjustment_variants_agree():
     for _ in range(100):
         sample = sample_model(make_spec("Cauchy"), 2000, rng)
         estimates = estimate_all(sample, 250, 0.99)
-        one, two = estimates.covar_ext[1], estimates.covar_ext[2]
+        one, two = estimates.covar1, estimates.covar2
         if abs(one - two) / min(one, two) < 0.10:
             hits += 1
     assert hits >= 95
@@ -255,7 +251,11 @@ def test_shared_sample_matches_fresh_sample_on_threshold_tie():
 
 def test_record_round_trip_follows_record_keys():
     estimates = estimate_all(comonotone(200), 20, 0.99)
+    names = tuple(field.name for field in dataclasses.fields(RiskEstimates))
+    assert names[:-1] == RECORD_KEYS
+    assert names[-1] == "warnings"
+    assert ESTIMATOR_NAMES == RECORD_KEYS[6:]
+    assert ESTIMATOR_NAMES == ("covar1", "covar2", "covar3", "coes1", "coes2", "coes3", "coes4")
     record = estimates.to_record()
     assert tuple(record) == RECORD_KEYS
-    assert ESTIMATOR_NAMES == RECORD_KEYS[6:]
-    assert RiskEstimates.from_record(record, estimates.warnings) == estimates
+    assert RiskEstimates(**record, warnings=estimates.warnings) == estimates

@@ -13,6 +13,12 @@ def test_hill_constant_top_is_zero():
     assert hill_estimate(margin, 2) == 0.0
 
 
+@pytest.mark.parametrize("value,k", [(0.1, 35), (3.3, 20)])
+def test_hill_tied_top_is_not_negative(value, k):
+    # the mean of k equal logs can round to just below the log itself
+    assert hill_estimate(build_margin_index(np.full(60, value)), k) == 0.0
+
+
 def test_hill_geometric_sample():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
     assert hill_estimate(margin, 2) == pytest.approx(1.5 * math.log(2.0), rel=1e-14)

@@ -78,7 +78,8 @@ def test_estimate_all_returns_finite_values_or_raises_value_error(case, tau_prim
         return
     assert all(np.isfinite(value) for value in estimates.to_record().values())
     for i in (1, 2, 3):
-        assert estimates.coes_ext[i] == estimates.covar_ext[i] / (1.0 - estimates.gamma1_hat)
+        covar, coes = getattr(estimates, f"covar{i}"), getattr(estimates, f"coes{i}")
+        assert coes == covar / (1.0 - estimates.gamma1)
 
 
 @SETTINGS
