@@ -7,9 +7,10 @@ intermediate order ``k``, the derived count ``m``, and the extrapolation
 level.  All containers are frozen; estimators never mutate a sample.
 Each margin index is computed once per sample, on first use, and cached
 on it (``LossPairSample.x_index`` / ``y_index``), so every estimator and
-every k run on one sample share the same two sorts.  ``MarginIndex.top``
+every k run on one sample share the same two sorts.  ``MarginIndex.ranked``
 is the one place the tie rule lives: the conditioning subsample of every
-tail estimator is ``y_index.top(k + 1)`` (or ``top(k)``).
+tail estimator is ``y_index.top(k + 1)`` (or ``top(k)``), the first k+1
+(or k) entries of ``y_index.ranked(count)`` for any count > k.
 """
 
 from __future__ import annotations
@@ -31,6 +32,27 @@ class WarningRecord:
 
     code: str
     message: str
+
+
+class EstimationError(ValueError):
+    """An estimator is undefined on this sample at this k.
+
+    ``code`` is machine-stable, like ``WarningRecord.code``, and is one of
+    ``ESTIMATION_ERROR_CODES``: ``threshold_not_positive`` (the Hill
+    threshold X_(n-k,n) is not positive), ``hill_out_of_range`` (the Hill
+    estimate lies outside (0, 1)) or ``eta_not_attained`` (R-hat(., 1) never
+    reaches k/n).  Invalid arguments, such as k outside [1, n-1], raise a
+    plain ``ValueError``.
+    """
+
+    def __init__(self, code: str, message: str):
+        if code not in ESTIMATION_ERROR_CODES:
+            raise ValueError(f"unknown estimation error code {code!r}")
+        super().__init__(message)
+        self.code = code
+
+
+ESTIMATION_ERROR_CODES = ("threshold_not_positive", "hill_out_of_range", "eta_not_attained")
 
 
 @dataclass(frozen=True)
@@ -108,19 +130,28 @@ class MarginIndex:
     def n(self) -> int:
         return self.sorted.shape[0]
 
-    def top(self, count: int) -> np.ndarray:
-        """Positions of the ``count`` highest-ranked observations, ascending.
+    def ranked(self, count: int) -> np.ndarray:
+        """Positions of the ``count`` highest-ranked observations, highest first.
 
         This is the package's one tie rule for a conditioning event: among
-        equal values, the later observation ranks higher.  Without a tie at
-        the cut the result is exactly {i : values[i] >= sorted[n - count]};
-        with one, it keeps every larger value and fills up with the latest
-        of the tied observations, so it always has ``count`` elements.
-        Equals ``np.flatnonzero(ranks > n - count)``.
+        equal values, the later observation ranks higher.  The first c
+        entries are the c highest-ranked observations, so one call serves
+        every conditioning set of a k-range.
         """
         if not 0 <= count <= self.n:
             raise ValueError(f"count must satisfy 0 <= count <= n={self.n}, got {count}")
-        return np.sort(self.order[self.n - count :])
+        return self.order[self.n - count :][::-1]
+
+    def top(self, count: int) -> np.ndarray:
+        """Positions of the ``count`` highest-ranked observations, ascending.
+
+        Without a tie at the cut the result is exactly
+        {i : values[i] >= sorted[n - count]}; with one, it keeps every larger
+        value and fills up with the latest of the tied observations, so it
+        always has ``count`` elements.  Equals
+        ``np.flatnonzero(ranks > n - count)``.
+        """
+        return np.sort(self.ranked(count))
 
 
 def build_margin_index(values) -> MarginIndex:
@@ -171,47 +202,89 @@ class TailConfig:
 def validate_tail_config(
     n: int, k: int, tau_prime: float | None = None
 ) -> tuple[TailConfig, list[WarningRecord]]:
-    """Validate (n, k, tau_prime) and derive m and d.
+    """Validate (n, k, tau_prime) and derive m and d: ``tail_configs`` at one k.
 
-    Non-fatal conditions (k below the n^(2/3) heuristic, extrapolation
-    level not beyond the intermediate level, i.e. d < 1) are returned as
-    warnings alongside the config rather than raised.
-
-    Args:
-        n: sample size, >= 2.
-        k: intermediate order, 1 <= k < n.
-        tau_prime: optional extreme level in (0, 1).
-
-    Returns:
-        (TailConfig, list of WarningRecord).
+    Raises:
+        ValueError: n < 2, k outside [1, n-1] or tau_prime outside (0, 1).
     """
-    if n < 2:
-        raise ValueError(f"sample size must be >= 2, got n={n}")
-    if k <= 0 or k >= n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
-    m = (k * k + n - 1) // n  # ceil(k^2 / n) in exact integer arithmetic
-    if m < 1 or m > k:
-        raise ValueError(f"derived m={m} outside [1, k={k}]")
-    warnings: list[WarningRecord] = []
-    if k < n ** (2.0 / 3.0):
-        warnings.append(
-            WarningRecord(
+    configs = tail_configs(n, [k], tau_prime)
+    if configs.errors[0] is not None:
+        raise ValueError(configs.errors[0])
+    config = TailConfig(n=n, k=k, m=configs.ms[0], tau_prime=tau_prime, d=configs.ds[0])
+    return config, configs.warnings(0)
+
+
+CONFIG_WARNINGS = ("small_k", "d_below_one")
+
+
+@dataclass(frozen=True)
+class TailConfigs:
+    """Tail configurations for several k on one sample size, one row per k.
+
+    ``errors[i]`` is the reason k = ``ks[i]`` is invalid, or None; the
+    other fields are meaningful on the rows without one.  ``ms[i]`` is
+    m = ceil(k^2 / n), which lies in [1, k] for every valid k, and ``ds[i]``
+    is d = k / (n (1 - tau_prime)), or None without tau_prime.
+    ``flags[i][j]`` records whether the non-fatal condition
+    ``CONFIG_WARNINGS[j]`` holds at row i: k below the n^(2/3) heuristic, or
+    an extrapolation level not beyond the intermediate level (d < 1).
+    """
+
+    n: int
+    ks: list[int]
+    ms: list[int]
+    tau_prime: float | None
+    ds: list[float | None]
+    errors: list[str | None]
+    flags: list[tuple[bool, bool]]
+
+    def warning(self, row: int, column: int) -> WarningRecord:
+        """The ``CONFIG_WARNINGS[column]`` record of row ``row``."""
+        n, k = self.n, self.ks[row]
+        if column == 0:
+            return WarningRecord(
                 "small_k",
                 f"k={k} is below n^(2/3)={n ** (2.0 / 3.0):.1f}; "
                 "intermediate-order asymptotics are doubtful",
             )
+        return WarningRecord(
+            "d_below_one",
+            f"extrapolation ratio d={self.ds[row]:.4g} < 1: tau_prime={self.tau_prime} "
+            "is not beyond the intermediate level 1 - k/n",
         )
-    d = None
+
+    def warnings(self, row: int) -> list[WarningRecord]:
+        """Every configuration warning of row ``row``, in ``CONFIG_WARNINGS`` order."""
+        return [self.warning(row, j) for j, fired in enumerate(self.flags[row]) if fired]
+
+
+def tail_configs(n: int, ks, tau_prime: float | None = None) -> TailConfigs:
+    """Validate (n, k, tau_prime) and derive m and d for every k of ``ks``.
+
+    An invalid k is reported in ``errors``, not raised, so that one bad k
+    leaves the rest of a k-range usable.  The checks run in a fixed order
+    and each row reports the first that fails: n >= 2, then 1 <= k < n,
+    then tau_prime in (0, 1).
+    """
+    ks = list(ks)
+    scale = None
+    tau_error = None
     if tau_prime is not None:
-        if not 0.0 < tau_prime < 1.0:
-            raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")
-        d = k / (n * (1.0 - tau_prime))
-        if d < 1.0:
-            warnings.append(
-                WarningRecord(
-                    "d_below_one",
-                    f"extrapolation ratio d={d:.4g} < 1: tau_prime={tau_prime} "
-                    "is not beyond the intermediate level 1 - k/n",
-                )
-            )
-    return TailConfig(n=n, k=k, m=m, tau_prime=tau_prime, d=d), warnings
+        if 0.0 < tau_prime < 1.0:
+            scale = n * (1.0 - tau_prime)
+        else:
+            tau_error = f"tau_prime must lie in (0, 1), got {tau_prime}"
+    small = n ** (2.0 / 3.0)
+    errors, ms, ds, flags = [], [], [], []
+    for k in ks:
+        if n < 2:
+            errors.append(f"sample size must be >= 2, got n={n}")
+        elif k <= 0 or k >= n:
+            errors.append(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
+        else:
+            errors.append(tau_error)
+        ms.append((k * k + n - 1) // n)  # ceil(k^2 / n) in exact integer arithmetic
+        d = None if scale is None else k / scale
+        ds.append(d)
+        flags.append((k < small, d is not None and d < 1.0))
+    return TailConfigs(n=n, ks=ks, ms=ms, tau_prime=tau_prime, ds=ds, errors=errors, flags=flags)

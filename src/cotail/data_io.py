@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LossPairSample, WarningRecord, _whole_number, validate_tail_config
-from .covar_coes import RECORD_KEYS, RiskEstimates, estimate_all
+from .core import LossPairSample, WarningRecord, _whole_number, tail_configs
+from .covar_coes import RiskEstimates, estimate_k_range
 from .empirical import hill_curve, tail_prob_curve
 from .tail_copula import r_hat
 
@@ -70,8 +70,9 @@ class RollingPlan:
             object.__setattr__(self, name, value)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        for k in k_values(self.k):
-            validate_tail_config(self.window, k, self.tau_prime)
+        for error in tail_configs(self.window, k_values(self.k), self.tau_prime).errors:
+            if error is not None:
+                raise ValueError(error)
 
 
 def k_values(k: int | tuple[int, int]) -> range:
@@ -140,51 +141,34 @@ def loss_pair(series_x: ReturnSeries, series_y: ReturnSeries) -> LossPairSample:
     return LossPairSample(xs=series_x.losses, ys=series_y.losses)
 
 
-def average_estimates(
-    estimates: Sequence[RiskEstimates], failed: Sequence[str] = ()
-) -> RiskEstimates:
-    """Field-wise mean of several estimates (one per k in a k-range).
-
-    Warnings are deduplicated by code; excluded k values add a
-    ``k_partial`` warning carrying their reasons.
-    """
-    if not estimates:
-        raise ValueError("need at least one estimate to average")
-    warnings: list[WarningRecord] = []
-    seen: set[str] = set()
-    for est in estimates:
-        for warning in est.warnings:
-            if warning.code not in seen:
-                seen.add(warning.code)
-                warnings.append(warning)
-    if failed:
-        warnings.append(
-            WarningRecord(
-                "k_partial",
-                f"{len(failed)} of {len(estimates) + len(failed)} k values "
-                f"failed and were excluded: {'; '.join(failed)}",
-            )
-        )
-    means = {key: float(np.mean([getattr(est, key) for est in estimates])) for key in RECORD_KEYS}
-    return RiskEstimates(**means, warnings=tuple(warnings))
-
-
 def estimate_with_k_values(
     sample: LossPairSample, ks: Sequence[int], tau_prime: float
 ) -> RiskEstimates:
-    """estimate_all averaged over the k values; raises if every k fails."""
-    if len(ks) == 0:
-        raise ValueError("need at least one k value")
-    successes: list[RiskEstimates] = []
-    failures: list[str] = []
-    for k in ks:
-        try:
-            successes.append(estimate_all(sample, k, tau_prime))
-        except ValueError as exc:
-            failures.append(f"k={k}: {exc}")
-    if not successes:
+    """``estimate_k_range`` averaged over the k values that succeed.
+
+    Each field is the column mean over the succeeded rows.  Warnings are
+    deduplicated by code (``KRangeEstimates.first_warnings``); failed k
+    values add a ``k_partial`` warning carrying their reasons.  Raises if
+    every k fails.
+    """
+    estimates = estimate_k_range(sample, ks, tau_prime)
+    failures = [f"k={k}: {e}" for k, e in zip(estimates.ks, estimates.errors) if e is not None]
+    succeeded = [row[0] for row in estimates.rows if row is not None]
+    if not succeeded:
         raise ValueError("; ".join(failures))
-    return average_estimates(successes, failures)
+    warnings = estimates.first_warnings()
+    if failures:
+        warnings.append(
+            WarningRecord(
+                "k_partial",
+                f"{len(failures)} of {len(estimates.ks)} k values "
+                f"failed and were excluded: {'; '.join(failures)}",
+            )
+        )
+    # one contiguous row per field: numpy then sums each field pairwise,
+    # exactly as np.mean sums a list of that field's values
+    means = np.ascontiguousarray(np.array(succeeded).T).mean(axis=1)
+    return RiskEstimates(*means.tolist(), warnings=tuple(warnings))
 
 
 def rolling_estimates(

@@ -8,11 +8,12 @@ to check the joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossPairSample, MarginIndex
+from .core import EstimationError, LossPairSample, MarginIndex
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,46 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
         k: intermediate order, 1 <= k <= n - 1.
 
     Returns:
-        The tail-index estimate, always >= 0: a tied top can leave the
-        difference of logs a rounding error below zero, so it is clamped.
+        The tail-index estimate, always >= 0 (see ``_hill``).
+
+    Raises:
+        EstimationError: ``threshold_not_positive``.
     """
     n = margin.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
     threshold = margin.sorted[n - k - 1]
     if threshold <= 0.0:
-        raise ValueError(
-            f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive"
-        )
-    top = margin.sorted[n - k :]
-    return max(0.0, float(np.mean(np.log(top)) - math.log(threshold)))
+        raise _threshold_not_positive(n, k, threshold)
+    return float(_hill(margin, np.array([k]))[0])
+
+
+def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
+    return EstimationError(
+        "threshold_not_positive",
+        f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive",
+    )
+
+
+def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
+    """Hill estimates at every k of ``ks`` from one cumulative sum of logs.
+
+    The top log order statistics are summed in descending order, so the
+    estimate at k is the same float whichever other k are computed with
+    it.  A flat top (X_(n,n) == X_(n-k,n)) gives exactly 0.0, and any other
+    result is clamped at 0.0, where rounding can leave the difference of
+    logs just below zero.  Only rows with a positive threshold X_(n-k,n)
+    are meaningful; the others are left as whatever the logs give.
+    """
+    n = margin.n
+    descending = margin.sorted[n - 1 - max(ks.tolist()) :][::-1]
+    # a threshold <= 0 takes logs of values <= 0, only on its own rows
+    with np.errstate(divide="ignore", invalid="ignore") if descending[-1] <= 0.0 else nullcontext():
+        logs = np.log(descending)
+        gammas = logs.cumsum()[ks - 1] / ks - logs[ks]
+    np.maximum(gammas, 0.0, out=gammas)
+    gammas[descending[ks] == descending[0]] = 0.0
+    return gammas
 
 
 def empirical_var(margin: MarginIndex, k: int) -> float:
@@ -101,7 +129,6 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> HillCurve:
     if margin.sorted[n - k_max - 1] <= 0.0:
         raise ValueError("all order statistics down to X_(n-k_max) must be positive")
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
-    # per-k delegation keeps the curve bit-identical to the point estimator
-    gammas = np.array([hill_estimate(margin, int(k)) for k in ks])
+    gammas = _hill(margin, ks)
     half = 1.645 / np.sqrt(ks)
     return HillCurve(ks=ks, gammas=gammas, lo=gammas * (1.0 - half), hi=gammas * (1.0 + half))

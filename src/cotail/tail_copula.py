@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossPairSample, validate_tail_config
+from .core import EstimationError, LossPairSample, validate_tail_config
 
 
 @dataclass(frozen=True)
@@ -82,36 +82,75 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
     smallest filtered 1 - F-hat_X value, scaled by n/k.  Variant 2 keeps the
     k observations with the largest Y (``top(k)``, Y-rank >= n + 1/2 - k)
     and takes the (k+1-m)-th smallest filtered X-rank r, returning
-    (n + 1/2 - r)/k.  Selection is done on integer ranks, so the only
-    floating point is in the final value expression.
+    (n + 1/2 - r)/k.  Both read ``filtered_x_ranks``, the selection every
+    k-range estimate makes, so the only floating point is in the final
+    value expression.
 
     Raises:
-        ValueError: if the level k/n is not attained by R-hat(., 1) within
-            (0, 1] (no valid adjustment factor exists).
+        EstimationError: ``eta_not_attained`` if the level k/n is not
+            attained by R-hat(., 1) within (0, 1] (no valid adjustment
+            factor exists).
     """
     _check_variant(variant)
     n = sample.n
     config, _ = validate_tail_config(n, k)
-    m = config.m
-    ranks_x = sample.x_index.ranks
+    _, r1, r2 = filtered_x_ranks(sample, np.array([k]), np.array([config.m]))
+    estimate = _eta(n, k, variant, int((r1, r2)[variant - 1][0]))
+    if estimate is None:
+        raise _not_attained(k, n)
+    raw, value, clamped = estimate
+    return EtaEstimate(variant=variant, value=value, clamped=clamped, raw=raw)
+
+
+def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] | None:
+    """(raw, value, clamped) of eta-hat from its filtered X-rank, or None
+    when R-hat(., 1) does not reach the level k/n.  ``value`` is ``raw``
+    floored at 1/(2k) and capped at 1."""
     if variant == 1:
-        depth = int(np.sort(n - ranks_x[sample.y_index.top(k + 1)])[m - 1])
+        depth = n - rank
         if depth > k:
-            raise _not_attained(k, n)
+            return None
         raw = _eta1_value(n, k, depth)
     else:
-        rank = int(np.sort(ranks_x[sample.y_index.top(k)])[k - m])
         if rank < n - k + 1:
-            raise _not_attained(k, n)
+            return None
         raw = _eta2_value(n, k, rank)
     floor = 1.0 / (2.0 * k)
     if raw < floor:
-        return EtaEstimate(variant=variant, value=floor, clamped=True, raw=raw)
-    return EtaEstimate(variant=variant, value=min(raw, 1.0), clamped=False, raw=raw)
+        return raw, floor, True
+    return raw, min(raw, 1.0), False
 
 
-def _not_attained(k: int, n: int) -> ValueError:
-    return ValueError(
+def filtered_x_ranks(
+    sample: LossPairSample, ks: np.ndarray, ms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The X-ranks of every conditioning set of a k-range, by one selection.
+
+    Returns ``(rows, r1, r2)``.  ``rows[i]`` holds the X-ranks of the k+1
+    observations ``y_index.top(k + 1)`` (k = ``ks[i]``) in ascending order,
+    left-padded with 0 to k_max + 1 columns.  ``r1[i]`` and ``r2[i]`` are
+    the m-th largest X-rank (m = ``ms[i]``) of ``top(k + 1)`` and of
+    ``top(k)``.  ``top(k)`` is ``top(k + 1)`` less its lowest-ranked Y, so
+    its m-th largest X-rank is the (m+1)-th largest of the row when that
+    dropped observation is among the row's m largest, and the m-th largest
+    otherwise.
+    """
+    width = max(ks.tolist()) + 1
+    ranks = sample.x_index.ranks[sample.y_index.ranked(width)]
+    dropped = ranks[ks]  # read first: with one k, the sort below reorders ranks
+    if ks.size == 1:
+        rows = ranks[None, :]
+    else:
+        rows = np.where(np.arange(width) <= ks[:, None], ranks, 0)
+    rows.sort(axis=1)
+    lines, at = np.arange(ks.size), width - ms
+    r1 = rows[lines, at]
+    return rows, r1, np.where(dropped < r1, r1, rows[lines, at - 1])
+
+
+def _not_attained(k: int, n: int) -> EstimationError:
+    return EstimationError(
+        "eta_not_attained",
         f"R-hat(., 1) never reaches the level k/n = {k}/{n} on (0, 1]; "
-        "the sample shows too little upper-tail dependence for this k"
+        "the sample shows too little upper-tail dependence for this k",
     )

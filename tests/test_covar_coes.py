@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import cotail.core
-from cotail.core import LossPairSample
+import cotail.covar_coes
+from cotail.core import ESTIMATION_ERROR_CODES, EstimationError, LossPairSample
 from cotail.covar_coes import (
     ESTIMATOR_NAMES,
     RECORD_KEYS,
     RiskEstimates,
     estimate_all,
+    estimate_k_range,
     intermediate_coes,
     intermediate_covar,
 )
+from cotail.empirical import hill_estimate
 from cotail.data_io import estimate_with_k_values
 from cotail.models import make_spec, sample_model
 from oracles import intermediate_covar_scan
@@ -162,6 +165,69 @@ def test_gamma_outside_unit_interval_rejected():
     sample = LossPairSample(xs=xs, ys=np.arange(1.0, n + 1.0))
     with pytest.raises(ValueError, match="gamma1"):
         estimate_all(sample, k, 0.99)
+
+
+@pytest.mark.parametrize("value,k", [(0.37, 100), (0.1, 35)])
+def test_flat_top_is_rejected(value, k):
+    """k+1 equal top X values give gamma1 = 0.0 exactly, whatever the logs round to."""
+    n = 200
+    xs = np.concatenate([np.linspace(0.01, value / 2.0, n - k - 1), np.full(k + 1, value)])
+    sample = LossPairSample(xs=xs, ys=np.arange(float(n)))
+    assert hill_estimate(sample.x_index, k) == 0.0
+    with pytest.raises(EstimationError, match="gamma1=0.0000 outside") as caught:
+        estimate_all(sample, k, 0.999)
+    assert caught.value.code == "hill_out_of_range"
+
+
+def test_failures_carry_codes():
+    n = 40
+    positive = np.exp(0.05 * np.arange(n))
+    shifted = positive.copy()
+    shifted[:30] -= 10.0  # X_(n-k,n) <= 0 for k = 10
+    cases = {
+        "threshold_not_positive": (LossPairSample(xs=shifted, ys=np.arange(float(n))), 10),
+        "hill_out_of_range": (LossPairSample(xs=np.exp(0.5 * np.arange(n)), ys=np.arange(float(n))), 4),
+        "eta_not_attained": (LossPairSample(xs=positive, ys=-np.arange(float(n))), 10),
+    }
+    for code, (sample, k) in cases.items():
+        with pytest.raises(EstimationError) as caught:
+            estimate_all(sample, k, 0.99)
+        assert caught.value.code == code
+    assert set(cases) == set(ESTIMATION_ERROR_CODES)
+    for bad_k, bad_tau in ((n, 0.99), (0, 0.99), (10, 1.0)):
+        with pytest.raises(ValueError) as caught:
+            estimate_all(cases["eta_not_attained"][0], bad_k, bad_tau)
+        assert not isinstance(caught.value, EstimationError)
+
+
+def test_k_range_rows_are_the_one_k_estimates():
+    rng = np.random.default_rng(71)
+    sample = sample_model(make_spec("StudentT"), 1000, rng)
+    result = estimate_k_range(sample, range(55, 86), 0.999)
+    values = result.values
+    assert values.shape == (31, len(RECORD_KEYS))
+    for i, k in enumerate(range(55, 86)):
+        one = estimate_all(sample, k, 0.999)
+        assert result.estimates(i) == one
+        assert tuple(values[i]) == tuple(one.to_record().values())
+
+
+def test_k_range_blocks_change_no_row(monkeypatch):
+    rng = np.random.default_rng(72)
+    sample = sample_model(make_spec("Cauchy"), 600, rng)
+    whole = estimate_k_range(sample, range(5, 600), 0.999)
+    monkeypatch.setattr(cotail.covar_coes, "_MATRIX_CELLS", 2000)
+    blocked = estimate_k_range(sample, range(5, 600), 0.999)
+    assert blocked.rows == whole.rows
+    assert [str(e) for e in blocked.errors] == [str(e) for e in whole.errors]
+
+
+def test_k_range_rejects_empty_and_fractional_k():
+    sample = comonotone(20)
+    with pytest.raises(ValueError, match="need at least one k value"):
+        estimate_k_range(sample, [], 0.99)
+    with pytest.raises(ValueError, match="must be integers"):
+        estimate_k_range(sample, [5.5], 0.99)
 
 
 def test_warning_codes_collected():

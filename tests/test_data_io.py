@@ -6,11 +6,10 @@ import pytest
 
 import cotail.core
 from cotail.core import LossPairSample
-from cotail.covar_coes import ESTIMATOR_NAMES, estimate_all
+from cotail.covar_coes import RECORD_KEYS, estimate_all
 from cotail.data_io import (
     ReturnSeries,
     RollingPlan,
-    average_estimates,
     diagnostics_export,
     estimate_with_k_values,
     k_values,
@@ -202,15 +201,26 @@ class TestAveraging:
         with pytest.raises(ValueError, match="not positive"):
             estimate_all(sample, 10, 0.9)
         averaged = estimate_with_k_values(sample, [5, 8, 10], 0.9)
-        direct = average_estimates(
-            [estimate_all(sample, 5, 0.9), estimate_all(sample, 8, 0.9)], ["k=10: not positive"]
-        )
-        assert averaged.gamma1 == direct.gamma1
-        for name in ESTIMATOR_NAMES:
-            assert getattr(averaged, name) == getattr(direct, name)
+        direct = [estimate_all(sample, 5, 0.9), estimate_all(sample, 8, 0.9)]
+        for name in RECORD_KEYS:
+            assert getattr(averaged, name) == np.mean([getattr(est, name) for est in direct])
         partial = [w for w in averaged.warnings if w.code == "k_partial"]
         assert len(partial) == 1
         assert "k=10" in partial[0].message
+
+    def test_k_range_crossing_n_keeps_the_valid_k(self):
+        n = 40
+        u = np.arange(1, n + 1) / (n + 1.0)
+        sample = LossPairSample(xs=(1.0 - u) ** (-1.0 / 3.0), ys=np.arange(float(n)))
+        averaged = estimate_with_k_values(sample, range(36, 43), 0.99)
+        direct = [estimate_all(sample, k, 0.99) for k in range(36, 40)]
+        for name in RECORD_KEYS:
+            assert getattr(averaged, name) == np.mean([getattr(est, name) for est in direct])
+        partial = [w.message for w in averaged.warnings if w.code == "k_partial"]
+        assert partial == [
+            "3 of 7 k values failed and were excluded: "
+            + "; ".join(f"k={k}: k must satisfy 1 <= k < n, got k={k} with n=40" for k in (40, 41, 42))
+        ]
 
     def test_warning_codes_deduplicated(self):
         sample = self._fixture()
@@ -224,8 +234,6 @@ class TestAveraging:
             estimate_with_k_values(sample, [10], 0.9)
 
     def test_average_requires_input(self):
-        with pytest.raises(ValueError):
-            average_estimates([])
         with pytest.raises(ValueError, match="need at least one k value"):
             estimate_with_k_values(self._fixture(), [], 0.9)
 

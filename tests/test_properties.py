@@ -2,8 +2,9 @@
 
 Every tail estimator conditions on the k+1 largest system losses by rank,
 ``MarginIndex.top``; these properties pin that contract down on tie-heavy,
-degenerate and permuted inputs.  Examples are derandomized, so the suite
-draws the same cases on every run.
+degenerate and permuted inputs, and check that every row of a k-range is
+the one-k estimate and matches the brute-force definitions.  Examples are
+derandomized, so the suite draws the same cases on every run.
 """
 
 import numpy as np
@@ -11,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cotail.core import LossPairSample, build_margin_index
-from cotail.covar_coes import estimate_all
+from cotail.core import (
+    ESTIMATION_ERROR_CODES,
+    EstimationError,
+    LossPairSample,
+    build_margin_index,
+    tail_configs,
+)
+from cotail.covar_coes import _intermediate, estimate_all, estimate_k_range
 from cotail.models import FAMILIES, make_spec, sample_model
+from cotail.tail_copula import _eta, filtered_x_ranks
+from oracles import eta_hat_bruteforce, intermediate_covar_scan
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -74,7 +83,8 @@ def test_estimate_all_returns_finite_values_or_raises_value_error(case, tau_prim
     sample, k = case
     try:
         estimates = estimate_all(sample, k, tau_prime)
-    except ValueError:
+    except EstimationError as exc:
+        assert exc.code in ESTIMATION_ERROR_CODES
         return
     assert all(np.isfinite(value) for value in estimates.to_record().values())
     for i in (1, 2, 3):
@@ -103,3 +113,64 @@ def test_permutation_changes_no_value_on_tie_free_data(family, seed, n, k_share)
     assert moved.keys() == base.keys()
     for key, value in base.items():
         assert abs(moved[key] - value) <= 1e-12 * abs(value), key
+
+
+def _full_outcome(call):
+    """The record and warnings ``call()`` returns, or its error type, code and message."""
+    try:
+        estimates = call()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
+    return estimates.to_record(), estimates.warnings
+
+
+@SETTINGS
+@given(tied_dependent_samples(), st.integers(0, 30), st.sampled_from([0.99, 0.999]))
+def test_k_range_rows_equal_estimate_all_on_ties(case, width, tau_prime):
+    sample, k = case
+    ks = range(k, min(k + width, sample.n + 2) + 1)
+    result = estimate_k_range(sample, ks, tau_prime)
+    for i, k in enumerate(ks):
+        one_k = _full_outcome(lambda: estimate_all(sample, k, tau_prime))
+        assert _full_outcome(lambda: result.estimates(i)) == one_k
+
+
+def _bruteforce(sample, k, variant):
+    try:
+        return eta_hat_bruteforce(sample, k, variant)
+    except ValueError:
+        return None
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(40, 300),
+    st.floats(0.0, 0.5),
+    st.integers(0, 20),
+)
+def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
+    """Criterion 5 over whole k-ranges: the one selection every k shares
+    gives the definitional eta-hat and intermediate CoVaR at every k."""
+    sample = sample_model(make_spec(family), n, np.random.default_rng(seed))
+    assert np.unique(sample.xs).size == n and np.unique(sample.ys).size == n
+    lo = max(1, int(lo_share * n))
+    ks = np.arange(lo, min(lo + width, n - 1) + 1)
+    rows, r1, r2 = filtered_x_ranks(sample, ks, np.array(tail_configs(n, ks).ms))
+    covar, _ = _intermediate(sample, ks, rows, r1)
+    result = estimate_k_range(sample, ks, 0.999)
+    for i, k in enumerate(ks.tolist()):
+        raws = []
+        for variant, rank in ((1, int(r1[i])), (2, int(r2[i]))):
+            eta = _eta(n, k, variant, rank)
+            raws.append(None if eta is None else eta[0])
+            assert raws[-1] == _bruteforce(sample, k, variant)
+        assert covar[i] == intermediate_covar_scan(sample, k)
+        error = result.errors[i]
+        if error is None:
+            values, _, quoted = result.rows[i]
+            assert list(quoted[1:]) == raws
+            assert values[4] == covar[i]
+        elif error.code == "eta_not_attained":
+            assert None in raws
