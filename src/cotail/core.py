@@ -6,11 +6,14 @@ deterministic tie-break, and a tail configuration bundling the
 intermediate order ``k``, the derived count ``m``, and the extrapolation
 level.  All containers are frozen; estimators never mutate a sample.
 Each margin index is computed once per sample, on first use, and cached
-on it (``LossPairSample.x_index`` / ``y_index``), so every estimator and
-every k run on one sample share the same two sorts.  ``MarginIndex.ranked``
-is the one place the tie rule lives: the conditioning subsample of every
-tail estimator is ``y_index.top(k + 1)`` (or ``top(k)``), the first k+1
-(or k) entries of ``y_index.ranked(count)`` for any count > k.
+on it, so every estimator and every k run on one sample share the same two
+sorts.  An index may order only the top of its margin (a tail index, see
+``build_margin_index``): the k-range estimators read the top k_max + 2 of
+each margin and ask for no more (``LossPairSample.tail_indexes``), while
+``x_index`` / ``y_index`` are full sorts.  ``MarginIndex.ranked`` is the one
+place the tie rule lives: the conditioning subsample of every tail estimator
+is ``y_index.top(k + 1)`` (or ``top(k)``), the first k+1 (or k) entries of
+``y_index.ranked(count)`` for any count > k.
 """
 
 from __future__ import annotations
@@ -97,29 +100,50 @@ class LossPairSample:
     # the harness's worker threads take turns at sorting their own samples.
     @property
     def x_index(self) -> MarginIndex:
-        """Order statistics and ranks of ``xs``, built on first use and cached."""
-        if "_x_index" not in self.__dict__:
-            object.__setattr__(self, "_x_index", build_margin_index(self.xs))
-        return self._x_index
+        """Full order statistics and ranks of ``xs``, built on first use and cached."""
+        return self._index("xs", self.n)
 
     @property
     def y_index(self) -> MarginIndex:
-        """Order statistics and ranks of ``ys``, built on first use and cached."""
-        if "_y_index" not in self.__dict__:
-            object.__setattr__(self, "_y_index", build_margin_index(self.ys))
-        return self._y_index
+        """Full order statistics and ranks of ``ys``, built on first use and cached."""
+        return self._index("ys", self.n)
+
+    def tail_indexes(self, depth: int) -> tuple[MarginIndex, MarginIndex]:
+        """Indexes of ``xs`` and ``ys`` that order at least their top ``depth``.
+
+        Each margin caches one index and rebuilds it only when a deeper one
+        is asked for, so a full index, once built, serves every request.
+        """
+        return self._index("xs", depth), self._index("ys", depth)
+
+    def _index(self, name: str, depth: int) -> MarginIndex:
+        key = f"_{name}_index"
+        index = self.__dict__.get(key)
+        if index is None or index.depth < min(depth, self.n):
+            index = build_margin_index(getattr(self, name), depth)
+            object.__setattr__(self, key, index)
+        return index
 
 
 @dataclass(frozen=True)
 class MarginIndex:
-    """Order statistics, 1-based ranks and sorting order for one margin.
+    """Order statistics, 1-based ranks and sorting order for the top of one margin.
 
-    ``sorted`` is the ascending order-statistic vector; ``ranks[i]`` is the
-    rank of observation i among the n values; ``order`` is the stable
-    argsort, so ``sorted == values[order]`` and ``ranks[order] == 1..n``.
-    Ties are broken by original position (earlier index, smaller rank), so
-    ranks are always a permutation of 1..n and
-    ``sorted[ranks[i] - 1] == values[i]``.
+    ``order`` holds the positions of the ``depth`` largest values, ascending
+    by value; ``ranks[i]`` is the rank of observation i among all n values;
+    ``sorted`` is the ascending order-statistic vector, so
+    ``sorted[n - depth:] == values[order]`` and
+    ``ranks[order] == n - depth + 1 .. n``.  Ties are broken by original
+    position (earlier index, smaller rank), so ranks are a permutation of
+    1..n and ``sorted[ranks[i] - 1] == values[i]`` wherever the index
+    reaches.
+
+    A full index (``depth == n``) is the stable argsort.  A tail index
+    (``depth < n``) orders only the observations at or above a cut value,
+    all of them, so every tie at the cut lies inside it and its order,
+    ranks and sorted values equal the full index's on the whole tail.  Below
+    the tail ``ranks`` holds the sentinel 0 and ``sorted`` holds -inf, so
+    ``sorted[n - c]`` still indexes the c-th largest value within the tail.
     """
 
     sorted: np.ndarray
@@ -130,17 +154,27 @@ class MarginIndex:
     def n(self) -> int:
         return self.sorted.shape[0]
 
+    @property
+    def depth(self) -> int:
+        """How many of the largest values the index orders; n for a full index."""
+        return self.order.shape[0]
+
     def ranked(self, count: int) -> np.ndarray:
         """Positions of the ``count`` highest-ranked observations, highest first.
 
         This is the package's one tie rule for a conditioning event: among
         equal values, the later observation ranks higher.  The first c
         entries are the c highest-ranked observations, so one call serves
-        every conditioning set of a k-range.
+        every conditioning set of a k-range.  A ``count`` beyond the tail
+        raises.
         """
         if not 0 <= count <= self.n:
             raise ValueError(f"count must satisfy 0 <= count <= n={self.n}, got {count}")
-        return self.order[self.n - count :][::-1]
+        if count > self.depth:
+            raise ValueError(
+                f"count={count} reaches below the top {self.depth} that the index orders"
+            )
+        return self.order[self.depth - count :][::-1]
 
     def top(self, count: int) -> np.ndarray:
         """Positions of the ``count`` highest-ranked observations, ascending.
@@ -154,14 +188,28 @@ class MarginIndex:
         return np.sort(self.ranked(count))
 
 
-def build_margin_index(values) -> MarginIndex:
-    """Sort one margin and compute tie-broken ranks.
+def build_margin_index(values, depth: int | None = None) -> MarginIndex:
+    """Sort the top of one margin and compute tie-broken ranks.
+
+    The cut is the ``depth``-th largest value, found by a partition; every
+    observation at or above it is kept, so the tail is closed under ties
+    and may hold more than ``depth`` observations.  The kept positions, in
+    ascending position order, are stably sorted by value, which gives the
+    full sort's order on them.
+
+    The k-range estimators (``covar_coes.estimate_k_range``) need depth
+    k_max + 2 of each margin.  ``r_hat``, ``tail_prob_curve``,
+    ``hill_curve`` and the one-k ``eta_hat`` / ``intermediate_covar`` /
+    ``intermediate_coes`` read the full index: they evaluate ranks or
+    quantiles anywhere in the sample.
 
     Args:
         values: nonempty sequence of finite reals.
+        depth: how many of the largest values must be ordered, at least 1;
+            None, or any depth >= n, gives the full index.
 
     Returns:
-        MarginIndex with ascending order statistics and a rank permutation.
+        MarginIndex with the order statistics and ranks of the tail.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -170,10 +218,21 @@ def build_margin_index(values) -> MarginIndex:
         raise ValueError("values must be nonempty")
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.int64)
-    ranks[order] = np.arange(1, arr.size + 1)
-    return MarginIndex(sorted=arr[order], ranks=ranks, order=order)
+    n = arr.size
+    if depth is not None and _whole_number(depth, "depth") < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if depth is None or depth >= n:
+        order = np.argsort(arr, kind="stable")
+    else:
+        cut = np.partition(arr, n - depth)[n - depth]
+        kept = np.flatnonzero(arr >= cut)
+        order = kept[np.argsort(arr[kept], kind="stable")]
+    tail = order.size
+    sorted_values = np.full(n, -np.inf)
+    sorted_values[n - tail :] = arr[order]
+    ranks = np.zeros(n, dtype=np.int64)
+    ranks[order] = np.arange(n - tail + 1, n + 1)
+    return MarginIndex(sorted=sorted_values, ranks=ranks, order=order)
 
 
 def _whole_number(value, name: str) -> int:

@@ -23,6 +23,7 @@ from .core import (
     CONFIG_WARNINGS,
     EstimationError,
     LossPairSample,
+    MarginIndex,
     TailConfigs,
     WarningRecord,
     tail_configs,
@@ -155,7 +156,10 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     d^(2 gamma) * CoES_int.  Every order statistic of every k comes from one
     pass over arrays: the X-ranks of the k_max + 1 largest system losses by
     rank (``filtered_x_ranks``) and one cumulative sum of log order
-    statistics (Hill); only these closed forms are evaluated k by k.  A wide
+    statistics (Hill); only these closed forms are evaluated k by k.  They
+    read the top k_max + 2 of each margin and no deeper, so the sample is
+    asked for tail indexes of that depth (``LossPairSample.tail_indexes``)
+    and its cached full indexes serve as well.  A wide
     range is cut into blocks of k whose rank matrix stays below
     ``_MATRIX_CELLS`` entries; no result depends on the blocks.  A k fails,
     in this order, when it is invalid, when X_(n-k,n) is not positive, when
@@ -173,16 +177,18 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     errors = [None if error is None else ValueError(error) for error in configs.errors]
     rows: list = [None] * ks.size
     live = [i for i, error in enumerate(errors) if error is None]
+    k_max = max((configs.ks[i] for i in live), default=0)
+    x_index, y_index = sample.tail_indexes(k_max + 2)
+    x_sorted, y_sorted = x_index.sorted, y_index.sorted
     # each block of k shares one (k, k_max + 1) rank matrix; blocks bound its size
-    block = max(1, _MATRIX_CELLS // (max((configs.ks[i] for i in live), default=0) + 1))
+    block = max(1, _MATRIX_CELLS // (k_max + 1))
     for start in range(0, len(live), block):
         part = live[start : start + block]
         part_ks = np.array([configs.ks[i] for i in part])
         part_ms = np.array([configs.ms[i] for i in part])
-        selected, ranks1, ranks2 = filtered_x_ranks(sample, part_ks, part_ms)
-        covar_int, coes_int = _intermediate(sample, part_ks, selected, ranks1)
-        columns = (_hill(sample.x_index, part_ks), ranks1, ranks2, covar_int, coes_int)
-        x_sorted, y_sorted = sample.x_index.sorted, sample.y_index.sorted
+        selected, ranks1, ranks2 = filtered_x_ranks(x_index, y_index, part_ks, part_ms)
+        covar_int, coes_int = _intermediate(x_index, part_ks, selected, ranks1)
+        columns = (_hill(x_index, part_ks), ranks1, ranks2, covar_int, coes_int)
         # the closed forms run on Python floats: at the few k of a range
         # that is cheaper than numpy's per-call cost on short arrays
         for i, gamma, r1, r2, covar_i, coes_i in zip(part, *(c.tolist() for c in columns)):
@@ -232,15 +238,19 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
 
 
 def _intermediate(
-    sample: LossPairSample, ks: np.ndarray, rows: np.ndarray, r1: np.ndarray
+    x_index: MarginIndex, ks: np.ndarray, rows: np.ndarray, r1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(CoVaR, CoES) at level 1 - k/n for each k, from ``filtered_x_ranks``.
 
     CoVaR is the (k+2-m)-th smallest filtered X value, the X order
     statistic at the m-th largest filtered X-rank r1; CoES is
-    (n/k^2) * sum of the filtered X values >= CoVaR, smallest first.
+    (n/k^2) * sum of the filtered X values >= CoVaR, smallest first.  On a
+    tail index both are exact wherever r1 lies in the tail: the tail holds
+    every X tied with CoVaR, and a filtered X below the tail is < CoVaR
+    and adds nothing.  Where r1 is the sentinel 0, eta-hat is not attained
+    and the pair is meaningless.
     """
-    x_sorted = sample.x_index.sorted
+    x_sorted = x_index.sorted
     covar = x_sorted[r1 - 1]
     # X >= CoVaR exactly at the ranks above the position of the first X equal
     # to CoVaR, which leaves out the 0 padding
@@ -248,14 +258,16 @@ def _intermediate(
     # a sequential sum over each ascending row: the zeros before the joint
     # values add exactly nothing, so the sum at one k is the same float
     # whichever other k share the matrix
-    return covar, sample.n / (ks * ks) * joint.cumsum(axis=1)[:, -1]
+    return covar, x_index.n / (ks * ks) * joint.cumsum(axis=1)[:, -1]
 
 
 def _intermediate_at(sample: LossPairSample, k: int) -> tuple[float, float]:
+    # the full indexes: CoVaR_int is defined even where eta-hat is not, and
+    # can then lie anywhere in X
     config, _ = validate_tail_config(sample.n, k)
     ks = np.array([k])
-    rows, r1, _ = filtered_x_ranks(sample, ks, np.array([config.m]))
-    covar, coes = _intermediate(sample, ks, rows, r1)
+    rows, r1, _ = filtered_x_ranks(sample.x_index, sample.y_index, ks, np.array([config.m]))
+    covar, coes = _intermediate(sample.x_index, ks, rows, r1)
     return float(covar[0]), float(coes[0])
 
 

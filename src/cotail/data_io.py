@@ -223,6 +223,8 @@ def diagnostics_export(
     """Write the three diagnostic curves as TSV files into ``out_dir``.
 
     hill.tsv: Hill estimates of the X margin with 90% bands over k_range;
+    a k whose threshold X_(n-k,n) is not positive has empty cells and the
+    code ``threshold_not_positive`` in the trailing ``note`` column;
     tailprob.tsv: empirical joint tail probability against (1 - tau)^2;
     r11.tsv: both tail-copula estimates at (1, 1) over k_range.
     """
@@ -236,11 +238,13 @@ def diagnostics_export(
     out.mkdir(parents=True, exist_ok=True)
 
     curve = hill_curve(sample.x_index, ks[0], ks[-1])
-    positions = {int(k): i for i, k in enumerate(curve.ks)}
-    hill_rows = [
-        (k, float(curve.gammas[positions[k]]), float(curve.lo[positions[k]]), float(curve.hi[positions[k]]))
-        for k in ks
-    ]
+    hill_rows = []
+    for k in ks:
+        i = k - ks[0]
+        if np.isnan(curve.gammas[i]):
+            hill_rows.append((k, "", "", "", "threshold_not_positive"))
+        else:
+            hill_rows.append((k, *(float(c[i]) for c in (curve.gammas, curve.lo, curve.hi)), ""))
     prob = tail_prob_curve(sample, taus)
     prob_rows = [
         (float(prob.taus[i]), float(prob.p_hat[i]), float(prob.square[i]))
@@ -253,7 +257,7 @@ def diagnostics_export(
         "tailprob": out / "tailprob.tsv",
         "r11": out / "r11.tsv",
     }
-    write_text(paths["hill"], format_tsv([("k", "gamma", "lo", "hi"), *hill_rows]))
+    write_text(paths["hill"], format_tsv([("k", "gamma", "lo", "hi", "note"), *hill_rows]))
     write_text(paths["tailprob"], format_tsv([("tau", "p_hat", "square"), *prob_rows]))
     write_text(paths["r11"], format_tsv([("k", "r1", "r2"), *r_rows]))
     return paths

@@ -18,7 +18,11 @@ from .core import EstimationError, LossPairSample, MarginIndex
 
 @dataclass(frozen=True)
 class HillCurve:
-    """Hill estimates over a k-range with approximate 90% bands."""
+    """Hill estimates over a k-range with approximate 90% bands.
+
+    ``gammas``, ``lo`` and ``hi`` are NaN at every k whose threshold
+    X_(n-k,n) is not positive, where the Hill estimator is undefined.
+    """
 
     ks: np.ndarray
     gammas: np.ndarray
@@ -50,13 +54,23 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
     Raises:
         EstimationError: ``threshold_not_positive``.
     """
+    _check_k(margin, k)
     n = margin.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
     threshold = margin.sorted[n - k - 1]
     if threshold <= 0.0:
         raise _threshold_not_positive(n, k, threshold)
     return float(_hill(margin, np.array([k]))[0])
+
+
+def _check_k(margin: MarginIndex, k: int) -> None:
+    """Raise unless 1 <= k <= n-1 and ``margin`` orders its top k + 1."""
+    n = margin.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
+    if margin.depth < k + 1:
+        raise ValueError(
+            f"k={k} reads the top {k + 1}, below the top {margin.depth} that the index orders"
+        )
 
 
 def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
@@ -89,10 +103,8 @@ def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
 
 def empirical_var(margin: MarginIndex, k: int) -> float:
     """The (n-k)-th ascending order statistic, the empirical VaR at 1 - k/n."""
-    n = margin.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
-    return float(margin.sorted[n - k - 1])
+    _check_k(margin, k)
+    return float(margin.sorted[margin.n - k - 1])
 
 
 def tail_prob_curve(sample: LossPairSample, taus) -> TailProbCurve:
@@ -119,16 +131,18 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> HillCurve:
     """Hill estimates for every k in [k_min, k_max] with 90% bands.
 
     Bands are gamma * (1 +/- 1.645 / sqrt(k)), the standard-normal limit
-    approximation; they are diagnostics only and feed no estimator.
+    approximation; they are diagnostics only and feed no estimator.  A k
+    whose threshold X_(n-k,n) is not positive gets NaN, and the other k
+    keep their estimates.
     """
     n = margin.n
     if not 2 <= k_min <= k_max <= n - 1:
         raise ValueError(
             f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, k_max={k_max}, n={n}"
         )
-    if margin.sorted[n - k_max - 1] <= 0.0:
-        raise ValueError("all order statistics down to X_(n-k_max) must be positive")
+    _check_k(margin, k_max)
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     gammas = _hill(margin, ks)
+    gammas[margin.sorted[n - 1 - ks] <= 0.0] = np.nan
     half = 1.645 / np.sqrt(ks)
     return HillCurve(ks=ks, gammas=gammas, lo=gammas * (1.0 - half), hi=gammas * (1.0 + half))

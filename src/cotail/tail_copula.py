@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, validate_tail_config
+from .core import EstimationError, LossPairSample, MarginIndex, validate_tail_config
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,9 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
     _check_variant(variant)
     n = sample.n
     config, _ = validate_tail_config(n, k)
-    _, r1, r2 = filtered_x_ranks(sample, np.array([k]), np.array([config.m]))
+    _, r1, r2 = filtered_x_ranks(
+        sample.x_index, sample.y_index, np.array([k]), np.array([config.m])
+    )
     estimate = _eta(n, k, variant, int((r1, r2)[variant - 1][0]))
     if estimate is None:
         raise _not_attained(k, n)
@@ -122,7 +124,7 @@ def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] |
 
 
 def filtered_x_ranks(
-    sample: LossPairSample, ks: np.ndarray, ms: np.ndarray
+    x_index: MarginIndex, y_index: MarginIndex, ks: np.ndarray, ms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The X-ranks of every conditioning set of a k-range, by one selection.
 
@@ -134,9 +136,15 @@ def filtered_x_ranks(
     its m-th largest X-rank is the (m+1)-th largest of the row when that
     dropped observation is among the row's m largest, and the m-th largest
     otherwise.
+
+    ``y_index`` must order the top k_max + 1 system losses.  An X-rank below
+    the tail of ``x_index`` reads as its sentinel 0; when ``x_index`` orders
+    the top k_max + 2, that changes no eta-hat: a rank that deep, sentinel
+    or not, leaves R-hat(., 1) short of k/n, and ``r1``/``r2`` are exact
+    wherever eta-hat is attained.
     """
     width = max(ks.tolist()) + 1
-    ranks = sample.x_index.ranks[sample.y_index.ranked(width)]
+    ranks = x_index.ranks[y_index.ranked(width)]
     dropped = ranks[ks]  # read first: with one k, the sort below reorders ranks
     if ks.size == 1:
         rows = ranks[None, :]

@@ -38,6 +38,35 @@ def test_top_takes_the_later_of_tied_values():
         index.top(5)
 
 
+def test_tail_index_keeps_ties_at_the_cut_and_raises_below_it():
+    index = build_margin_index([2.0, 5.0, 2.0, 1.0, 3.0], depth=2)
+    assert index.depth == 2
+    assert index.ranked(2).tolist() == [1, 4]
+    assert index.ranks.tolist() == [0, 5, 0, 0, 4]
+    with pytest.raises(ValueError, match="below the top 2"):
+        index.ranked(3)
+    tied = build_margin_index([2.0, 5.0, 2.0, 1.0], depth=2)  # the cut 2.0 is tied
+    assert tied.depth == 3
+    assert tied.ranked(3).tolist() == [1, 2, 0]
+    assert tied.ranks.tolist() == [2, 4, 3, 0]
+    assert tied.sorted.tolist() == [-np.inf, 2.0, 2.0, 5.0]
+    assert build_margin_index([2.0, 1.0], depth=5).order.tolist() == [1, 0]
+    for depth in (0, 1.5):
+        with pytest.raises(ValueError, match="depth"):
+            build_margin_index([2.0, 1.0], depth=depth)
+
+
+def test_loss_pair_sample_deepens_its_cached_index_on_demand():
+    sample = LossPairSample(xs=np.arange(10.0), ys=np.arange(10.0))
+    shallow, _ = sample.tail_indexes(3)
+    assert shallow.depth == 3
+    assert sample.tail_indexes(2)[0] is shallow
+    assert sample.tail_indexes(4)[0].depth == 4
+    full = sample.x_index
+    assert full.depth == 10
+    assert sample.tail_indexes(5)[0] is full
+
+
 def test_margin_index_rank_permutation_roundtrip():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -276,9 +276,9 @@ def test_each_margin_is_sorted_once_per_sample(monkeypatch):
     calls = []
     original = cotail.core.build_margin_index
 
-    def counting(values):
+    def counting(values, depth=None):
         calls.append(len(values))
-        return original(values)
+        return original(values, depth)
 
     monkeypatch.setattr(cotail.core, "build_margin_index", counting)
     rng = np.random.default_rng(17)

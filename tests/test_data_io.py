@@ -301,10 +301,11 @@ class TestDiagnostics:
         assert set(paths) == {"hill", "tailprob", "r11"}
 
         hill_lines = paths["hill"].read_text(encoding="utf-8").splitlines()
-        assert hill_lines[0] == "k\tgamma\tlo\thi"
+        assert hill_lines[0] == "k\tgamma\tlo\thi\tnote"
         margin = build_margin_index(sample.xs)
         for line in hill_lines[1:]:
-            k, gamma, lo, hi = line.split("\t")
+            k, gamma, lo, hi, note = line.split("\t")
+            assert note == ""
             expected = hill_estimate(margin, int(k))
             assert float(gamma) == pytest.approx(expected, rel=1e-8)
             assert float(lo) == pytest.approx(expected * (1 - 1.645 / math.sqrt(int(k))), rel=1e-8)
@@ -325,6 +326,24 @@ class TestDiagnostics:
             assert float(r1) >= 0.9
             assert float(r2) >= 0.9
 
+    def test_non_positive_hill_thresholds_are_gaps(self, tmp_path):
+        # X_(n-k,n) = 19 - k, so Hill is defined for k <= 18 only
+        values = np.arange(-20.0, 20.0)
+        sample = LossPairSample(xs=values, ys=values)
+        paths = diagnostics_export(sample, range(2, 31), [0.9, 0.95], tmp_path)
+        margin = build_margin_index(values)
+        rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()]
+        assert rows[0] == ["k", "gamma", "lo", "hi", "note"]
+        assert [int(row[0]) for row in rows[1:]] == list(range(2, 31))
+        for k, gamma, lo, hi, note in rows[1:]:
+            if int(k) <= 18:
+                assert float(gamma) == pytest.approx(hill_estimate(margin, int(k)), rel=1e-9)
+                assert note == ""
+            else:
+                assert (gamma, lo, hi, note) == ("", "", "", "threshold_not_positive")
+        assert len(paths["tailprob"].read_text(encoding="utf-8").splitlines()) == 1 + 2
+        assert len(paths["r11"].read_text(encoding="utf-8").splitlines()) == 1 + 29
+
     def test_opposite_tails_give_zero_dependence(self, tmp_path):
         n = 200
         values = np.arange(1.0, n + 1.0)
@@ -339,9 +358,9 @@ class TestDiagnostics:
         calls = []
         original = cotail.core.build_margin_index
 
-        def counting(values):
+        def counting(values, depth=None):
             calls.append(len(values))
-            return original(values)
+            return original(values, depth)
 
         monkeypatch.setattr(cotail.core, "build_margin_index", counting)
         sample = sample_model(make_spec("Cauchy"), 500, np.random.default_rng(3))

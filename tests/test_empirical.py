@@ -19,6 +19,17 @@ def test_hill_tied_top_is_not_negative(value, k):
     assert hill_estimate(build_margin_index(np.full(60, value)), k) == 0.0
 
 
+def test_order_statistics_below_a_tail_index_raise():
+    margin = build_margin_index(np.arange(1.0, 11.0), depth=3)
+    assert empirical_var(margin, 2) == 8.0
+    assert hill_estimate(margin, 2) == hill_estimate(build_margin_index(np.arange(1.0, 11.0)), 2)
+    for call in (empirical_var, hill_estimate):
+        with pytest.raises(ValueError, match="below the top 3"):
+            call(margin, 3)
+    with pytest.raises(ValueError, match="below the top 3"):
+        hill_curve(margin, 2, 3)
+
+
 def test_hill_geometric_sample():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
     assert hill_estimate(margin, 2) == pytest.approx(1.5 * math.log(2.0), rel=1e-14)

@@ -3,7 +3,9 @@
 Every tail estimator conditions on the k+1 largest system losses by rank,
 ``MarginIndex.top``; these properties pin that contract down on tie-heavy,
 degenerate and permuted inputs, and check that every row of a k-range is
-the one-k estimate and matches the brute-force definitions.  Examples are
+the one-k estimate and matches the brute-force definitions, that a tail
+index is the full sort on its tail and changes no k-range result, and that
+the estimators scale with X and R-hat keeps its bounds.  Examples are
 derandomized, so the suite draws the same cases on every run.
 """
 
@@ -19,9 +21,9 @@ from cotail.core import (
     build_margin_index,
     tail_configs,
 )
-from cotail.covar_coes import _intermediate, estimate_all, estimate_k_range
+from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
 from cotail.models import FAMILIES, make_spec, sample_model
-from cotail.tail_copula import _eta, filtered_x_ranks
+from cotail.tail_copula import _eta, filtered_x_ranks, r_hat
 from oracles import eta_hat_bruteforce, intermediate_covar_scan
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -33,6 +35,15 @@ def _outcome(sample, k, tau_prime):
         return estimate_all(sample, k, tau_prime).to_record()
     except ValueError as exc:
         return str(exc)
+
+
+def _full_outcome(call):
+    """The record and warnings ``call()`` returns, or its error type, code and message."""
+    try:
+        estimates = call()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
+    return estimates.to_record(), estimates.warnings
 
 
 @st.composite
@@ -67,6 +78,91 @@ def test_top_is_the_rank_filter(values):
     n = index.n
     for count in range(1, n + 1):
         assert np.array_equal(index.top(count), np.flatnonzero(index.ranks > n - count))
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        hnp.arrays(float, st.integers(1, 40), elements=st.integers(-3, 3).map(float)),
+        hnp.arrays(float, st.integers(1, 40), elements=st.floats(-100.0, 100.0)),
+        st.tuples(st.integers(1, 40), st.floats(-5.0, 5.0)).map(lambda nc: np.full(*nc)),
+    )
+)
+def test_tail_index_is_the_full_index_on_its_tail(values):
+    full = build_margin_index(values)
+    n = full.n
+    for depth in range(1, n + 1):
+        tail = build_margin_index(values, depth)
+        t = tail.depth
+        assert depth <= t <= n
+        assert np.array_equal(tail.order, full.order[n - t :])
+        assert np.array_equal(tail.sorted[n - t :], full.sorted[n - t :])
+        assert np.all(tail.sorted[: n - t] == -np.inf)
+        inside = full.ranks > n - t
+        assert np.array_equal(tail.ranks[inside], full.ranks[inside])
+        assert np.all(tail.ranks[~inside] == 0)
+        # closed under ties: the tail is every value at or above its cut
+        cut = full.sorted[n - depth]
+        assert np.array_equal(np.sort(tail.order), np.flatnonzero(values >= cut))
+
+
+@SETTINGS
+@given(
+    st.one_of(tied_dependent_samples(), finite_samples()),
+    st.integers(0, 30),
+    st.sampled_from([0.99, 0.999]),
+)
+def test_k_range_on_tail_indexes_equals_full_indexes(case, width, tau_prime):
+    """A fresh sample runs the k-range on tail indexes; a sample whose full
+    indexes were built first runs it on those, the indexes the brute-force
+    criterion reads."""
+    sample, k = case
+    ks = range(k, min(k + width, sample.n + 2) + 1)
+    fresh = LossPairSample(xs=sample.xs, ys=sample.ys)
+    on_tail = estimate_k_range(fresh, ks, tau_prime)
+    warmed = LossPairSample(xs=sample.xs, ys=sample.ys)
+    assert warmed.x_index.depth == warmed.y_index.depth == warmed.n
+    on_full = estimate_k_range(warmed, ks, tau_prime)
+    assert on_tail.first_warnings() == on_full.first_warnings()
+    for i in range(len(ks)):
+        assert _full_outcome(lambda: on_tail.estimates(i)) == _full_outcome(
+            lambda: on_full.estimates(i)
+        )
+
+
+@SETTINGS
+@given(tied_dependent_samples(), st.integers(-8, 8), st.sampled_from([0.99, 0.999]))
+def test_scaling_x_by_a_power_of_two_scales_every_covar_and_coes(case, j, tau_prime):
+    sample, k = case
+    c = 2.0**j
+    base = _full_outcome(lambda: estimate_all(sample, k, tau_prime))
+    scaled = _full_outcome(
+        lambda: estimate_all(LossPairSample(xs=c * sample.xs, ys=sample.ys), k, tau_prime)
+    )
+    if not isinstance(base[0], dict):
+        assert scaled[1] == base[1]
+        return
+    base, scaled = base[0], scaled[0]
+    for key in ("var_x", "covar_int", "coes_int"):
+        assert scaled[key] == c * base[key], key
+    for key in ("gamma1", *ESTIMATOR_NAMES):
+        factor = 1.0 if key == "gamma1" else c
+        assert abs(scaled[key] - factor * base[key]) <= 1e-12 * abs(factor * base[key]), key
+
+
+@SETTINGS
+@given(
+    tied_dependent_samples(),
+    st.sampled_from([1, 2]),
+    st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+)
+def test_r_hat_is_bounded_and_nondecreasing(case, variant, args):
+    sample, k = case
+    x, y, step = args
+    value = r_hat(sample, k, variant, x, y)
+    assert 0.0 <= value <= (min(int(k * x), int(k * y)) + 1) / k
+    assert r_hat(sample, k, variant, x + step, y) >= value
+    assert r_hat(sample, k, variant, x, y + step) >= value
 
 
 @SETTINGS
@@ -115,15 +211,6 @@ def test_permutation_changes_no_value_on_tie_free_data(family, seed, n, k_share)
         assert abs(moved[key] - value) <= 1e-12 * abs(value), key
 
 
-def _full_outcome(call):
-    """The record and warnings ``call()`` returns, or its error type, code and message."""
-    try:
-        estimates = call()
-    except ValueError as exc:
-        return type(exc), getattr(exc, "code", None), str(exc)
-    return estimates.to_record(), estimates.warnings
-
-
 @SETTINGS
 @given(tied_dependent_samples(), st.integers(0, 30), st.sampled_from([0.99, 0.999]))
 def test_k_range_rows_equal_estimate_all_on_ties(case, width, tau_prime):
@@ -157,8 +244,9 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     assert np.unique(sample.xs).size == n and np.unique(sample.ys).size == n
     lo = max(1, int(lo_share * n))
     ks = np.arange(lo, min(lo + width, n - 1) + 1)
-    rows, r1, r2 = filtered_x_ranks(sample, ks, np.array(tail_configs(n, ks).ms))
-    covar, _ = _intermediate(sample, ks, rows, r1)
+    ms = np.array(tail_configs(n, ks).ms)
+    rows, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, ks, ms)
+    covar, _ = _intermediate(sample.x_index, ks, rows, r1)
     result = estimate_k_range(sample, ks, 0.999)
     for i, k in enumerate(ks.tolist()):
         raws = []
