@@ -1,10 +1,12 @@
-"""Shared containers for paired-loss data, ranks, and tail configuration.
+"""Shared containers for paired-loss data and ranks, and the one tail check.
 
-Every estimator in the package consumes these three objects: a validated
-pair of loss vectors, a per-margin order-statistic/rank index with a
-deterministic tie-break, and a tail configuration bundling the
-intermediate order ``k``, the derived count ``m``, and the extrapolation
-level.  All containers are frozen; estimators never mutate a sample.
+Every estimator in the package consumes two frozen objects: a validated
+pair of loss vectors and a per-margin order-statistic/rank index with a
+deterministic tie-break.  ``check_tail`` is the one check that an
+intermediate order ``k`` and an extrapolation level ``tau_prime`` are valid
+for a sample size ``n``; it returns the derived count ``m``.  Estimators
+never mutate a sample.
+
 Each margin index is computed once per sample, on first use, and cached
 on it, so every estimator and every k run on one sample share the same two
 sorts.  An index may order only the top of its margin (a tail index, see
@@ -242,108 +244,21 @@ def _whole_number(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class TailConfig:
-    """Intermediate order k, derived count m, and extrapolation level.
+def check_tail(n: int, k: int, tau_prime: float | None = None) -> int:
+    """Check (n, k, tau_prime) and return m = ceil(k^2 / n), which lies in [1, k].
 
-    ``m = ceil(k^2 / n)`` is shared by every estimator that needs it; it is
-    computed once here and never re-rounded.  ``tau_prime`` and the ratio
-    ``d = k / (n (1 - tau_prime))`` are absent for intermediate-only use.
-    """
-
-    n: int
-    k: int
-    m: int
-    tau_prime: float | None = None
-    d: float | None = None
-
-
-def validate_tail_config(
-    n: int, k: int, tau_prime: float | None = None
-) -> tuple[TailConfig, list[WarningRecord]]:
-    """Validate (n, k, tau_prime) and derive m and d: ``tail_configs`` at one k.
+    This is the package's one check of a tail configuration.  The checks
+    run in a fixed order and the first that fails raises: n >= 2, then
+    1 <= k < n, then tau_prime in (0, 1) (skipped for intermediate-only
+    use, tau_prime None).
 
     Raises:
-        ValueError: n < 2, k outside [1, n-1] or tau_prime outside (0, 1).
+        ValueError: the first failing check.
     """
-    configs = tail_configs(n, [k], tau_prime)
-    if configs.errors[0] is not None:
-        raise ValueError(configs.errors[0])
-    config = TailConfig(n=n, k=k, m=configs.ms[0], tau_prime=tau_prime, d=configs.ds[0])
-    return config, configs.warnings(0)
-
-
-CONFIG_WARNINGS = ("small_k", "d_below_one")
-
-
-@dataclass(frozen=True)
-class TailConfigs:
-    """Tail configurations for several k on one sample size, one row per k.
-
-    ``errors[i]`` is the reason k = ``ks[i]`` is invalid, or None; the
-    other fields are meaningful on the rows without one.  ``ms[i]`` is
-    m = ceil(k^2 / n), which lies in [1, k] for every valid k, and ``ds[i]``
-    is d = k / (n (1 - tau_prime)), or None without tau_prime.
-    ``flags[i][j]`` records whether the non-fatal condition
-    ``CONFIG_WARNINGS[j]`` holds at row i: k below the n^(2/3) heuristic, or
-    an extrapolation level not beyond the intermediate level (d < 1).
-    """
-
-    n: int
-    ks: list[int]
-    ms: list[int]
-    tau_prime: float | None
-    ds: list[float | None]
-    errors: list[str | None]
-    flags: list[tuple[bool, bool]]
-
-    def warning(self, row: int, column: int) -> WarningRecord:
-        """The ``CONFIG_WARNINGS[column]`` record of row ``row``."""
-        n, k = self.n, self.ks[row]
-        if column == 0:
-            return WarningRecord(
-                "small_k",
-                f"k={k} is below n^(2/3)={n ** (2.0 / 3.0):.1f}; "
-                "intermediate-order asymptotics are doubtful",
-            )
-        return WarningRecord(
-            "d_below_one",
-            f"extrapolation ratio d={self.ds[row]:.4g} < 1: tau_prime={self.tau_prime} "
-            "is not beyond the intermediate level 1 - k/n",
-        )
-
-    def warnings(self, row: int) -> list[WarningRecord]:
-        """Every configuration warning of row ``row``, in ``CONFIG_WARNINGS`` order."""
-        return [self.warning(row, j) for j, fired in enumerate(self.flags[row]) if fired]
-
-
-def tail_configs(n: int, ks, tau_prime: float | None = None) -> TailConfigs:
-    """Validate (n, k, tau_prime) and derive m and d for every k of ``ks``.
-
-    An invalid k is reported in ``errors``, not raised, so that one bad k
-    leaves the rest of a k-range usable.  The checks run in a fixed order
-    and each row reports the first that fails: n >= 2, then 1 <= k < n,
-    then tau_prime in (0, 1).
-    """
-    ks = list(ks)
-    scale = None
-    tau_error = None
-    if tau_prime is not None:
-        if 0.0 < tau_prime < 1.0:
-            scale = n * (1.0 - tau_prime)
-        else:
-            tau_error = f"tau_prime must lie in (0, 1), got {tau_prime}"
-    small = n ** (2.0 / 3.0)
-    errors, ms, ds, flags = [], [], [], []
-    for k in ks:
-        if n < 2:
-            errors.append(f"sample size must be >= 2, got n={n}")
-        elif k <= 0 or k >= n:
-            errors.append(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
-        else:
-            errors.append(tau_error)
-        ms.append((k * k + n - 1) // n)  # ceil(k^2 / n) in exact integer arithmetic
-        d = None if scale is None else k / scale
-        ds.append(d)
-        flags.append((k < small, d is not None and d < 1.0))
-    return TailConfigs(n=n, ks=ks, ms=ms, tau_prime=tau_prime, ds=ds, errors=errors, flags=flags)
+    if n < 2:
+        raise ValueError(f"sample size must be >= 2, got n={n}")
+    if k <= 0 or k >= n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
+    if tau_prime is not None and not 0.0 < tau_prime < 1.0:
+        raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")
+    return (k * k + n - 1) // n  # exact integer arithmetic

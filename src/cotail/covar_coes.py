@@ -9,8 +9,10 @@ pushes the estimates at every k of a k-range to an extreme level tau' with
 the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
 share one selection on the margin indexes cached on the sample, and
-``estimate_all`` is its one-k case.  ``RECORD_KEYS`` is the one flat schema
-of a row.
+``estimate_all`` is its one-k case.  Each k is checked by
+``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions are
+derived here, and ``KRangeEstimates`` words every warning of
+``WARNING_CODES``.  ``RECORD_KEYS`` is the one flat schema of a row.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (
-    CONFIG_WARNINGS,
-    EstimationError,
-    LossPairSample,
-    MarginIndex,
-    TailConfigs,
-    WarningRecord,
-    tail_configs,
-    validate_tail_config,
-)
+from .core import EstimationError, LossPairSample, MarginIndex, WarningRecord, check_tail
 from .empirical import _hill, _threshold_not_positive
 from .tail_copula import _eta, _not_attained, filtered_x_ranks
 
@@ -70,7 +63,7 @@ ESTIMATOR_NAMES = RECORD_KEYS[6:]
 
 
 WARNING_CODES = (
-    *CONFIG_WARNINGS, "ties_at_threshold", "eta_clamped", "eta_clamped", "gamma_above_half"
+    "small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "eta_clamped", "gamma_above_half"
 )
 
 
@@ -84,13 +77,15 @@ class KRangeEstimates:
     otherwise holds its ``RECORD_KEYS`` values, whether each warning of
     ``WARNING_CODES`` fired (the two ``eta_clamped`` entries are variants 1
     and 2), and what those warnings quote: Y_(n-k,n) and the two raw
-    eta-hat values.
+    eta-hat values.  ``n`` and ``tau_prime`` are the sample size and
+    extrapolation level the warnings quote.
     """
 
     ks: list[int]
     errors: tuple[ValueError | None, ...]
     rows: tuple[tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]] | None, ...]
-    configs: TailConfigs
+    n: int
+    tau_prime: float
 
     @property
     def values(self) -> np.ndarray:
@@ -121,11 +116,22 @@ class KRangeEstimates:
         return list(records.values())
 
     def _warning(self, row: int, column: int) -> WarningRecord:
-        if column < len(CONFIG_WARNINGS):
-            return self.configs.warning(row, column)
+        """The ``WARNING_CODES[column]`` record of row ``row``: the one home
+        of every warning text."""
+        n, k = self.n, self.ks[row]
         values, _, quoted = self.rows[row]
         code = WARNING_CODES[column]
-        if code == "ties_at_threshold":
+        if code == "small_k":
+            message = (
+                f"k={k} is below n^(2/3)={n ** (2.0 / 3.0):.1f}; "
+                "intermediate-order asymptotics are doubtful"
+            )
+        elif code == "d_below_one":
+            message = (
+                f"extrapolation ratio d={k / (n * (1.0 - self.tau_prime)):.4g} < 1: "
+                f"tau_prime={self.tau_prime} is not beyond the intermediate level 1 - k/n"
+            )
+        elif code == "ties_at_threshold":
             message = (
                 f"system losses tie at the threshold Y_(n-k,n)={quoted[0]}: the k+1 "
                 "conditioning observations are chosen by rank, later ones first"
@@ -173,26 +179,32 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k values must be integers, got {ks.tolist()}")
     n = sample.n
-    configs = tail_configs(n, ks.tolist(), tau_prime)
-    errors = [None if error is None else ValueError(error) for error in configs.errors]
-    rows: list = [None] * ks.size
+    ks = ks.tolist()
+    errors: list = [None] * len(ks)
+    ms = [0] * len(ks)
+    for i, k in enumerate(ks):
+        try:
+            ms[i] = check_tail(n, k, tau_prime)
+        except ValueError as error:
+            errors[i] = error
+    rows: list = [None] * len(ks)
     live = [i for i, error in enumerate(errors) if error is None]
-    k_max = max((configs.ks[i] for i in live), default=0)
+    k_max = max((ks[i] for i in live), default=0)
     x_index, y_index = sample.tail_indexes(k_max + 2)
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     # each block of k shares one (k, k_max + 1) rank matrix; blocks bound its size
     block = max(1, _MATRIX_CELLS // (k_max + 1))
     for start in range(0, len(live), block):
         part = live[start : start + block]
-        part_ks = np.array([configs.ks[i] for i in part])
-        part_ms = np.array([configs.ms[i] for i in part])
+        part_ks = np.array([ks[i] for i in part])
+        part_ms = np.array([ms[i] for i in part])
         selected, ranks1, ranks2 = filtered_x_ranks(x_index, y_index, part_ks, part_ms)
         covar_int, coes_int = _intermediate(x_index, part_ks, selected, ranks1)
         columns = (_hill(x_index, part_ks), ranks1, ranks2, covar_int, coes_int)
         # the closed forms run on Python floats: at the few k of a range
         # that is cheaper than numpy's per-call cost on short arrays
         for i, gamma, r1, r2, covar_i, coes_i in zip(part, *(c.tolist() for c in columns)):
-            k = configs.ks[i]
+            k = ks[i]
             var_x = x_sorted.item(n - k - 1)
             if var_x <= 0.0:
                 errors[i] = _threshold_not_positive(n, k, var_x)
@@ -208,21 +220,21 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
             if eta1 is None or eta2 is None:
                 errors[i] = _not_attained(k, n)
                 continue
-            base = configs.ds[i] ** (2.0 * gamma)
+            d = k / (n * (1.0 - tau_prime))
+            base = d ** (2.0 * gamma)
             covar1 = base * eta1[1] ** (-gamma) * var_x
             covar2 = base * eta2[1] ** (-gamma) * var_x
             covar3 = base * covar_i
             spread = 1.0 - gamma
-            small_k, d_below_one = configs.flags[i]
             y_at = y_sorted.item(n - k - 1)
             ties = k < n - 1 and y_sorted.item(n - k - 2) == y_at
             rows[i] = (
                 (gamma, var_x, eta1[1], eta2[1], covar_i, coes_i, covar1, covar2, covar3,
                  covar1 / spread, covar2 / spread, covar3 / spread, base * coes_i),
-                (small_k, d_below_one, ties, eta1[2], eta2[2], gamma >= 0.5),
+                (k < n ** (2.0 / 3.0), d < 1.0, ties, eta1[2], eta2[2], gamma >= 0.5),
                 (y_at, eta1[0], eta2[0]),
             )
-    return KRangeEstimates(configs.ks, tuple(errors), tuple(rows), configs)
+    return KRangeEstimates(ks, tuple(errors), tuple(rows), n, tau_prime)
 
 
 def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstimates:
@@ -264,9 +276,9 @@ def _intermediate(
 def _intermediate_at(sample: LossPairSample, k: int) -> tuple[float, float]:
     # the full indexes: CoVaR_int is defined even where eta-hat is not, and
     # can then lie anywhere in X
-    config, _ = validate_tail_config(sample.n, k)
+    m = check_tail(sample.n, k)
     ks = np.array([k])
-    rows, r1, _ = filtered_x_ranks(sample.x_index, sample.y_index, ks, np.array([config.m]))
+    rows, r1, _ = filtered_x_ranks(sample.x_index, sample.y_index, ks, np.array([m]))
     covar, coes = _intermediate(sample.x_index, ks, rows, r1)
     return float(covar[0]), float(coes[0])
 

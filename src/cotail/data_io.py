@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LossPairSample, WarningRecord, _whole_number, tail_configs
+from .core import LossPairSample, WarningRecord, _whole_number, check_tail
 from .covar_coes import RiskEstimates, estimate_k_range
 from .empirical import hill_curve, tail_prob_curve
 from .tail_copula import r_hat
@@ -70,9 +70,8 @@ class RollingPlan:
             object.__setattr__(self, name, value)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        for error in tail_configs(self.window, k_values(self.k), self.tau_prime).errors:
-            if error is not None:
-                raise ValueError(error)
+        for k in k_values(self.k):
+            check_tail(self.window, k, self.tau_prime)
 
 
 def k_values(k: int | tuple[int, int]) -> range:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex
+from .core import EstimationError, LossPairSample, MarginIndex, check_tail
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
 
     Args:
         margin: sorted/ranked margin.
-        k: intermediate order, 1 <= k <= n - 1.
+        k: intermediate order, 1 <= k < n.
 
     Returns:
         The tail-index estimate, always >= 0 (see ``_hill``).
@@ -63,10 +63,8 @@ def hill_estimate(margin: MarginIndex, k: int) -> float:
 
 
 def _check_k(margin: MarginIndex, k: int) -> None:
-    """Raise unless 1 <= k <= n-1 and ``margin`` orders its top k + 1."""
-    n = margin.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
+    """Raise unless 1 <= k < n and ``margin`` orders its top k + 1."""
+    check_tail(margin.n, k)
     if margin.depth < k + 1:
         raise ValueError(
             f"k={k} reads the top {k + 1}, below the top {margin.depth} that the index orders"

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .covar_coes import ESTIMATOR_NAMES, estimate_all
-from .core import _whole_number, validate_tail_config
+from .core import _whole_number, check_tail
 from .models import ModelSpec, sample_model
 from .oracle import oracle_result
 
@@ -45,7 +45,7 @@ class ExperimentPlan:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        validate_tail_config(self.n, self.k, self.tau_prime)
+        check_tail(self.n, self.k, self.tau_prime)
 
 
 @dataclass(frozen=True)

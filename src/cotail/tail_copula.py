@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex, validate_tail_config
+from .core import EstimationError, LossPairSample, MarginIndex, check_tail
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> f
     """
     _check_variant(variant)
     n = sample.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k} with n={n}")
+    check_tail(n, k)
     if x < 0.0 or y < 0.0:
         raise ValueError("tail copula arguments must be nonnegative")
     ranks_x = sample.x_index.ranks
@@ -93,10 +92,8 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
     """
     _check_variant(variant)
     n = sample.n
-    config, _ = validate_tail_config(n, k)
-    _, r1, r2 = filtered_x_ranks(
-        sample.x_index, sample.y_index, np.array([k]), np.array([config.m])
-    )
+    m = check_tail(n, k)
+    _, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, np.array([k]), np.array([m]))
     estimate = _eta(n, k, variant, int((r1, r2)[variant - 1][0]))
     if estimate is None:
         raise _not_attained(k, n)

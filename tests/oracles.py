@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from cotail.core import LossPairSample, validate_tail_config
+from cotail.core import LossPairSample, check_tail
 from cotail.models import ModelSpec
 from cotail.tail_copula import _check_variant, _eta1_value, _eta2_value, _not_attained
 
@@ -39,7 +39,7 @@ def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
             value does not have exactly k+1 elements.
     """
     n = sample.n
-    validate_tail_config(n, k)
+    check_tail(n, k)
     var_y = np.sort(sample.ys)[n - k - 1]
     filtered = np.sort(sample.xs[sample.ys >= var_y])
     if filtered.size != k + 1:
@@ -65,8 +65,7 @@ def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
     """
     _check_variant(variant)
     n = sample.n
-    config, _ = validate_tail_config(n, k)
-    m = config.m
+    m = check_tail(n, k)
     ranks_x = sample.x_index.ranks
     ranks_y = sample.y_index.ranks
     if variant == 1:

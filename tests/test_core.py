@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from cotail.core import (
-    LossPairSample,
-    build_margin_index,
-    validate_tail_config,
-)
+from cotail.core import LossPairSample, build_margin_index, check_tail
+from cotail.covar_coes import estimate_all, estimate_k_range, intermediate_covar
+from cotail.data_io import RollingPlan
+from cotail.empirical import empirical_var, hill_estimate
+from cotail.harness import ExperimentPlan
+from cotail.models import make_spec
+from cotail.tail_copula import eta_hat, r_hat
 
 
 def test_margin_index_already_sorted():
@@ -112,52 +114,87 @@ def test_loss_pair_sample_caches_read_only_margin_indexes():
     xs[0] = 0.0  # the caller's own array stays writable
 
 
-def test_validate_tail_config_typical_cell():
-    config, warnings = validate_tail_config(500, 120, 0.99)
-    assert config.m == 29
-    assert config.d == pytest.approx(24.0)
-    assert warnings == []
+def _configured(n, k, tau_prime):
+    """check_tail's m, with the d and the small_k / d_below_one codes that
+    estimate_all applies on a comonotone sample (d read back from
+    covar3 = d^(2 gamma) * covar_int)."""
+    m = check_tail(n, k, tau_prime)
+    grid = np.arange(1.0, n + 1.0)
+    estimates = estimate_all(LossPairSample(xs=grid, ys=grid), k, tau_prime)
+    d = (estimates.covar3 / estimates.covar_int) ** (1.0 / (2.0 * estimates.gamma1))
+    codes = [w.code for w in estimates.warnings if w.code in ("small_k", "d_below_one")]
+    return m, d, codes
 
 
-def test_validate_tail_config_small_case():
-    config, warnings = validate_tail_config(8, 4)
-    assert config.m == 2
-    assert config.tau_prime is None
-    assert config.d is None
-    assert warnings == []
+def test_check_tail_typical_cell():
+    m, d, codes = _configured(500, 120, 0.99)
+    assert m == 29
+    assert d == pytest.approx(24.0)
+    assert codes == []
 
 
-def test_validate_tail_config_rejects_k_out_of_range():
-    with pytest.raises(ValueError):
-        validate_tail_config(8, 8)
-    with pytest.raises(ValueError):
-        validate_tail_config(8, 0)
-    with pytest.raises(ValueError):
-        validate_tail_config(1, 1)
+def test_check_tail_small_case():
+    assert check_tail(8, 4) == 2
+    m, d, codes = _configured(8, 4, 0.9)
+    assert m == 2
+    assert d == pytest.approx(5.0)
+    assert codes == []
 
 
-def test_validate_tail_config_rejects_bad_tau_prime():
+def test_check_tail_rejects_k_out_of_range():
+    with pytest.raises(ValueError, match=r"1 <= k < n, got k=8 with n=8"):
+        check_tail(8, 8)
+    with pytest.raises(ValueError, match=r"1 <= k < n, got k=0 with n=8"):
+        check_tail(8, 0)
+    with pytest.raises(ValueError, match="sample size must be >= 2, got n=1"):
+        check_tail(1, 1)
+
+
+def test_check_tail_rejects_bad_tau_prime():
     for tau in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            validate_tail_config(100, 10, tau)
+        with pytest.raises(ValueError, match=r"tau_prime must lie in \(0, 1\)"):
+            check_tail(100, 10, tau)
 
 
 def test_small_k_warning():
     # k = 50 < 1000^(2/3) = 100 triggers the heuristic warning
-    config, warnings = validate_tail_config(1000, 50, 0.999)
-    assert config.m == 3
-    assert [w.code for w in warnings] == ["small_k"]
+    m, _, codes = _configured(1000, 50, 0.999)
+    assert m == 3
+    assert codes == ["small_k"]
 
 
 def test_d_below_one_warning():
-    config, warnings = validate_tail_config(100, 50, 0.4)
-    assert config.d == pytest.approx(50 / 60)
-    assert [w.code for w in warnings] == ["d_below_one"]
+    _, d, codes = _configured(100, 50, 0.4)
+    assert d == pytest.approx(50 / 60)
+    assert codes == ["d_below_one"]
 
 
 def test_m_is_ceiling_of_k_squared_over_n():
     for n in (10, 97, 500, 2000):
         for k in (1, 3, n // 2, n - 1):
-            config, _ = validate_tail_config(n, k)
-            assert config.m == -((-k * k) // n)
-            assert 1 <= config.m <= k
+            m = check_tail(n, k)
+            assert m == -((-k * k) // n)
+            assert 1 <= m <= k
+
+
+@pytest.mark.parametrize("k", [0, 20])
+def test_every_entry_point_words_an_invalid_k_alike(k):
+    n = 20
+    grid = np.arange(1.0, n + 1.0)
+    sample = LossPairSample(xs=grid, ys=grid)
+    expected = f"k must satisfy 1 <= k < n, got k={k} with n={n}"
+    calls = [
+        lambda: r_hat(sample, k, 1, 1.0, 1.0),
+        lambda: hill_estimate(sample.x_index, k),
+        lambda: empirical_var(sample.x_index, k),
+        lambda: eta_hat(sample, k, 1),
+        lambda: intermediate_covar(sample, k),
+        lambda: estimate_all(sample, k, 0.99),
+        lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),
+        lambda: RollingPlan(window=n, k=k, tau_prime=0.99),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == expected
+    assert str(estimate_k_range(sample, [k], 0.99).errors[0]) == expected

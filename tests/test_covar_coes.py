@@ -5,10 +5,11 @@ import pytest
 
 import cotail.core
 import cotail.covar_coes
-from cotail.core import ESTIMATION_ERROR_CODES, EstimationError, LossPairSample
+from cotail.core import ESTIMATION_ERROR_CODES, EstimationError, LossPairSample, WarningRecord
 from cotail.covar_coes import (
     ESTIMATOR_NAMES,
     RECORD_KEYS,
+    KRangeEstimates,
     RiskEstimates,
     estimate_all,
     estimate_k_range,
@@ -236,6 +237,59 @@ def test_warning_codes_collected():
     # k=20 < 200^(2/3) and d = 20/(200*0.1) = 1 is not below one
     assert "small_k" in codes
     assert "d_below_one" not in codes
+
+
+SMALL_K_200 = ("small_k", "k=20 is below n^(2/3)=34.2; intermediate-order asymptotics are doubtful")
+
+
+def _tied_at_180():
+    grid = np.arange(1.0, 201.0)
+    ys = grid.copy()
+    ys[178] = 180.0
+    return LossPairSample(xs=grid**2, ys=ys)
+
+
+@pytest.mark.parametrize(
+    "sample,k,tau_prime,expected",
+    [
+        (comonotone(200), 20, 0.9, [SMALL_K_200]),
+        (comonotone(100), 50, 0.4, [(
+            "d_below_one",
+            "extrapolation ratio d=0.8333 < 1: tau_prime=0.4 is not beyond the "
+            "intermediate level 1 - k/n",
+        )]),
+        (_tied_at_180(), 20, 0.999, [SMALL_K_200, (
+            "ties_at_threshold",
+            "system losses tie at the threshold Y_(n-k,n)=180.0: the k+1 conditioning "
+            "observations are chosen by rank, later ones first",
+        )]),
+        (comonotone(200), 10, 0.999, [
+            ("small_k", "k=10 is below n^(2/3)=34.2; intermediate-order asymptotics are doubtful"),
+            ("eta_clamped", "eta-hat variant 1 raw value 0.0 floored at 1/(2k) = 0.05"),
+        ]),
+        (LossPairSample(xs=(200.0 / np.arange(200.0, 0.0, -1.0)) ** 0.7, ys=np.arange(200.0)),
+         100, 0.999, [(
+            "gamma_above_half",
+            "gamma1=0.6844 >= 1/2: the intermediate-CoES extrapolation (variant 4) is "
+            "outside its supported regime",
+        )]),
+    ],
+)
+def test_warning_texts(sample, k, tau_prime, expected):
+    expected = [WarningRecord(code, message) for code, message in expected]
+    assert list(estimate_all(sample, k, tau_prime).warnings) == expected
+    assert estimate_k_range(sample, [k], tau_prime).first_warnings() == expected
+
+
+def test_eta2_clamped_warning_text():
+    # the variant-2 raw value (n + 1/2 - r)/k is never below the 1/(2k)
+    # floor, so this text is pinned on a row built by hand
+    values = (0.3, 5.0, 0.05, 0.05) + (1.0,) * 9
+    flags = (False, False, False, False, True, False)
+    result = KRangeEstimates([10], (None,), ((values, flags, (5.0, 0.0, 0.01)),), 200, 0.999)
+    assert result.estimates(0).warnings == (
+        WarningRecord("eta_clamped", "eta-hat variant 2 raw value 0.01 floored at 1/(2k) = 0.05"),
+    )
 
 
 def test_pareto_ratio_between_intermediates():

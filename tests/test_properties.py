@@ -19,7 +19,7 @@ from cotail.core import (
     EstimationError,
     LossPairSample,
     build_margin_index,
-    tail_configs,
+    check_tail,
 )
 from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
 from cotail.models import FAMILIES, make_spec, sample_model
@@ -244,7 +244,7 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     assert np.unique(sample.xs).size == n and np.unique(sample.ys).size == n
     lo = max(1, int(lo_share * n))
     ks = np.arange(lo, min(lo + width, n - 1) + 1)
-    ms = np.array(tail_configs(n, ks).ms)
+    ms = np.array([check_tail(n, k) for k in ks.tolist()])
     rows, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, ks, ms)
     covar, _ = _intermediate(sample.x_index, ks, rows, r1)
     result = estimate_k_range(sample, ks, 0.999)
