@@ -9,10 +9,11 @@ never mutate a sample.
 
 Each margin index is computed once per sample, on first use, and cached
 on it, so every estimator and every k run on one sample share the same two
-sorts.  An index may order only the top of its margin (a tail index, see
-``build_margin_index``): the k-range estimators read the top k_max + 2 of
-each margin and ask for no more (``LossPairSample.tail_indexes``), while
-``x_index`` / ``y_index`` are full sorts.  ``MarginIndex.ranked`` is the one
+sorts.  ``build_margin_index`` is the one sort path.  An index may order
+only the top of its margin (a tail index): the k-range estimators read the
+top k_max + 2 of each margin and ask for no more
+(``LossPairSample.tail_indexes``), while ``x_index`` / ``y_index`` are the
+same build at full depth.  ``MarginIndex.ranked`` is the one
 place the tie rule lives: the conditioning subsample of every tail estimator
 is ``y_index.top(k + 1)`` (or ``top(k)``), the first k+1 (or k) entries of
 ``y_index.ranked(count)`` for any count > k.
@@ -55,6 +56,9 @@ class EstimationError(ValueError):
             raise ValueError(f"unknown estimation error code {code!r}")
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):  # pickle and copy would call cls(*args), args = (message,)
+        return type(self), (self.code, str(self))
 
 
 ESTIMATION_ERROR_CODES = ("threshold_not_positive", "hill_out_of_range", "eta_not_attained")
@@ -197,7 +201,8 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     observation at or above it is kept, so the tail is closed under ties
     and may hold more than ``depth`` observations.  The kept positions, in
     ascending position order, are stably sorted by value, which gives the
-    full sort's order on them.
+    full sort's order on them.  At depth n the cut is the minimum and every
+    position is kept: the full index is the stable argsort.
 
     The k-range estimators (``covar_coes.estimate_k_range``) need depth
     k_max + 2 of each margin.  ``r_hat``, ``tail_prob_curve``,
@@ -223,12 +228,10 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     n = arr.size
     if depth is not None and _whole_number(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if depth is None or depth >= n:
-        order = np.argsort(arr, kind="stable")
-    else:
-        cut = np.partition(arr, n - depth)[n - depth]
-        kept = np.flatnonzero(arr >= cut)
-        order = kept[np.argsort(arr[kept], kind="stable")]
+    cut_at = 0 if depth is None else max(n - int(depth), 0)
+    cut = np.partition(arr, cut_at)[cut_at]
+    kept = np.flatnonzero(arr >= cut)
+    order = kept[np.argsort(arr[kept], kind="stable")]
     tail = order.size
     sorted_values = np.full(n, -np.inf)
     sorted_values[n - tail :] = arr[order]

@@ -11,8 +11,9 @@ the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 share one selection on the margin indexes cached on the sample, and
 ``estimate_all`` is its one-k case.  Each k is checked by
 ``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions are
-derived here, and ``KRangeEstimates`` words every warning of
-``WARNING_CODES``.  ``RECORD_KEYS`` is the one flat schema of a row.
+derived here, and ``KRangeEstimates`` words every warning of the five
+``WARNING_CODES``, one code per condition.  ``RECORD_KEYS`` is the one flat
+schema of a row.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ RECORD_KEYS = tuple(f.name for f in fields(RiskEstimates) if f.name != "warnings
 ESTIMATOR_NAMES = RECORD_KEYS[6:]
 
 
-WARNING_CODES = (
-    "small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "eta_clamped", "gamma_above_half"
-)
+WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "gamma_above_half")
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,10 @@ class KRangeEstimates:
     ``EstimationError`` with its code, or a plain ``ValueError`` for an
     invalid k), or None.  ``rows[i]`` is None where that k failed and
     otherwise holds its ``RECORD_KEYS`` values, whether each warning of
-    ``WARNING_CODES`` fired (the two ``eta_clamped`` entries are variants 1
-    and 2), and what those warnings quote: Y_(n-k,n) and the two raw
-    eta-hat values.  ``n`` and ``tau_prime`` are the sample size and
-    extrapolation level the warnings quote.
+    ``WARNING_CODES`` fired, and what those warnings quote: Y_(n-k,n) and
+    the raw variant-1 eta-hat value (only variant 1 can be floored).  ``n``
+    and ``tau_prime`` are the sample size and extrapolation level the
+    warnings quote.
     """
 
     ks: list[int]
@@ -104,16 +103,12 @@ class KRangeEstimates:
     def first_warnings(self) -> list[WarningRecord]:
         """Each warning code once, in the order a walk over the succeeded
         rows in k order meets it, with the message of its first row."""
-        first: dict[int, int] = {}
+        first: dict[int, WarningRecord] = {}
         for i, row in enumerate(self.rows):
             for column, fired in enumerate(row[1] if row is not None else ()):
-                if fired:
-                    first.setdefault(column, i)
-        records: dict[str, WarningRecord] = {}
-        for column in sorted(first, key=lambda column: (first[column], column)):
-            if WARNING_CODES[column] not in records:
-                records[WARNING_CODES[column]] = self._warning(first[column], column)
-        return list(records.values())
+                if fired and column not in first:
+                    first[column] = self._warning(i, column)
+        return list(first.values())
 
     def _warning(self, row: int, column: int) -> WarningRecord:
         """The ``WARNING_CODES[column]`` record of row ``row``: the one home
@@ -137,11 +132,7 @@ class KRangeEstimates:
                 "conditioning observations are chosen by rank, later ones first"
             )
         elif code == "eta_clamped":
-            variant = column - 2
-            message = (
-                f"eta-hat variant {variant} raw value {quoted[variant]} floored "
-                f"at 1/(2k) = {values[1 + variant]}"
-            )
+            message = f"eta-hat variant 1 raw value {quoted[1]} floored at 1/(2k) = {values[2]}"
         else:
             message = (
                 f"gamma1={values[0]:.4f} >= 1/2: the intermediate-CoES extrapolation "
@@ -231,8 +222,8 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
             rows[i] = (
                 (gamma, var_x, eta1[1], eta2[1], covar_i, coes_i, covar1, covar2, covar3,
                  covar1 / spread, covar2 / spread, covar3 / spread, base * coes_i),
-                (k < n ** (2.0 / 3.0), d < 1.0, ties, eta1[2], eta2[2], gamma >= 0.5),
-                (y_at, eta1[0], eta2[0]),
+                (k < n ** (2.0 / 3.0), d < 1.0, ties, eta1[2], gamma >= 0.5),
+                (y_at, eta1[0]),
             )
     return KRangeEstimates(ks, tuple(errors), tuple(rows), n, tau_prime)
 

@@ -109,7 +109,9 @@ def _load_price_file(path) -> dict[datetime.date, float]:
                 price = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(price) or price <= 0.0:
+            if not math.isfinite(price):
+                raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
+            if price <= 0.0:
                 raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
             if day in table:
                 raise ValueError(f"{path}:{lineno}: duplicate date {day}")
@@ -221,9 +223,10 @@ def diagnostics_export(
 ) -> dict[str, Path]:
     """Write the three diagnostic curves as TSV files into ``out_dir``.
 
-    hill.tsv: Hill estimates of the X margin with 90% bands over k_range;
-    a k whose threshold X_(n-k,n) is not positive has empty cells and the
-    code ``threshold_not_positive`` in the trailing ``note`` column;
+    hill.tsv: Hill estimates of the X margin over k_range with 90% bands
+    gamma * (1 +/- 1.645 / sqrt(k)), the normal-limit approximation; a k
+    whose threshold X_(n-k,n) is not positive has empty cells and the code
+    ``threshold_not_positive`` in the trailing ``note`` column;
     tailprob.tsv: empirical joint tail probability against (1 - tau)^2;
     r11.tsv: both tail-copula estimates at (1, 1) over k_range.
     """
@@ -236,19 +239,19 @@ def diagnostics_export(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    curve = hill_curve(sample.x_index, ks[0], ks[-1])
+    gammas = hill_curve(sample.x_index, ks[0], ks[-1])
     hill_rows = []
     for k in ks:
-        i = k - ks[0]
-        if np.isnan(curve.gammas[i]):
+        gamma = float(gammas[k - ks[0]])
+        if math.isnan(gamma):
             hill_rows.append((k, "", "", "", "threshold_not_positive"))
         else:
-            hill_rows.append((k, *(float(c[i]) for c in (curve.gammas, curve.lo, curve.hi)), ""))
-    prob = tail_prob_curve(sample, taus)
-    prob_rows = [
-        (float(prob.taus[i]), float(prob.p_hat[i]), float(prob.square[i]))
-        for i in range(len(taus))
-    ]
+            half = 1.645 / math.sqrt(k)
+            hill_rows.append((k, gamma, gamma * (1.0 - half), gamma * (1.0 + half), ""))
+    tau_array = np.array(taus)
+    prob_rows = zip(
+        taus, tail_prob_curve(sample, tau_array).tolist(), ((1.0 - tau_array) ** 2).tolist()
+    )
     r_rows = [(k, r_hat(sample, k, 1, 1.0, 1.0), r_hat(sample, k, 2, 1.0, 1.0)) for k in ks]
 
     paths = {

@@ -3,40 +3,17 @@
 The Hill estimator and the (n-k)-th order statistic feed the CoVaR/CoES
 extrapolations; the two curve builders are diagnostics used to choose k and
 to check the joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.
+They return plain arrays; ``data_io.diagnostics_export`` adds the band and
+(1-tau)^2.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EstimationError, LossPairSample, MarginIndex, check_tail
-
-
-@dataclass(frozen=True)
-class HillCurve:
-    """Hill estimates over a k-range with approximate 90% bands.
-
-    ``gammas``, ``lo`` and ``hi`` are NaN at every k whose threshold
-    X_(n-k,n) is not positive, where the Hill estimator is undefined.
-    """
-
-    ks: np.ndarray
-    gammas: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-@dataclass(frozen=True)
-class TailProbCurve:
-    """Empirical joint tail probability vs (1 - tau)^2 over a tau grid."""
-
-    taus: np.ndarray
-    p_hat: np.ndarray
-    square: np.ndarray
 
 
 def hill_estimate(margin: MarginIndex, k: int) -> float:
@@ -91,7 +68,7 @@ def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
     n = margin.n
     descending = margin.sorted[n - 1 - max(ks.tolist()) :][::-1]
     # a threshold <= 0 takes logs of values <= 0, only on its own rows
-    with np.errstate(divide="ignore", invalid="ignore") if descending[-1] <= 0.0 else nullcontext():
+    with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(descending)
         gammas = logs.cumsum()[ks - 1] / ks - logs[ks]
     np.maximum(gammas, 0.0, out=gammas)
@@ -105,15 +82,15 @@ def empirical_var(margin: MarginIndex, k: int) -> float:
     return float(margin.sorted[margin.n - k - 1])
 
 
-def tail_prob_curve(sample: LossPairSample, taus) -> TailProbCurve:
-    """Empirical P(X >= VaR_X(tau), Y >= VaR_Y(tau)) against (1-tau)^2.
+def tail_prob_curve(sample: LossPairSample, taus) -> np.ndarray:
+    """Empirical P(X >= VaR_X(tau), Y >= VaR_Y(tau)) at every tau of ``taus``.
 
     The marginal VaR at tau is the smallest order statistic with 1-based
     index >= ceil(n*tau), the left-continuous inverse of the empirical
     distribution function.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any((taus <= 0.0) | (taus >= 1.0)):
+    if not np.all((0.0 < taus) & (taus < 1.0)):
         raise ValueError("every tau must lie in (0, 1)")
     n = sample.n
     p_hat = np.empty(taus.size)
@@ -122,15 +99,13 @@ def tail_prob_curve(sample: LossPairSample, taus) -> TailProbCurve:
         var_x = sample.x_index.sorted[idx - 1]
         var_y = sample.y_index.sorted[idx - 1]
         p_hat[j] = np.mean((sample.xs >= var_x) & (sample.ys >= var_y))
-    return TailProbCurve(taus=taus, p_hat=p_hat, square=(1.0 - taus) ** 2)
+    return p_hat
 
 
-def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> HillCurve:
-    """Hill estimates for every k in [k_min, k_max] with 90% bands.
+def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:
+    """Hill estimates for every k in [k_min, k_max], in k order.
 
-    Bands are gamma * (1 +/- 1.645 / sqrt(k)), the standard-normal limit
-    approximation; they are diagnostics only and feed no estimator.  A k
-    whose threshold X_(n-k,n) is not positive gets NaN, and the other k
+    A k whose threshold X_(n-k,n) is not positive gets NaN, and the other k
     keep their estimates.
     """
     n = margin.n
@@ -142,5 +117,4 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> HillCurve:
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     gammas = _hill(margin, ks)
     gammas[margin.sorted[n - 1 - ks] <= 0.0] = np.nan
-    half = 1.645 / np.sqrt(ks)
-    return HillCurve(ks=ks, gammas=gammas, lo=gammas * (1.0 - half), hi=gammas * (1.0 + half))
+    return gammas

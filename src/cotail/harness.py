@@ -119,8 +119,11 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
 
     Replications failing with ValueError (e.g. a Hill estimate outside
     (0, 1)) are counted in ``failure_count`` and dropped from the MSRE
-    denominator.  Raises if every replication fails.
+    denominator.  Raises if every replication fails, or if ``workers`` is
+    below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     truth = oracle_result(plan.spec, plan.tau_prime)
     streams = [
         np.random.default_rng(child)
@@ -130,7 +133,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
     def task(rng: np.random.Generator):
         return _run_one(plan.spec, plan.n, plan.k, plan.tau_prime, rng)
 
-    if workers <= 1:
+    if workers == 1:
         outcomes = [task(rng) for rng in streams]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

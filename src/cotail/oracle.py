@@ -10,8 +10,8 @@ by Brent's method on a doubled bracket, and true CoES adds the tail integral
 
     CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds
 
-evaluated with the substitution s = c/u on u in (0, 1].  Results are
-memoized per (model, tau); the harness asks once per experiment.
+evaluated with the substitution s = c/u on u in (0, 1].  ``oracle_result``
+computes both, memoized per (model, tau), and every other truth reads it.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
 
 def true_covar(spec: ModelSpec, tau: float) -> float:
     """Root c of P(X >= c, Y >= VaR_Y(tau)) = (1 - tau)^2, rel. tol 1e-10."""
-    return _solve_covar(spec, tau)[0]
+    return oracle_result(spec, tau).covar
 
 
 def _root_above(g, lo: float, hi: float, what: str) -> float:
@@ -140,27 +140,6 @@ def _root_above(g, lo: float, hi: float, what: str) -> float:
             return optimize.brentq(g, lo, hi, xtol=1e-300, rtol=_RTOL)
         lo, hi = hi, 2.0 * hi
     raise ValueError(f"failed to bracket the {what} root")
-
-
-def _solve_covar(spec: ModelSpec, tau: float) -> tuple[float, float]:
-    """(covar, var_y)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    var_x, var_y = marginal_quantiles(spec, tau)
-    target = (1.0 - tau) ** 2
-    s_lo = joint_survival(spec, var_x, var_y)
-    if s_lo < target:
-        # under exact independence the root sits at VaR_X itself and float
-        # rounding can push the survival a hair below the target
-        if s_lo >= target * (1.0 - 1e-9):
-            return var_x, var_y
-        raise ValueError(
-            f"no root at or above VaR_X: survival at {var_x:g} already below (1-tau)^2"
-        )
-    covar = _root_above(
-        lambda c: joint_survival(spec, c, var_y) - target, var_x, 2.0 * var_x, "CoVaR"
-    )
-    return covar, var_y
 
 
 def true_coes(spec: ModelSpec, tau: float) -> float:
@@ -187,7 +166,23 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    covar, var_y = _solve_covar(spec, tau)
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    var_x, var_y = marginal_quantiles(spec, tau)
+    target = (1.0 - tau) ** 2
+    s_lo = joint_survival(spec, var_x, var_y)
+    if s_lo < target:
+        # under exact independence the root sits at VaR_X itself and float
+        # rounding can push the survival a hair below the target
+        if s_lo < target * (1.0 - 1e-9):
+            raise ValueError(
+                f"no root at or above VaR_X: survival at {var_x:g} already below (1-tau)^2"
+            )
+        covar = var_x
+    else:
+        covar = _root_above(
+            lambda c: joint_survival(spec, c, var_y) - target, var_x, 2.0 * var_x, "CoVaR"
+        )
     tail, quad_err = _tail_integral(spec, covar, var_y)
     scale = (1.0 - tau) ** -2
     coes = covar + scale * tail
@@ -204,7 +199,7 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
 
 
 def eta_true(spec: ModelSpec, tau: float) -> float:
-    """Finite-level eta: F-bar_X(CoVaR)/(1 - tau)."""
+    """Finite-level eta: F-bar_X(CoVaR)/(1 - tau), at the memoized true CoVaR."""
     c = true_covar(spec, tau)
     return pre_margin_survival(spec, c ** (1.0 / spec.x_exponent)) / (1.0 - tau)
 

@@ -9,7 +9,8 @@ or ``top(k)`` (variant 2), so it shares its tie rule with the
 intermediate CoVaR/CoES.  Its final value expressions
 (``_eta1_value`` / ``_eta2_value``) are shared with the brute-force
 candidate scan kept among the tests, so the two agree bit-for-bit on
-tie-free data.
+tie-free data.  Variant 2 lies in [1/(2k), 1) by construction, so only
+variant 1, at exactly 0, meets the 1/(2k) floor.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class EtaEstimate:
     ``value`` is the usable estimate in (0, 1]; ``raw`` is the pre-clamp
     output of the order-statistic procedure (variant 1 can return exactly 0
     when the X-maximum lands in the filtered set and m = 1); ``clamped``
-    records whether the 1/(2k) floor fired.
+    records whether the 1/(2k) floor fired, which only variant 1 can do.
     """
 
     variant: int
@@ -103,17 +104,17 @@ def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
 
 def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] | None:
     """(raw, value, clamped) of eta-hat from its filtered X-rank, or None
-    when R-hat(., 1) does not reach the level k/n.  ``value`` is ``raw``
-    floored at 1/(2k) and capped at 1."""
-    if variant == 1:
-        depth = n - rank
-        if depth > k:
-            return None
-        raw = _eta1_value(n, k, depth)
-    else:
+    when R-hat(., 1) does not reach the level k/n.  Variant 2's value is its
+    raw (n + 1/2 - r)/k; variant 1's is floored at 1/(2k) and capped at 1."""
+    if variant == 2:
         if rank < n - k + 1:
             return None
         raw = _eta2_value(n, k, rank)
+        return raw, raw, False
+    depth = n - rank
+    if depth > k:
+        return None
+    raw = _eta1_value(n, k, depth)
     floor = 1.0 / (2.0 * k)
     if raw < floor:
         return raw, floor, True

@@ -249,3 +249,20 @@ def test_simulate_rejects_empty_plan(tmp_path, capsys):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_simulate_rejects_workers_below_one(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(_plan_records()), encoding="utf-8")
+    rc = main(["simulate", "--plan", str(plan_path), "--seed", "1",
+               "--out", str(tmp_path / "out"), "--workers", "-3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: workers must be at least 1, got -3\n"
+
+
+def test_diagnose_rejects_nan_tau(price_files, tmp_path, capsys):
+    rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
+               "--kmin", "20", "--kmax", "30", "--taugrid", "nan",
+               "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: every tau must lie in (0, 1)\n"

@@ -1,7 +1,16 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from cotail.core import LossPairSample, build_margin_index, check_tail
+from cotail.core import (
+    ESTIMATION_ERROR_CODES,
+    EstimationError,
+    LossPairSample,
+    build_margin_index,
+    check_tail,
+)
 from cotail.covar_coes import estimate_all, estimate_k_range, intermediate_covar
 from cotail.data_io import RollingPlan
 from cotail.empirical import empirical_var, hill_estimate
@@ -198,3 +207,11 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
             call()
         assert str(caught.value) == expected
     assert str(estimate_k_range(sample, [k], 0.99).errors[0]) == expected
+
+
+@pytest.mark.parametrize("code", ESTIMATION_ERROR_CODES)
+def test_estimation_error_survives_pickle_and_copy(code):
+    error = EstimationError(code, f"message for {code}")
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(clone) is EstimationError
+        assert (clone.code, str(clone)) == (code, f"message for {code}")

@@ -9,7 +9,6 @@ from cotail.core import ESTIMATION_ERROR_CODES, EstimationError, LossPairSample,
 from cotail.covar_coes import (
     ESTIMATOR_NAMES,
     RECORD_KEYS,
-    KRangeEstimates,
     RiskEstimates,
     estimate_all,
     estimate_k_range,
@@ -279,17 +278,6 @@ def test_warning_texts(sample, k, tau_prime, expected):
     expected = [WarningRecord(code, message) for code, message in expected]
     assert list(estimate_all(sample, k, tau_prime).warnings) == expected
     assert estimate_k_range(sample, [k], tau_prime).first_warnings() == expected
-
-
-def test_eta2_clamped_warning_text():
-    # the variant-2 raw value (n + 1/2 - r)/k is never below the 1/(2k)
-    # floor, so this text is pinned on a row built by hand
-    values = (0.3, 5.0, 0.05, 0.05) + (1.0,) * 9
-    flags = (False, False, False, False, True, False)
-    result = KRangeEstimates([10], (None,), ((values, flags, (5.0, 0.0, 0.01)),), 200, 0.999)
-    assert result.estimates(0).warnings == (
-        WarningRecord("eta_clamped", "eta-hat variant 2 raw value 0.01 floored at 1/(2k) = 0.05"),
-    )
 
 
 def test_pareto_ratio_between_intermediates():

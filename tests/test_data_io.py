@@ -140,6 +140,8 @@ class TestLoader:
             ("date,price\n2015-01-05,100,extra\n", "expected 2 fields"),
             ("date,price\n2015-13-40,100\n", ":2:"),
             ("date,price\n2015-01-05,-100\n", "non-positive"),
+            ("date,price\n2015-01-05,inf\n", "non-finite price inf"),
+            ("date,price\n2015-01-05,nan\n", "non-finite price nan"),
             ("date,price\n2015-01-05,100\n2015-01-05,101\n", "duplicate"),
             ("date,price\n", "no data rows"),
         ],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cotail.core import LossPairSample, build_margin_index
+from cotail.data_io import diagnostics_export
 from cotail.empirical import empirical_var, hill_curve, hill_estimate, tail_prob_curve
 from cotail.models import make_spec, sample_model
 
@@ -86,29 +87,28 @@ def test_empirical_var_scale_equivariance():
 def test_tail_prob_comonotone():
     grid = np.arange(1.0, 101.0)
     sample = LossPairSample(xs=grid, ys=grid)
-    curve = tail_prob_curve(sample, [0.9])
-    assert curve.p_hat[0] == pytest.approx(0.11)
-    assert curve.square[0] == pytest.approx(0.01)
+    p_hat = tail_prob_curve(sample, [0.9])
+    assert p_hat[0] == pytest.approx(0.11)
 
 
 def test_tail_prob_top_only():
     # ceil(n*tau) = n leaves only the maximum in both tails
     grid = np.arange(1.0, 101.0)
     sample = LossPairSample(xs=grid, ys=grid)
-    curve = tail_prob_curve(sample, [0.995])
-    assert curve.p_hat[0] == pytest.approx(1.0 / 100.0)
+    p_hat = tail_prob_curve(sample, [0.995])
+    assert p_hat[0] == pytest.approx(1.0 / 100.0)
 
 
 def test_tail_prob_anti_comonotone_is_zero():
     sample = LossPairSample(xs=np.arange(1.0, 101.0), ys=np.arange(100.0, 0.0, -1.0))
-    curve = tail_prob_curve(sample, [0.9])
-    assert curve.p_hat[0] == 0.0
+    p_hat = tail_prob_curve(sample, [0.9])
+    assert p_hat[0] == 0.0
 
 
 def test_tail_prob_rejects_bad_tau():
     sample = LossPairSample(xs=np.arange(1.0, 11.0), ys=np.arange(1.0, 11.0))
-    for tau in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
+    for tau in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"every tau must lie in \(0, 1\)"):
             tail_prob_curve(sample, [tau])
 
 
@@ -116,44 +116,51 @@ def test_tail_prob_nonincreasing_in_tau():
     rng = np.random.default_rng(23)
     sample = LossPairSample(xs=rng.normal(size=500), ys=rng.normal(size=500))
     taus = np.linspace(0.5, 0.995, 40)
-    curve = tail_prob_curve(sample, taus)
-    assert np.all(np.diff(curve.p_hat) <= 1e-15)
-    assert np.all((curve.p_hat >= 0.0) & (curve.p_hat <= 1.0))
+    p_hat = tail_prob_curve(sample, taus)
+    assert np.all(np.diff(p_hat) <= 1e-15)
+    assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
 
 
 def test_hill_curve_small_sample_values():
     margin = build_margin_index(np.arange(1.0, 9.0))
-    curve = hill_curve(margin, 2, 3)
-    assert curve.ks.tolist() == [2, 3]
-    assert curve.gammas[0] == hill_estimate(margin, 2)
+    gammas = hill_curve(margin, 2, 3)
+    assert gammas.shape == (2,)
+    assert gammas[0] == hill_estimate(margin, 2)
     expected_k3 = (math.log(8.0 / 5.0) + math.log(7.0 / 5.0) + math.log(6.0 / 5.0)) / 3.0
-    assert curve.gammas[1] == pytest.approx(expected_k3, rel=1e-14)
+    assert gammas[1] == pytest.approx(expected_k3, rel=1e-14)
 
 
 def test_hill_curve_single_k():
     margin = build_margin_index(np.geomspace(1.0, 128.0, 8))
-    curve = hill_curve(margin, 2, 2)
-    assert curve.ks.tolist() == [2]
-    assert curve.gammas[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
+    gammas = hill_curve(margin, 2, 2)
+    assert gammas.shape == (1,)
+    assert gammas[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
 
 
 def test_hill_curve_matches_pointwise_estimates():
     rng = np.random.default_rng(97)
     margin = build_margin_index(rng.pareto(2.0, size=300) + 1.0)
-    curve = hill_curve(margin, 2, 60)
-    for i, k in enumerate(curve.ks):
-        assert curve.gammas[i] == hill_estimate(margin, int(k))
+    gammas = hill_curve(margin, 2, 60)
+    assert gammas.shape == (59,)
+    for k, gamma in zip(range(2, 61), gammas):
+        assert gamma == hill_estimate(margin, k)
 
 
-def test_hill_curve_bands():
+def test_hill_curve_bands(tmp_path):
+    # the bands are written where the Hill plot is exported, to hill.tsv
     rng = np.random.default_rng(13)
-    margin = build_margin_index(rng.pareto(2.0, size=200) + 1.0)
-    curve = hill_curve(margin, 5, 50)
-    half = 1.645 / np.sqrt(curve.ks)
-    assert np.allclose(curve.lo, curve.gammas * (1.0 - half))
-    assert np.allclose(curve.hi, curve.gammas * (1.0 + half))
-    assert np.all(curve.lo < curve.gammas)
-    assert np.all(curve.gammas < curve.hi)
+    values = rng.pareto(2.0, size=200) + 1.0
+    paths = diagnostics_export(LossPairSample(xs=values, ys=values), range(5, 51), [0.9], tmp_path)
+    rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()[1:]]
+    ks = np.array([int(row[0]) for row in rows])
+    gammas, lo, hi = (np.array([float(row[j]) for row in rows]) for j in (1, 2, 3))
+    assert ks.tolist() == list(range(5, 51))
+    assert np.allclose(gammas, hill_curve(build_margin_index(values), 5, 50))
+    half = 1.645 / np.sqrt(ks)
+    assert np.allclose(lo, gammas * (1.0 - half))
+    assert np.allclose(hi, gammas * (1.0 + half))
+    assert np.all(lo < gammas)
+    assert np.all(gammas < hi)
 
 
 def test_hill_curve_pareto_quantile_grid_is_flat():
@@ -161,8 +168,8 @@ def test_hill_curve_pareto_quantile_grid_is_flat():
     n = 2000
     u = np.arange(1, n + 1) / (n + 1.0)
     values = (1.0 - u) ** (-1.0 / 3.0)
-    curve = hill_curve(build_margin_index(values), 50, 400)
-    assert np.all(np.abs(curve.gammas - 1.0 / 3.0) < 0.02)
+    gammas = hill_curve(build_margin_index(values), 50, 400)
+    assert np.all(np.abs(gammas - 1.0 / 3.0) < 0.02)
 
 
 def test_hill_curve_rejects_bad_range():

@@ -192,3 +192,9 @@ def test_run_grid_groups_by_geometry():
 def test_run_grid_rejects_empty():
     with pytest.raises(ValueError):
         run_grid([])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(_plan(), workers=workers)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cotail.oracle
 from cotail.models import FAMILIES, make_spec, marginal_quantiles, sample_model, true_tail_copula
 from cotail.oracle import (
     eta_star,
@@ -181,3 +182,18 @@ def test_oracle_matches_monte_carlo_cauchy():
     mc_covar = float(np.quantile(np.concatenate(kept), 0.95))
     assert abs(mc_covar / true_covar(spec, 0.95) - 1.0) <= 1e-3
     assert abs(coes_sum / coes_n / true_coes(spec, 0.90) - 1.0) <= 1e-2
+
+
+def test_true_covar_reads_the_memo(monkeypatch):
+    spec = make_spec("Pareto2", theta=1.5)
+    result = oracle_result(spec, 0.985)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return joint_survival(*args)
+
+    monkeypatch.setattr(cotail.oracle, "joint_survival", counting)
+    assert true_covar(spec, 0.985) == result.covar
+    assert eta_true(spec, 0.985) > 0.0
+    assert calls == []

@@ -258,7 +258,8 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
         error = result.errors[i]
         if error is None:
             values, _, quoted = result.rows[i]
-            assert list(quoted[1:]) == raws
+            assert quoted[1] == raws[0]
+            assert values[3] == raws[1]
             assert values[4] == covar[i]
         elif error.code == "eta_not_attained":
             assert None in raws

@@ -3,7 +3,7 @@ import pytest
 
 from cotail.core import LossPairSample
 from cotail.models import make_spec, sample_model, true_tail_copula
-from cotail.tail_copula import eta_hat, r_hat
+from cotail.tail_copula import _eta, eta_hat, r_hat
 from oracles import eta_hat_bruteforce
 
 SMALL_XS = np.array([1.0, 2.0, 3.0, 4.0])
@@ -139,3 +139,13 @@ def test_r_hat_near_analytic_value(family):
                 hits[variant] += 1
     assert hits[1] >= 95
     assert hits[2] >= 95
+
+
+def test_eta2_is_never_clamped():
+    """Every attained variant-2 raw value (n + 1/2 - r)/k lies in [1/(2k), 1)."""
+    for n in range(2, 61):
+        for k in range(1, n):
+            for rank in range(n - k + 1, n + 1):
+                raw, value, clamped = _eta(n, k, 2, rank)
+                assert value == raw and not clamped
+                assert 1.0 / (2.0 * k) <= raw < 1.0
