@@ -205,10 +205,9 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     position is kept: the full index is the stable argsort.
 
     The k-range estimators (``covar_coes.estimate_k_range``) need depth
-    k_max + 2 of each margin.  ``r_hat``, ``tail_prob_curve``,
-    ``hill_curve`` and the one-k ``eta_hat`` / ``intermediate_covar`` /
-    ``intermediate_coes`` read the full index: they evaluate ranks or
-    quantiles anywhere in the sample.
+    k_max + 2 of each margin.  ``r_hat``, ``tail_prob_curve`` and
+    ``hill_curve`` read the full index: they evaluate ranks or quantiles
+    anywhere in the sample.
 
     Args:
         values: nonempty sequence of finite reals.

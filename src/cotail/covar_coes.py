@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import EstimationError, LossPairSample, MarginIndex, WarningRecord, check_tail
-from .empirical import _hill, _threshold_not_positive
+from .empirical import _hill
 from .tail_copula import _eta, _not_attained, filtered_x_ranks
 
 
@@ -228,6 +228,13 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     return KRangeEstimates(ks, tuple(errors), tuple(rows), n, tau_prime)
 
 
+def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
+    return EstimationError(
+        "threshold_not_positive",
+        f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive",
+    )
+
+
 def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstimates:
     """Every intermediate and extrapolated estimator at one k: the one-row
     case of ``estimate_k_range``.
@@ -262,23 +269,3 @@ def _intermediate(
     # values add exactly nothing, so the sum at one k is the same float
     # whichever other k share the matrix
     return covar, x_index.n / (ks * ks) * joint.cumsum(axis=1)[:, -1]
-
-
-def _intermediate_at(sample: LossPairSample, k: int) -> tuple[float, float]:
-    # the full indexes: CoVaR_int is defined even where eta-hat is not, and
-    # can then lie anywhere in X
-    m = check_tail(sample.n, k)
-    ks = np.array([k])
-    rows, r1, _ = filtered_x_ranks(sample.x_index, sample.y_index, ks, np.array([m]))
-    covar, coes = _intermediate(sample.x_index, ks, rows, r1)
-    return float(covar[0]), float(coes[0])
-
-
-def intermediate_covar(sample: LossPairSample, k: int) -> float:
-    """CoVaR at level 1 - k/n: the (k+2-m)-th smallest filtered X value."""
-    return _intermediate_at(sample, k)[0]
-
-
-def intermediate_coes(sample: LossPairSample, k: int) -> float:
-    """CoES at level 1 - k/n: (n/k^2) * sum of X over the joint exceedances."""
-    return _intermediate_at(sample, k)[1]

@@ -47,6 +47,9 @@ class ReturnSeries:
             raise ValueError("need one price per timestamp")
         if prices.size < 2:
             raise ValueError("need at least two prices to form a return")
+        finite = np.isfinite(prices)
+        if not finite.all():
+            raise ValueError(f"non-finite price {prices[~finite][0]}")
         if not np.all(prices > 0.0):
             raise ValueError("prices must be positive")
         for earlier, later in zip(self.timestamps, self.timestamps[1:]):

@@ -1,10 +1,11 @@
-"""Univariate tail machinery: Hill estimator, order-statistic VaR, diagnostics.
+"""Univariate tail machinery: the Hill estimator and the diagnostic curves.
 
-The Hill estimator and the (n-k)-th order statistic feed the CoVaR/CoES
-extrapolations; the two curve builders are diagnostics used to choose k and
-to check the joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.
-They return plain arrays; ``data_io.diagnostics_export`` adds the band and
-(1-tau)^2.
+``_hill`` gives the Hill estimates of a whole k-range from one cumulative
+sum of logs; ``covar_coes.estimate_k_range`` reads it, with the (n-k)-th
+order statistic as VaR_X, for the CoVaR/CoES extrapolations.  The two
+curve builders are diagnostics used to choose k and to check the
+joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.  They return
+plain arrays; ``data_io.diagnostics_export`` adds the band and (1-tau)^2.
 """
 
 from __future__ import annotations
@@ -13,46 +14,7 @@ import math
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex, check_tail
-
-
-def hill_estimate(margin: MarginIndex, k: int) -> float:
-    """Average log-spacing of the top k order statistics over the threshold.
-
-    gamma_1 = (1/k) sum_{i=1..k} log X_{n-i+1,n} - log X_{n-k,n}.
-
-    Args:
-        margin: sorted/ranked margin.
-        k: intermediate order, 1 <= k < n.
-
-    Returns:
-        The tail-index estimate, always >= 0 (see ``_hill``).
-
-    Raises:
-        EstimationError: ``threshold_not_positive``.
-    """
-    _check_k(margin, k)
-    n = margin.n
-    threshold = margin.sorted[n - k - 1]
-    if threshold <= 0.0:
-        raise _threshold_not_positive(n, k, threshold)
-    return float(_hill(margin, np.array([k]))[0])
-
-
-def _check_k(margin: MarginIndex, k: int) -> None:
-    """Raise unless 1 <= k < n and ``margin`` orders its top k + 1."""
-    check_tail(margin.n, k)
-    if margin.depth < k + 1:
-        raise ValueError(
-            f"k={k} reads the top {k + 1}, below the top {margin.depth} that the index orders"
-        )
-
-
-def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
-    return EstimationError(
-        "threshold_not_positive",
-        f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive",
-    )
+from .core import LossPairSample, MarginIndex
 
 
 def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
@@ -74,12 +36,6 @@ def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
     np.maximum(gammas, 0.0, out=gammas)
     gammas[descending[ks] == descending[0]] = 0.0
     return gammas
-
-
-def empirical_var(margin: MarginIndex, k: int) -> float:
-    """The (n-k)-th ascending order statistic, the empirical VaR at 1 - k/n."""
-    _check_k(margin, k)
-    return float(margin.sorted[margin.n - k - 1])
 
 
 def tail_prob_curve(sample: LossPairSample, taus) -> np.ndarray:
@@ -113,7 +69,10 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:
         raise ValueError(
             f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, k_max={k_max}, n={n}"
         )
-    _check_k(margin, k_max)
+    if margin.depth < k_max + 1:
+        raise ValueError(
+            f"k={k_max} reads the top {k_max + 1}, below the top {margin.depth} that the index orders"
+        )
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     gammas = _hill(margin, ks)
     gammas[margin.sorted[n - 1 - ks] <= 0.0] = np.nan

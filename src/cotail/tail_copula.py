@@ -1,12 +1,13 @@
 """Nonparametric upper-tail dependence: R-hat variants and adjustment factors.
 
 Two rank-based estimators of the tail copula R (Schmidt & Stadtmüller,
-2006) are evaluated by ``r_hat``, together with the adjustment-factor
-estimators eta-hat obtained by inverting R-hat(., 1) at level k/n.  The
-inversion has a closed order-statistic form (the filtered-sub-sample
-procedure) on the conditioning subsample ``y_index.top(k + 1)`` (variant 1)
-or ``top(k)`` (variant 2), so it shares its tie rule with the
-intermediate CoVaR/CoES.  Its final value expressions
+2006) are evaluated by ``r_hat``.  The adjustment factor eta-hat inverts
+R-hat(., 1) at level k/n; the inversion has a closed order-statistic form
+(the filtered-sub-sample procedure) on the conditioning subsample
+``y_index.top(k + 1)`` (variant 1) or ``top(k)`` (variant 2).
+``filtered_x_ranks`` makes that selection for a whole k-range at once,
+sharing its tie rule with the intermediate CoVaR/CoES, and ``_eta`` turns
+the selected X-rank into eta-hat.  Its final value expressions
 (``_eta1_value`` / ``_eta2_value``) are shared with the brute-force
 candidate scan kept among the tests, so the two agree bit-for-bit on
 tie-free data.  Variant 2 lies in [1/(2k), 1) by construction, so only
@@ -15,27 +16,9 @@ variant 1, at exactly 0, meets the 1/(2k) floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import EstimationError, LossPairSample, MarginIndex, check_tail
-
-
-@dataclass(frozen=True)
-class EtaEstimate:
-    """Adjustment-factor estimate with clamping audit trail.
-
-    ``value`` is the usable estimate in (0, 1]; ``raw`` is the pre-clamp
-    output of the order-statistic procedure (variant 1 can return exactly 0
-    when the X-maximum lands in the filtered set and m = 1); ``clamped``
-    records whether the 1/(2k) floor fired, which only variant 1 can do.
-    """
-
-    variant: int
-    value: float
-    clamped: bool
-    raw: float
 
 
 def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> float:
@@ -48,7 +31,7 @@ def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> f
     _check_variant(variant)
     n = sample.n
     check_tail(n, k)
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):  # NaN fails both
         raise ValueError("tail copula arguments must be nonnegative")
     ranks_x = sample.x_index.ranks
     ranks_y = sample.y_index.ranks
@@ -74,38 +57,16 @@ def _eta2_value(n: int, k: int, rank: int) -> float:
     return (n + 0.5 - rank) / k
 
 
-def eta_hat(sample: LossPairSample, k: int, variant: int) -> EtaEstimate:
-    """Adjustment factor at the intermediate level via the filtered sub-sample.
-
-    Variant 1 keeps the k+1 observations with the largest Y
-    (``y_index.top(k + 1)``, i.e. 1 - F-hat_Y <= k/n) and takes the m-th
-    smallest filtered 1 - F-hat_X value, scaled by n/k.  Variant 2 keeps the
-    k observations with the largest Y (``top(k)``, Y-rank >= n + 1/2 - k)
-    and takes the (k+1-m)-th smallest filtered X-rank r, returning
-    (n + 1/2 - r)/k.  Both read ``filtered_x_ranks``, the selection every
-    k-range estimate makes, so the only floating point is in the final
-    value expression.
-
-    Raises:
-        EstimationError: ``eta_not_attained`` if the level k/n is not
-            attained by R-hat(., 1) within (0, 1] (no valid adjustment
-            factor exists).
-    """
-    _check_variant(variant)
-    n = sample.n
-    m = check_tail(n, k)
-    _, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, np.array([k]), np.array([m]))
-    estimate = _eta(n, k, variant, int((r1, r2)[variant - 1][0]))
-    if estimate is None:
-        raise _not_attained(k, n)
-    raw, value, clamped = estimate
-    return EtaEstimate(variant=variant, value=value, clamped=clamped, raw=raw)
-
-
 def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] | None:
     """(raw, value, clamped) of eta-hat from its filtered X-rank, or None
-    when R-hat(., 1) does not reach the level k/n.  Variant 2's value is its
-    raw (n + 1/2 - r)/k; variant 1's is floored at 1/(2k) and capped at 1."""
+    when R-hat(., 1) does not reach the level k/n.
+
+    ``rank`` is the m-th largest X-rank r of the conditioning set
+    (``filtered_x_ranks``: r1 of ``top(k + 1)`` for variant 1, r2 of
+    ``top(k)`` for variant 2).  Variant 1's raw value is the m-th smallest
+    filtered 1 - F-hat_X, (n - r)/n, scaled by n/k; its value is floored at
+    1/(2k) and capped at 1.  Variant 2's value is its raw (n + 1/2 - r)/k.
+    """
     if variant == 2:
         if rank < n - k + 1:
             return None

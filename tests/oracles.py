@@ -11,6 +11,10 @@ package's ``MarginIndex.top``, so it is defined only when Y does not tie at
 the threshold.  The eta-hat scan imports the package's value expressions
 (``_eta1_value``, ``_eta2_value``), so on tie-free data both scans agree
 with the procedures bit-for-bit.
+
+``selection_at`` is not an oracle: it is the package's own selection at one
+k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
+``estimate_k_range`` row fails before it reaches them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,36 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cotail.core import LossPairSample, check_tail
+from cotail.covar_coes import _intermediate
 from cotail.models import ModelSpec
-from cotail.tail_copula import _check_variant, _eta1_value, _eta2_value, _not_attained
+from cotail.tail_copula import (
+    _check_variant,
+    _eta,
+    _eta1_value,
+    _eta2_value,
+    _not_attained,
+    filtered_x_ranks,
+)
+
+
+def selection_at(
+    sample: LossPairSample, k: int
+) -> tuple[float | None, float | None, float, float]:
+    """(raw eta-hat variant 1, raw variant 2, CoVaR_int, CoES_int) at one k.
+
+    The composition ``estimate_k_range`` runs (``filtered_x_ranks``, ``_eta``,
+    ``_intermediate``), on the sample's full indexes and without the checks
+    of X_(n-k,n) and gamma-hat that can fail a row first.  A variant whose
+    eta-hat is not attained reads None; the intermediate CoVaR/CoES are
+    defined on the full indexes whether or not it is.
+    """
+    n = sample.n
+    ks, ms = np.array([k]), np.array([check_tail(n, k)])
+    rows, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, ks, ms)
+    covar, coes = _intermediate(sample.x_index, ks, rows, r1)
+    etas = (_eta(n, k, 1, int(r1[0])), _eta(n, k, 2, int(r2[0])))
+    raw1, raw2 = (None if eta is None else eta[0] for eta in etas)
+    return raw1, raw2, float(covar[0]), float(coes[0])
 
 
 def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
@@ -32,7 +64,8 @@ def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
 
     Returns sup{s : C_n(s) >= (k/n)^2} where C_n(s) counts observations with
     X >= s and Y >= Y_{n-k,n}.  The threshold comparison is integer-exact
-    (n * count >= k^2).  Test oracle for ``intermediate_covar``.
+    (n * count >= k^2).  Test oracle for the intermediate CoVaR
+    (``covar_int``).
 
     Raises:
         ValueError: if Y ties at Y_{n-k,n}, so that the conditioning set by

@@ -16,13 +16,13 @@ import pytest
 
 from cotail.cli import main
 from cotail.core import LossPairSample, build_margin_index
-from cotail.covar_coes import estimate_all, intermediate_covar
-from cotail.empirical import hill_estimate
+from cotail.covar_coes import estimate_all, estimate_k_range
+from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan, run_experiment
 from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
 from cotail.oracle import true_coes, true_covar
-from cotail.tail_copula import eta_hat, r_hat
-from oracles import eta_hat_bruteforce, intermediate_covar_scan
+from cotail.tail_copula import r_hat
+from oracles import eta_hat_bruteforce, intermediate_covar_scan, selection_at
 
 GRID_K = {500: 120, 1000: 150, 2000: 250, 5000: 300}
 
@@ -118,19 +118,23 @@ def test_criterion_5_procedure_equals_bruteforce():
                 sample = LossPairSample(xs=rng.random(200), ys=rng.random(200))
             assert np.unique(sample.xs).size == 200
             assert np.unique(sample.ys).size == 200
-            for variant in (1, 2):
-                try:
-                    procedure = eta_hat(sample, 30, variant).raw
-                except ValueError:
-                    procedure = None
+            # the row first, on the tail indexes a fresh sample builds; the
+            # selection is read on the full indexes, also where the row fails
+            result = estimate_k_range(sample, [30], 0.99)
+            raw1, raw2, covar_int, _ = selection_at(sample, 30)
+            for variant, procedure in ((1, raw1), (2, raw2)):
                 try:
                     brute = eta_hat_bruteforce(sample, 30, variant)
                 except ValueError:
                     brute = None
                 if procedure != brute:
                     mismatches += 1
-            if intermediate_covar(sample, 30) != intermediate_covar_scan(sample, 30):
+            if covar_int != intermediate_covar_scan(sample, 30):
                 mismatches += 1
+            if result.errors[0] is None:
+                values, _, quoted = result.rows[0]
+                if (quoted[1], values[3], values[4]) != (raw1, raw2, covar_int):
+                    mismatches += 1
         assert mismatches == 0
 
 
@@ -153,8 +157,8 @@ def test_criterion_6_invariant_suite():
 
         values = np.random.default_rng(52).pareto(3.0, size=2000) + 1.0
         for k in (50, 200):
-            plain = hill_estimate(build_margin_index(values), k)
-            scaled = hill_estimate(build_margin_index(16.0 * values), k)
+            plain = hill_curve(build_margin_index(values), k, k)[0]
+            scaled = hill_curve(build_margin_index(16.0 * values), k, k)[0]
             assert abs(plain - scaled) <= 1e-12
 
         rng = np.random.default_rng(42)
@@ -165,7 +169,9 @@ def test_criterion_6_invariant_suite():
         for variant in (1, 2):
             for x, y in [(0.5, 0.5), (1.0, 1.0), (2.0, 0.7)]:
                 assert r_hat(base, 30, variant, x, y) == r_hat(warped, 30, variant, x, y)
-            assert eta_hat(base, 30, variant) == eta_hat(warped, 30, variant)
+        raws = selection_at(base, 30)[:2]
+        assert None not in raws
+        assert selection_at(warped, 30)[:2] == raws
 
         sample = sample_model(make_spec("Cauchy"), 400, np.random.default_rng(3141))
         estimates = estimate_all(sample, 60, 0.995)
@@ -185,8 +191,8 @@ def test_criterion_7_sampler_fidelity():
             hill_bad = r_bad = 0
             for child in children[20 * index : 20 * (index + 1)]:
                 sample = sample_model(spec, 100_000, np.random.default_rng(child))
-                gamma = hill_estimate(build_margin_index(sample.xs), 1000)
-                if abs(gamma - 1.0 / 3.0) > 0.05:
+                gamma = hill_curve(build_margin_index(sample.xs), 1000, 1000)[0]
+                if not abs(gamma - 1.0 / 3.0) <= 0.05:  # a NaN gap counts as bad
                     hill_bad += 1
                 if abs(r_hat(sample, 1000, 2, 1.0, 1.0) - r_true) > 0.05:
                     r_bad += 1

@@ -11,12 +11,11 @@ from cotail.core import (
     build_margin_index,
     check_tail,
 )
-from cotail.covar_coes import estimate_all, estimate_k_range, intermediate_covar
+from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.data_io import RollingPlan
-from cotail.empirical import empirical_var, hill_estimate
 from cotail.harness import ExperimentPlan
 from cotail.models import make_spec
-from cotail.tail_copula import eta_hat, r_hat
+from cotail.tail_copula import r_hat
 
 
 def test_margin_index_already_sorted():
@@ -194,10 +193,6 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
     expected = f"k must satisfy 1 <= k < n, got k={k} with n={n}"
     calls = [
         lambda: r_hat(sample, k, 1, 1.0, 1.0),
-        lambda: hill_estimate(sample.x_index, k),
-        lambda: empirical_var(sample.x_index, k),
-        lambda: eta_hat(sample, k, 1),
-        lambda: intermediate_covar(sample, k),
         lambda: estimate_all(sample, k, 0.99),
         lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),
         lambda: RollingPlan(window=n, k=k, tau_prime=0.99),

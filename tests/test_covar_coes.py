@@ -12,13 +12,11 @@ from cotail.covar_coes import (
     RiskEstimates,
     estimate_all,
     estimate_k_range,
-    intermediate_coes,
-    intermediate_covar,
 )
-from cotail.empirical import hill_estimate
+from cotail.empirical import hill_curve
 from cotail.data_io import estimate_with_k_values
 from cotail.models import make_spec, sample_model
-from oracles import intermediate_covar_scan
+from oracles import intermediate_covar_scan, selection_at
 
 
 def comonotone(n):
@@ -27,17 +25,21 @@ def comonotone(n):
 
 
 def test_intermediate_covar_comonotone():
-    assert intermediate_covar(comonotone(8), 4) == 7.0
+    assert estimate_all(comonotone(8), 4, 0.9).covar_int == 7.0
 
 
 def test_intermediate_covar_anti_comonotone():
+    # eta-hat variant 2 is not attained, so the row fails before CoVaR_int
     sample = LossPairSample(xs=np.arange(1.0, 9.0), ys=np.arange(8.0, 0.0, -1.0))
-    assert intermediate_covar(sample, 4) == 4.0
+    assert estimate_k_range(sample, [4], 0.99).errors[0].code == "eta_not_attained"
+    assert selection_at(sample, 4)[2] == 4.0
 
 
 def test_intermediate_covar_m_equals_k():
-    # n=5, k=4 gives m=4, so the second smallest filtered value is selected
-    assert intermediate_covar(comonotone(5), 4) == 2.0
+    # n=5, k=4 gives m=4, so the second smallest filtered value is selected;
+    # gamma-hat is above 1 there, so the row fails before CoVaR_int
+    assert estimate_k_range(comonotone(5), [4], 0.99).errors[0].code == "hill_out_of_range"
+    assert selection_at(comonotone(5), 4)[2] == 2.0
 
 
 def test_intermediate_covar_breaks_threshold_ties_by_rank():
@@ -47,8 +49,9 @@ def test_intermediate_covar_breaks_threshold_ties_by_rank():
         xs=np.arange(1.0, 6.0), ys=np.array([1.0, 2.0, 2.0, 3.0, 4.0])
     )
     assert sample.y_index.top(3).tolist() == [2, 3, 4]
-    assert intermediate_covar(sample, 2) == 5.0
-    assert intermediate_coes(sample, 2) == 5.0 / 4.0 * 5.0
+    estimates = estimate_all(sample, 2, 0.99)
+    assert estimates.covar_int == 5.0
+    assert estimates.coes_int == 5.0 / 4.0 * 5.0
 
 
 def test_intermediate_covar_matches_scan():
@@ -57,11 +60,16 @@ def test_intermediate_covar_matches_scan():
         n = int(rng.integers(40, 300))
         k = int(rng.integers(3, n // 3))
         sample = sample_model(make_spec("Cauchy"), n, rng)
-        assert intermediate_covar(sample, k) == intermediate_covar_scan(sample, k)
+        # the row first, on the tail indexes a fresh sample builds
+        result = estimate_k_range(sample, [k], 0.99)
+        expected = intermediate_covar_scan(sample, k)
+        assert selection_at(sample, k)[2] == expected
+        if result.errors[0] is None:
+            assert result.estimates(0).covar_int == expected
 
 
 def test_intermediate_coes_comonotone():
-    assert intermediate_coes(comonotone(8), 4) == pytest.approx(7.5)
+    assert estimate_all(comonotone(8), 4, 0.9).coes_int == pytest.approx(7.5)
 
 
 def test_intermediate_coes_tied_maxima():
@@ -70,8 +78,9 @@ def test_intermediate_coes_tied_maxima():
         xs=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 9.0]),
         ys=np.arange(1.0, 9.0),
     )
-    assert intermediate_covar(sample, 4) == 9.0
-    assert intermediate_coes(sample, 4) == pytest.approx(8.0 / 16.0 * 2.0 * 9.0)
+    estimates = estimate_all(sample, 4, 0.99)
+    assert estimates.covar_int == 9.0
+    assert estimates.coes_int == pytest.approx(8.0 / 16.0 * 2.0 * 9.0)
 
 
 def test_extrapolation_formula_values():
@@ -173,7 +182,7 @@ def test_flat_top_is_rejected(value, k):
     n = 200
     xs = np.concatenate([np.linspace(0.01, value / 2.0, n - k - 1), np.full(k + 1, value)])
     sample = LossPairSample(xs=xs, ys=np.arange(float(n)))
-    assert hill_estimate(sample.x_index, k) == 0.0
+    assert hill_curve(sample.x_index, k, k)[0] == 0.0
     with pytest.raises(EstimationError, match="gamma1=0.0000 outside") as caught:
         estimate_all(sample, k, 0.999)
     assert caught.value.code == "hill_out_of_range"
@@ -286,7 +295,8 @@ def test_pareto_ratio_between_intermediates():
     hits = 0
     for _ in range(100):
         sample = sample_model(make_spec("Pareto2"), 5000, rng)
-        ratio = intermediate_coes(sample, 300) / intermediate_covar(sample, 300)
+        estimates = estimate_all(sample, 300, 0.999)
+        ratio = estimates.coes_int / estimates.covar_int
         if 1.2 <= ratio <= 1.9:
             hits += 1
     assert hits >= 90

@@ -17,7 +17,7 @@ from cotail.data_io import (
     loss_pair,
     rolling_estimates,
 )
-from cotail.empirical import hill_estimate
+from cotail.empirical import hill_curve
 from cotail.core import build_margin_index
 from cotail.models import make_spec, sample_model
 
@@ -50,13 +50,18 @@ class TestReturnSeries:
     def test_validation(self):
         with pytest.raises(ValueError):
             ReturnSeries(timestamps=_dates(1), prices=[100.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prices must be positive"):
             ReturnSeries(timestamps=_dates(2), prices=[100.0, 0.0])
         with pytest.raises(ValueError):
             ReturnSeries(timestamps=_dates(3), prices=[100.0, 101.0])
         backwards = [datetime.date(2015, 1, 2), datetime.date(2015, 1, 1)]
         with pytest.raises(ValueError, match="increasing"):
             ReturnSeries(timestamps=backwards, prices=[100.0, 101.0])
+
+    @pytest.mark.parametrize("price", [math.inf, math.nan])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValueError, match=f"non-finite price {price}"):
+            ReturnSeries(timestamps=_dates(3), prices=[1.0, price, 2.0])
 
 
 class TestRollingPlan:
@@ -308,7 +313,7 @@ class TestDiagnostics:
         for line in hill_lines[1:]:
             k, gamma, lo, hi, note = line.split("\t")
             assert note == ""
-            expected = hill_estimate(margin, int(k))
+            expected = hill_curve(margin, int(k), int(k))[0]
             assert float(gamma) == pytest.approx(expected, rel=1e-8)
             assert float(lo) == pytest.approx(expected * (1 - 1.645 / math.sqrt(int(k))), rel=1e-8)
             assert float(hi) == pytest.approx(expected * (1 + 1.645 / math.sqrt(int(k))), rel=1e-8)
@@ -339,7 +344,7 @@ class TestDiagnostics:
         assert [int(row[0]) for row in rows[1:]] == list(range(2, 31))
         for k, gamma, lo, hi, note in rows[1:]:
             if int(k) <= 18:
-                assert float(gamma) == pytest.approx(hill_estimate(margin, int(k)), rel=1e-9)
+                assert float(gamma) == pytest.approx(hill_curve(margin, int(k), int(k))[0], rel=1e-9)
                 assert note == ""
             else:
                 assert (gamma, lo, hi, note) == ("", "", "", "threshold_not_positive")

@@ -3,47 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from cotail.core import LossPairSample, build_margin_index
+from cotail.core import EstimationError, LossPairSample, build_margin_index
+from cotail.covar_coes import estimate_all
 from cotail.data_io import diagnostics_export
-from cotail.empirical import empirical_var, hill_curve, hill_estimate, tail_prob_curve
+from cotail.empirical import hill_curve, tail_prob_curve
 from cotail.models import make_spec, sample_model
 
 
 def test_hill_constant_top_is_zero():
     margin = build_margin_index([5.0, 5.0, 5.0])
-    assert hill_estimate(margin, 2) == 0.0
+    assert hill_curve(margin, 2, 2)[0] == 0.0
 
 
 @pytest.mark.parametrize("value,k", [(0.1, 35), (3.3, 20)])
 def test_hill_tied_top_is_not_negative(value, k):
     # the mean of k equal logs can round to just below the log itself
-    assert hill_estimate(build_margin_index(np.full(60, value)), k) == 0.0
+    assert hill_curve(build_margin_index(np.full(60, value)), k, k)[0] == 0.0
 
 
 def test_order_statistics_below_a_tail_index_raise():
     margin = build_margin_index(np.arange(1.0, 11.0), depth=3)
-    assert empirical_var(margin, 2) == 8.0
-    assert hill_estimate(margin, 2) == hill_estimate(build_margin_index(np.arange(1.0, 11.0)), 2)
-    for call in (empirical_var, hill_estimate):
-        with pytest.raises(ValueError, match="below the top 3"):
-            call(margin, 3)
-    with pytest.raises(ValueError, match="below the top 3"):
-        hill_curve(margin, 2, 3)
+    full = build_margin_index(np.arange(1.0, 11.0))
+    assert hill_curve(margin, 2, 2)[0] == hill_curve(full, 2, 2)[0]
+    for k_min in (2, 3):
+        with pytest.raises(ValueError, match="k=3 reads the top 4, below the top 3"):
+            hill_curve(margin, k_min, 3)
 
 
 def test_hill_geometric_sample():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
-    assert hill_estimate(margin, 2) == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
+    assert hill_curve(margin, 2, 2)[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
 
 
 def test_hill_rejects_bad_k_and_threshold():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
     with pytest.raises(ValueError):
-        hill_estimate(margin, 0)
+        hill_curve(margin, 0, 0)
     with pytest.raises(ValueError):
-        hill_estimate(margin, 4)
-    with pytest.raises(ValueError):
-        hill_estimate(build_margin_index([-1.0, 0.0, 1.0, 2.0]), 2)
+        hill_curve(margin, 4, 4)
+    # X_(2,4) = 0: the curve leaves a gap and the estimator raises
+    values = np.array([-1.0, 0.0, 1.0, 2.0])
+    assert np.isnan(hill_curve(build_margin_index(values), 2, 2)[0])
+    with pytest.raises(EstimationError) as caught:
+        estimate_all(LossPairSample(xs=values, ys=values), 2, 0.99)
+    assert caught.value.code == "threshold_not_positive"
 
 
 def test_hill_scale_invariance():
@@ -52,8 +55,8 @@ def test_hill_scale_invariance():
     margin = build_margin_index(values)
     for c in (0.01, 2.0**10, 7.3):
         scaled = build_margin_index(c * values)
-        assert hill_estimate(scaled, 50) == pytest.approx(
-            hill_estimate(margin, 50), abs=1e-12
+        assert hill_curve(scaled, 50, 50)[0] == pytest.approx(
+            hill_curve(margin, 50, 50)[0], abs=1e-12
         )
 
 
@@ -61,27 +64,28 @@ def test_hill_statistical_pareto_margin():
     """Hill on 1e5 draws of the heavy-tailed X margin recovers gamma = 1/3."""
     rng = np.random.default_rng(314)
     sample = sample_model(make_spec("Pareto2"), 100_000, rng)
-    gamma = hill_estimate(build_margin_index(sample.xs), 1000)
+    gamma = hill_curve(build_margin_index(sample.xs), 1000, 1000)[0]
     assert abs(gamma - 1.0 / 3.0) <= 0.05
 
 
 def test_empirical_var_order_statistic():
-    margin = build_margin_index(np.arange(1.0, 9.0))
-    assert empirical_var(margin, 4) == 4.0
-    assert empirical_var(margin, 1) == 7.0
-    constant = build_margin_index(np.full(6, 3.25))
-    assert empirical_var(constant, 2) == 3.25
+    grid = np.arange(1.0, 9.0)
+    sample = LossPairSample(xs=grid, ys=grid)
+    assert estimate_all(sample, 4, 0.99).var_x == 4.0
+    assert estimate_all(sample, 1, 0.99).var_x == 7.0
+    # X_(4,6) is one of five tied values
+    tied = LossPairSample(xs=[3.25] * 5 + [4.0], ys=np.arange(1.0, 7.0))
+    assert estimate_all(tied, 2, 0.99).var_x == 3.25
     with pytest.raises(ValueError):
-        empirical_var(margin, 8)
+        estimate_all(sample, 8, 0.99)
 
 
 def test_empirical_var_scale_equivariance():
     rng = np.random.default_rng(5)
     values = rng.exponential(size=100)
     c = 2.0**9  # power of two keeps the product exact
-    assert empirical_var(build_margin_index(c * values), 10) == c * empirical_var(
-        build_margin_index(values), 10
-    )
+    scaled = estimate_all(LossPairSample(xs=c * values, ys=values), 10, 0.99)
+    assert scaled.var_x == c * estimate_all(LossPairSample(xs=values, ys=values), 10, 0.99).var_x
 
 
 def test_tail_prob_comonotone():
@@ -125,7 +129,7 @@ def test_hill_curve_small_sample_values():
     margin = build_margin_index(np.arange(1.0, 9.0))
     gammas = hill_curve(margin, 2, 3)
     assert gammas.shape == (2,)
-    assert gammas[0] == hill_estimate(margin, 2)
+    assert gammas[0] == hill_curve(margin, 2, 2)[0]
     expected_k3 = (math.log(8.0 / 5.0) + math.log(7.0 / 5.0) + math.log(6.0 / 5.0)) / 3.0
     assert gammas[1] == pytest.approx(expected_k3, rel=1e-14)
 
@@ -143,7 +147,7 @@ def test_hill_curve_matches_pointwise_estimates():
     gammas = hill_curve(margin, 2, 60)
     assert gammas.shape == (59,)
     for k, gamma in zip(range(2, 61), gammas):
-        assert gamma == hill_estimate(margin, k)
+        assert gamma == hill_curve(margin, k, k)[0]
 
 
 def test_hill_curve_bands(tmp_path):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from cotail.core import LossPairSample
+from cotail.core import EstimationError, LossPairSample, WarningRecord
+from cotail.covar_coes import estimate_all
 from cotail.models import make_spec, sample_model, true_tail_copula
-from cotail.tail_copula import _eta, eta_hat, r_hat
-from oracles import eta_hat_bruteforce
+from cotail.tail_copula import _eta, r_hat
+from oracles import eta_hat_bruteforce, selection_at
 
 SMALL_XS = np.array([1.0, 2.0, 3.0, 4.0])
 SMALL_YS = np.array([1.0, 3.0, 2.0, 4.0])
@@ -36,34 +39,35 @@ def test_r_hat_rejects_bad_arguments():
         r_hat(small_sample(), 2, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         r_hat(small_sample(), 4, 1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        r_hat(small_sample(), 2, 1, -0.5, 1.0)
+    for x, y in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="tail copula arguments must be nonnegative"):
+            r_hat(small_sample(), 2, 1, x, y)
 
 
 def test_eta_hat_comonotone():
-    sample = comonotone(8)
-    est1 = eta_hat(sample, 4, 1)
-    assert est1.value == pytest.approx(0.25)
-    assert not est1.clamped
-    est2 = eta_hat(sample, 4, 2)
-    assert est2.value == pytest.approx(0.375)
-    assert not est2.clamped
+    estimates = estimate_all(comonotone(8), 4, 0.9)
+    assert estimates.eta1 == pytest.approx(0.25)
+    assert estimates.eta2 == pytest.approx(0.375)
+    assert "eta_clamped" not in {w.code for w in estimates.warnings}
 
 
 def test_eta_hat_clamped_at_floor():
     """Variant 1 can hit exactly zero; the 1/(2k) floor then applies."""
-    est = eta_hat(small_sample(), 2, 1)
-    assert est.raw == 0.0
-    assert est.value == 0.25
-    assert est.clamped
+    estimates = estimate_all(small_sample(), 2, 0.99)
+    assert estimates.eta1 == 0.25
+    assert WarningRecord(
+        "eta_clamped", "eta-hat variant 1 raw value 0.0 floored at 1/(2k) = 0.25"
+    ) in estimates.warnings
     assert eta_hat_bruteforce(small_sample(), 2, 1) == 0.0
 
 
 def test_eta_hat_unattainable_raises():
     sample = LossPairSample(xs=np.arange(1.0, 21.0), ys=np.arange(20.0, 0.0, -1.0))
+    with pytest.raises(EstimationError) as caught:
+        estimate_all(sample, 4, 0.99)
+    assert caught.value.code == "eta_not_attained"
+    assert selection_at(sample, 4)[:2] == (None, None)
     for variant in (1, 2):
-        with pytest.raises(ValueError):
-            eta_hat(sample, 4, variant)
         with pytest.raises(ValueError):
             eta_hat_bruteforce(sample, 4, variant)
 
@@ -89,7 +93,9 @@ def test_rank_invariance_under_increasing_transforms():
     for variant in (1, 2):
         for x, y in [(0.5, 0.5), (1.0, 1.0), (2.0, 0.7)]:
             assert r_hat(base, 30, variant, x, y) == r_hat(warped, 30, variant, x, y)
-        assert eta_hat(base, 30, variant) == eta_hat(warped, 30, variant)
+    raws = selection_at(base, 30)[:2]
+    assert None not in raws
+    assert selection_at(warped, 30)[:2] == raws
 
 
 def test_eta_hat_inverts_r_hat_at_level():
@@ -98,13 +104,13 @@ def test_eta_hat_inverts_r_hat_at_level():
     for _ in range(20):
         n, k = 150, 25
         sample = sample_model(make_spec("Cauchy"), n, rng)
-        for variant in (1, 2):
-            est = eta_hat(sample, k, variant)
+        for variant, raw in zip((1, 2), selection_at(sample, k)):
+            assert raw is not None
             # nudge past the float rounding of the candidate value itself
-            count_at = round(r_hat(sample, k, variant, est.raw + 1e-9, 1.0) * k)
+            count_at = round(r_hat(sample, k, variant, raw + 1e-9, 1.0) * k)
             assert count_at * n >= k * k
-            if est.raw - 0.5 / k >= 0.0:
-                count_below = round(r_hat(sample, k, variant, est.raw - 0.5 / k, 1.0) * k)
+            if raw - 0.5 / k >= 0.0:
+                count_below = round(r_hat(sample, k, variant, raw - 0.5 / k, 1.0) * k)
                 assert count_below * n < k * k
 
 
@@ -114,10 +120,8 @@ def test_eta_hat_matches_bruteforce():
         n = int(rng.integers(30, 200))
         k = int(rng.integers(4, n // 3))
         sample = sample_model(make_spec("Cauchy"), n, rng)
-        for variant in (1, 2):
-            try:
-                procedural = eta_hat(sample, k, variant).raw
-            except ValueError:
+        for variant, procedural in zip((1, 2), selection_at(sample, k)):
+            if procedural is None:
                 with pytest.raises(ValueError):
                     eta_hat_bruteforce(sample, k, variant)
                 continue
