@@ -1,22 +1,18 @@
 """Shared containers for paired-loss data and ranks, and the one tail check.
 
-Every estimator in the package consumes two frozen objects: a validated
-pair of loss vectors and a per-margin order-statistic/rank index with a
+A ``LossPairSample`` is a validated, immutable pair of loss vectors and a
+``MarginIndex`` holds the order statistics and ranks of one margin with a
 deterministic tie-break.  ``check_tail`` is the one check that an
 intermediate order ``k`` and an extrapolation level ``tau_prime`` are valid
-for a sample size ``n``; it returns the derived count ``m``.  Estimators
-never mutate a sample.
+for a sample size ``n``; it returns the derived count ``m``.
 
-Each margin index is computed once per sample, on first use, and cached
-on it, so every estimator and every k run on one sample share the same two
-sorts.  ``build_margin_index`` is the one sort path.  An index may order
-only the top of its margin (a tail index): the k-range estimators read the
-top k_max + 2 of each margin and ask for no more
-(``LossPairSample.tail_indexes``), while ``x_index`` / ``y_index`` are the
-same build at full depth.  ``MarginIndex.ranked`` is the one
-place the tie rule lives: the conditioning subsample of every tail estimator
-is ``y_index.top(k + 1)`` (or ``top(k)``), the first k+1 (or k) entries of
-``y_index.ranked(count)`` for any count > k.
+Each estimator call builds the margin indexes it reads, once per call,
+with ``build_margin_index``, the one sort path.  An index may order only
+the top of its margin (a tail index): the k-range estimators read the top
+k_max + 2 of each margin, while ``r_hat`` and the diagnostics read full
+indexes.  ``MarginIndex.ranked`` is the one place the tie rule lives: the
+conditioning subsample of every tail estimator is the first k+1 (or k)
+entries of ``y_index.ranked(count)`` for any count > k.
 """
 
 from __future__ import annotations
@@ -72,8 +68,7 @@ class LossPairSample:
     coerced to 1-D float arrays of equal nonzero length with only finite
     entries.  A single pair is allowed (samplers may produce one); every
     estimator additionally requires n >= k + 1 >= 2 via its own k check.
-    The stored arrays are read-only views, so the cached margin indexes
-    always describe them.
+    The stored arrays are read-only views: a sample is immutable.
     """
 
     xs: np.ndarray
@@ -100,35 +95,6 @@ class LossPairSample:
     @property
     def n(self) -> int:
         return self.xs.shape[0]
-
-    # Plain properties rather than functools.cached_property: before Python
-    # 3.12 that holds one class-wide lock while it computes, which would make
-    # the harness's worker threads take turns at sorting their own samples.
-    @property
-    def x_index(self) -> MarginIndex:
-        """Full order statistics and ranks of ``xs``, built on first use and cached."""
-        return self._index("xs", self.n)
-
-    @property
-    def y_index(self) -> MarginIndex:
-        """Full order statistics and ranks of ``ys``, built on first use and cached."""
-        return self._index("ys", self.n)
-
-    def tail_indexes(self, depth: int) -> tuple[MarginIndex, MarginIndex]:
-        """Indexes of ``xs`` and ``ys`` that order at least their top ``depth``.
-
-        Each margin caches one index and rebuilds it only when a deeper one
-        is asked for, so a full index, once built, serves every request.
-        """
-        return self._index("xs", depth), self._index("ys", depth)
-
-    def _index(self, name: str, depth: int) -> MarginIndex:
-        key = f"_{name}_index"
-        index = self.__dict__.get(key)
-        if index is None or index.depth < min(depth, self.n):
-            index = build_margin_index(getattr(self, name), depth)
-            object.__setattr__(self, key, index)
-        return index
 
 
 @dataclass(frozen=True)
@@ -182,17 +148,6 @@ class MarginIndex:
             )
         return self.order[self.depth - count :][::-1]
 
-    def top(self, count: int) -> np.ndarray:
-        """Positions of the ``count`` highest-ranked observations, ascending.
-
-        Without a tie at the cut the result is exactly
-        {i : values[i] >= sorted[n - count]}; with one, it keeps every larger
-        value and fills up with the latest of the tied observations, so it
-        always has ``count`` elements.  Equals
-        ``np.flatnonzero(ranks > n - count)``.
-        """
-        return np.sort(self.ranked(count))
-
 
 def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     """Sort the top of one margin and compute tie-broken ranks.
@@ -204,10 +159,9 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     full sort's order on them.  At depth n the cut is the minimum and every
     position is kept: the full index is the stable argsort.
 
-    The k-range estimators (``covar_coes.estimate_k_range``) need depth
-    k_max + 2 of each margin.  ``r_hat``, ``tail_prob_curve`` and
-    ``hill_curve`` read the full index: they evaluate ranks or quantiles
-    anywhere in the sample.
+    ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin.
+    ``r_hat`` and ``data_io.diagnostics_export`` build full indexes: they
+    read ranks or quantiles anywhere in the sample.
 
     Args:
         values: nonempty sequence of finite reals.
@@ -237,6 +191,13 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     ranks = np.zeros(n, dtype=np.int64)
     ranks[order] = np.arange(n - tail + 1, n + 1)
     return MarginIndex(sorted=sorted_values, ranks=ranks, order=order)
+
+
+def _check_reach(indexes, reach: int, reader: str) -> None:
+    """Raise unless every index orders the top ``reach`` of its margin."""
+    depth = min(index.depth for index in indexes)
+    if depth < reach:
+        raise ValueError(f"{reader} reads the top {reach}, below the top {depth} that the index orders")
 
 
 def _whole_number(value, name: str) -> int:

@@ -2,13 +2,13 @@
 
 The intermediate estimators work at level 1 - k/n on the filtered
 subsample: the X values of the k+1 observations with the largest system
-loss, ``y_index.top(k + 1)`` (Y >= Y_(n-k,n); a tie at that threshold is
-broken by rank and reported as a ``ties_at_threshold`` warning).
+loss, the first k+1 of ``y_index.ranked`` (Y >= Y_(n-k,n); a tie there
+is broken by rank and reported as a ``ties_at_threshold`` warning).
 ``estimate_k_range`` is the one code that applies the extrapolations: it
 pushes the estimates at every k of a k-range to an extreme level tau' with
 the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
-share one selection on the margin indexes cached on the sample, and
+share one selection on two tail indexes built once per call, and
 ``estimate_all`` is its one-k case.  Each k is checked by
 ``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions are
 derived here, and ``KRangeEstimates`` words every warning of the five
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex, WarningRecord, check_tail
+from .core import EstimationError, LossPairSample, MarginIndex, WarningRecord, build_margin_index, check_tail
 from .empirical import _hill
 from .tail_copula import _eta, _not_attained, filtered_x_ranks
 
@@ -154,15 +154,13 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     pass over arrays: the X-ranks of the k_max + 1 largest system losses by
     rank (``filtered_x_ranks``) and one cumulative sum of log order
     statistics (Hill); only these closed forms are evaluated k by k.  They
-    read the top k_max + 2 of each margin and no deeper, so the sample is
-    asked for tail indexes of that depth (``LossPairSample.tail_indexes``)
-    and its cached full indexes serve as well.  A wide
-    range is cut into blocks of k whose rank matrix stays below
-    ``_MATRIX_CELLS`` entries; no result depends on the blocks.  A k fails,
-    in this order, when it is invalid, when X_(n-k,n) is not positive, when
-    gamma1 lies outside (0, 1) (the variant 1-3 extrapolations are
-    undefined) or when eta-hat is not attained; its failure is recorded,
-    not raised.
+    read the top k_max + 2 of each margin and no deeper, so each margin is
+    sorted to that depth only (``build_margin_index``).  A wide range is
+    cut into blocks of k whose rank matrix stays below ``_MATRIX_CELLS``
+    entries; no result depends on the blocks.  A k fails, in this order,
+    when it is invalid, when X_(n-k,n) is not positive, when gamma1 lies
+    outside (0, 1) (the variant 1-3 extrapolations are undefined) or when
+    eta-hat is not attained; its failure is recorded, not raised.
     """
     ks = np.asarray(ks)
     if ks.ndim != 1 or ks.size == 0:
@@ -181,7 +179,7 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     rows: list = [None] * len(ks)
     live = [i for i, error in enumerate(errors) if error is None]
     k_max = max((ks[i] for i in live), default=0)
-    x_index, y_index = sample.tail_indexes(k_max + 2)
+    x_index, y_index = (build_margin_index(v, k_max + 2) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     # each block of k shares one (k, k_max + 1) rank matrix; blocks bound its size
     block = max(1, _MATRIX_CELLS // (k_max + 1))

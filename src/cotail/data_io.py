@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LossPairSample, WarningRecord, _whole_number, check_tail
+from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
 from .covar_coes import RiskEstimates, estimate_k_range
 from .empirical import hill_curve, tail_prob_curve
-from .tail_copula import r_hat
+from .tail_copula import r11_curve
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,8 @@ def diagnostics_export(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    gammas = hill_curve(sample.x_index, ks[0], ks[-1])
+    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    gammas = hill_curve(x_index, ks[0], ks[-1])
     hill_rows = []
     for k in ks:
         gamma = float(gammas[k - ks[0]])
@@ -252,10 +253,9 @@ def diagnostics_export(
             half = 1.645 / math.sqrt(k)
             hill_rows.append((k, gamma, gamma * (1.0 - half), gamma * (1.0 + half), ""))
     tau_array = np.array(taus)
-    prob_rows = zip(
-        taus, tail_prob_curve(sample, tau_array).tolist(), ((1.0 - tau_array) ** 2).tolist()
-    )
-    r_rows = [(k, r_hat(sample, k, 1, 1.0, 1.0), r_hat(sample, k, 2, 1.0, 1.0)) for k in ks]
+    p_hat = tail_prob_curve(x_index, y_index, tau_array)
+    prob_rows = zip(taus, p_hat.tolist(), ((1.0 - tau_array) ** 2).tolist())
+    r_rows = zip(ks, *(r.tolist() for r in r11_curve(x_index, y_index, ks)))
 
     paths = {
         "hill": out / "hill.tsv",

@@ -4,8 +4,9 @@
 sum of logs; ``covar_coes.estimate_k_range`` reads it, with the (n-k)-th
 order statistic as VaR_X, for the CoVaR/CoES extrapolations.  The two
 curve builders are diagnostics used to choose k and to check the
-joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.  They return
-plain arrays; ``data_io.diagnostics_export`` adds the band and (1-tau)^2.
+joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.  They read
+margin indexes and return plain arrays; ``data_io.diagnostics_export``
+adds the band and (1-tau)^2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import LossPairSample, MarginIndex
+from .core import MarginIndex, _check_reach, check_tail
 
 
 def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
@@ -38,23 +39,24 @@ def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
     return gammas
 
 
-def tail_prob_curve(sample: LossPairSample, taus) -> np.ndarray:
+def tail_prob_curve(x_index: MarginIndex, y_index: MarginIndex, taus) -> np.ndarray:
     """Empirical P(X >= VaR_X(tau), Y >= VaR_Y(tau)) at every tau of ``taus``.
 
     The marginal VaR at tau is the smallest order statistic with 1-based
     index >= ceil(n*tau), the left-continuous inverse of the empirical
-    distribution function.
+    CDF; each index must order the top n + 1 - ceil(n*tau) at every tau.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.all((0.0 < taus) & (taus < 1.0)):
         raise ValueError("every tau must lie in (0, 1)")
-    n = sample.n
+    n = x_index.n
+    _check_reach((x_index, y_index), n + 1 - math.ceil(n * taus.min()), f"tau={taus.min()}")
     p_hat = np.empty(taus.size)
-    for j, tau in enumerate(taus):
-        idx = math.ceil(n * tau)
-        var_x = sample.x_index.sorted[idx - 1]
-        var_y = sample.y_index.sorted[idx - 1]
-        p_hat[j] = np.mean((sample.xs >= var_x) & (sample.ys >= var_y))
+    for j, tau in enumerate(taus.tolist()):
+        at = math.ceil(n * tau) - 1
+        # X >= VaR_X exactly at the ranks above the first position of VaR_X (never a sentinel 0)
+        x_hit, y_hit = (i.ranks > np.searchsorted(i.sorted, i.sorted[at]) for i in (x_index, y_index))
+        p_hat[j] = np.mean(x_hit & y_hit)
     return p_hat
 
 
@@ -65,14 +67,11 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:
     keep their estimates.
     """
     n = margin.n
-    if not 2 <= k_min <= k_max <= n - 1:
-        raise ValueError(
-            f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, k_max={k_max}, n={n}"
-        )
-    if margin.depth < k_max + 1:
-        raise ValueError(
-            f"k={k_max} reads the top {k_max + 1}, below the top {margin.depth} that the index orders"
-        )
+    check_tail(n, k_min)
+    check_tail(n, k_max)
+    if k_min > k_max:
+        raise ValueError(f"need k_min <= k_max, got k_min={k_min}, k_max={k_max}")
+    _check_reach((margin,), k_max + 1, f"k={k_max}")
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     gammas = _hill(margin, ks)
     gammas[margin.sorted[n - 1 - ks] <= 0.0] = np.nan

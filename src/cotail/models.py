@@ -54,12 +54,12 @@ class ModelSpec:
         elif self.family == "Cauchy":
             self._forbid(theta=self.theta, nu=self.nu, rho=self.rho)
         elif self.family == "Pareto2":
-            if self.theta is None or self.theta <= 0.0:
-                raise ValueError(f"Pareto2 requires theta > 0, got {self.theta}")
+            if self.theta is None or not 0.0 < self.theta < math.inf:
+                raise ValueError(f"Pareto2 requires a finite theta > 0, got {self.theta}")
             self._forbid(nu=self.nu, rho=self.rho)
         else:
-            if self.nu is None or self.nu <= 0.0:
-                raise ValueError(f"StudentT requires nu > 0, got {self.nu}")
+            if self.nu is None or not 0.0 < self.nu < math.inf:
+                raise ValueError(f"StudentT requires a finite nu > 0, got {self.nu}")
             if self.rho is None or not 0.0 < self.rho < 1.0:
                 raise ValueError(f"StudentT requires rho in (0, 1), got {self.rho}")
             self._forbid(theta=self.theta)

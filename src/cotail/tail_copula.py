@@ -1,10 +1,11 @@
 """Nonparametric upper-tail dependence: R-hat variants and adjustment factors.
 
 Two rank-based estimators of the tail copula R (Schmidt & Stadtmüller,
-2006) are evaluated by ``r_hat``.  The adjustment factor eta-hat inverts
-R-hat(., 1) at level k/n; the inversion has a closed order-statistic form
-(the filtered-sub-sample procedure) on the conditioning subsample
-``y_index.top(k + 1)`` (variant 1) or ``top(k)`` (variant 2).
+2006) are evaluated by ``r_hat``, and at (1, 1) at every k by
+``r11_curve``.  The adjustment factor eta-hat inverts R-hat(., 1) at level
+k/n; the inversion has a closed order-statistic form on the conditioning
+subsample C(k + 1) (variant 1) or C(k) (variant 2), where C(c), the first
+c entries of ``y_index.ranked``, holds the c largest system losses by rank.
 ``filtered_x_ranks`` makes that selection for a whole k-range at once,
 sharing its tie rule with the intermediate CoVaR/CoES, and ``_eta`` turns
 the selected X-rank into eta-hat.  Its final value expressions
@@ -18,28 +19,45 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex, check_tail
+from .core import EstimationError, LossPairSample, MarginIndex, _check_reach, build_margin_index, check_tail
 
 
 def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> float:
-    """Empirical tail copula R-hat at (x, y) on the sample's cached ranks.
+    """Empirical tail copula R-hat at (x, y) on the sample's full ranks.
 
     Variant 1 is the empirical-CDF form (indicator on 1 - F-hat with
     denominator n); variant 2 is the rank form (indicator on ranks against
-    n + 1/2 - k x).  Evaluation is O(n) per call.
+    n + 1/2 - k x).  Each call sorts both margins; ``r11_curve`` gives
+    R-hat(1, 1) at every k from one count.
     """
     _check_variant(variant)
     n = sample.n
     check_tail(n, k)
     if not (x >= 0.0 and y >= 0.0):  # NaN fails both
         raise ValueError("tail copula arguments must be nonnegative")
-    ranks_x = sample.x_index.ranks
-    ranks_y = sample.y_index.ranks
+    ranks_x, ranks_y = (build_margin_index(v).ranks for v in (sample.xs, sample.ys))
     if variant == 1:
         hits = ((n - ranks_x) <= x * k) & ((n - ranks_y) <= y * k)
     else:
         hits = (ranks_x >= n + 0.5 - k * x) & (ranks_y >= n + 0.5 - k * y)
     return float(np.count_nonzero(hits) / k)
+
+
+def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarray, np.ndarray]:
+    """R-hat(1, 1) of variants 1 and 2 at every k of ``ks``, from one count.
+
+    Variant 1 counts the observations with n - min(rank_x, rank_y) <= k and
+    variant 2 those with <= k - 1, so one cumulative count gives the floats
+    ``r_hat`` returns at every k.  Each index must order the top
+    max(ks) + 1; below it the sentinel rank 0 gives n, which no k counts.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    n, k_max = x_index.n, int(ks.max())
+    check_tail(n, int(ks.min()))
+    check_tail(n, k_max)
+    _check_reach((x_index, y_index), k_max + 1, f"k={k_max}")
+    counts = np.bincount(n - np.minimum(x_index.ranks, y_index.ranks), minlength=n + 1).cumsum()
+    return counts[ks] / ks, counts[ks - 1] / ks
 
 
 def _check_variant(variant: int) -> None:
@@ -62,10 +80,10 @@ def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] |
     when R-hat(., 1) does not reach the level k/n.
 
     ``rank`` is the m-th largest X-rank r of the conditioning set
-    (``filtered_x_ranks``: r1 of ``top(k + 1)`` for variant 1, r2 of
-    ``top(k)`` for variant 2).  Variant 1's raw value is the m-th smallest
-    filtered 1 - F-hat_X, (n - r)/n, scaled by n/k; its value is floored at
-    1/(2k) and capped at 1.  Variant 2's value is its raw (n + 1/2 - r)/k.
+    (``filtered_x_ranks``: r1 of C(k + 1) for variant 1, r2 of C(k) for
+    variant 2).  Variant 1's raw value is the m-th smallest filtered
+    1 - F-hat_X, (n - r)/n, scaled by n/k; its value is floored at 1/(2k)
+    and capped at 1.  Variant 2's value is its raw (n + 1/2 - r)/k.
     """
     if variant == 2:
         if rank < n - k + 1:
@@ -88,13 +106,12 @@ def filtered_x_ranks(
     """The X-ranks of every conditioning set of a k-range, by one selection.
 
     Returns ``(rows, r1, r2)``.  ``rows[i]`` holds the X-ranks of the k+1
-    observations ``y_index.top(k + 1)`` (k = ``ks[i]``) in ascending order,
-    left-padded with 0 to k_max + 1 columns.  ``r1[i]`` and ``r2[i]`` are
-    the m-th largest X-rank (m = ``ms[i]``) of ``top(k + 1)`` and of
-    ``top(k)``.  ``top(k)`` is ``top(k + 1)`` less its lowest-ranked Y, so
-    its m-th largest X-rank is the (m+1)-th largest of the row when that
-    dropped observation is among the row's m largest, and the m-th largest
-    otherwise.
+    observations C(k + 1) (k = ``ks[i]``) in ascending order, left-padded
+    with 0 to k_max + 1 columns.  ``r1[i]`` and ``r2[i]`` are the m-th
+    largest X-rank (m = ``ms[i]``) of C(k + 1) and of C(k).  C(k) is
+    C(k + 1) less its lowest-ranked Y, so its m-th largest X-rank is the
+    (m+1)-th largest of the row when that dropped observation is among the
+    row's m largest, and the m-th largest otherwise.
 
     ``y_index`` must order the top k_max + 1 system losses.  An X-rank below
     the tail of ``x_index`` reads as its sentinel 0; when ``x_index`` orders

@@ -7,10 +7,11 @@ jump candidates of R-hat(., 1), the models' joint survival by 2-D
 quadrature of the raw densities, and the closed-form CoVaR level and CoES
 tail integral in 40-digit arithmetic.  The CoVaR scan selects its
 conditioning set by value with its own sort, independently of the
-package's ``MarginIndex.top``, so it is defined only when Y does not tie at
-the threshold.  The eta-hat scan imports the package's value expressions
+package's ``MarginIndex.ranked``, so it is defined only when Y does not tie
+at the threshold.  The eta-hat scan imports the package's value expressions
 (``_eta1_value``, ``_eta2_value``), so on tie-free data both scans agree
-with the procedures bit-for-bit.
+with the procedures bit-for-bit.  The joint tail probability is counted on
+values, against the rank-based diagnostic curve.
 
 ``selection_at`` is not an oracle: it is the package's own selection at one
 k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from cotail.core import LossPairSample, check_tail
+from cotail.core import LossPairSample, build_margin_index, check_tail
 from cotail.covar_coes import _intermediate
 from cotail.models import ModelSpec
 from cotail.tail_copula import (
@@ -45,15 +46,16 @@ def selection_at(
     """(raw eta-hat variant 1, raw variant 2, CoVaR_int, CoES_int) at one k.
 
     The composition ``estimate_k_range`` runs (``filtered_x_ranks``, ``_eta``,
-    ``_intermediate``), on the sample's full indexes and without the checks
+    ``_intermediate``), on full indexes of the sample and without the checks
     of X_(n-k,n) and gamma-hat that can fail a row first.  A variant whose
     eta-hat is not attained reads None; the intermediate CoVaR/CoES are
     defined on the full indexes whether or not it is.
     """
     n = sample.n
     ks, ms = np.array([k]), np.array([check_tail(n, k)])
-    rows, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, ks, ms)
-    covar, coes = _intermediate(sample.x_index, ks, rows, r1)
+    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
+    covar, coes = _intermediate(x_index, ks, rows, r1)
     etas = (_eta(n, k, 1, int(r1[0])), _eta(n, k, 2, int(r2[0])))
     raw1, raw2 = (None if eta is None else eta[0] for eta in etas)
     return raw1, raw2, float(covar[0]), float(coes[0])
@@ -99,8 +101,7 @@ def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
     _check_variant(variant)
     n = sample.n
     m = check_tail(n, k)
-    ranks_x = sample.x_index.ranks
-    ranks_y = sample.y_index.ranks
+    ranks_x, ranks_y = (build_margin_index(v).ranks for v in (sample.xs, sample.ys))
     if variant == 1:
         depths_x = n - ranks_x[ranks_y >= n - k]  # candidates restricted to the filter
         for j in range(k + 1):
@@ -112,6 +113,17 @@ def eta_hat_bruteforce(sample: LossPairSample, k: int, variant: int) -> float:
             if int(np.count_nonzero(in_filter >= r)) >= m:
                 return _eta2_value(n, k, r)
     raise _not_attained(k, n)
+
+
+def tail_prob_by_value(sample: LossPairSample, tau: float) -> float:
+    """Empirical P(X >= VaR_X(tau), Y >= VaR_Y(tau)), compared on values.
+
+    VaR at tau is the ceil(n*tau)-th smallest value of each margin, by its
+    own sort.  Test oracle for ``empirical.tail_prob_curve``.
+    """
+    idx = math.ceil(sample.n * tau)
+    xs, ys = sample.xs, sample.ys
+    return float(np.mean((xs >= np.sort(xs)[idx - 1]) & (ys >= np.sort(ys)[idx - 1])))
 
 
 def _quad_over_quadrant(density, a: float, b: float) -> float:

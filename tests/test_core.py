@@ -13,6 +13,7 @@ from cotail.core import (
 )
 from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.data_io import RollingPlan
+from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan
 from cotail.models import make_spec
 from cotail.tail_copula import r_hat
@@ -41,11 +42,11 @@ def test_margin_index_ties_broken_by_position():
 def test_top_takes_the_later_of_tied_values():
     index = build_margin_index([2.0, 5.0, 2.0, 1.0])
     assert index.order.tolist() == [3, 0, 2, 1]
-    assert index.top(2).tolist() == [1, 2]  # 5.0 and the later of the two 2.0s
-    assert index.top(0).tolist() == []
-    assert index.top(4).tolist() == [0, 1, 2, 3]
+    assert np.sort(index.ranked(2)).tolist() == [1, 2]  # 5.0 and the later of the two 2.0s
+    assert np.sort(index.ranked(0)).tolist() == []
+    assert np.sort(index.ranked(4)).tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        index.top(5)
+        index.ranked(5)
 
 
 def test_tail_index_keeps_ties_at_the_cut_and_raises_below_it():
@@ -64,17 +65,6 @@ def test_tail_index_keeps_ties_at_the_cut_and_raises_below_it():
     for depth in (0, 1.5):
         with pytest.raises(ValueError, match="depth"):
             build_margin_index([2.0, 1.0], depth=depth)
-
-
-def test_loss_pair_sample_deepens_its_cached_index_on_demand():
-    sample = LossPairSample(xs=np.arange(10.0), ys=np.arange(10.0))
-    shallow, _ = sample.tail_indexes(3)
-    assert shallow.depth == 3
-    assert sample.tail_indexes(2)[0] is shallow
-    assert sample.tail_indexes(4)[0].depth == 4
-    full = sample.x_index
-    assert full.depth == 10
-    assert sample.tail_indexes(5)[0] is full
 
 
 def test_margin_index_rank_permutation_roundtrip():
@@ -100,6 +90,10 @@ def test_loss_pair_sample_coerces_and_validates():
     sample = LossPairSample(xs=[1, 2, 3], ys=(4.0, 5.0, 6.0))
     assert sample.n == 3
     assert sample.xs.dtype == np.float64
+    xs = np.array([3.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        LossPairSample(xs=xs, ys=[1.0, 2.0, 3.0]).xs[0] = 0.0  # a sample is immutable
+    xs[0] = 0.0  # the caller's own array stays writable
     assert LossPairSample(xs=[1.0], ys=[2.0]).n == 1  # samplers may emit one pair
     with pytest.raises(ValueError):
         LossPairSample(xs=[1.0, 2.0], ys=[1.0])
@@ -109,17 +103,6 @@ def test_loss_pair_sample_coerces_and_validates():
         LossPairSample(xs=[1.0, np.nan], ys=[1.0, 2.0])
     with pytest.raises(ValueError):
         LossPairSample(xs=[[1.0, 2.0]], ys=[[1.0, 2.0]])
-
-
-def test_loss_pair_sample_caches_read_only_margin_indexes():
-    xs = np.array([3.0, 1.0, 2.0])
-    sample = LossPairSample(xs=xs, ys=[1.0, 2.0, 3.0])
-    assert sample.x_index is sample.x_index
-    assert sample.x_index.ranks.tolist() == [3, 1, 2]
-    assert sample.y_index.sorted.tolist() == [1.0, 2.0, 3.0]
-    with pytest.raises(ValueError):
-        sample.xs[0] = 0.0  # the cached index would go stale
-    xs[0] = 0.0  # the caller's own array stays writable
 
 
 def _configured(n, k, tau_prime):
@@ -193,6 +176,7 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
     expected = f"k must satisfy 1 <= k < n, got k={k} with n={n}"
     calls = [
         lambda: r_hat(sample, k, 1, 1.0, 1.0),
+        lambda: hill_curve(build_margin_index(grid), k, k),
         lambda: estimate_all(sample, k, 0.99),
         lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),
         lambda: RollingPlan(window=n, k=k, tau_prime=0.99),

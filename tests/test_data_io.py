@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-import cotail.core
-from cotail.core import LossPairSample
+import cotail.data_io
+from cotail.core import LossPairSample, build_margin_index
 from cotail.covar_coes import RECORD_KEYS, estimate_all
 from cotail.data_io import (
     ReturnSeries,
@@ -18,7 +18,6 @@ from cotail.data_io import (
     rolling_estimates,
 )
 from cotail.empirical import hill_curve
-from cotail.core import build_margin_index
 from cotail.models import make_spec, sample_model
 
 
@@ -351,6 +350,13 @@ class TestDiagnostics:
         assert len(paths["tailprob"].read_text(encoding="utf-8").splitlines()) == 1 + 2
         assert len(paths["r11"].read_text(encoding="utf-8").splitlines()) == 1 + 29
 
+    def test_k_one_row_is_estimate_all_gamma(self, tmp_path):
+        values = np.arange(1.0, 51.0)
+        sample = LossPairSample(xs=values, ys=values)
+        paths = diagnostics_export(sample, [1, 2], [0.9], tmp_path)
+        k, gamma = paths["hill"].read_text(encoding="utf-8").splitlines()[1].split("\t")[:2]
+        assert (k, gamma) == ("1", f"{estimate_all(sample, 1, 0.99).gamma1:.10g}")
+
     def test_opposite_tails_give_zero_dependence(self, tmp_path):
         n = 200
         values = np.arange(1.0, n + 1.0)
@@ -363,13 +369,13 @@ class TestDiagnostics:
 
     def test_each_margin_is_sorted_once(self, tmp_path, monkeypatch):
         calls = []
-        original = cotail.core.build_margin_index
+        original = cotail.data_io.build_margin_index
 
         def counting(values, depth=None):
             calls.append(len(values))
             return original(values, depth)
 
-        monkeypatch.setattr(cotail.core, "build_margin_index", counting)
+        monkeypatch.setattr(cotail.data_io, "build_margin_index", counting)
         sample = sample_model(make_spec("Cauchy"), 500, np.random.default_rng(3))
         diagnostics_export(sample, range(20, 101), [0.9, 0.95, 0.99], tmp_path)
         assert calls == [500, 500]

@@ -88,10 +88,14 @@ def test_empirical_var_scale_equivariance():
     assert scaled.var_x == c * estimate_all(LossPairSample(xs=values, ys=values), 10, 0.99).var_x
 
 
+def _tail_prob(sample, taus):
+    return tail_prob_curve(build_margin_index(sample.xs), build_margin_index(sample.ys), taus)
+
+
 def test_tail_prob_comonotone():
     grid = np.arange(1.0, 101.0)
     sample = LossPairSample(xs=grid, ys=grid)
-    p_hat = tail_prob_curve(sample, [0.9])
+    p_hat = _tail_prob(sample, [0.9])
     assert p_hat[0] == pytest.approx(0.11)
 
 
@@ -99,13 +103,13 @@ def test_tail_prob_top_only():
     # ceil(n*tau) = n leaves only the maximum in both tails
     grid = np.arange(1.0, 101.0)
     sample = LossPairSample(xs=grid, ys=grid)
-    p_hat = tail_prob_curve(sample, [0.995])
+    p_hat = _tail_prob(sample, [0.995])
     assert p_hat[0] == pytest.approx(1.0 / 100.0)
 
 
 def test_tail_prob_anti_comonotone_is_zero():
     sample = LossPairSample(xs=np.arange(1.0, 101.0), ys=np.arange(100.0, 0.0, -1.0))
-    p_hat = tail_prob_curve(sample, [0.9])
+    p_hat = _tail_prob(sample, [0.9])
     assert p_hat[0] == 0.0
 
 
@@ -113,14 +117,14 @@ def test_tail_prob_rejects_bad_tau():
     sample = LossPairSample(xs=np.arange(1.0, 11.0), ys=np.arange(1.0, 11.0))
     for tau in (0.0, 1.0, -0.1, math.nan):
         with pytest.raises(ValueError, match=r"every tau must lie in \(0, 1\)"):
-            tail_prob_curve(sample, [tau])
+            _tail_prob(sample, [tau])
 
 
 def test_tail_prob_nonincreasing_in_tau():
     rng = np.random.default_rng(23)
     sample = LossPairSample(xs=rng.normal(size=500), ys=rng.normal(size=500))
     taus = np.linspace(0.5, 0.995, 40)
-    p_hat = tail_prob_curve(sample, taus)
+    p_hat = _tail_prob(sample, taus)
     assert np.all(np.diff(p_hat) <= 1e-15)
     assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
 
@@ -179,7 +183,7 @@ def test_hill_curve_pareto_quantile_grid_is_flat():
 def test_hill_curve_rejects_bad_range():
     margin = build_margin_index(np.arange(1.0, 9.0))
     with pytest.raises(ValueError):
-        hill_curve(margin, 1, 3)
+        hill_curve(margin, 0, 3)
     with pytest.raises(ValueError):
         hill_curve(margin, 4, 3)
     with pytest.raises(ValueError):

@@ -43,10 +43,12 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(family="Logistic", theta=1.5)
         ModelSpec(family="Logistic", theta=1.0)  # boundary allowed
-        with pytest.raises(ValueError):
-            ModelSpec(family="Pareto2", theta=-1.0)
-        with pytest.raises(ValueError):
-            ModelSpec(family="StudentT", nu=0.0, rho=0.3)
+        for theta in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="Pareto2 requires"):
+                ModelSpec(family="Pareto2", theta=theta)
+        for nu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="StudentT requires"):
+                ModelSpec(family="StudentT", nu=nu, rho=0.3)
         with pytest.raises(ValueError):
             ModelSpec(family="StudentT", nu=1.5, rho=0.0)
         with pytest.raises(ValueError):

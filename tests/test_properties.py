@@ -1,13 +1,17 @@
 """Property tests for the conditioning event and the estimators built on it.
 
 Every tail estimator conditions on the k+1 largest system losses by rank,
-``MarginIndex.top``; these properties pin that contract down on tie-heavy,
-degenerate and permuted inputs, and check that every row of a k-range is
-the one-k estimate and matches the brute-force definitions, that a tail
-index is the full sort on its tail and changes no k-range result, and that
-the estimators scale with X and R-hat keeps its bounds.  Examples are
+``MarginIndex.ranked``; these properties pin that contract down on
+tie-heavy, degenerate and permuted inputs, and check that every row of a
+k-range is the one-k estimate and matches the brute-force definitions, that
+a tail index is the full sort on its tail and changes no k-range result,
+that the diagnostic curves equal their definitions, and that the
+estimators scale with X and R-hat keeps its bounds.  Examples are
 derandomized, so the suite draws the same cases on every run.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,9 +26,10 @@ from cotail.core import (
     check_tail,
 )
 from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
+from cotail.empirical import tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
-from cotail.tail_copula import _eta, filtered_x_ranks, r_hat
-from oracles import eta_hat_bruteforce, intermediate_covar_scan
+from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve, r_hat
+from oracles import eta_hat_bruteforce, intermediate_covar_scan, tail_prob_by_value
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -77,7 +82,7 @@ def test_top_is_the_rank_filter(values):
     index = build_margin_index(values)
     n = index.n
     for count in range(1, n + 1):
-        assert np.array_equal(index.top(count), np.flatnonzero(index.ranks > n - count))
+        assert np.array_equal(np.sort(index.ranked(count)), np.flatnonzero(index.ranks > n - count))
 
 
 @SETTINGS
@@ -113,16 +118,21 @@ def test_tail_index_is_the_full_index_on_its_tail(values):
     st.sampled_from([0.99, 0.999]),
 )
 def test_k_range_on_tail_indexes_equals_full_indexes(case, width, tau_prime):
-    """A fresh sample runs the k-range on tail indexes; a sample whose full
-    indexes were built first runs it on those, the indexes the brute-force
-    criterion reads."""
+    """The k-range sorts each margin to depth k_max + 2; forced to build
+    full indexes, the ones the brute-force criterion reads, it gives the
+    same rows."""
     sample, k = case
     ks = range(k, min(k + width, sample.n + 2) + 1)
-    fresh = LossPairSample(xs=sample.xs, ys=sample.ys)
-    on_tail = estimate_k_range(fresh, ks, tau_prime)
-    warmed = LossPairSample(xs=sample.xs, ys=sample.ys)
-    assert warmed.x_index.depth == warmed.y_index.depth == warmed.n
-    on_full = estimate_k_range(warmed, ks, tau_prime)
+    on_tail = estimate_k_range(sample, ks, tau_prime)
+    built = []
+
+    def full_index(values, depth):
+        built.append(build_margin_index(values))
+        return built[-1]
+
+    with mock.patch("cotail.covar_coes.build_margin_index", full_index):
+        on_full = estimate_k_range(sample, ks, tau_prime)
+    assert [index.depth for index in built] == [sample.n, sample.n]
     assert on_tail.first_warnings() == on_full.first_warnings()
     for i in range(len(ks)):
         assert _full_outcome(lambda: on_tail.estimates(i)) == _full_outcome(
@@ -166,10 +176,33 @@ def test_r_hat_is_bounded_and_nondecreasing(case, variant, args):
 
 
 @SETTINGS
+@given(
+    tied_dependent_samples(),
+    st.integers(0, 30),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+)
+def test_diagnostic_curves_equal_their_definitions(case, width, taus):
+    """R-hat(1, 1) from one count is r_hat at every k, on full indexes and
+    on tail indexes of depth max(ks) + 1; the rank-based joint tail
+    probability is the value-based one, on full and on minimal tail indexes."""
+    sample, k = case
+    n = sample.n
+    ks = np.arange(k, min(k + width, n - 1) + 1)
+    expected = [[r_hat(sample, j, variant, 1.0, 1.0) for j in ks.tolist()] for variant in (1, 2)]
+    reach = n + 1 - math.ceil(n * min(taus))
+    for r11_depth, prob_depth in ((None, None), (int(ks.max()) + 1, reach)):
+        indexes = [build_margin_index(v, r11_depth) for v in (sample.xs, sample.ys)]
+        assert [r.tolist() for r in r11_curve(*indexes, ks)] == expected
+        indexes = [build_margin_index(v, prob_depth) for v in (sample.xs, sample.ys)]
+        by_value = [tail_prob_by_value(sample, tau) for tau in taus]
+        assert tail_prob_curve(*indexes, taus).tolist() == by_value
+
+
+@SETTINGS
 @given(tied_dependent_samples(), st.sampled_from([0.99, 0.999]))
 def test_y_enters_only_through_its_ranks(case, tau_prime):
     sample, k = case
-    ranked = LossPairSample(xs=sample.xs, ys=sample.y_index.ranks)
+    ranked = LossPairSample(xs=sample.xs, ys=build_margin_index(sample.ys).ranks)
     assert _outcome(sample, k, tau_prime) == _outcome(ranked, k, tau_prime)
 
 
@@ -245,8 +278,9 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     lo = max(1, int(lo_share * n))
     ks = np.arange(lo, min(lo + width, n - 1) + 1)
     ms = np.array([check_tail(n, k) for k in ks.tolist()])
-    rows, r1, r2 = filtered_x_ranks(sample.x_index, sample.y_index, ks, ms)
-    covar, _ = _intermediate(sample.x_index, ks, rows, r1)
+    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
+    covar, _ = _intermediate(x_index, ks, rows, r1)
     result = estimate_k_range(sample, ks, 0.999)
     for i, k in enumerate(ks.tolist()):
         raws = []
