@@ -226,10 +226,10 @@ def diagnostics_export(
 ) -> dict[str, Path]:
     """Write the three diagnostic curves as TSV files into ``out_dir``.
 
-    hill.tsv: Hill estimates of the X margin over k_range with 90% bands
-    gamma * (1 +/- 1.645 / sqrt(k)), the normal-limit approximation; a k
-    whose threshold X_(n-k,n) is not positive has empty cells and the code
-    ``threshold_not_positive`` in the trailing ``note`` column;
+    hill.tsv: Hill estimates of the X margin over k_range with normal-limit
+    90% bands gamma * (1 +/- 1.645 / sqrt(k)), lo clamped at 0 as gamma >= 0;
+    a k whose threshold X_(n-k,n) is not positive has empty cells and the
+    code ``threshold_not_positive`` in the trailing ``note`` column;
     tailprob.tsv: empirical joint tail probability against (1 - tau)^2;
     r11.tsv: both tail-copula estimates at (1, 1) over k_range.
     """
@@ -251,7 +251,7 @@ def diagnostics_export(
             hill_rows.append((k, "", "", "", "threshold_not_positive"))
         else:
             half = 1.645 / math.sqrt(k)
-            hill_rows.append((k, gamma, gamma * (1.0 - half), gamma * (1.0 + half), ""))
+            hill_rows.append((k, gamma, max(0.0, gamma * (1.0 - half)), gamma * (1.0 + half), ""))
     tau_array = np.array(taus)
     p_hat = tail_prob_curve(x_index, y_index, tau_array)
     prob_rows = zip(taus, p_hat.tolist(), ((1.0 - tau_array) ** 2).tolist())

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 
 from scipy import integrate, optimize
-from scipy.special import gammaln
+from scipy.special import gammaln, stdtr
 
 from .models import ModelSpec, marginal_quantiles, pre_margin_survival, student_t_cdf, true_tail_copula
 
@@ -85,17 +85,12 @@ def _cauchy_quadrant(a: float, b: float) -> float:
     return math.atan2(1.0, a + b + math.hypot(1.0, a, b)) / math.pi
 
 
-def _t_pdf(z: float, nu: float) -> float:
-    log_norm = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
-    return math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
-
-
 def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
     """P(|T1| >= a, |T2| >= b) for the correlated bivariate t pair.
 
-    Conditioning on T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees
-    of freedom and sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)), so one
-    quadrature over z suffices; central symmetry contributes the factor 2.
+    Given T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees of freedom,
+    sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)): one quadrature over z, one
+    ``stdtr`` call per node for both tails; central symmetry gives the factor 2.
     """
     nu, rho = spec.nu, spec.rho
     if a == 0.0 and b == 0.0:
@@ -106,6 +101,7 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
         return 2.0 * student_t_cdf(-a, nu)
     coef = math.sqrt((1.0 - rho * rho) / (nu + 1.0))
     scale = max(a, 1.0)
+    log_norm = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
 
     def integrand(u: float) -> float:
         # z = a + scale*((1 - u)/u)^2 folds [a, inf) onto (0, 1] with
@@ -113,9 +109,9 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
         r = (1.0 - u) / u
         z = a + scale * r * r
         sigma = coef * math.sqrt(nu + z * z)
-        upper = student_t_cdf((rho * z - b) / sigma, nu + 1.0)
-        lower = student_t_cdf((-b - rho * z) / sigma, nu + 1.0)
-        return _t_pdf(z, nu) * (upper + lower) * scale * 2.0 * r / (u * u)
+        upper, lower = stdtr(nu + 1.0, ((rho * z - b) / sigma, (-b - rho * z) / sigma)).tolist()
+        density = math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+        return density * (upper + lower) * scale * 2.0 * r / (u * u)
 
     value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200)
     if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
@@ -153,9 +149,13 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
     def integrand(u: float) -> float:
         return joint_survival(spec, c / u, var_y) * c / (u * u)
 
-    value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-9, limit=200)
-    if not math.isfinite(value):
-        raise ValueError("CoES tail quadrature did not converge")
+    # full_output: QUADPACK appends a message, not a warning, iff ier != 0
+    value, err, _, *message = integrate.quad(
+        integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-9, limit=200, full_output=1
+    )
+    if message or not math.isfinite(value):
+        reason = message[0].splitlines()[0].rstrip() if message else "non-finite value"
+        raise ValueError(f"CoES tail quadrature did not converge: {reason}")
     return value, err
 
 

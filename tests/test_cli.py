@@ -216,6 +216,14 @@ def test_errors_exit_nonzero_with_message(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_oracle_quadrature_failure_exits_with_error(capsys):
+    argv = ["oracle", "--model", "StudentT", "--nu", "0.7", "--rho", "0.1", "--tau", "0.999"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CoES tail quadrature did not converge")
+
+
 def test_diagnose_rejects_inverted_range(price_files, tmp_path, capsys):
     rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
                "--kmin", "60", "--kmax", "20", "--taugrid", "0.9",

@@ -357,6 +357,17 @@ class TestDiagnostics:
         k, gamma = paths["hill"].read_text(encoding="utf-8").splitlines()[1].split("\t")[:2]
         assert (k, gamma) == ("1", f"{estimate_all(sample, 1, 0.99).gamma1:.10g}")
 
+    def test_hill_lower_band_is_clamped_at_zero(self, tmp_path):
+        # 1.645 / sqrt(k) > 1 at k <= 2, so the unclamped lower end is negative
+        values = np.arange(1.0, 51.0)
+        sample = LossPairSample(xs=values, ys=values)
+        paths = diagnostics_export(sample, [1, 2, 3], [0.9], tmp_path)
+        rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()[1:]]
+        assert [(k, lo) for k, _, lo, _, _ in rows[:2]] == [("1", "0"), ("2", "0")]
+        gamma = hill_curve(build_margin_index(values), 3, 3)[0]
+        assert rows[2][2] == f"{gamma * (1.0 - 1.645 / math.sqrt(3)):.10g}"
+        assert all(float(row[1]) > 0.0 for row in rows)
+
     def test_opposite_tails_give_zero_dependence(self, tmp_path):
         n = 200
         values = np.arange(1.0, n + 1.0)

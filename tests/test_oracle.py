@@ -24,6 +24,8 @@ def test_joint_survival_known_values():
     # the symmetric spherical-Cauchy quadrant puts exactly one third of the
     # positive-orthant mass past (1, 1)
     assert joint_survival(make_spec("Cauchy"), 1.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # pinned bit for bit: the StudentT conditional quadrature
+    assert joint_survival(make_spec("StudentT"), 2.0, 1.0) == 0.07668906866171624
 
 
 def test_joint_survival_rejects_negative_arguments():
@@ -128,6 +130,40 @@ def test_student_quad_route_matches_conditional_quadrature():
         assert joint_survival_quad(spec, s, t) == pytest.approx(
             joint_survival(spec, s, t), abs=1e-6
         )
+
+
+# (var_y, covar, coes, abs_tol), compared with ==: any change to the StudentT
+# quadrature that moves a single float shows here
+_STUDENT_TRUTH = {
+    (1.5, 0.3): {
+        0.95: (6.016663104427929, 6.506754500781375, 9.914710706116068, 6.506754500781375e-10),
+        0.99: (17.820310514462804, 19.420293424176215, 29.274519882033232, 1.9420293424176216e-09),
+        0.999: (82.84744670366369, 90.83787511809204, 136.3967853286678, 9.083787511809205e-09),
+        0.9999: (384.5724025215815, 422.31119134004297, 633.6058747450062, 4.2231119134004296e-08),
+    },
+    (3.0, 0.8): {
+        0.95: (3.1824463052837078, 3.0421921694822633, 3.6763199062590894, 3.0421921694822637e-10),
+        0.99: (5.840909309733355, 5.261401795472469, 6.327152142436824, 5.261401795472469e-10),
+        0.999: (12.923978636687961, 11.38014691321562, 13.666356797793421, 1.1380146913215622e-09),
+        0.9999: (28.000130010950002, 24.551826006893013, 29.471855944514427, 2.4551826006893014e-09),
+    },
+}
+
+
+@pytest.mark.parametrize("nu, rho", sorted(_STUDENT_TRUTH))
+def test_student_truth_is_pinned_bit_for_bit(nu, rho):
+    spec = make_spec("StudentT", nu=nu, rho=rho)
+    for tau, pinned in _STUDENT_TRUTH[(nu, rho)].items():
+        result = oracle_result(spec, tau)
+        assert (result.var_y, result.covar, result.coes, result.abs_tol) == pinned
+
+
+@pytest.mark.parametrize("tau", [0.99, 0.999])
+def test_coes_tail_quadrature_failure_is_an_error(tau):
+    # gamma1 = 1/(2 nu) = 0.71, so the tail integrand in u = c/s grows like
+    # u^(-0.6) at 0 and QUADPACK gives up, once with each of two messages
+    with pytest.raises(ValueError, match="CoES tail quadrature did not converge: "):
+        oracle_result(make_spec("StudentT", nu=0.7, rho=0.1), tau)
 
 
 def test_logistic_has_no_quad_route():
