@@ -153,7 +153,7 @@ def _cmd_oracle(args) -> int:
     result = oracle_result(spec, args.tau)
     rows = [
         ("family", "tau", "var_y", "covar", "coes", "tol"),
-        (spec.family, result.tau, result.var_y, result.covar, result.coes, f"{result.abs_tol:.3g}"),
+        (spec.family, args.tau, result.var_y, result.covar, result.coes, f"{result.abs_tol:.3g}"),
     ]
     print(format_tsv(rows), end="")
     return 0

@@ -106,14 +106,6 @@ def msre(estimates: Sequence[float], truth: float) -> float:
     return float(np.mean((arr / truth - 1.0) ** 2))
 
 
-def _run_one(spec: ModelSpec, n: int, k: int, tau_prime: float, rng: np.random.Generator):
-    sample = sample_model(spec, n, rng)
-    try:
-        return estimate_all(sample, k, tau_prime)
-    except ValueError as exc:
-        return exc
-
-
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
     """Run all replications of a plan and aggregate MSREs.
 
@@ -131,7 +123,11 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
     ]
 
     def task(rng: np.random.Generator):
-        return _run_one(plan.spec, plan.n, plan.k, plan.tau_prime, rng)
+        sample = sample_model(plan.spec, plan.n, rng)
+        try:
+            return estimate_all(sample, plan.k, plan.tau_prime)
+        except ValueError as exc:
+            return exc
 
     if workers == 1:
         outcomes = [task(rng) for rng in streams]

@@ -11,8 +11,8 @@ the first coordinate of a dependent pre-transform pair:
   the gamma-frailty construction Z_i = E_i / G.
 * StudentT: correlated bivariate t (nu, rho), X = |Z1|^(1/2), Y = |Z2|.
 
-The analytic tail copula R, marginal quantiles, and the Student-t CDF used
-inside R are exposed for the oracle and for estimator validation.
+The analytic tail copula R, the pre-transform margin survival and the
+marginal quantiles are exposed for the oracle and for estimator validation.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ class ModelSpec:
             raise ValueError(f"unknown ModelSpec fields: {sorted(unknown)}")
         if "family" not in record:
             raise ValueError("ModelSpec record requires a 'family' field")
+        if not isinstance(record["family"], str):
+            raise ValueError(f"ModelSpec field 'family' must be a string, got {record['family']!r}")
         for name in ("theta", "nu", "rho"):
             value = record.get(name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
@@ -114,11 +116,8 @@ def make_spec(
     rho: float | None = None,
 ) -> ModelSpec:
     """ModelSpec with the standard study parameters filled in where omitted."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    defaults = _DEFAULTS[family]
     params = {"theta": theta, "nu": nu, "rho": rho}
-    for name, value in defaults.items():
+    for name, value in _DEFAULTS.get(family, {}).items():
         if params[name] is None:
             params[name] = value
     return ModelSpec(family=family, **params)
@@ -188,27 +187,12 @@ def _sample_logistic_frechet(
     return z1, z2
 
 
-def student_t_cdf(x, nu: float):
-    """CDF of the Student-t distribution (``scipy.special.stdtr``).
-
-    Accepts scalars or arrays; symmetric (F(-x) = 1 - F(x)), F(0) = 1/2.
-    Upper-tail probabilities are best read as F(-x), which keeps full
-    relative precision where 1 - F(x) would cancel.
-    """
-    if nu <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {nu}")
-    out = special.stdtr(nu, x)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def _student_pair_term(x: float, y: float, rho: float, nu: float) -> float:
     """Tail-copula contribution of one signed quadrant of a bivariate t pair."""
     c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
-    return y * student_t_cdf(c * (rho - (y / x) ** (1.0 / nu)), nu + 1.0) + x * student_t_cdf(
-        c * (rho - (x / y) ** (1.0 / nu)), nu + 1.0
-    )
+    points = (c * (rho - (y / x) ** (1.0 / nu)), c * (rho - (x / y) ** (1.0 / nu)))
+    cdf_y, cdf_x = special.stdtr(nu + 1.0, points).tolist()
+    return y * cdf_y + x * cdf_x
 
 
 def true_tail_copula(spec: ModelSpec, x: float, y: float) -> float:
@@ -252,10 +236,11 @@ def pre_margin_survival(spec: ModelSpec, z: float) -> float:
     if spec.family == "Logistic":
         return -math.expm1(-1.0 / z)
     if spec.family == "Cauchy":
-        return 1.0 - 2.0 / math.pi * math.atan(z)
+        # 2/pi atan(1/z), not 1 - 2/pi atan(z), which cancels for large z
+        return 2.0 / math.pi * math.atan2(1.0, z)
     if spec.family == "Pareto2":
         return (1.0 + z) ** (-spec.theta)
-    return 2.0 * student_t_cdf(-z, spec.nu)
+    return 2.0 * float(special.stdtr(spec.nu, -z))
 
 
 def marginal_quantiles(spec: ModelSpec, tau: float) -> tuple[float, float]:

@@ -11,7 +11,7 @@ by Brent's method on a doubled bracket, and true CoES adds the tail integral
     CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds
 
 evaluated with the substitution s = c/u on u in (0, 1].  ``oracle_result``
-computes both, memoized per (model, tau), and every other truth reads it.
+computes both, memoized per (model, tau): it is the one path to the truth.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy import integrate, optimize
 from scipy.special import gammaln, stdtr
 
-from .models import ModelSpec, marginal_quantiles, pre_margin_survival, student_t_cdf, true_tail_copula
+from .models import ModelSpec, marginal_quantiles, pre_margin_survival, true_tail_copula
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class OracleResult:
     coes >= covar always.
     """
 
-    tau: float
     var_y: float
     covar: float
     coes: float
@@ -49,28 +48,29 @@ _CACHE_LOCK = threading.Lock()
 
 
 def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
-    """P(X >= s, Y >= t) for the model, s, t >= 0."""
+    """P(X >= s, Y >= t) for the model, s, t >= 0.
+
+    Every family reads z = s^(1/x_exponent).  Where z (which a tiny s can
+    underflow) or t is 0, the event is one margin's.
+    """
     if s < 0.0 or t < 0.0:
         raise ValueError("survival arguments must be nonnegative")
+    z = s ** (1.0 / spec.x_exponent)
+    if z == 0.0 or t == 0.0:
+        return pre_margin_survival(spec, max(z, t))
     if spec.family == "Logistic":
         # inclusion-exclusion 1 - e^-x - e^-y + e^-V on the logistic
         # max-stable CDF (x = 1/z, y = 1/t, V = x + y - R(x, y)), regrouped
-        # into two nonnegative terms so tail probabilities do not cancel;
-        # the s = 0 or t = 0 edges reduce to one Frechet margin
-        z = s ** (1.0 / spec.x_exponent)
-        if z == 0.0:
-            return pre_margin_survival(spec, t)
-        if t == 0.0:
-            return pre_margin_survival(spec, z)
+        # into two nonnegative terms so tail probabilities do not cancel
         x, y = 1.0 / z, 1.0 / t
         return math.expm1(-x) * math.expm1(-y) + math.exp(-x - y) * math.expm1(
             true_tail_copula(spec, x, y)
         )
     if spec.family == "Cauchy":
-        return 4.0 * _cauchy_quadrant(s ** (1.0 / spec.x_exponent), t)
+        return 4.0 * _cauchy_quadrant(z, t)
     if spec.family == "Pareto2":
-        return (1.0 + s ** (1.0 / spec.x_exponent) + t) ** (-spec.theta)
-    return _student_joint_survival(spec, s ** (1.0 / spec.x_exponent), t)
+        return (1.0 + z + t) ** (-spec.theta)
+    return _student_joint_survival(spec, z, t)
 
 
 def _cauchy_quadrant(a: float, b: float) -> float:
@@ -86,19 +86,13 @@ def _cauchy_quadrant(a: float, b: float) -> float:
 
 
 def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
-    """P(|T1| >= a, |T2| >= b) for the correlated bivariate t pair.
+    """P(|T1| >= a, |T2| >= b), a, b > 0, for the correlated bivariate t pair.
 
     Given T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees of freedom,
     sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)): one quadrature over z, one
     ``stdtr`` call per node for both tails; central symmetry gives the factor 2.
     """
     nu, rho = spec.nu, spec.rho
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return 2.0 * student_t_cdf(-b, nu)
-    if b == 0.0:
-        return 2.0 * student_t_cdf(-a, nu)
     coef = math.sqrt((1.0 - rho * rho) / (nu + 1.0))
     scale = max(a, 1.0)
     log_norm = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
@@ -119,11 +113,6 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
     return 2.0 * value
 
 
-def true_covar(spec: ModelSpec, tau: float) -> float:
-    """Root c of P(X >= c, Y >= VaR_Y(tau)) = (1 - tau)^2, rel. tol 1e-10."""
-    return oracle_result(spec, tau).covar
-
-
 def _root_above(g, lo: float, hi: float, what: str) -> float:
     """Root of g above lo, where g(lo) >= 0 and g turns negative further out.
 
@@ -136,11 +125,6 @@ def _root_above(g, lo: float, hi: float, what: str) -> float:
             return optimize.brentq(g, lo, hi, xtol=1e-300, rtol=_RTOL)
         lo, hi = hi, 2.0 * hi
     raise ValueError(f"failed to bracket the {what} root")
-
-
-def true_coes(spec: ModelSpec, tau: float) -> float:
-    """c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y) ds, c = true CoVaR."""
-    return oracle_result(spec, tau).coes
 
 
 def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, float]:
@@ -187,7 +171,6 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
     scale = (1.0 - tau) ** -2
     coes = covar + scale * tail
     result = OracleResult(
-        tau=tau,
         var_y=var_y,
         covar=covar,
         coes=coes,
@@ -200,7 +183,7 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
 
 def eta_true(spec: ModelSpec, tau: float) -> float:
     """Finite-level eta: F-bar_X(CoVaR)/(1 - tau), at the memoized true CoVaR."""
-    c = true_covar(spec, tau)
+    c = oracle_result(spec, tau).covar
     return pre_margin_survival(spec, c ** (1.0 / spec.x_exponent)) / (1.0 - tau)
 
 

@@ -20,7 +20,7 @@ from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan, run_experiment
 from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
-from cotail.oracle import true_coes, true_covar
+from cotail.oracle import oracle_result
 from cotail.tail_copula import r_hat
 from oracles import eta_hat_bruteforce, intermediate_covar_scan, selection_at
 
@@ -99,9 +99,9 @@ def test_criterion_3_grid_concentrates_with_sample_size():
 def test_criterion_4_oracle_closed_forms():
     with _criterion(4, "Pareto2 truth at tau=0.99: covar=(1e8-1e4)^(1/6), coes=32.32"):
         spec = make_spec("Pareto2")
-        covar = true_covar(spec, 0.99)
-        assert abs(covar / (1e8 - 1e4) ** (1.0 / 6.0) - 1.0) <= 1e-6
-        assert abs(true_coes(spec, 0.99) / 32.32 - 1.0) <= 1e-3
+        truth = oracle_result(spec, 0.99)
+        assert abs(truth.covar / (1e8 - 1e4) ** (1.0 / 6.0) - 1.0) <= 1e-6
+        assert abs(truth.coes / 32.32 - 1.0) <= 1e-3
 
 
 def test_criterion_5_procedure_equals_bruteforce():

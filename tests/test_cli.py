@@ -8,7 +8,7 @@ from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
 from cotail.data_io import estimate_with_k_values, load_pair_series, loss_pair
 from cotail.models import make_spec, sample_model
-from cotail.oracle import true_coes, true_covar
+from cotail.oracle import oracle_result
 
 
 @pytest.fixture
@@ -189,8 +189,8 @@ def test_oracle_row(capsys):
     assert float(tau) == 0.99
     assert float(var_y) == pytest.approx(1e4 - 1.0, rel=1e-9)
     spec = make_spec("Pareto2")
-    assert float(covar) == pytest.approx(true_covar(spec, 0.99), rel=1e-9)
-    assert float(coes) == pytest.approx(true_coes(spec, 0.99), rel=1e-9)
+    assert float(covar) == pytest.approx(oracle_result(spec, 0.99).covar, rel=1e-9)
+    assert float(coes) == pytest.approx(oracle_result(spec, 0.99).coes, rel=1e-9)
     assert float(tol) < 1e-3
 
 
@@ -199,7 +199,7 @@ def test_oracle_parameter_overrides(capsys):
     row = capsys.readouterr().out.splitlines()[1].split("\t")
     # theta = 1 is independence: CoVaR collapses to the marginal quantile
     spec = make_spec("Logistic", theta=1.0)
-    assert float(row[3]) == pytest.approx(true_covar(spec, 0.95), rel=1e-9)
+    assert float(row[3]) == pytest.approx(oracle_result(spec, 0.95).covar, rel=1e-9)
 
 
 @pytest.mark.parametrize(

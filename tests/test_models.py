@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cotail.models import (
     marginal_quantiles,
     pre_margin_survival,
     sample_model,
-    student_t_cdf,
     true_tail_copula,
 )
 from cotail.tail_copula import r_hat
@@ -53,6 +53,15 @@ class TestModelSpec:
             ModelSpec(family="StudentT", nu=1.5, rho=0.0)
         with pytest.raises(ValueError):
             ModelSpec(family="StudentT", nu=1.5, rho=1.0)
+
+    def test_unknown_family_message(self):
+        message = re.escape(f"unknown family 'Gumbel'; expected one of {FAMILIES}")
+        with pytest.raises(ValueError, match=message):
+            make_spec("Gumbel")
+        with pytest.raises(ValueError, match=message):
+            ModelSpec.from_record({"family": "Gumbel"})
+        with pytest.raises(ValueError, match="'family' must be a string"):
+            ModelSpec.from_record({"family": ["Cauchy"]})
 
     def test_foreign_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -171,36 +180,6 @@ class TestAnalyticTailCopula:
             assert all(a <= b + 1e-13 for a, b in zip(values, values[1:]))
 
 
-class TestStudentTCdf:
-    def test_fixed_points(self):
-        assert student_t_cdf(0.0, 5.0) == 0.5
-        assert student_t_cdf(1.0, 1.0) == pytest.approx(0.75, abs=1e-12)
-        assert student_t_cdf(2.0, 2.0) == pytest.approx(0.908248290463863, abs=1e-12)
-
-    def test_symmetry(self):
-        for x in (0.3, 1.7, 9.0):
-            assert student_t_cdf(-x, 2.5) == pytest.approx(
-                1.0 - student_t_cdf(x, 2.5), abs=1e-14
-            )
-
-    def test_matches_arctan_for_one_degree(self):
-        xs = np.linspace(-50.0, 50.0, 1000)
-        expected = 0.5 + np.arctan(xs) / np.pi
-        assert np.max(np.abs(student_t_cdf(xs, 1.0) - expected)) <= 1e-12
-
-    def test_array_shape_and_monotonicity(self):
-        xs = np.linspace(-5.0, 5.0, 101)
-        values = student_t_cdf(xs, 1.5)
-        assert values.shape == xs.shape
-        assert np.all(np.diff(values) > 0.0)
-
-    def test_rejects_bad_nu(self):
-        with pytest.raises(ValueError):
-            student_t_cdf(1.0, 0.0)
-        with pytest.raises(ValueError):
-            student_t_cdf(1.0, -2.0)
-
-
 class TestMargins:
     def test_logistic_quantile(self):
         var_x, var_y = marginal_quantiles(make_spec("Logistic"), math.exp(-1.0))
@@ -245,6 +224,12 @@ class TestMargins:
         assert pre_margin_survival(make_spec("StudentT"), 0.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             pre_margin_survival(make_spec("Cauchy"), -1.0)
+
+    def test_cauchy_survival_keeps_precision_deep_in_the_tail(self):
+        for z in (1e6, 1e18, 1e200):
+            assert pre_margin_survival(make_spec("Cauchy"), z) == pytest.approx(
+                2.0 / (math.pi * z), rel=1e-14
+            )
 
     def test_survival_inverts_quantile(self):
         for family in FAMILIES:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import cotail.oracle
-from cotail.models import FAMILIES, make_spec, marginal_quantiles, sample_model, true_tail_copula
-from cotail.oracle import (
-    eta_star,
-    eta_true,
-    joint_survival,
-    oracle_result,
-    true_coes,
-    true_covar,
+from cotail.models import (
+    FAMILIES,
+    make_spec,
+    marginal_quantiles,
+    pre_margin_survival,
+    sample_model,
+    true_tail_copula,
 )
+from cotail.oracle import eta_star, eta_true, joint_survival, oracle_result
 from oracles import covar_coes_mp, joint_survival_quad
 
 
@@ -28,6 +28,22 @@ def test_joint_survival_known_values():
     assert joint_survival(make_spec("StudentT"), 2.0, 1.0) == 0.07668906866171624
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_joint_survival_zero_argument_is_a_margin(family):
+    spec = make_spec(family)
+    for v in (1e-3, 0.7, 2.0, 50.0):
+        assert joint_survival(spec, 0.0, v) == pre_margin_survival(spec, v)
+        assert joint_survival(spec, v, 0.0) == pre_margin_survival(spec, v ** (1.0 / spec.x_exponent))
+    assert joint_survival(spec, 0.0, 0.0) == 1.0
+
+
+def test_joint_survival_underflowing_threshold_is_a_margin():
+    # z = s^3 underflows to 0 at s = 1e-200: the Y margin, not 1/0
+    spec = make_spec("Logistic")
+    assert (1e-200) ** (1.0 / spec.x_exponent) == 0.0
+    assert joint_survival(spec, 1e-200, 1.5) == pre_margin_survival(spec, 1.5)
+
+
 def test_joint_survival_rejects_negative_arguments():
     for s, t in [(-0.5, 1.0), (1.0, -2.0)]:
         with pytest.raises(ValueError):
@@ -39,15 +55,16 @@ def test_joint_survival_rejects_negative_arguments():
 def test_pareto2_covar_closed_form():
     # survival (1 + x^6 + y)^(-1/2) lets the defining equation be solved by
     # hand: CoVaR(0.99)^6 = 1e8 - 1e4
-    c = true_covar(make_spec("Pareto2"), 0.99)
+    c = oracle_result(make_spec("Pareto2"), 0.99).covar
     assert abs(c / (1e8 - 1e4) ** (1.0 / 6.0) - 1.0) <= 1e-6
 
 
 def test_pareto2_coes_near_closed_expansion():
     """Leading term of the tail integral: CoES ~ c + 1e4 / (2 c^2) at tau=0.99."""
     spec = make_spec("Pareto2")
-    c = true_covar(spec, 0.99)
-    assert abs(true_coes(spec, 0.99) / (c + 1e4 / (2.0 * c * c)) - 1.0) <= 1e-4
+    truth = oracle_result(spec, 0.99)
+    c = truth.covar
+    assert abs(truth.coes / (c + 1e4 / (2.0 * c * c)) - 1.0) <= 1e-4
 
 
 def test_covar_ordering_all_families():
@@ -176,8 +193,9 @@ def test_independence_boundary_covar_equals_var():
     spec = make_spec("Logistic", theta=1.0)
     for tau in (0.95, 0.99):
         var_x, _ = marginal_quantiles(spec, tau)
-        assert abs(true_covar(spec, tau) / var_x - 1.0) <= 1e-8
-        assert true_coes(spec, tau) > true_covar(spec, tau)
+        truth = oracle_result(spec, tau)
+        assert abs(truth.covar / var_x - 1.0) <= 1e-8
+        assert truth.coes > truth.covar
 
 
 def test_oracle_result_memoized_and_tight():
@@ -190,7 +208,7 @@ def test_oracle_result_memoized_and_tight():
 def test_invalid_tau_rejected():
     for tau in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
-            true_covar(make_spec("Cauchy"), tau)
+            oracle_result(make_spec("Cauchy"), tau)
         with pytest.raises(ValueError):
             eta_star(make_spec("Cauchy"), tau)
 
@@ -205,7 +223,8 @@ def test_oracle_matches_monte_carlo_cauchy():
     rng = np.random.default_rng(np.random.SeedSequence(2718))
     _, v95 = marginal_quantiles(spec, 0.95)
     _, v90 = marginal_quantiles(spec, 0.90)
-    c90 = true_covar(spec, 0.90)
+    truth90 = oracle_result(spec, 0.90)
+    c90 = truth90.covar
     kept = []
     coes_sum = 0.0
     coes_n = 0
@@ -216,11 +235,11 @@ def test_oracle_matches_monte_carlo_cauchy():
         coes_sum += float(sample.xs[joint].sum())
         coes_n += int(joint.sum())
     mc_covar = float(np.quantile(np.concatenate(kept), 0.95))
-    assert abs(mc_covar / true_covar(spec, 0.95) - 1.0) <= 1e-3
-    assert abs(coes_sum / coes_n / true_coes(spec, 0.90) - 1.0) <= 1e-2
+    assert abs(mc_covar / oracle_result(spec, 0.95).covar - 1.0) <= 1e-3
+    assert abs(coes_sum / coes_n / truth90.coes - 1.0) <= 1e-2
 
 
-def test_true_covar_reads_the_memo(monkeypatch):
+def test_eta_true_reads_the_memo(monkeypatch):
     spec = make_spec("Pareto2", theta=1.5)
     result = oracle_result(spec, 0.985)
     calls = []
@@ -230,6 +249,6 @@ def test_true_covar_reads_the_memo(monkeypatch):
         return joint_survival(*args)
 
     monkeypatch.setattr(cotail.oracle, "joint_survival", counting)
-    assert true_covar(spec, 0.985) == result.covar
+    assert oracle_result(spec, 0.985) is result
     assert eta_true(spec, 0.985) > 0.0
     assert calls == []
