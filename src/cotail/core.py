@@ -9,8 +9,8 @@ for a sample size ``n``; it returns the derived count ``m``.
 Each estimator call builds the margin indexes it reads, once per call,
 with ``build_margin_index``, the one sort path.  An index may order only
 the top of its margin (a tail index): the k-range estimators read the top
-k_max + 2 of each margin, while ``r_hat`` and the diagnostics read full
-indexes.  ``MarginIndex.ranked`` is the one place the tie rule lives: the
+k_max + 2 of each margin, while the diagnostics read full indexes.
+``MarginIndex.ranked`` is the one place the tie rule lives: the
 conditioning subsample of every tail estimator is the first k+1 (or k)
 entries of ``y_index.ranked(count)`` for any count > k.
 """
@@ -160,8 +160,8 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     position is kept: the full index is the stable argsort.
 
     ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin.
-    ``r_hat`` and ``data_io.diagnostics_export`` build full indexes: they
-    read ranks or quantiles anywhere in the sample.
+    ``data_io.diagnostics_export`` builds full indexes: it reads ranks or
+    quantiles anywhere in the sample.
 
     Args:
         values: nonempty sequence of finite reals.

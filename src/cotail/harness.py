@@ -151,14 +151,12 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
             f"all {plan.replications} replications failed for {plan.spec.family} "
             f"(n={plan.n}, k={plan.k})"
         )
-    msre_map = {}
     ratios = {}
     for name in ESTIMATOR_NAMES:
         truth_value = truth.covar if name.startswith("covar") else truth.coes
-        msre_map[name] = msre(estimates[name], truth_value)
         ratios[name] = tuple(value / truth_value for value in estimates[name])
     return MsreTable(
-        msre=msre_map,
+        msre={name: msre(ratios[name], 1.0) for name in ESTIMATOR_NAMES},
         failure_count=failure_count,
         warning_counts=warning_counts,
         ratios=ratios,

@@ -12,7 +12,8 @@ the first coordinate of a dependent pre-transform pair:
 * StudentT: correlated bivariate t (nu, rho), X = |Z1|^(1/2), Y = |Z2|.
 
 The analytic tail copula R, the pre-transform margin survival and the
-marginal quantiles are exposed for the oracle and for estimator validation.
+marginal quantiles serve the oracle; the tests also check the estimators
+against R.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ _DEFAULTS = {"Logistic": {"theta": 0.6}, "Cauchy": {}, "Pareto2": {"theta": 0.5}
 class ModelSpec:
     """One generative model with its dependence parameters.
 
-    Unused parameters stay None; ``x_exponent`` and ``gamma1`` derive from
-    the family and parameters.
+    Unused parameters stay None; ``x_exponent`` derives from the family.
     """
 
     family: str
@@ -72,19 +72,6 @@ class ModelSpec:
     @property
     def x_exponent(self) -> float:
         return _X_EXPONENT[self.family]
-
-    @property
-    def gamma1(self) -> float:
-        """Extreme value index of the X margin."""
-        if self.family == "Logistic":
-            pre = 1.0  # unit Frechet
-        elif self.family == "Cauchy":
-            pre = 1.0  # |standard Cauchy|
-        elif self.family == "Pareto2":
-            pre = 1.0 / self.theta
-        else:
-            pre = 1.0 / self.nu  # |t_nu|
-        return self.x_exponent * pre
 
     @classmethod
     def from_record(cls, record: dict) -> "ModelSpec":
@@ -216,8 +203,11 @@ def true_tail_copula(spec: ModelSpec, x: float, y: float) -> float:
     if spec.family == "Cauchy":
         return x + y - math.hypot(x, y)
     if spec.family == "Pareto2":
+        # (x^(-1/t) + y^(-1/t))^(-t), factored through the smaller argument
+        # so that a tiny one does not overflow
         t = spec.theta
-        return (x ** (-1.0 / t) + y ** (-1.0 / t)) ** (-t)
+        lo, hi = min(x, y), max(x, y)
+        return lo * (1.0 + (lo / hi) ** (1.0 / t)) ** (-t)
     return _student_pair_term(x, y, spec.rho, spec.nu) + _student_pair_term(
         x, y, -spec.rho, spec.nu
     )

@@ -61,11 +61,11 @@ def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
     if spec.family == "Logistic":
         # inclusion-exclusion 1 - e^-x - e^-y + e^-V on the logistic
         # max-stable CDF (x = 1/z, y = 1/t, V = x + y - R(x, y)), regrouped
-        # into two nonnegative terms so tail probabilities do not cancel
+        # into two nonnegative terms so tail probabilities do not cancel;
+        # e^(R - x - y) <= 1 since R <= min(x, y), so neither term overflows
         x, y = 1.0 / z, 1.0 / t
-        return math.expm1(-x) * math.expm1(-y) + math.exp(-x - y) * math.expm1(
-            true_tail_copula(spec, x, y)
-        )
+        r = true_tail_copula(spec, x, y)
+        return math.expm1(-x) * math.expm1(-y) - math.exp(r - x - y) * math.expm1(-r)
     if spec.family == "Cauchy":
         return 4.0 * _cauchy_quadrant(z, t)
     if spec.family == "Pareto2":
@@ -180,16 +180,3 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         _CACHE.setdefault(key, result)
     return result
 
-
-def eta_true(spec: ModelSpec, tau: float) -> float:
-    """Finite-level eta: F-bar_X(CoVaR)/(1 - tau), at the memoized true CoVaR."""
-    c = oracle_result(spec, tau).covar
-    return pre_margin_survival(spec, c ** (1.0 / spec.x_exponent)) / (1.0 - tau)
-
-
-def eta_star(spec: ModelSpec, tau: float) -> float:
-    """Limit analogue: the root of R(eta, 1) = 1 - tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    target = 1.0 - tau
-    return _root_above(lambda eta: target - true_tail_copula(spec, eta, 1.0), 0.0, 1.0, "eta*")

@@ -1,8 +1,8 @@
 """Nonparametric upper-tail dependence: R-hat variants and adjustment factors.
 
 Two rank-based estimators of the tail copula R (Schmidt & Stadtmüller,
-2006) are evaluated by ``r_hat``, and at (1, 1) at every k by
-``r11_curve``.  The adjustment factor eta-hat inverts R-hat(., 1) at level
+2006) are evaluated at (1, 1) at every k by ``r11_curve``, the package's
+one R-hat path.  The adjustment factor eta-hat inverts R-hat(., 1) at level
 k/n; the inversion has a closed order-statistic form on the conditioning
 subsample C(k + 1) (variant 1) or C(k) (variant 2), where C(c), the first
 c entries of ``y_index.ranked``, holds the c largest system losses by rank.
@@ -19,37 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EstimationError, LossPairSample, MarginIndex, _check_reach, build_margin_index, check_tail
-
-
-def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> float:
-    """Empirical tail copula R-hat at (x, y) on the sample's full ranks.
-
-    Variant 1 is the empirical-CDF form (indicator on 1 - F-hat with
-    denominator n); variant 2 is the rank form (indicator on ranks against
-    n + 1/2 - k x).  Each call sorts both margins; ``r11_curve`` gives
-    R-hat(1, 1) at every k from one count.
-    """
-    _check_variant(variant)
-    n = sample.n
-    check_tail(n, k)
-    if not (x >= 0.0 and y >= 0.0):  # NaN fails both
-        raise ValueError("tail copula arguments must be nonnegative")
-    ranks_x, ranks_y = (build_margin_index(v).ranks for v in (sample.xs, sample.ys))
-    if variant == 1:
-        hits = ((n - ranks_x) <= x * k) & ((n - ranks_y) <= y * k)
-    else:
-        hits = (ranks_x >= n + 0.5 - k * x) & (ranks_y >= n + 0.5 - k * y)
-    return float(np.count_nonzero(hits) / k)
+from .core import EstimationError, MarginIndex, _check_reach, check_tail
 
 
 def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarray, np.ndarray]:
     """R-hat(1, 1) of variants 1 and 2 at every k of ``ks``, from one count.
 
-    Variant 1 counts the observations with n - min(rank_x, rank_y) <= k and
-    variant 2 those with <= k - 1, so one cumulative count gives the floats
-    ``r_hat`` returns at every k.  Each index must order the top
-    max(ks) + 1; below it the sentinel rank 0 gives n, which no k counts.
+    Variant 1 (the empirical-CDF form) counts the observations with
+    n - min(rank_x, rank_y) <= k and variant 2 (the rank form,
+    rank >= n + 1/2 - k) those with <= k - 1, each over k, so one cumulative
+    count serves every k.  Each index must order the top max(ks) + 1; below
+    it the sentinel rank 0 gives n, which no k counts.
     """
     ks = np.asarray(ks, dtype=np.int64)
     n, k_max = x_index.n, int(ks.max())
@@ -58,11 +38,6 @@ def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarra
     _check_reach((x_index, y_index), k_max + 1, f"k={k_max}")
     counts = np.bincount(n - np.minimum(x_index.ranks, y_index.ranks), minlength=n + 1).cumsum()
     return counts[ks] / ks, counts[ks - 1] / ks
-
-
-def _check_variant(variant: int) -> None:
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
 
 
 def _eta1_value(n: int, k: int, depth: int) -> float:

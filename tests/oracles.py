@@ -1,17 +1,23 @@
 """Definitional test oracles for the package's fast estimators and closed forms.
 
 Each routine here computes a quantity the package computes another way,
-straight from its definition: the intermediate CoVaR by scanning the X
-values of the observations with Y >= Y_(n-k,n), eta-hat by scanning the
-jump candidates of R-hat(., 1), the models' joint survival by 2-D
-quadrature of the raw densities, and the closed-form CoVaR level and CoES
-tail integral in 40-digit arithmetic.  The CoVaR scan selects its
+straight from its definition: R-hat at any (x, y) on the full ranks
+(``r_hat``, against the one-count ``r11_curve``), the intermediate CoVaR by
+scanning the X values of the observations with Y >= Y_(n-k,n), eta-hat by
+scanning the jump candidates of R-hat(., 1), the models' joint survival by
+2-D quadrature of the raw densities, and the closed-form CoVaR level and
+CoES tail integral in 40-digit arithmetic.  The CoVaR scan selects its
 conditioning set by value with its own sort, independently of the
 package's ``MarginIndex.ranked``, so it is defined only when Y does not tie
 at the threshold.  The eta-hat scan imports the package's value expressions
 (``_eta1_value``, ``_eta2_value``), so on tie-free data both scans agree
 with the procedures bit-for-bit.  The joint tail probability is counted on
 values, against the rank-based diagnostic curve.
+
+The model references are definitions the tests hold the package to: the X
+margin's extreme value index (``gamma1_true``), the finite-level eta at the
+true CoVaR (``eta_true``) and its limit, the root of R(eta, 1) = 1 - tau
+(``eta_star``).
 
 ``selection_at`` is not an oracle: it is the package's own selection at one
 k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
@@ -29,15 +35,65 @@ from scipy.special import gammaln
 
 from cotail.core import LossPairSample, build_margin_index, check_tail
 from cotail.covar_coes import _intermediate
-from cotail.models import ModelSpec
-from cotail.tail_copula import (
-    _check_variant,
-    _eta,
-    _eta1_value,
-    _eta2_value,
-    _not_attained,
-    filtered_x_ranks,
-)
+from cotail.models import ModelSpec, pre_margin_survival, true_tail_copula
+from cotail.oracle import _root_above, oracle_result
+from cotail.tail_copula import _eta, _eta1_value, _eta2_value, _not_attained, filtered_x_ranks
+
+
+def _check_variant(variant: int) -> None:
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+
+
+def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> float:
+    """Empirical tail copula R-hat at (x, y) on the sample's full ranks.
+
+    Variant 1 is the empirical-CDF form (indicator on 1 - F-hat with
+    denominator n); variant 2 is the rank form (indicator on ranks against
+    n + 1/2 - k x).  Each call sorts both margins.  Test oracle for
+    ``tail_copula.r11_curve``, which gives R-hat(1, 1) at every k from one
+    count.
+    """
+    _check_variant(variant)
+    n = sample.n
+    check_tail(n, k)
+    if not (x >= 0.0 and y >= 0.0):  # NaN fails both
+        raise ValueError("tail copula arguments must be nonnegative")
+    ranks_x, ranks_y = (build_margin_index(v).ranks for v in (sample.xs, sample.ys))
+    if variant == 1:
+        hits = ((n - ranks_x) <= x * k) & ((n - ranks_y) <= y * k)
+    else:
+        hits = (ranks_x >= n + 0.5 - k * x) & (ranks_y >= n + 0.5 - k * y)
+    return float(np.count_nonzero(hits) / k)
+
+
+def gamma1_true(spec: ModelSpec) -> float:
+    """Extreme value index of the model's X margin.
+
+    x_exponent times the index of the pre-transform margin: 1 for unit
+    Frechet and |Cauchy|, 1/theta for Pareto2, 1/nu for |t_nu|.
+    """
+    if spec.family in ("Logistic", "Cauchy"):
+        pre = 1.0
+    elif spec.family == "Pareto2":
+        pre = 1.0 / spec.theta
+    else:
+        pre = 1.0 / spec.nu
+    return spec.x_exponent * pre
+
+
+def eta_true(spec: ModelSpec, tau: float) -> float:
+    """Finite-level eta: F-bar_X(CoVaR)/(1 - tau), at the memoized true CoVaR."""
+    c = oracle_result(spec, tau).covar
+    return pre_margin_survival(spec, c ** (1.0 / spec.x_exponent)) / (1.0 - tau)
+
+
+def eta_star(spec: ModelSpec, tau: float) -> float:
+    """Limit analogue: the root of R(eta, 1) = 1 - tau."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    target = 1.0 - tau
+    return _root_above(lambda eta: target - true_tail_copula(spec, eta, 1.0), 0.0, 1.0, "eta*")
 
 
 def selection_at(

@@ -21,8 +21,7 @@ from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan, run_experiment
 from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
 from cotail.oracle import oracle_result
-from cotail.tail_copula import r_hat
-from oracles import eta_hat_bruteforce, intermediate_covar_scan, selection_at
+from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, selection_at
 
 GRID_K = {500: 120, 1000: 150, 2000: 250, 5000: 300}
 

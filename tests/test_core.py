@@ -16,7 +16,7 @@ from cotail.data_io import RollingPlan
 from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan
 from cotail.models import make_spec
-from cotail.tail_copula import r_hat
+from cotail.tail_copula import r11_curve
 
 
 def test_margin_index_already_sorted():
@@ -175,7 +175,7 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
     sample = LossPairSample(xs=grid, ys=grid)
     expected = f"k must satisfy 1 <= k < n, got k={k} with n={n}"
     calls = [
-        lambda: r_hat(sample, k, 1, 1.0, 1.0),
+        lambda: r11_curve(build_margin_index(grid), build_margin_index(grid), [k]),
         lambda: hill_curve(build_margin_index(grid), k, k),
         lambda: estimate_all(sample, k, 0.99),
         lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),

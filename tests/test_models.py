@@ -14,7 +14,7 @@ from cotail.models import (
     sample_model,
     true_tail_copula,
 )
-from cotail.tail_copula import r_hat
+from oracles import gamma1_true, r_hat
 
 
 class TestModelSpec:
@@ -27,7 +27,7 @@ class TestModelSpec:
 
     def test_gamma1_is_one_third_at_defaults(self):
         for family in FAMILIES:
-            assert make_spec(family).gamma1 == pytest.approx(1.0 / 3.0)
+            assert gamma1_true(make_spec(family)) == pytest.approx(1.0 / 3.0)
 
     def test_x_exponents(self):
         assert make_spec("Logistic").x_exponent == pytest.approx(1.0 / 3.0)
@@ -147,6 +147,15 @@ class TestAnalyticTailCopula:
             assert true_tail_copula(spec, 1.0, 0.0) == 0.0
             with pytest.raises(ValueError):
                 true_tail_copula(spec, -1.0, 1.0)
+
+    def test_pareto2_tiny_argument(self):
+        # x^(-1/theta) overflows at x = 1e-200; the factored form does not
+        spec = make_spec("Pareto2")
+        assert true_tail_copula(spec, 1e-200, 1.0) == 1e-200
+        assert true_tail_copula(spec, 1.0, 1e-200) == 1e-200
+        for x, y in [(0.3, 0.8), (1.0, 1.0), (2.5, 0.4), (1e-6, 1e6)]:
+            textbook = (x ** (-1.0 / spec.theta) + y ** (-1.0 / spec.theta)) ** (-spec.theta)
+            assert true_tail_copula(spec, x, y) == pytest.approx(textbook, rel=2e-15)
 
     def test_homogeneity(self):
         points = [(0.3, 0.8), (1.0, 1.0), (2.5, 0.4), (5.0, 3.0)]

@@ -28,8 +28,8 @@ from cotail.core import (
 from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
 from cotail.empirical import tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
-from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve, r_hat
-from oracles import eta_hat_bruteforce, intermediate_covar_scan, tail_prob_by_value
+from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
+from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, tail_prob_by_value
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

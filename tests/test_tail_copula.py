@@ -6,8 +6,8 @@ import pytest
 from cotail.core import EstimationError, LossPairSample, WarningRecord
 from cotail.covar_coes import estimate_all
 from cotail.models import make_spec, sample_model, true_tail_copula
-from cotail.tail_copula import _eta, r_hat
-from oracles import eta_hat_bruteforce, selection_at
+from cotail.tail_copula import _eta
+from oracles import eta_hat_bruteforce, r_hat, selection_at
 
 SMALL_XS = np.array([1.0, 2.0, 3.0, 4.0])
 SMALL_YS = np.array([1.0, 3.0, 2.0, 4.0])
