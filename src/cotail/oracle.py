@@ -10,7 +10,12 @@ by Brent's method on a doubled bracket, and true CoES adds the tail integral
 
     CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds
 
-evaluated with the substitution s = c/u on u in (0, 1].  ``oracle_result``
+For the closed-form families the tail integral is taken in s = c/u on
+u in (0, 1].  For StudentT it is E[(X - c)+; Y >= VaR_Y(tau)]: the
+survival's conditional quadrature over |T1| = z, weighted by
+z^x_exponent - c, so one quadrature rather than one per node.  It is finite
+for nu > 1/2 (gamma_1 = 1/(2 nu) < 1) and infinite for nu <= 1/2, where the
+oracle raises the tail error without integrating.  ``oracle_result``
 computes both, memoized per (model, tau): it is the one path to the truth.
 """
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy import integrate, optimize
@@ -86,11 +92,25 @@ def _cauchy_quadrant(a: float, b: float) -> float:
 
 
 def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
-    """P(|T1| >= a, |T2| >= b), a, b > 0, for the correlated bivariate t pair.
+    """P(|T1| >= a, |T2| >= b), a, b > 0, for the correlated bivariate t pair."""
+    value, err = integrate.quad(
+        _student_integrand(spec, a, b), 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200
+    )
+    if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
+        raise ValueError(f"StudentT survival quadrature did not converge (err={err:g})")
+    return 2.0 * value
+
+
+def _student_integrand(
+    spec: ModelSpec, a: float, b: float, weight: Callable[[float], float] | None = None
+) -> Callable[[float], float]:
+    """Integrand on u in (0, 1] of E[w(|T1|); |T1| >= a, |T2| >= b] / 2, a, b > 0.
 
     Given T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees of freedom,
-    sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)): one quadrature over z, one
-    ``stdtr`` call per node for both tails; central symmetry gives the factor 2.
+    sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)): one quadrature over
+    z >= a, one ``stdtr`` call per node for both tails; central symmetry
+    gives the factor 2 the caller applies.  The weight w defaults to 1,
+    which gives the joint survival.
     """
     nu, rho = spec.nu, spec.rho
     coef = math.sqrt((1.0 - rho * rho) / (nu + 1.0))
@@ -105,12 +125,10 @@ def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
         sigma = coef * math.sqrt(nu + z * z)
         upper, lower = stdtr(nu + 1.0, ((rho * z - b) / sigma, (-b - rho * z) / sigma)).tolist()
         density = math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
-        return density * (upper + lower) * scale * 2.0 * r / (u * u)
+        w = 1.0 if weight is None else weight(z)
+        return w * density * (upper + lower) * scale * 2.0 * r / (u * u)
 
-    value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200)
-    if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
-        raise ValueError(f"StudentT survival quadrature did not converge (err={err:g})")
-    return 2.0 * value
+    return integrand
 
 
 def _root_above(g, lo: float, hi: float, what: str) -> float:
@@ -128,10 +146,28 @@ def _root_above(g, lo: float, hi: float, what: str) -> float:
 
 
 def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, float]:
-    """(int_c^inf S(s) ds, quad error) via s = c/u, u in (0, 1]."""
+    """(int_c^inf S(s) ds, quad error) for S(s) = P(X >= s, Y >= var_y).
 
-    def integrand(u: float) -> float:
-        return joint_survival(spec, c / u, var_y) * c / (u * u)
+    StudentT: the integral is E[(X - c)+; Y >= var_y], one conditional
+    quadrature over |T1| = z >= c^(1/x_exponent) weighted by z^x_exponent - c.
+    The closed-form families integrate S itself in s = c/u, u in (0, 1].
+    """
+    factor = 1.0
+    if spec.family == "StudentT":
+        if spec.nu <= 0.5:
+            # gamma_1 = 1/(2 nu) >= 1: E[X; Y >= var_y] is infinite
+            raise ValueError(
+                "CoES tail quadrature did not converge: The integral is divergent "
+                f"(StudentT nu = {spec.nu:g} <= 1/2, CoES is infinite)"
+            )
+        factor = 2.0  # central symmetry, as in the survival
+        integrand = _student_integrand(
+            spec, c ** (1.0 / spec.x_exponent), var_y, lambda z: z**spec.x_exponent - c
+        )
+    else:
+
+        def integrand(u: float) -> float:
+            return joint_survival(spec, c / u, var_y) * c / (u * u)
 
     # full_output: QUADPACK appends a message, not a warning, iff ier != 0
     value, err, _, *message = integrate.quad(
@@ -140,7 +176,7 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
     if message or not math.isfinite(value):
         reason = message[0].splitlines()[0].rstrip() if message else "non-finite value"
         raise ValueError(f"CoES tail quadrature did not converge: {reason}")
-    return value, err
+    return factor * value, factor * err
 
 
 def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:

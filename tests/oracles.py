@@ -5,8 +5,9 @@ straight from its definition: R-hat at any (x, y) on the full ranks
 (``r_hat``, against the one-count ``r11_curve``), the intermediate CoVaR by
 scanning the X values of the observations with Y >= Y_(n-k,n), eta-hat by
 scanning the jump candidates of R-hat(., 1), the models' joint survival by
-2-D quadrature of the raw densities, and the closed-form CoVaR level and
-CoES tail integral in 40-digit arithmetic.  The CoVaR scan selects its
+2-D quadrature of the raw densities, and the CoVaR level and CoES tail
+integral in mpmath (40 digits on the closed forms, 20 on the StudentT
+conditional integral).  The CoVaR scan selects its
 conditioning set by value with its own sort, independently of the
 package's ``MarginIndex.ranked``, so it is defined only when Y does not tie
 at the threshold.  The eta-hat scan imports the package's value expressions
@@ -26,6 +27,7 @@ k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -35,7 +37,7 @@ from scipy.special import gammaln
 
 from cotail.core import LossPairSample, build_margin_index, check_tail
 from cotail.covar_coes import _intermediate
-from cotail.models import ModelSpec, pre_margin_survival, true_tail_copula
+from cotail.models import ModelSpec, marginal_quantiles, pre_margin_survival, true_tail_copula
 from cotail.oracle import _root_above, oracle_result
 from cotail.tail_copula import _eta, _eta1_value, _eta2_value, _not_attained, filtered_x_ranks
 
@@ -265,23 +267,25 @@ def _joint_survival_mp(spec: ModelSpec, s, t):
 
 
 def covar_coes_mp(spec: ModelSpec, tau: float, covar: float) -> tuple[float, float]:
-    """(P(X >= c, Y >= VaR_Y(tau)) / (1 - tau)^2, CoES) at c = covar, 40 digits.
+    """(P(X >= c, Y >= VaR_Y(tau)) / (1 - tau)^2, CoES) at c = covar, in mpmath.
 
-    CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds, by
-    tanh-sinh quadrature.  Independent audit route for the closed-form
-    families (Logistic, Cauchy, Pareto2): VaR_Y, the survival and the
-    integral are all evaluated in mpmath.
+    CoES = c + (1 - tau)^(-2) * int_c^inf P(X >= s, Y >= VaR_Y(tau)) ds.
+    Independent audit route: VaR_Y, the survival and the integral are all
+    evaluated in mpmath.  The closed-form families (Logistic, Cauchy,
+    Pareto2) integrate the textbook survival by tanh-sinh quadrature at 40
+    digits; StudentT takes the conditional route of ``_student_covar_coes_mp``
+    at 20 digits.
     """
+    if spec.family == "StudentT":
+        return _student_covar_coes_mp(spec, tau, covar)
     with mpmath.workdps(40):
         level = mpmath.mpf(tau)
         if spec.family == "Logistic":
             var_y = -1 / mpmath.log(level)
         elif spec.family == "Cauchy":
             var_y = mpmath.tan(mpmath.pi * level / 2)
-        elif spec.family == "Pareto2":
-            var_y = (1 - level) ** (-1 / mpmath.mpf(spec.theta)) - 1
         else:
-            raise ValueError(f"no closed-form survival for the {spec.family} model")
+            var_y = (1 - level) ** (-1 / mpmath.mpf(spec.theta)) - 1
         c = mpmath.mpf(covar)
         target = (1 - level) ** 2
         tail = mpmath.quad(
@@ -289,3 +293,48 @@ def covar_coes_mp(spec: ModelSpec, tau: float, covar: float) -> tuple[float, flo
         )
         ratio = _joint_survival_mp(spec, c, var_y) / target
         return float(ratio), float(c + tail / target)
+
+
+def _student_covar_coes_mp(spec: ModelSpec, tau: float, covar: float) -> tuple[float, float]:
+    """``covar_coes_mp`` for StudentT (X = |T1|^(1/2), Y = |T2|), 20 digits.
+
+    Given T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees of freedom,
+    sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)), and every t tail is a
+    regularized incomplete beta function: P(T_k >= x) = I_{k/(k+x^2)}(k/2, 1/2)/2
+    for x >= 0.  By central symmetry the survival at c is
+    2 int_{c^2}^inf f(z) P(|T2| >= VaR_Y | z) dz, and the CoES tail,
+    E[(X - c)+; Y >= VaR_Y], is the same integral weighted by sqrt(z) - c.
+    Both are taken in z = c^2 e^v, with breakpoints along v spanning the
+    decades of the t tail, and share their integrand's nodes.  VaR_Y solves
+    I_{nu/(nu+q^2)}(nu/2, 1/2) = 1 - tau, from the double-precision quantile.
+    """
+    with mpmath.workdps(20):
+        nu, rho, level = mpmath.mpf(spec.nu), mpmath.mpf(spec.rho), mpmath.mpf(tau)
+        k = nu + 1
+
+        def t_survival(x, df):
+            half_tail = mpmath.betainc(df / 2, 0.5, 0, df / (df + x * x), regularized=True) / 2
+            return half_tail if x >= 0 else 1 - half_tail
+
+        var_y = mpmath.findroot(
+            lambda q: 2 * t_survival(q, nu) - (1 - level), marginal_quantiles(spec, tau)[1]
+        )
+        coef = mpmath.sqrt((1 - rho * rho) / k)
+        norm = mpmath.gamma(k / 2) / (mpmath.gamma(nu / 2) * mpmath.sqrt(nu * mpmath.pi))
+        c = mpmath.mpf(covar)
+
+        @functools.cache
+        def conditional(v):
+            # f(z) P(|T2| >= VaR_Y | T1 = z) dz/dv at z = c^2 e^v
+            z = c * c * mpmath.exp(v)
+            sigma = coef * mpmath.sqrt(nu + z * z)
+            both_tails = t_survival((var_y - rho * z) / sigma, k) + t_survival(
+                (var_y + rho * z) / sigma, k
+            )
+            return norm * (1 + z * z / nu) ** (-k / 2) * both_tails * z
+
+        breaks = [0, 1, 3, 10, 30, 100, 400, mpmath.inf]
+        target = (1 - level) ** 2
+        survival = 2 * mpmath.quad(conditional, breaks)
+        tail = 2 * mpmath.quad(lambda v: c * mpmath.expm1(v / 2) * conditional(v), breaks)
+        return float(survival / target), float(c + tail / target)

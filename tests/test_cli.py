@@ -217,11 +217,14 @@ def test_errors_exit_nonzero_with_message(argv, capsys):
 
 
 def test_oracle_quadrature_failure_exits_with_error(capsys):
-    argv = ["oracle", "--model", "StudentT", "--nu", "0.7", "--rho", "0.1", "--tau", "0.999"]
+    # nu = 0.45 < 1/2: CoES is infinite
+    argv = ["oracle", "--model", "StudentT", "--nu", "0.45", "--rho", "0.3", "--tau", "0.99"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: CoES tail quadrature did not converge")
+    assert captured.err.startswith(
+        "error: CoES tail quadrature did not converge: The integral is divergent"
+    )
 
 
 def test_diagnose_rejects_inverted_range(price_files, tmp_path, capsys):
