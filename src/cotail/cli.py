@@ -29,7 +29,6 @@ from .data_io import (
     format_tsv,
     k_values,
     load_pair_series,
-    loss_pair,
     rolling_estimates,
     write_text,
 )
@@ -104,8 +103,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    series_x, series_y = load_pair_series(args.x, args.y)
-    sample = loss_pair(series_x, series_y)
+    _, sample = load_pair_series(args.x, args.y)
     estimates = estimate_with_k_values(sample, k_values(_parse_k(args.k)), args.tau)
     if args.json:
         record = estimates.to_record()
@@ -121,8 +119,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    series_x, series_y = load_pair_series(args.x, args.y)
-    sample = loss_pair(series_x, series_y)
+    _, sample = load_pair_series(args.x, args.y)
     paths = diagnostics_export(
         sample, range(args.kmin, args.kmax + 1), _parse_tau_grid(args.taugrid), args.out
     )
@@ -132,14 +129,14 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_rolling(args) -> int:
-    series_x, series_y = load_pair_series(args.x, args.y)
+    dates, sample = load_pair_series(args.x, args.y)
     plan = RollingPlan(window=args.window, k=_parse_k(args.k), tau_prime=args.tau, step=args.step)
     rows = [("date", *RECORD_KEYS, "note")]
-    for row in rolling_estimates(series_x, series_y, plan):
-        if row.estimates is None:
-            rows.append((row.timestamp, *[""] * len(RECORD_KEYS), f"gap: {row.reason}"))
+    for date, outcome in rolling_estimates(dates, sample, plan):
+        if isinstance(outcome, ValueError):
+            rows.append((date, *[""] * len(RECORD_KEYS), f"gap: {outcome}"))
         else:
-            rows.append((row.timestamp, *row.estimates.to_record().values(), ""))
+            rows.append((date, *outcome.to_record().values(), ""))
     text = format_tsv(rows)
     if args.out:
         write_text(args.out, text)

@@ -1,13 +1,15 @@
 """Price-file ingestion, rolling-window estimation, and diagnostic exports.
 
 Input files are CSV with header ``date,price`` (ISO-8601 date, positive
-decimal price).  Two assets are aligned on the intersection of their
-dates, and losses are negative log returns of the aligned prices.  The
-rolling driver re-estimates on a moving window, optionally averaging the
-estimates over a range of k values, and records per-window failures as
-gaps with a reason instead of aborting.  ``k_values`` is the one reading of
-a k or (kmin, kmax) range, and ``format_tsv`` / ``write_text`` produce
-every TSV the package writes: floats as ``.10g``, UTF-8, LF line endings.
+decimal price).  ``load_pair_series`` aligns two assets on the
+intersection of their dates and returns one ``LossPairSample`` of the
+negative log returns of the aligned prices, with the date each loss ends
+on.  The rolling driver re-estimates on a moving window of that sample,
+optionally averaging the estimates over a range of k values, and keeps a
+window's failure as its outcome instead of aborting.  ``k_values`` is the
+one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
+``write_text`` produce every TSV the package writes: floats as ``.10g``,
+UTF-8, LF line endings.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,37 +27,6 @@ from .core import LossPairSample, WarningRecord, _whole_number, build_margin_ind
 from .covar_coes import RiskEstimates, estimate_k_range
 from .empirical import hill_curve, tail_prob_curve
 from .tail_copula import r11_curve
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Dated positive prices with their negative log returns.
-
-    ``losses[i] = -log(prices[i+1]/prices[i])``; timestamps are strictly
-    increasing dates, one per price.
-    """
-
-    timestamps: tuple[datetime.date, ...]
-    prices: np.ndarray
-    losses: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        prices = np.asarray(self.prices, dtype=float)
-        object.__setattr__(self, "prices", prices)
-        if prices.ndim != 1 or prices.size != len(self.timestamps):
-            raise ValueError("need one price per timestamp")
-        if prices.size < 2:
-            raise ValueError("need at least two prices to form a return")
-        finite = np.isfinite(prices)
-        if not finite.all():
-            raise ValueError(f"non-finite price {prices[~finite][0]}")
-        if not np.all(prices > 0.0):
-            raise ValueError("prices must be positive")
-        for earlier, later in zip(self.timestamps, self.timestamps[1:]):
-            if not earlier < later:
-                raise ValueError(f"timestamps not strictly increasing at {later}")
-        object.__setattr__(self, "losses", -np.diff(np.log(prices)))
 
 
 @dataclass(frozen=True)
@@ -83,15 +54,6 @@ def k_values(k: int | tuple[int, int]) -> range:
     if lo > hi:
         raise ValueError(f"empty k range ({lo}, {hi})")
     return range(lo, hi + 1)
-
-
-@dataclass(frozen=True)
-class RollingRow:
-    """One rolling output: estimates on success, else a gap with a reason."""
-
-    timestamp: datetime.date
-    estimates: RiskEstimates | None
-    reason: str | None
 
 
 def _load_price_file(path) -> dict[datetime.date, float]:
@@ -124,8 +86,12 @@ def _load_price_file(path) -> dict[datetime.date, float]:
     return table
 
 
-def load_pair_series(path_x, path_y) -> tuple[ReturnSeries, ReturnSeries]:
-    """Load two price files and align them on their common dates."""
+def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPairSample]:
+    """Load two price files and align them on their common dates.
+
+    Returns the date each loss ends on (the common dates less the first)
+    and the sample of negative log returns ``-diff(log(prices))``.
+    """
     table_x = _load_price_file(path_x)
     table_y = _load_price_file(path_y)
     common = sorted(set(table_x) & set(table_y))
@@ -133,16 +99,8 @@ def load_pair_series(path_x, path_y) -> tuple[ReturnSeries, ReturnSeries]:
         raise ValueError("empty intersection of dates between the two files")
     if len(common) < 2:
         raise ValueError(f"need at least 2 overlapping dates, got {len(common)}")
-    series_x = ReturnSeries(timestamps=common, prices=[table_x[d] for d in common])
-    series_y = ReturnSeries(timestamps=common, prices=[table_y[d] for d in common])
-    return series_x, series_y
-
-
-def loss_pair(series_x: ReturnSeries, series_y: ReturnSeries) -> LossPairSample:
-    """Aligned losses of the two series as an estimation sample."""
-    if series_x.timestamps != series_y.timestamps:
-        raise ValueError("series are not aligned on the same timestamps")
-    return LossPairSample(xs=series_x.losses, ys=series_y.losses)
+    xs, ys = (-np.diff(np.log([table[d] for d in common])) for table in (table_x, table_y))
+    return tuple(common[1:]), LossPairSample(xs=xs, ys=ys)
 
 
 def estimate_with_k_values(
@@ -176,33 +134,29 @@ def estimate_with_k_values(
 
 
 def rolling_estimates(
-    series_x: ReturnSeries, series_y: ReturnSeries, plan: RollingPlan
-) -> list[RollingRow]:
-    """Re-estimate on every window of the aligned losses.
+    dates: Sequence[datetime.date], sample: LossPairSample, plan: RollingPlan
+) -> list[tuple[datetime.date, RiskEstimates | ValueError]]:
+    """Re-estimate on every window of the losses.
 
-    Windows end at loss indices window, window+step, ... T; each row is
-    stamped with the date of its last loss.  There are
-    floor((T - window)/step) + 1 rows at full coverage.
+    ``dates[i]`` is the date loss i ends on.  Windows end at loss indices
+    window, window+step, ... n; each yields (the date of its last loss, its
+    estimates or the error that stopped them).  There are
+    floor((n - window)/step) + 1 windows.
     """
-    if series_x.timestamps != series_y.timestamps:
-        raise ValueError("series are not aligned on the same timestamps")
-    losses_x, losses_y = series_x.losses, series_y.losses
-    total = losses_x.size
-    if plan.window > total:
-        raise ValueError(f"window {plan.window} exceeds loss series length {total}")
+    if len(dates) != sample.n:
+        raise ValueError(f"{len(dates)} dates for {sample.n} losses")
+    if plan.window > sample.n:
+        raise ValueError(f"window {plan.window} exceeds loss series length {sample.n}")
     ks = k_values(plan.k)
-    rows: list[RollingRow] = []
-    for end in range(plan.window, total + 1, plan.step):
-        stamp = series_x.timestamps[end]
-        sample = LossPairSample(
-            xs=losses_x[end - plan.window : end], ys=losses_y[end - plan.window : end]
+    rows = []
+    for end in range(plan.window, sample.n + 1, plan.step):
+        window = LossPairSample(
+            xs=sample.xs[end - plan.window : end], ys=sample.ys[end - plan.window : end]
         )
         try:
-            estimates = estimate_with_k_values(sample, ks, plan.tau_prime)
+            rows.append((dates[end - 1], estimate_with_k_values(window, ks, plan.tau_prime)))
         except ValueError as exc:
-            rows.append(RollingRow(timestamp=stamp, estimates=None, reason=str(exc)))
-            continue
-        rows.append(RollingRow(timestamp=stamp, estimates=estimates, reason=None))
+            rows.append((dates[end - 1], exc))
     return rows
 
 

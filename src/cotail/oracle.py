@@ -93,10 +93,12 @@ def _cauchy_quadrant(a: float, b: float) -> float:
 
 def _student_joint_survival(spec: ModelSpec, a: float, b: float) -> float:
     """P(|T1| >= a, |T2| >= b), a, b > 0, for the correlated bivariate t pair."""
+    # epsabs 0: the CoVaR root compares this with (1 - tau)^2, as small as
+    # 1e-8 at the study's levels, where any absolute floor would dominate
     value, err = integrate.quad(
-        _student_integrand(spec, a, b), 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200
+        _student_integrand(spec, a, b), 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200
     )
-    if not math.isfinite(value) or err > max(1e-10, 1e-6 * abs(value)):
+    if not math.isfinite(value) or err > 1e-6 * abs(value):
         raise ValueError(f"StudentT survival quadrature did not converge (err={err:g})")
     return 2.0 * value
 

@@ -6,7 +6,7 @@ import pytest
 
 from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
-from cotail.data_io import estimate_with_k_values, load_pair_series, loss_pair
+from cotail.data_io import estimate_with_k_values, load_pair_series
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
 
@@ -64,7 +64,7 @@ def test_estimate_text_output(price_files, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines[: len(RECORD_KEYS)]] == list(RECORD_KEYS)
-    sample = loss_pair(*load_pair_series(price_files["x"], price_files["y"]))
+    _, sample = load_pair_series(price_files["x"], price_files["y"])
     expected = estimate_with_k_values(sample, (60,), 0.99).to_record()
     for line in lines[: len(RECORD_KEYS)]:
         key, value = line.split("\t")
@@ -77,7 +77,7 @@ def test_estimate_json_output(price_files, capsys):
     assert rc == 0
     record = json.loads(capsys.readouterr().out)
     assert set(record) == set(RECORD_KEYS) | {"warnings"}
-    sample = loss_pair(*load_pair_series(price_files["x"], price_files["y"]))
+    _, sample = load_pair_series(price_files["x"], price_files["y"])
     expected = estimate_with_k_values(sample, tuple(range(50, 71)), 0.99).to_record()
     for key in RECORD_KEYS:
         assert record[key] == pytest.approx(expected[key], rel=1e-12)

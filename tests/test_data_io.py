@@ -8,13 +8,11 @@ import cotail.data_io
 from cotail.core import LossPairSample, build_margin_index
 from cotail.covar_coes import RECORD_KEYS, estimate_all
 from cotail.data_io import (
-    ReturnSeries,
     RollingPlan,
     diagnostics_export,
     estimate_with_k_values,
     k_values,
     load_pair_series,
-    loss_pair,
     rolling_estimates,
 )
 from cotail.empirical import hill_curve
@@ -35,32 +33,6 @@ def _model_prices(seed, n, scale=0.01):
     pair = sample_model(make_spec("Cauchy"), n, np.random.default_rng(seed))
     to_prices = lambda losses: 100.0 * np.exp(-np.concatenate([[0.0], np.cumsum(scale * losses)]))
     return to_prices(pair.xs), to_prices(pair.ys)
-
-
-class TestReturnSeries:
-    def test_loss_construction(self):
-        series = ReturnSeries(timestamps=_dates(2), prices=[100.0, 90.4837])
-        assert series.losses[0] == pytest.approx(0.1000, abs=1e-5)
-
-    def test_constant_prices_zero_losses(self):
-        series = ReturnSeries(timestamps=_dates(5), prices=[42.0] * 5)
-        assert np.all(series.losses == 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReturnSeries(timestamps=_dates(1), prices=[100.0])
-        with pytest.raises(ValueError, match="prices must be positive"):
-            ReturnSeries(timestamps=_dates(2), prices=[100.0, 0.0])
-        with pytest.raises(ValueError):
-            ReturnSeries(timestamps=_dates(3), prices=[100.0, 101.0])
-        backwards = [datetime.date(2015, 1, 2), datetime.date(2015, 1, 1)]
-        with pytest.raises(ValueError, match="increasing"):
-            ReturnSeries(timestamps=backwards, prices=[100.0, 101.0])
-
-    @pytest.mark.parametrize("price", [math.inf, math.nan])
-    def test_non_finite_price_rejected(self, price):
-        with pytest.raises(ValueError, match=f"non-finite price {price}"):
-            ReturnSeries(timestamps=_dates(3), prices=[1.0, price, 2.0])
 
 
 class TestRollingPlan:
@@ -112,14 +84,30 @@ class TestLoader:
         _write_csv(tmp_path / "x.csv", days, [100.0, 110.0, 105.0, 120.0])
         # y is missing the third date, so x's 105.0 never enters a return
         _write_csv(tmp_path / "y.csv", [days[0], days[1], days[3]], [50.0, 55.0, 60.0])
-        series_x, series_y = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
-        assert series_x.timestamps == (days[0], days[1], days[3])
-        assert series_x.losses == pytest.approx(
+        dates, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+        # each loss is stamped with the date its return ends on
+        assert dates == (days[1], days[3])
+        assert sample.xs == pytest.approx(
             [-math.log(110.0 / 100.0), -math.log(120.0 / 110.0)]
         )
-        assert series_y.losses == pytest.approx(
+        assert sample.ys == pytest.approx(
             [-math.log(55.0 / 50.0), -math.log(60.0 / 55.0)]
         )
+
+    def test_loss_construction(self, tmp_path):
+        _write_csv(tmp_path / "x.csv", _dates(2), [100.0, 90.4837])
+        _write_csv(tmp_path / "y.csv", _dates(2), [50.0, 51.0])
+        _, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+        assert sample.xs[0] == pytest.approx(0.1000, abs=1e-5)
+        assert np.array_equal(sample.xs, -np.diff(np.log([100.0, 90.4837])))
+
+    def test_constant_prices_zero_losses(self, tmp_path):
+        for name in ("x.csv", "y.csv"):
+            _write_csv(tmp_path / name, _dates(5), [42.0] * 5)
+        dates, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+        assert len(dates) == sample.n == 4
+        assert np.all(sample.xs == 0.0)
+        assert np.all(sample.ys == 0.0)
 
     def test_header_tolerance_and_blank_lines(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -127,15 +115,15 @@ class TestLoader:
             " Date , Price \n2015-01-05,100\n\n2015-01-06,101\n", encoding="utf-8"
         )
         _write_csv(tmp_path / "y.csv", _dates(2), [50.0, 51.0])
-        series_x, _ = load_pair_series(path, tmp_path / "y.csv")
-        assert series_x.prices.tolist() == [100.0, 101.0]
+        _, sample = load_pair_series(path, tmp_path / "y.csv")
+        assert np.array_equal(sample.xs, -np.diff(np.log([100.0, 101.0])))
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("\ufeffdate,price\n2015-01-05,100\n2015-01-06,101\n", encoding="utf-8")
         _write_csv(tmp_path / "y.csv", _dates(2), [50.0, 51.0])
-        series_x, _ = load_pair_series(path, tmp_path / "y.csv")
-        assert series_x.prices.tolist() == [100.0, 101.0]
+        _, sample = load_pair_series(path, tmp_path / "y.csv")
+        assert np.array_equal(sample.xs, -np.diff(np.log([100.0, 101.0])))
 
     @pytest.mark.parametrize(
         "body,fragment",
@@ -144,6 +132,7 @@ class TestLoader:
             ("date,price\n2015-01-05,100,extra\n", "expected 2 fields"),
             ("date,price\n2015-13-40,100\n", ":2:"),
             ("date,price\n2015-01-05,-100\n", "non-positive"),
+            ("date,price\n2015-01-05,0\n", "non-positive price 0"),
             ("date,price\n2015-01-05,inf\n", "non-finite price inf"),
             ("date,price\n2015-01-05,nan\n", "non-finite price nan"),
             ("date,price\n2015-01-05,100\n2015-01-05,101\n", "duplicate"),
@@ -167,14 +156,6 @@ class TestLoader:
         with pytest.raises(ValueError, match="at least 2 overlapping"):
             load_pair_series(tmp_path / "z.csv", tmp_path / "w.csv")
 
-    def test_loss_pair_requires_alignment(self):
-        series_a = ReturnSeries(timestamps=_dates(3), prices=[1.0, 2.0, 3.0])
-        series_b = ReturnSeries(
-            timestamps=_dates(3, start=datetime.date(2016, 1, 1)), prices=[1.0, 2.0, 3.0]
-        )
-        with pytest.raises(ValueError, match="aligned"):
-            loss_pair(series_a, series_b)
-
     def test_date_shift_leaves_estimates_unchanged(self, tmp_path):
         prices_x, prices_y = _model_prices(seed=2027, n=400)
         days = _dates(401)
@@ -182,8 +163,8 @@ class TestLoader:
         for tag, stamps in [("a", days), ("b", shifted)]:
             _write_csv(tmp_path / f"x{tag}.csv", stamps, prices_x)
             _write_csv(tmp_path / f"y{tag}.csv", stamps, prices_y)
-        pair_a = loss_pair(*load_pair_series(tmp_path / "xa.csv", tmp_path / "ya.csv"))
-        pair_b = loss_pair(*load_pair_series(tmp_path / "xb.csv", tmp_path / "yb.csv"))
+        _, pair_a = load_pair_series(tmp_path / "xa.csv", tmp_path / "ya.csv")
+        _, pair_b = load_pair_series(tmp_path / "xb.csv", tmp_path / "yb.csv")
         assert np.array_equal(pair_a.xs, pair_b.xs)
         assert np.array_equal(pair_a.ys, pair_b.ys)
         record_a = estimate_all(pair_a, 60, 0.99).to_record()
@@ -246,39 +227,31 @@ class TestAveraging:
 
 class TestRolling:
     def test_window_count_long_series(self):
-        """3821 losses, window 1000, step 1 -> 2822 windows, stamped by last loss."""
+        """3821 losses, window 1000, step 1 -> 2822 windows, dated by last loss."""
         losses = np.where(np.arange(3821) % 20 == 0, 0.1, -0.005)
-        prices = 100.0 * np.exp(-np.concatenate([[0.0], np.cumsum(losses)]))
-        stamps = _dates(3822)
-        series = ReturnSeries(timestamps=stamps, prices=prices)
-        rows = rolling_estimates(series, series, RollingPlan(window=1000, k=80, tau_prime=0.99))
-        assert len(rows) == 2822
-        assert rows[0].timestamp == stamps[1000]
-        assert rows[-1].timestamp == stamps[3821]
-        # mostly-negative losses leave a non-positive Hill threshold everywhere
-        assert all(row.estimates is None for row in rows)
-        assert all(row.reason for row in rows)
-
-    def _small_series(self):
-        prices_x, prices_y = _model_prices(seed=515, n=60)
-        days = _dates(61)
-        return (
-            ReturnSeries(timestamps=days, prices=prices_x),
-            ReturnSeries(timestamps=days, prices=prices_y),
+        dates = _dates(3821)
+        rows = rolling_estimates(
+            dates, LossPairSample(xs=losses, ys=losses), RollingPlan(window=1000, k=80, tau_prime=0.99)
         )
+        assert len(rows) == 2822
+        assert rows[0][0] == dates[999]
+        assert rows[-1][0] == dates[3820]
+        # mostly-negative losses leave a non-positive Hill threshold everywhere
+        assert all(isinstance(outcome, ValueError) and str(outcome) for _, outcome in rows)
+
+    def _small_sample(self):
+        return _dates(60), sample_model(make_spec("Cauchy"), 60, np.random.default_rng(515))
 
     def test_whole_sample_window(self):
-        series_x, series_y = self._small_series()
-        rows = rolling_estimates(series_x, series_y, RollingPlan(window=60, k=12, tau_prime=0.95))
+        dates, sample = self._small_sample()
+        rows = rolling_estimates(dates, sample, RollingPlan(window=60, k=12, tau_prime=0.95))
         assert len(rows) == 1
-        whole = estimate_all(loss_pair(series_x, series_y), 12, 0.95)
-        assert rows[0].estimates.to_record() == whole.to_record()
+        whole = estimate_all(sample, 12, 0.95)
+        assert rows[0][1].to_record() == whole.to_record()
 
     def test_step_larger_than_remainder(self):
-        series_x, series_y = self._small_series()
-        rows = rolling_estimates(
-            series_x, series_y, RollingPlan(window=40, k=10, tau_prime=0.95, step=60)
-        )
+        dates, sample = self._small_sample()
+        rows = rolling_estimates(dates, sample, RollingPlan(window=40, k=10, tau_prime=0.95, step=60))
         assert len(rows) == 1
 
     def test_window_count_property(self):
@@ -287,15 +260,41 @@ class TestRolling:
             total = int(rng.integers(30, 200))
             window = int(rng.integers(5, total + 1))
             step = int(rng.integers(1, 18))
-            series = ReturnSeries(timestamps=_dates(total + 1), prices=[100.0] * (total + 1))
+            zeros = np.zeros(total)
             plan = RollingPlan(window=window, k=2, tau_prime=0.9, step=step)
-            rows = rolling_estimates(series, series, plan)
+            rows = rolling_estimates(_dates(total), LossPairSample(xs=zeros, ys=zeros), plan)
             assert len(rows) == (total - window) // step + 1
 
     def test_window_exceeding_series_rejected(self):
-        series = ReturnSeries(timestamps=_dates(11), prices=[100.0] * 11)
+        zeros = np.zeros(10)
         with pytest.raises(ValueError, match="exceeds"):
-            rolling_estimates(series, series, RollingPlan(window=11, k=2, tau_prime=0.9))
+            rolling_estimates(
+                _dates(10), LossPairSample(xs=zeros, ys=zeros), RollingPlan(window=11, k=2, tau_prime=0.9)
+            )
+
+    def test_date_count_must_match_losses(self):
+        zeros = np.zeros(10)
+        with pytest.raises(ValueError, match="9 dates for 10 losses"):
+            rolling_estimates(
+                _dates(9), LossPairSample(xs=zeros, ys=zeros), RollingPlan(window=5, k=2, tau_prime=0.9)
+            )
+
+    def test_rows_are_dated_by_their_last_loss(self, tmp_path):
+        prices_x, prices_y = _model_prices(seed=99, n=80)
+        days = _dates(81)
+        _write_csv(tmp_path / "x.csv", days, prices_x)
+        # y skips every seventh day, so a loss can span a gap in the dates
+        kept = [i for i in range(81) if i % 7 != 3]
+        _write_csv(tmp_path / "y.csv", [days[i] for i in kept], prices_y[kept])
+        dates, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+        plan = RollingPlan(window=30, k=8, tau_prime=0.95, step=7)
+        rows = rolling_estimates(dates, sample, plan)
+        ends = range(30, sample.n + 1, 7)
+        # a window's last loss ends on the common date after its first `end` losses
+        assert [date for date, _ in rows] == [days[kept[end]] for end in ends]
+        for (_, outcome), end in zip(rows, ends):
+            window = LossPairSample(xs=sample.xs[end - 30 : end], ys=sample.ys[end - 30 : end])
+            assert outcome.to_record() == estimate_with_k_values(window, [8], 0.95).to_record()
 
 
 class TestDiagnostics:
