@@ -46,6 +46,11 @@ def _cases() -> dict[str, list[str]]:
             "diagnose", *pair, "--kmin", "1", "--kmax", "200", "--taugrid", "0.95:0.99:5", "--out", "out",
         ]
         cases[f"rolling-{seed}"] = ["rolling", *pair, "--window", "1000", "--k", "60:80", "--tau", "0.999"]
+    # short windows, half of which fail at every k and print as gaps
+    cases["rolling-3-window-30-step-7"] = [
+        "rolling", "--x", "x3.csv", "--y", "y3.csv", "--window", "30", "--k", "10:25", "--tau", "0.999",
+        "--step", "7",
+    ]
     # two failures: a window longer than the 1250 losses, and a missing file
     cases["rolling-3-window-5000"] = [
         "rolling", "--x", "x3.csv", "--y", "y3.csv", "--window", "5000", "--k", "60:80", "--tau", "0.999",
