@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .data_io import (
     rolling_estimates,
     write_text,
 )
-from .harness import plan_from_record, run_grid
+from .harness import plan_from_record, run_experiment
 from .models import make_spec
 from .oracle import oracle_result
 
@@ -73,29 +73,40 @@ def _cmd_simulate(args) -> int:
             np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
         )
         plans.append(plan_from_record(record, default_seed=derived))
-    table_text, tables = run_grid(plans, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "table.txt", table_text)
+    runs = [(index, plan, run_experiment(plan, workers=args.workers)) for index, plan in enumerate(plans)]
+    # consecutive plans sharing (n, k, tau', N) form one block with a row per model
+    header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
+    blocks = []
+    for (n, k, tau_prime, replications), group in groupby(
+        runs, key=lambda run: (run[1].n, run[1].k, run[1].tau_prime, run[1].replications)
+    ):
+        lines = [f"n={n}  k={k}  tau'={tau_prime:g}  N={replications}", header]
+        for _, plan, table in group:
+            cells = (f"{table.msre[name]:9.5f}" for name in ESTIMATOR_NAMES)
+            lines.append("  ".join([plan.spec.family.ljust(10), *cells, str(table.failure_count).rjust(6)]))
+        blocks.append("\n".join(lines) + "\n")
+    table_text = "\n".join(blocks)
 
-    runs = list(enumerate(zip(plans, tables)))
     msre_rows = [
         ("plan", "family", "n", "k", "tau_prime", "replications", *ESTIMATOR_NAMES, "failures")
     ] + [
         (index, plan.spec.family, plan.n, plan.k, plan.tau_prime, plan.replications,
          *(table.msre[name] for name in ESTIMATOR_NAMES), table.failure_count)
-        for index, (plan, table) in runs
+        for index, plan, table in runs
     ]
     # a stream, not a list: ratios.tsv has a row per replication and estimator
     ratio_rows = chain(
         [("plan", "family", "estimator", "ratio")],
         (
             (index, plan.spec.family, name, ratio)
-            for index, (plan, table) in runs
+            for index, plan, table in runs
             for name in ESTIMATOR_NAMES
             for ratio in table.ratios[name]
         ),
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_text(out / "table.txt", table_text)
     write_text(out / "msre.tsv", format_tsv(msre_rows))
     write_text(out / "ratios.tsv", format_tsv(ratio_rows))
     print(table_text, end="")

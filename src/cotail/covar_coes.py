@@ -157,10 +157,11 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     read the top k_max + 2 of each margin and no deeper, so each margin is
     sorted to that depth only (``build_margin_index``).  A wide range is
     cut into blocks of k whose rank matrix stays below ``_MATRIX_CELLS``
-    entries; no result depends on the blocks.  A k fails, in this order,
-    when it is invalid, when X_(n-k,n) is not positive, when gamma1 lies
-    outside (0, 1) (the variant 1-3 extrapolations are undefined) or when
-    eta-hat is not attained; its failure is recorded, not raised.
+    entries; no result depends on the blocks.  An n below 2 or a tau'
+    outside (0, 1) raises once.  A k fails, in this order, when it is
+    invalid, when X_(n-k,n) is not positive, when gamma1 lies outside
+    (0, 1) (the variant 1-3 extrapolations are undefined) or when eta-hat
+    is not attained; its failure is recorded, not raised.
     """
     ks = np.asarray(ks)
     if ks.ndim != 1 or ks.size == 0:
@@ -168,6 +169,7 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k values must be integers, got {ks.tolist()}")
     n = sample.n
+    check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
     ks = ks.tolist()
     errors: list = [None] * len(ks)
     ms = [0] * len(ks)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -135,15 +134,16 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(task, streams))
 
-    estimates: dict[str, list[float]] = {name: [] for name in ESTIMATOR_NAMES}
+    truths = {name: truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES}
+    ratios: dict[str, list[float]] = {name: [] for name in ESTIMATOR_NAMES}
     warning_counts: dict[str, int] = {}
     failure_count = 0
     for outcome in outcomes:
         if isinstance(outcome, ValueError):
             failure_count += 1
             continue
-        for name in ESTIMATOR_NAMES:
-            estimates[name].append(getattr(outcome, name))
+        for name, values in ratios.items():
+            values.append(getattr(outcome, name) / truths[name])
         for warning in outcome.warnings:
             warning_counts[warning.code] = warning_counts.get(warning.code, 0) + 1
     if failure_count == plan.replications:
@@ -151,42 +151,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
             f"all {plan.replications} replications failed for {plan.spec.family} "
             f"(n={plan.n}, k={plan.k})"
         )
-    ratios = {}
-    for name in ESTIMATOR_NAMES:
-        truth_value = truth.covar if name.startswith("covar") else truth.coes
-        ratios[name] = tuple(value / truth_value for value in estimates[name])
     return MsreTable(
-        msre={name: msre(ratios[name], 1.0) for name in ESTIMATOR_NAMES},
+        msre={name: msre(values, 1.0) for name, values in ratios.items()},
         failure_count=failure_count,
         warning_counts=warning_counts,
-        ratios=ratios,
+        ratios={name: tuple(values) for name, values in ratios.items()},
     )
-
-
-def run_grid(
-    plans: Sequence[ExperimentPlan], workers: int = 1
-) -> tuple[str, list[MsreTable]]:
-    """Run a sequence of plans and format the MSREs as grouped text blocks.
-
-    Consecutive plans sharing (n, k, tau', N) form one block with a row per
-    model.  Returns the formatted table and the underlying MsreTables in
-    plan order.
-    """
-    if not plans:
-        raise ValueError("need at least one plan")
-    tables = [run_experiment(plan, workers=workers) for plan in plans]
-    lines: list[str] = []
-    header = ["model".ljust(10)] + [name.rjust(9) for name in ESTIMATOR_NAMES] + ["fail".rjust(6)]
-    paired = list(zip(plans, tables))
-    for key, group in groupby(paired, key=lambda pt: (pt[0].n, pt[0].k, pt[0].tau_prime, pt[0].replications)):
-        n, k, tau_prime, replications = key
-        if lines:
-            lines.append("")
-        lines.append(f"n={n}  k={k}  tau'={tau_prime:g}  N={replications}")
-        lines.append("  ".join(header))
-        for plan, table in group:
-            row = [plan.spec.family.ljust(10)]
-            row += [f"{table.msre[name]:9.5f}" for name in ESTIMATOR_NAMES]
-            row.append(str(table.failure_count).rjust(6))
-            lines.append("  ".join(row))
-    return "\n".join(lines) + "\n", tables

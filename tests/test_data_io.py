@@ -406,3 +406,16 @@ class TestDiagnostics:
             diagnostics_export(sample, [], [0.9], tmp_path)
         with pytest.raises(ValueError, match="empty tau"):
             diagnostics_export(sample, [10], [], tmp_path)
+
+
+def test_k_independent_errors_are_raised_once():
+    # n and tau' do not depend on k: one error, not one per k of the range
+    one_pair = LossPairSample(xs=[1.0], ys=[2.0])
+    with pytest.raises(ValueError) as excinfo:
+        estimate_with_k_values(one_pair, range(1, 4), 0.99)
+    assert str(excinfo.value) == "sample size must be >= 2, got n=1"
+    sample = sample_model(make_spec("Cauchy"), 100, np.random.default_rng(3))
+    # a bad tau' is reported before a bad k
+    with pytest.raises(ValueError) as excinfo:
+        estimate_all(sample, 0, 1.5)
+    assert str(excinfo.value) == "tau_prime must lie in (0, 1), got 1.5"

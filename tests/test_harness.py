@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cotail.covar_coes import ESTIMATOR_NAMES
-from cotail.harness import ExperimentPlan, msre, plan_from_record, run_experiment, run_grid
+from cotail.harness import ExperimentPlan, msre, plan_from_record, run_experiment
 from cotail.models import make_spec
 
 
@@ -150,48 +150,6 @@ def test_msre_grows_with_target_level():
         if tables[0].msre[name] <= tables[1].msre[name] <= tables[2].msre[name]
     )
     assert monotone >= 5
-
-
-def test_run_grid_single_plan():
-    text, tables = run_grid([_plan(replications=3, seed=11)])
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("n=200")
-    for name in ESTIMATOR_NAMES:
-        assert name in lines[1]
-    assert "fail" in lines[1]
-    assert lines[2].startswith("Cauchy")
-    assert len(tables) == 1
-
-
-def test_run_grid_duplicate_plan_rows_identical():
-    plan = _plan(replications=3, seed=11)
-    text, tables = run_grid([plan, plan])
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert lines[2] == lines[3]
-    assert tables[0].msre == tables[1].msre
-
-
-def test_run_grid_groups_by_geometry():
-    plans = [
-        _plan("Cauchy", replications=3, seed=11),
-        _plan("Pareto2", replications=3, seed=12),
-        _plan("Cauchy", n=400, k=60, replications=3, seed=13),
-    ]
-    text, _ = run_grid(plans)
-    lines = text.splitlines()
-    # one block with two model rows, a blank separator, then the second block
-    assert lines[2].startswith("Cauchy")
-    assert lines[3].startswith("Pareto2")
-    assert lines[4] == ""
-    assert lines[5].startswith("n=400")
-
-
-def test_run_grid_rejects_empty():
-    with pytest.raises(ValueError):
-        run_grid([])
 
 
 @pytest.mark.parametrize("workers", [0, -3])

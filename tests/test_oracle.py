@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cotail.oracle
+from cotail.cli import main
 from cotail.models import (
     FAMILIES,
     make_spec,
@@ -273,3 +274,65 @@ def test_oracle_result_reads_the_memo(monkeypatch):
     monkeypatch.setattr(cotail.oracle, "joint_survival", counting)
     assert oracle_result(spec, 0.985) is result
     assert calls == []
+
+
+def _oracle_error(spec, tau) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        oracle_result(spec, tau)
+    return str(excinfo.value)
+
+
+@pytest.fixture
+def tail_quad(monkeypatch):
+    """Make the tail integral's full_output quadrature return a given result;
+    every other quadrature is the real one, and the memo starts empty."""
+    monkeypatch.setattr(cotail.oracle, "_CACHE", {})
+    real = cotail.oracle.integrate.quad
+
+    def patch(*result):
+        def quad(*args, **kwargs):
+            return result if kwargs.get("full_output") else real(*args, **kwargs)
+
+        monkeypatch.setattr(cotail.oracle.integrate, "quad", quad)
+
+    return patch
+
+
+def test_student_survival_nonconvergence_is_an_error(monkeypatch):
+    monkeypatch.setattr(cotail.oracle.integrate, "quad", lambda *args, **kwargs: (0.25, 1.0))
+    with pytest.raises(ValueError) as excinfo:
+        joint_survival(make_spec("StudentT"), 2.0, 1.0)
+    assert str(excinfo.value) == "StudentT survival quadrature did not converge (err=1)"
+
+
+def test_unbracketed_covar_root_is_an_error(monkeypatch):
+    # a survival that never falls below (1 - tau)^2 leaves no sign change
+    monkeypatch.setattr(cotail.oracle, "_CACHE", {})
+    monkeypatch.setattr(cotail.oracle, "joint_survival", lambda spec, s, t: 1.0)
+    assert _oracle_error(make_spec("Pareto2"), 0.99) == "failed to bracket the CoVaR root"
+
+
+def test_tail_quadrature_message_is_an_error(tail_quad):
+    tail_quad(1.0, 0.5, {}, "The maximum number of subdivisions (200) has been achieved.\n  More.")
+    assert _oracle_error(make_spec("Cauchy"), 0.99) == (
+        "CoES tail quadrature did not converge: "
+        "The maximum number of subdivisions (200) has been achieved."
+    )
+
+
+def test_non_finite_tail_quadrature_is_an_error(tail_quad):
+    tail_quad(math.inf, 0.0, {})
+    assert _oracle_error(make_spec("Pareto2"), 0.99) == (
+        "CoES tail quadrature did not converge: non-finite value"
+    )
+
+
+def test_survival_below_target_at_var_x_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(cotail.oracle, "_CACHE", {})
+    monkeypatch.setattr(cotail.oracle, "joint_survival", lambda spec, s, t: 0.0)
+    var_x, _ = marginal_quantiles(make_spec("Cauchy"), 0.99)
+    expected = f"no root at or above VaR_X: survival at {var_x:g} already below (1-tau)^2"
+    assert _oracle_error(make_spec("Cauchy"), 0.99) == expected
+    assert main(["oracle", "--model", "Cauchy", "--tau", "0.99"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {expected}\n")
