@@ -130,43 +130,6 @@ def test_simulate_accepts_plans_key_and_seed_matters(tmp_path, capsys):
     assert (out_list / "msre.tsv").read_bytes() != (out_other / "msre.tsv").read_bytes()
 
 
-def test_simulate_table_blocks(tmp_path, capsys):
-    def table_lines(records):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(records), encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["simulate", "--plan", str(plan_path), "--seed", "1", "--out", str(out)]) == 0
-        capsys.readouterr()
-        return (out / "table.txt").read_text(encoding="utf-8").splitlines()
-
-    def record(family, n=200, k=40, seed=11):
-        return {"model": {"family": family}, "n": n, "k": k, "tau_prime": 0.99,
-                "replications": 3, "seed": seed}
-
-    # one plan: its geometry line, the header and one model row
-    lines = table_lines([record("Cauchy")])
-    assert len(lines) == 3
-    assert lines[0] == "n=200  k=40  tau'=0.99  N=3"
-    assert lines[1].split() == ["model", "covar1", "covar2", "covar3",
-                                "coes1", "coes2", "coes3", "coes4", "fail"]
-    assert lines[2].startswith("Cauchy")
-    # the same plan twice: two identical rows in one block
-    lines = table_lines([record("Cauchy")] * 2)
-    assert len(lines) == 4
-    assert lines[2] == lines[3]
-    # consecutive plans sharing (n, k, tau', N) share a block; a new geometry
-    # starts another after a blank line
-    lines = table_lines(
-        [record("Cauchy"), record("Pareto2", seed=12), record("Cauchy", n=400, k=60, seed=13)]
-    )
-    assert len(lines) == 8
-    assert [line.split()[0] for line in lines[2:4]] == ["Cauchy", "Pareto2"]
-    assert lines[4] == ""
-    assert lines[5] == "n=400  k=60  tau'=0.99  N=3"
-    assert lines[6] == lines[1]
-    assert lines[7].startswith("Cauchy")
-
-
 def test_estimate_reports_bad_tau_once(price_files, capsys):
     rc = main(["estimate", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
                "--k", "60:80", "--tau", "1.5"])

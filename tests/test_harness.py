@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from cotail.cli import main
 from cotail.covar_coes import ESTIMATOR_NAMES
 from cotail.harness import ExperimentPlan, msre, plan_from_record, run_experiment
 from cotail.models import make_spec
@@ -150,6 +153,55 @@ def test_msre_grows_with_target_level():
         if tables[0].msre[name] <= tables[1].msre[name] <= tables[2].msre[name]
     )
     assert monotone >= 5
+
+
+def _simulate(tmp_path, capsys, records):
+    """Run `cotail simulate` on plan records; return the lines of table.txt and msre.tsv."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(records), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--plan", str(plan_path), "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [(out / name).read_text(encoding="utf-8").splitlines() for name in ("table.txt", "msre.tsv")]
+
+
+def _record(family="Cauchy", n=200, k=40, seed=11):
+    return {"model": {"family": family}, "n": n, "k": k, "tau_prime": 0.99,
+            "replications": 3, "seed": seed}
+
+
+def test_run_grid_single_plan(tmp_path, capsys):
+    table, msre_rows = _simulate(tmp_path, capsys, [_record()])
+    # its geometry line, the header and one model row
+    assert len(table) == 3
+    assert table[0] == "n=200  k=40  tau'=0.99  N=3"
+    assert table[1].split() == ["model", *ESTIMATOR_NAMES, "fail"]
+    assert table[2].startswith("Cauchy")
+    assert len(msre_rows) == 2
+
+
+def test_run_grid_duplicate_plan_rows_identical(tmp_path, capsys):
+    table, msre_rows = _simulate(tmp_path, capsys, [_record()] * 2)
+    assert len(table) == 4
+    assert table[2] == table[3]
+    # the msre.tsv rows differ only in their plan index
+    first, second = (row.split("\t") for row in msre_rows[1:])
+    assert (first[0], second[0]) == ("0", "1")
+    assert first[1:] == second[1:]
+
+
+def test_run_grid_groups_by_geometry(tmp_path, capsys):
+    table, _ = _simulate(
+        tmp_path, capsys,
+        [_record("Cauchy"), _record("Pareto2", seed=12), _record("Cauchy", n=400, k=60, seed=13)],
+    )
+    # one block with two model rows, a blank separator, then the second block
+    assert len(table) == 8
+    assert [line.split()[0] for line in table[2:4]] == ["Cauchy", "Pareto2"]
+    assert table[4] == ""
+    assert table[5] == "n=400  k=60  tau'=0.99  N=3"
+    assert table[6] == table[1]
+    assert table[7].startswith("Cauchy")
 
 
 @pytest.mark.parametrize("workers", [0, -3])
