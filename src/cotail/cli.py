@@ -14,6 +14,7 @@ rerun with identical inputs and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain, groupby
@@ -39,23 +40,28 @@ from .oracle import oracle_result
 
 def _parse_k(text: str) -> int | tuple[int, int]:
     """A single k ("120") or an inclusive range ("80:100") as (80, 100)."""
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        return int(lo_text), int(hi_text)
-    return int(text)
+    try:
+        if ":" in text:
+            lo_text, hi_text = text.split(":")
+            return int(lo_text), int(hi_text)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--k takes an integer k or a range KMIN:KMAX, got {text!r}") from None
 
 
 def _parse_tau_grid(text: str) -> list[float]:
     """Comma-separated levels, or lo:hi:count for an even grid."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"tau grid {text!r} is not lo:hi:count")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("tau grid needs at least one point")
-        return [float(t) for t in np.linspace(lo, hi, count)]
-    return [float(piece) for piece in text.split(",") if piece.strip()]
+    try:
+        if ":" not in text:
+            return [float(piece) for piece in text.split(",") if piece.strip()]
+        lo, hi, count = text.split(":")
+        if int(count) >= 1:
+            return [float(t) for t in np.linspace(float(lo), float(hi), int(count))]
+    except ValueError:
+        pass
+    raise ValueError(
+        f"--taugrid takes comma-separated levels or lo:hi:count with an integer count >= 1, got {text!r}"
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -167,7 +173,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cotail`` parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="cotail",
         description="Extreme CoVaR/CoES estimation under tail dependence.",
@@ -219,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

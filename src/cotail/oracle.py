@@ -13,14 +13,16 @@ by Brent's method on a doubled bracket, and true CoES adds the tail integral
 For the closed-form families the tail integral is taken in s = c/u on
 u in (0, 1].  For StudentT it is E[(X - c)+; Y >= VaR_Y(tau)]: the
 survival's conditional quadrature over |T1| = z, weighted by
-z^x_exponent - c, so one quadrature rather than one per node.  It is finite
-for nu > 1/2 (gamma_1 = 1/(2 nu) < 1) and infinite for nu <= 1/2, where the
-oracle raises the tail error without integrating.  ``oracle_result``
-computes both, memoized per (model, tau): it is the one path to the truth.
+z^x_exponent - c, so one quadrature rather than one per node.  The tail is
+finite iff X's extreme value index gamma_1 < 1; at gamma_1 >= 1 (StudentT
+nu <= 1/2, Pareto2 theta <= 1/6) the oracle raises the tail error without
+integrating.  ``oracle_result`` computes both, memoized per (model, tau): it
+is the one path to the truth.  Within a cell no survival is evaluated twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Callable
@@ -154,19 +156,21 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
     quadrature over |T1| = z >= c^(1/x_exponent) weighted by z^x_exponent - c.
     The closed-form families integrate S itself in s = c/u, u in (0, 1].
     """
-    factor = 1.0
+    # gamma_1 = x_exponent / alpha, alpha the pre-transform margin's tail
+    # index; at gamma_1 >= 1 E[X; Y >= var_y] is infinite
+    alpha = {"Pareto2": spec.theta, "StudentT": spec.nu}.get(spec.family, 1.0)
+    if spec.x_exponent >= alpha:
+        raise ValueError(
+            "CoES tail quadrature did not converge: The integral is divergent "
+            f"({spec.family} gamma_1 = {spec.x_exponent / alpha:g} >= 1, CoES is infinite)"
+        )
     if spec.family == "StudentT":
-        if spec.nu <= 0.5:
-            # gamma_1 = 1/(2 nu) >= 1: E[X; Y >= var_y] is infinite
-            raise ValueError(
-                "CoES tail quadrature did not converge: The integral is divergent "
-                f"(StudentT nu = {spec.nu:g} <= 1/2, CoES is infinite)"
-            )
         factor = 2.0  # central symmetry, as in the survival
         integrand = _student_integrand(
             spec, c ** (1.0 / spec.x_exponent), var_y, lambda z: z**spec.x_exponent - c
         )
     else:
+        factor = 1.0
 
         def integrand(u: float) -> float:
             return joint_survival(spec, c / u, var_y) * c / (u * u)
@@ -192,7 +196,10 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     var_x, var_y = marginal_quantiles(spec, tau)
     target = (1.0 - tau) ** 2
-    s_lo = joint_survival(spec, var_x, var_y)
+    # one memo for the s_lo check, the doubling loop and brentq, which
+    # evaluates both bracket ends again: no survival is computed twice
+    survival = functools.cache(lambda c: joint_survival(spec, c, var_y))
+    s_lo = survival(var_x)
     if s_lo < target:
         # under exact independence the root sits at VaR_X itself and float
         # rounding can push the survival a hair below the target
@@ -202,9 +209,7 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
             )
         covar = var_x
     else:
-        covar = _root_above(
-            lambda c: joint_survival(spec, c, var_y) - target, var_x, 2.0 * var_x, "CoVaR"
-        )
+        covar = _root_above(lambda c: survival(c) - target, var_x, 2.0 * var_x, "CoVaR")
     tail, quad_err = _tail_integral(spec, covar, var_y)
     scale = (1.0 - tau) ** -2
     coes = covar + scale * tail

@@ -128,6 +128,18 @@ def test_oracle_matches_mpmath_audit(family, tau):
     assert abs(result.coes / coes - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("theta", [0.17, 0.2, 0.25])
+@pytest.mark.parametrize("tau", [0.95, 0.99, 0.999, 0.9999])
+def test_pareto2_heavy_tail_coes_within_reported_tolerance(theta, tau):
+    # gamma1 = 1/(6 theta) lies in (2/3, 1): the tail integral converges
+    # slowly, and the exact incomplete-beta reference bounds its error
+    spec = make_spec("Pareto2", theta=theta)
+    result = oracle_result(spec, tau)
+    level_ratio, coes = covar_coes_mp(spec, tau, result.covar)
+    assert abs(level_ratio - 1.0) <= 1e-8
+    assert abs(result.coes - coes) <= result.abs_tol
+
+
 @pytest.mark.parametrize("nu", [0.8, 0.7])
 @pytest.mark.parametrize("tau", [0.99, 0.999, 0.9999])
 def test_student_coes_below_unit_nu_matches_mpmath_audit(nu, tau):
@@ -196,14 +208,40 @@ def test_student_truth_is_pinned_bit_for_bit(nu, rho):
 
 @pytest.mark.parametrize("tau", [0.99, 0.999])
 def test_coes_tail_quadrature_failure_is_an_error(tau):
-    # gamma1 = 1/(2 nu) >= 1, so CoES is infinite; nu = 1/2 is the boundary,
+    # gamma1 >= 1, so CoES is infinite: gamma1 = 1/(2 nu) for StudentT and
+    # 1/(6 theta) for Pareto2; nu = 1/2 and theta = 1/6 are the boundaries,
     # where the divergence is only logarithmic
-    for nu in (0.45, 0.5):
+    specs = [make_spec("StudentT", nu=nu, rho=0.3) for nu in (0.45, 0.5)]
+    specs += [make_spec("Pareto2", theta=theta) for theta in (0.1, 1.0 / 6.0)]
+    for spec in specs:
         with pytest.raises(
             ValueError,
             match="CoES tail quadrature did not converge: The integral is divergent",
         ):
-            oracle_result(make_spec("StudentT", nu=nu, rho=0.3), tau)
+            oracle_result(spec, tau)
+
+
+def test_no_survival_is_evaluated_twice_in_a_cell(monkeypatch):
+    # brentq re-evaluates both bracket ends, and at StudentT (3, 0.8),
+    # tau = 0.95 and Pareto2 theta = 2 the root's lower end is VaR_X itself
+    calls = []
+    survival = cotail.oracle.joint_survival
+
+    def traced(spec, s, t):
+        calls.append((s, t))
+        return survival(spec, s, t)
+
+    monkeypatch.setattr(cotail.oracle, "joint_survival", traced)
+    monkeypatch.setattr(cotail.oracle, "_CACHE", {})
+    taus = (0.95, 0.99, 0.999, 0.9999)
+    cells = [(make_spec(family), tau) for family in FAMILIES for tau in taus]
+    cells += [(make_spec("StudentT", nu=3.0, rho=0.8), 0.95)]
+    cells += [(make_spec("Pareto2", theta=2.0), tau) for tau in taus]
+    for spec, tau in cells:
+        calls.clear()
+        oracle_result(spec, tau)
+        assert calls, (spec, tau)
+        assert len(set(calls)) == len(calls), (spec, tau)
 
 
 def test_logistic_has_no_quad_route():
