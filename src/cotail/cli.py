@@ -14,7 +14,6 @@ rerun with identical inputs and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from itertools import chain, groupby
@@ -173,9 +172,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``cotail`` parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="cotail",
         description="Extreme CoVaR/CoES estimation under tail dependence.",
@@ -227,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -73,6 +73,17 @@ class ModelSpec:
     def x_exponent(self) -> float:
         return _X_EXPONENT[self.family]
 
+    @property
+    def gamma_1(self) -> float:
+        """X's extreme value index: ``x_exponent`` over the tail index of the
+        pre-transform margin (1 for Logistic and Cauchy, theta for Pareto2,
+        nu for StudentT)."""
+        if self.family == "Pareto2":
+            return self.x_exponent / self.theta
+        if self.family == "StudentT":
+            return self.x_exponent / self.nu
+        return self.x_exponent
+
     @classmethod
     def from_record(cls, record: dict) -> "ModelSpec":
         """Build from a config mapping {family, theta?, nu?, rho?}."""

@@ -156,13 +156,11 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
     quadrature over |T1| = z >= c^(1/x_exponent) weighted by z^x_exponent - c.
     The closed-form families integrate S itself in s = c/u, u in (0, 1].
     """
-    # gamma_1 = x_exponent / alpha, alpha the pre-transform margin's tail
-    # index; at gamma_1 >= 1 E[X; Y >= var_y] is infinite
-    alpha = {"Pareto2": spec.theta, "StudentT": spec.nu}.get(spec.family, 1.0)
-    if spec.x_exponent >= alpha:
+    if spec.gamma_1 >= 1.0:
+        # E[X; Y >= var_y] is infinite
         raise ValueError(
             "CoES tail quadrature did not converge: The integral is divergent "
-            f"({spec.family} gamma_1 = {spec.x_exponent / alpha:g} >= 1, CoES is infinite)"
+            f"({spec.family} gamma_1 = {spec.gamma_1:g} >= 1, CoES is infinite)"
         )
     if spec.family == "StudentT":
         factor = 2.0  # central symmetry, as in the survival

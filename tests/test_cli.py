@@ -1,11 +1,10 @@
 import datetime
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotail.cli import _parse_k, _parse_tau_grid, build_parser, main
+from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
 from cotail.data_io import estimate_with_k_values, load_pair_series
 from cotail.models import make_spec, sample_model
@@ -272,35 +271,6 @@ def test_simulate_rejects_empty_plan(tmp_path, capsys):
         assert err.startswith("error: "), payload
         if field is not None:
             assert field in err, payload
-
-
-def test_repeated_main_builds_one_parser_and_keeps_no_state(capsys):
-    golden = Path(__file__).resolve().parent / "golden"
-    pair = ["--x", str(golden / "inputs" / "x3.csv"), "--y", str(golden / "inputs" / "y3.csv")]
-    estimate = ["estimate", *pair, "--k", "70", "--tau", "0.999"]
-
-    def expected(case):
-        return (golden / "expected" / case / "stdout").read_text(encoding="utf-8")
-
-    build_parser.cache_clear()
-    assert main(["oracle", "--model", "StudentT", "--nu", "0.8", "--rho", "0.1", "--tau", "0.99"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("StudentT\t0.99\t")
-    with pytest.raises(SystemExit) as usage:
-        main(["oracle", "--tau", "0.99"])
-    assert usage.value.code == 2
-    capsys.readouterr()
-    # --nu and --rho fall back to the defaults, not the previous call's values
-    assert main(["oracle", "--model", "StudentT", "--tau", "0.99"]) == 0
-    assert capsys.readouterr().out == expected("oracle-StudentT-0.99")
-    assert main([*estimate, "--json"]) == 0
-    assert capsys.readouterr().out == expected("estimate-3-k70-json")
-    with pytest.raises(SystemExit) as usage:
-        main(["estimate", "--k", "70"])
-    assert usage.value.code == 2
-    capsys.readouterr()
-    assert main(estimate) == 0
-    assert capsys.readouterr().out == expected("estimate-3-k70")
-    assert build_parser.cache_info().misses == 1
 
 
 def test_missing_subcommand_exits():
