@@ -119,8 +119,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    ks = k_values(_parse_k(args.k))
     _, sample = load_pair_series(args.x, args.y)
-    estimates = estimate_with_k_values(sample, k_values(_parse_k(args.k)), args.tau)
+    estimates = estimate_with_k_values(sample, ks, args.tau)
     if args.json:
         record = estimates.to_record()
         record["warnings"] = [
@@ -135,18 +136,17 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    k, tau_grid = _parse_k(args.k), _parse_tau_grid(args.taugrid)
     _, sample = load_pair_series(args.x, args.y)
-    paths = diagnostics_export(
-        sample, range(args.kmin, args.kmax + 1), _parse_tau_grid(args.taugrid), args.out
-    )
+    paths = diagnostics_export(sample, k, tau_grid, args.out)
     for name in ("hill", "tailprob", "r11"):
         print(paths[name])
     return 0
 
 
 def _cmd_rolling(args) -> int:
-    dates, sample = load_pair_series(args.x, args.y)
     plan = RollingPlan(window=args.window, k=_parse_k(args.k), tau_prime=args.tau, step=args.step)
+    dates, sample = load_pair_series(args.x, args.y)
     rows = [("date", *RECORD_KEYS, "note")]
     for date, outcome in rolling_estimates(dates, sample, plan):
         if isinstance(outcome, ValueError):
@@ -197,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="export diagnostic curves")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--kmin", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
     p.add_argument("--taugrid", required=True, help="comma list or lo:hi:count")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_diagnose)

@@ -86,20 +86,6 @@ class KRangeEstimates:
     n: int
     tau_prime: float
 
-    @property
-    def values(self) -> np.ndarray:
-        """The (K, 13) array of ``RECORD_KEYS`` columns, NaN where a k failed."""
-        failed = (np.nan,) * len(RECORD_KEYS)
-        return np.array([failed if row is None else row[0] for row in self.rows])
-
-    def estimates(self, row: int) -> RiskEstimates:
-        """Row ``row`` as ``estimate_all`` returns it, or its error raised."""
-        if self.errors[row] is not None:
-            raise self.errors[row]
-        values, flags, _ = self.rows[row]
-        warnings = tuple(self._warning(row, j) for j, fired in enumerate(flags) if fired)
-        return RiskEstimates(*values, warnings=warnings)
-
     def first_warnings(self) -> list[WarningRecord]:
         """Each warning code once, in the order a walk over the succeeded
         rows in k order meets it, with the message of its first row."""
@@ -244,7 +230,11 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
             eta-hat not attained (see ``estimate_k_range``).
         ValueError: an invalid k or tau_prime.
     """
-    return estimate_k_range(sample, (k,), tau_prime).estimates(0)
+    result = estimate_k_range(sample, (k,), tau_prime)
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    # with one row, each fired code is met once, in column order
+    return RiskEstimates(*result.rows[0][0], warnings=tuple(result.first_warnings()))
 
 
 def _intermediate(

@@ -176,20 +176,18 @@ def write_text(path, text: str) -> None:
 
 
 def diagnostics_export(
-    sample: LossPairSample, k_range: Sequence[int], tau_grid: Sequence[float], out_dir
+    sample: LossPairSample, k: int | tuple[int, int], tau_grid: Sequence[float], out_dir
 ) -> dict[str, Path]:
     """Write the three diagnostic curves as TSV files into ``out_dir``.
 
-    hill.tsv: Hill estimates of the X margin over k_range with normal-limit
-    90% bands gamma * (1 +/- 1.645 / sqrt(k)), lo clamped at 0 as gamma >= 0;
-    a k whose threshold X_(n-k,n) is not positive has empty cells and the
-    code ``threshold_not_positive`` in the trailing ``note`` column;
-    tailprob.tsv: empirical joint tail probability against (1 - tau)^2;
-    r11.tsv: both tail-copula estimates at (1, 1) over k_range.
+    hill.tsv: Hill estimates of the X margin over ``k_values(k)`` with
+    normal-limit 90% bands gamma * (1 +/- 1.645 / sqrt(k)), lo clamped at 0
+    as gamma >= 0; a k whose threshold X_(n-k,n) is not positive has empty
+    cells and the code ``threshold_not_positive`` in the trailing ``note``
+    column; tailprob.tsv: empirical joint tail probability against
+    (1 - tau)^2; r11.tsv: both tail-copula estimates at (1, 1) over the ks.
     """
-    ks = sorted({_whole_number(k, "k") for k in k_range})
-    if not ks:
-        raise ValueError("empty k range")
+    ks = k_values(k)
     taus = [float(t) for t in tau_grid]
     if not taus:
         raise ValueError("empty tau grid")
@@ -199,8 +197,7 @@ def diagnostics_export(
     x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
     gammas = hill_curve(x_index, ks[0], ks[-1])
     hill_rows = []
-    for k in ks:
-        gamma = float(gammas[k - ks[0]])
+    for k, gamma in zip(ks, gammas.tolist()):
         if math.isnan(gamma):
             hill_rows.append((k, "", "", "", "threshold_not_positive"))
         else:

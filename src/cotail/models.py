@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .core import LossPairSample
+
 FAMILIES = ("Logistic", "Cauchy", "Pareto2", "StudentT")
 
 _X_EXPONENT = {"Logistic": 1.0 / 3.0, "Cauchy": 1.0 / 3.0, "Pareto2": 1.0 / 6.0, "StudentT": 0.5}
@@ -121,7 +123,7 @@ def make_spec(
     return ModelSpec(family=family, **params)
 
 
-def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> "LossPairSample":
+def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> LossPairSample:
     """Draw n i.i.d. pairs from the model.
 
     The draw order per family is fixed (documented below), so a given
@@ -135,8 +137,6 @@ def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> "LossPair
     * StudentT: chi-square denominators (as gamma), then an (n, 2)
       standard-normal block.
     """
-    from .core import LossPairSample
-
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if spec.family == "Logistic":

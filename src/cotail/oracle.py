@@ -190,8 +190,6 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     var_x, var_y = marginal_quantiles(spec, tau)
     target = (1.0 - tau) ** 2
     # one memo for the s_lo check, the doubling loop and brentq, which

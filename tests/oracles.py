@@ -16,10 +16,9 @@ at the threshold.  The eta-hat scan imports the package's value expressions
 with the procedures bit-for-bit.  The joint tail probability is counted on
 values, against the rank-based diagnostic curve.
 
-The model references are definitions the tests hold the package to: the X
-margin's extreme value index (``gamma1_true``), the finite-level eta at the
-true CoVaR (``eta_true``) and its limit, the root of R(eta, 1) = 1 - tau
-(``eta_star``).
+The model references are definitions the tests hold the package to: the
+finite-level eta at the true CoVaR (``eta_true``) and its limit, the root of
+R(eta, 1) = 1 - tau (``eta_star``).
 
 ``selection_at`` is not an oracle: it is the package's own selection at one
 k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
@@ -68,21 +67,6 @@ def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> f
     else:
         hits = (ranks_x >= n + 0.5 - k * x) & (ranks_y >= n + 0.5 - k * y)
     return float(np.count_nonzero(hits) / k)
-
-
-def gamma1_true(spec: ModelSpec) -> float:
-    """Extreme value index of the model's X margin.
-
-    x_exponent times the index of the pre-transform margin: 1 for unit
-    Frechet and |Cauchy|, 1/theta for Pareto2, 1/nu for |t_nu|.
-    """
-    if spec.family in ("Logistic", "Cauchy"):
-        pre = 1.0
-    elif spec.family == "Pareto2":
-        pre = 1.0 / spec.theta
-    else:
-        pre = 1.0 / spec.nu
-    return spec.x_exponent * pre
 
 
 def eta_true(spec: ModelSpec, tau: float) -> float:

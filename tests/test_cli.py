@@ -47,6 +47,40 @@ def test_inverted_k_range_exits_with_error(command, price_files, capsys):
     assert capsys.readouterr().err.startswith("error: empty k range")
 
 
+_FLAG_TAILS = {
+    "estimate": ["--tau", "0.99"],
+    "rolling": ["--window", "300", "--tau", "0.99"],
+    "diagnose": ["--taugrid", "0.95", "--out", "d"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags, error",
+    [
+        *(pytest.param(command, ["--k", "60:"], "error: --k takes an integer k or a range KMIN:KMAX",
+                       id=f"{command}-k") for command in ("estimate", "rolling", "diagnose")),
+        pytest.param("rolling", ["--k", "60", "--step", "0"], "error: step must be >= 1, got 0",
+                     id="rolling-step"),
+        pytest.param("diagnose", ["--k", "60", "--taugrid", "0.9:x:5"], "error: --taugrid takes",
+                     id="diagnose-taugrid"),
+    ],
+)
+def test_malformed_flag_is_reported_before_a_missing_file(command, flags, error, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    # a later --taugrid overrides the default tail's
+    argv = [command, "--x", missing, "--y", missing, *_FLAG_TAILS[command], *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(error)
+
+
+def test_diagnose_takes_no_kmin_kmax(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["diagnose", "--x", "x.csv", "--y", "y.csv", "--kmin", "20", "--kmax", "60",
+              "--taugrid", "0.9", "--out", "d"])
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --k\n")
+
+
 def test_parse_tau_grid():
     assert _parse_tau_grid("0.9,0.95") == [0.9, 0.95]
     grid = _parse_tau_grid("0.9:0.99:4")
@@ -149,7 +183,7 @@ def test_estimate_reports_bad_tau_once(price_files, capsys):
 def test_diagnose_writes_three_files(tmp_path, price_files, capsys):
     out_dir = tmp_path / "diag"
     rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
-               "--kmin", "20", "--kmax", "60", "--taugrid", "0.9:0.99:4",
+               "--k", "20:60", "--taugrid", "0.9:0.99:4",
                "--out", str(out_dir)])
     assert rc == 0
     printed = capsys.readouterr().out.splitlines()
@@ -245,7 +279,7 @@ def test_oracle_quadrature_failure_exits_with_error(capsys):
 
 def test_diagnose_rejects_inverted_range(price_files, tmp_path, capsys):
     rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
-               "--kmin", "60", "--kmax", "20", "--taugrid", "0.9",
+               "--k", "60:20", "--taugrid", "0.9",
                "--out", str(tmp_path / "d")])
     assert rc == 1
     assert "empty k range" in capsys.readouterr().err
@@ -289,7 +323,7 @@ def test_simulate_rejects_workers_below_one(tmp_path, capsys):
 
 def test_diagnose_rejects_nan_tau(price_files, tmp_path, capsys):
     rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
-               "--kmin", "20", "--kmax", "30", "--taugrid", "nan",
+               "--k", "20:30", "--taugrid", "nan",
                "--out", str(tmp_path / "d")])
     assert rc == 1
     assert capsys.readouterr().err == "error: every tau must lie in (0, 1)\n"

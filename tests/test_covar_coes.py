@@ -70,7 +70,7 @@ def test_intermediate_covar_matches_scan():
         expected = intermediate_covar_scan(sample, k)
         assert selection_at(sample, k)[2] == expected
         if result.errors[0] is None:
-            assert result.estimates(0).covar_int == expected
+            assert result.rows[0][0][RECORD_KEYS.index("covar_int")] == expected
 
 
 def test_intermediate_coes_comonotone():
@@ -218,12 +218,11 @@ def test_k_range_rows_are_the_one_k_estimates():
     rng = np.random.default_rng(71)
     sample = sample_model(make_spec("StudentT"), 1000, rng)
     result = estimate_k_range(sample, range(55, 86), 0.999)
-    values = result.values
-    assert values.shape == (31, len(RECORD_KEYS))
     for i, k in enumerate(range(55, 86)):
-        one = estimate_all(sample, k, 0.999)
-        assert result.estimates(i) == one
-        assert tuple(values[i]) == tuple(one.to_record().values())
+        one = estimate_k_range(sample, [k], 0.999)
+        assert result.errors[i] is None and one.errors[0] is None
+        assert result.rows[i] == one.rows[0]
+        assert result.rows[i][0] == tuple(estimate_all(sample, k, 0.999).to_record().values())
 
 
 def test_k_range_blocks_change_no_row(monkeypatch):

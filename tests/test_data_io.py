@@ -57,7 +57,7 @@ def _plan(**fields):
 
 def _diagnosed_k(k, out_dir):
     values = np.arange(1.0, 101.0)
-    paths = diagnostics_export(LossPairSample(xs=values, ys=values), [k], [0.9], out_dir)
+    paths = diagnostics_export(LossPairSample(xs=values, ys=values), k, [0.9], out_dir)
     return int(paths["r11"].read_text(encoding="utf-8").splitlines()[1].split("\t")[0])
 
 
@@ -302,7 +302,7 @@ class TestDiagnostics:
         n = 200
         values = np.arange(1.0, n + 1.0)
         sample = LossPairSample(xs=values, ys=values)
-        paths = diagnostics_export(sample, range(10, 31), [0.9, 0.95, 0.99], tmp_path)
+        paths = diagnostics_export(sample, (10, 30), [0.9, 0.95, 0.99], tmp_path)
         assert set(paths) == {"hill", "tailprob", "r11"}
 
         hill_lines = paths["hill"].read_text(encoding="utf-8").splitlines()
@@ -335,7 +335,7 @@ class TestDiagnostics:
         # X_(n-k,n) = 19 - k, so Hill is defined for k <= 18 only
         values = np.arange(-20.0, 20.0)
         sample = LossPairSample(xs=values, ys=values)
-        paths = diagnostics_export(sample, range(2, 31), [0.9, 0.95], tmp_path)
+        paths = diagnostics_export(sample, (2, 30), [0.9, 0.95], tmp_path)
         margin = build_margin_index(values)
         rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()]
         assert rows[0] == ["k", "gamma", "lo", "hi", "note"]
@@ -352,7 +352,7 @@ class TestDiagnostics:
     def test_k_one_row_is_estimate_all_gamma(self, tmp_path):
         values = np.arange(1.0, 51.0)
         sample = LossPairSample(xs=values, ys=values)
-        paths = diagnostics_export(sample, [1, 2], [0.9], tmp_path)
+        paths = diagnostics_export(sample, (1, 2), [0.9], tmp_path)
         k, gamma = paths["hill"].read_text(encoding="utf-8").splitlines()[1].split("\t")[:2]
         assert (k, gamma) == ("1", f"{estimate_all(sample, 1, 0.99).gamma1:.10g}")
 
@@ -360,7 +360,7 @@ class TestDiagnostics:
         # 1.645 / sqrt(k) > 1 at k <= 2, so the unclamped lower end is negative
         values = np.arange(1.0, 51.0)
         sample = LossPairSample(xs=values, ys=values)
-        paths = diagnostics_export(sample, [1, 2, 3], [0.9], tmp_path)
+        paths = diagnostics_export(sample, (1, 3), [0.9], tmp_path)
         rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()[1:]]
         assert [(k, lo) for k, _, lo, _, _ in rows[:2]] == [("1", "0"), ("2", "0")]
         gamma = hill_curve(build_margin_index(values), 3, 3)[0]
@@ -371,7 +371,7 @@ class TestDiagnostics:
         n = 200
         values = np.arange(1.0, n + 1.0)
         sample = LossPairSample(xs=values, ys=values[::-1].copy())
-        paths = diagnostics_export(sample, range(10, 41), [0.95], tmp_path)
+        paths = diagnostics_export(sample, (10, 40), [0.95], tmp_path)
         for line in paths["r11"].read_text(encoding="utf-8").splitlines()[1:]:
             _, r1, r2 = line.split("\t")
             assert float(r1) == 0.0
@@ -387,13 +387,13 @@ class TestDiagnostics:
 
         monkeypatch.setattr(cotail.data_io, "build_margin_index", counting)
         sample = sample_model(make_spec("Cauchy"), 500, np.random.default_rng(3))
-        diagnostics_export(sample, range(20, 101), [0.9, 0.95, 0.99], tmp_path)
+        diagnostics_export(sample, (20, 100), [0.9, 0.95, 0.99], tmp_path)
         assert calls == [500, 500]
 
     def test_line_endings_are_unix(self, tmp_path):
         values = np.arange(1.0, 101.0)
         sample = LossPairSample(xs=values, ys=values)
-        paths = diagnostics_export(sample, [10, 20], [0.9], tmp_path)
+        paths = diagnostics_export(sample, (10, 20), [0.9], tmp_path)
         for path in paths.values():
             raw = path.read_bytes()
             assert b"\r" not in raw
@@ -403,9 +403,9 @@ class TestDiagnostics:
         values = np.arange(1.0, 101.0)
         sample = LossPairSample(xs=values, ys=values)
         with pytest.raises(ValueError, match="empty k range"):
-            diagnostics_export(sample, [], [0.9], tmp_path)
+            diagnostics_export(sample, (20, 10), [0.9], tmp_path)
         with pytest.raises(ValueError, match="empty tau"):
-            diagnostics_export(sample, [10], [], tmp_path)
+            diagnostics_export(sample, 10, [], tmp_path)
 
 
 def test_k_independent_errors_are_raised_once():

@@ -158,7 +158,7 @@ def test_hill_curve_bands(tmp_path):
     # the bands are written where the Hill plot is exported, to hill.tsv
     rng = np.random.default_rng(13)
     values = rng.pareto(2.0, size=200) + 1.0
-    paths = diagnostics_export(LossPairSample(xs=values, ys=values), range(5, 51), [0.9], tmp_path)
+    paths = diagnostics_export(LossPairSample(xs=values, ys=values), (5, 50), [0.9], tmp_path)
     rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()[1:]]
     ks = np.array([int(row[0]) for row in rows])
     gammas, lo, hi = (np.array([float(row[j]) for row in rows]) for j in (1, 2, 3))

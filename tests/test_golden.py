@@ -43,7 +43,7 @@ def _cases() -> dict[str, list[str]]:
             cases[name] = ["estimate", *pair, "--k", k, "--tau", "0.999"]
             cases[f"{name}-json"] = cases[name] + ["--json"]
         cases[f"diagnose-{seed}"] = [
-            "diagnose", *pair, "--kmin", "1", "--kmax", "200", "--taugrid", "0.95:0.99:5", "--out", "out",
+            "diagnose", *pair, "--k", "1:200", "--taugrid", "0.95:0.99:5", "--out", "out",
         ]
         cases[f"rolling-{seed}"] = ["rolling", *pair, "--window", "1000", "--k", "60:80", "--tau", "0.999"]
     # short windows, half of which fail at every k and print as gaps

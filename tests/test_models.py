@@ -14,7 +14,7 @@ from cotail.models import (
     sample_model,
     true_tail_copula,
 )
-from oracles import gamma1_true, r_hat
+from oracles import r_hat
 
 
 class TestModelSpec:
@@ -27,7 +27,7 @@ class TestModelSpec:
 
     def test_gamma1_is_one_third_at_defaults(self):
         for family in FAMILIES:
-            assert gamma1_true(make_spec(family)) == pytest.approx(1.0 / 3.0)
+            assert make_spec(family).gamma_1 == pytest.approx(1.0 / 3.0)
 
     def test_x_exponents(self):
         assert make_spec("Logistic").x_exponent == pytest.approx(1.0 / 3.0)

@@ -266,7 +266,7 @@ def test_oracle_result_memoized_and_tight():
 
 def test_invalid_tau_rejected():
     for tau in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^tau must lie in \(0, 1\), got {tau}$"):
             oracle_result(make_spec("Cauchy"), tau)
         with pytest.raises(ValueError):
             eta_star(make_spec("Cauchy"), tau)
