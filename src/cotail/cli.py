@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_tau_prime
 from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS
 from .data_io import (
     RollingPlan,
@@ -32,6 +33,7 @@ from .data_io import (
     rolling_estimates,
     write_text,
 )
+from .empirical import check_tau_grid
 from .harness import plan_from_record, run_experiment
 from .models import make_spec
 from .oracle import oracle_result
@@ -120,6 +122,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     ks = k_values(_parse_k(args.k))
+    check_tau_prime(args.tau)
     _, sample = load_pair_series(args.x, args.y)
     estimates = estimate_with_k_values(sample, ks, args.tau)
     if args.json:
@@ -137,6 +140,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     k, tau_grid = _parse_k(args.k), _parse_tau_grid(args.taugrid)
+    # the library's own checks, before any price file is read
+    k_values(k)
+    check_tau_grid(tau_grid)
     _, sample = load_pair_series(args.x, args.y)
     paths = diagnostics_export(sample, k, tau_grid, args.out)
     for name in ("hill", "tailprob", "r11"):

@@ -6,13 +6,16 @@ deterministic tie-break.  ``check_tail`` is the one check that an
 intermediate order ``k`` and an extrapolation level ``tau_prime`` are valid
 for a sample size ``n``; it returns the derived count ``m``.
 
-Each estimator call builds the margin indexes it reads, once per call,
-with ``build_margin_index``, the one sort path.  An index may order only
-the top of its margin (a tail index): the k-range estimators read the top
-k_max + 2 of each margin, while the diagnostics read full indexes.
-``MarginIndex.ranked`` is the one place the tie rule lives: the
-conditioning subsample of every tail estimator is the first k+1 (or k)
-entries of ``y_index.ranked(count)`` for any count > k.
+Each estimator call builds the margin indexes it reads, once per stack,
+with ``build_margin_index``, the one sort path.  A stack is a (B, n)
+sample (``LossPairSample`` with 2-D arrays) whose rows are estimated
+together, one set of numpy calls for all B; a 1-D sample is a stack of
+one.  An index may order only the top of its margin (a tail index): the
+k-range estimators read the top k_max + 2 of each margin, while the
+diagnostics read full indexes.  ``MarginIndex.ranked`` is the one place
+the tie rule lives: the conditioning subsample of every tail estimator is
+the first k+1 (or k) entries of ``y_index.ranked(count)`` for any
+count > k.
 """
 
 from __future__ import annotations
@@ -62,13 +65,16 @@ ESTIMATION_ERROR_CODES = ("threshold_not_positive", "hill_out_of_range", "eta_no
 
 @dataclass(frozen=True)
 class LossPairSample:
-    """Paired loss observations (X_i, Y_i).
+    """Paired loss observations (X_i, Y_i), or a stack of such samples.
 
     ``xs`` holds institution losses and ``ys`` system losses.  Both are
-    coerced to 1-D float arrays of equal nonzero length with only finite
-    entries.  A single pair is allowed (samplers may produce one); every
-    estimator additionally requires n >= k + 1 >= 2 via its own k check.
-    The stored arrays are read-only views: a sample is immutable.
+    coerced to float arrays of one shape with only finite entries: 1-D of
+    nonzero length n for one sample, or 2-D (B, n) for a stack of B >= 1
+    samples of n pairs each, one per row.  The estimators give each row of
+    a stack the result it would get alone.  A single pair is allowed
+    (samplers may produce one); every estimator additionally requires
+    n >= k + 1 >= 2 via its own k check.  The stored arrays are read-only
+    views: a sample is immutable.
     """
 
     xs: np.ndarray
@@ -77,13 +83,11 @@ class LossPairSample:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1:
-            raise ValueError("xs and ys must be one-dimensional")
-        if xs.shape[0] != ys.shape[0]:
-            raise ValueError(
-                f"xs and ys must have equal length, got {xs.shape[0]} and {ys.shape[0]}"
-            )
-        if xs.shape[0] < 1:
+        if xs.ndim not in (1, 2) or ys.ndim not in (1, 2):
+            raise ValueError("xs and ys must be one-dimensional, or two-dimensional stacks of samples")
+        if xs.shape != ys.shape:
+            raise ValueError(f"xs and ys must have equal shapes, got {xs.shape} and {ys.shape}")
+        if xs.size < 1:
             raise ValueError("need at least one paired observation")
         if not np.isfinite(xs).all() or not np.isfinite(ys).all():
             raise ValueError("loss values must be finite")
@@ -94,12 +98,19 @@ class LossPairSample:
 
     @property
     def n(self) -> int:
-        return self.xs.shape[0]
+        """Pairs per sample."""
+        return self.xs.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a (B, n) stack, whose estimates come one per row."""
+        return self.xs.ndim == 2
 
 
 @dataclass(frozen=True)
 class MarginIndex:
-    """Order statistics, 1-based ranks and sorting order for the top of one margin.
+    """Order statistics, 1-based ranks and sorting order for the top of one
+    margin, or of each row of a (B, n) stack of margins.
 
     ``order`` holds the positions of the ``depth`` largest values, ascending
     by value; ``ranks[i]`` is the rank of observation i among all n values;
@@ -108,14 +119,18 @@ class MarginIndex:
     ``ranks[order] == n - depth + 1 .. n``.  Ties are broken by original
     position (earlier index, smaller rank), so ranks are a permutation of
     1..n and ``sorted[ranks[i] - 1] == values[i]`` wherever the index
-    reaches.
+    reaches.  On a stack each array gains a leading row axis and every
+    statement holds row by row.
 
     A full index (``depth == n``) is the stable argsort.  A tail index
     (``depth < n``) orders only the observations at or above a cut value,
-    all of them, so every tie at the cut lies inside it and its order,
-    ranks and sorted values equal the full index's on the whole tail.  Below
-    the tail ``ranks`` holds the sentinel 0 and ``sorted`` holds -inf, so
+    all of them, so every tie at the cut lies inside it and its ranks and
+    sorted values equal the full index's on the whole tail.  Below the tail
+    ``ranks`` holds the sentinel 0 and ``sorted`` holds -inf, so
     ``sorted[n - c]`` still indexes the c-th largest value within the tail.
+    Each row of a stack is cut at its own value, so its tail may be longer
+    than another's; ``order`` keeps the top ``depth`` of every row, where
+    ``depth`` is the shortest row's tail.
     """
 
     sorted: np.ndarray
@@ -124,12 +139,13 @@ class MarginIndex:
 
     @property
     def n(self) -> int:
-        return self.sorted.shape[0]
+        return self.sorted.shape[-1]
 
     @property
     def depth(self) -> int:
-        """How many of the largest values the index orders; n for a full index."""
-        return self.order.shape[0]
+        """How many of the largest values the index orders in every row; n
+        for a full index."""
+        return self.order.shape[-1]
 
     def ranked(self, count: int) -> np.ndarray:
         """Positions of the ``count`` highest-ranked observations, highest first.
@@ -138,7 +154,7 @@ class MarginIndex:
         equal values, the later observation ranks higher.  The first c
         entries are the c highest-ranked observations, so one call serves
         every conditioning set of a k-range.  A ``count`` beyond the tail
-        raises.
+        raises.  On a stack the positions come one row per margin.
         """
         if not 0 <= count <= self.n:
             raise ValueError(f"count must satisfy 0 <= count <= n={self.n}, got {count}")
@@ -146,50 +162,74 @@ class MarginIndex:
             raise ValueError(
                 f"count={count} reaches below the top {self.depth} that the index orders"
             )
-        return self.order[self.depth - count :][::-1]
+        return self.order[..., self.depth - count :][..., ::-1]
 
 
 def build_margin_index(values, depth: int | None = None) -> MarginIndex:
-    """Sort the top of one margin and compute tie-broken ranks.
+    """Sort the top of one margin, or of each row of a (B, n) stack, and
+    compute tie-broken ranks.
 
     The cut is the ``depth``-th largest value, found by a partition; every
     observation at or above it is kept, so the tail is closed under ties
     and may hold more than ``depth`` observations.  The kept positions, in
     ascending position order, are stably sorted by value, which gives the
     full sort's order on them.  At depth n the cut is the minimum and every
-    position is kept: the full index is the stable argsort.
+    position is kept: the full index is the stable argsort.  A stack is cut
+    row by row and sorted in one call, so each row's index is the one its
+    row would get alone.
 
-    ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin.
-    ``data_io.diagnostics_export`` builds full indexes: it reads ranks or
-    quantiles anywhere in the sample.
+    ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin
+    of its stack.  ``data_io.diagnostics_export`` builds full indexes: it
+    reads ranks or quantiles anywhere in the sample.
 
     Args:
-        values: nonempty sequence of finite reals.
+        values: nonempty finite reals, 1-D, or 2-D with one margin per row.
         depth: how many of the largest values must be ordered, at least 1;
             None, or any depth >= n, gives the full index.
 
     Returns:
-        MarginIndex with the order statistics and ranks of the tail.
+        MarginIndex with the order statistics and ranks of the tail, with a
+        leading row axis for a stack.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("values must be one-dimensional")
+    if arr.ndim not in (1, 2):
+        raise ValueError("values must be one-dimensional, or a two-dimensional stack")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
-    n = arr.size
     if depth is not None and _whole_number(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+    stack = np.atleast_2d(arr)
+    rows, n = stack.shape
     cut_at = 0 if depth is None else max(n - int(depth), 0)
-    cut = np.partition(arr, cut_at)[cut_at]
-    kept = np.flatnonzero(arr >= cut)
-    order = kept[np.argsort(arr[kept], kind="stable")]
-    tail = order.size
-    sorted_values = np.full(n, -np.inf)
-    sorted_values[n - tail :] = arr[order]
-    ranks = np.zeros(n, dtype=np.int64)
-    ranks[order] = np.arange(n - tail + 1, n + 1)
+    # the kept observations, grouped by row, each row in position order
+    kept = np.flatnonzero(stack >= np.partition(stack, cut_at, axis=1)[:, cut_at : cut_at + 1])
+    row = kept // n
+    tails = np.bincount(row, minlength=rows)
+    width = int(tails.max())
+    # each row's kept values, right-aligned in a row as wide as the widest
+    # tail after -inf pads, which sort first: a stable sort then orders
+    # each tail as the full sort of its row does
+    at = np.arange(kept.size) + np.repeat(np.arange(rows) * width + width - np.cumsum(tails), tails)
+    padded = np.full(rows * width, -np.inf)
+    padded[at] = stack[row, kept - row * n]
+    # where each entry lives in a (rows, n + 1) layout; a pad lives in its
+    # row's spare last column
+    home = np.repeat(np.arange(rows) * (n + 1) + n, width)
+    home[at] = kept + row
+    by_value = np.argsort(padded.reshape(rows, width), axis=1, kind="stable")
+    by_value += np.arange(0, rows * width, width)[:, None]
+    sorted_values = np.full((rows, n), -np.inf)
+    sorted_values[:, n - width :] = padded[by_value]
+    home = home[by_value]
+    # column c of a sorted row holds rank n - width + 1 + c
+    ranks = np.zeros((rows, n + 1), dtype=np.int64)
+    ranks.ravel()[home] = np.arange(n - width + 1, n + 1)
+    order = home[:, width - int(tails.min()) :] % (n + 1)
+    ranks = ranks[:, :n]
+    if arr.ndim == 1:
+        return MarginIndex(sorted=sorted_values[0], ranks=ranks[0], order=order[0])
     return MarginIndex(sorted=sorted_values, ranks=ranks, order=order)
 
 
@@ -222,6 +262,13 @@ def check_tail(n: int, k: int, tau_prime: float | None = None) -> int:
         raise ValueError(f"sample size must be >= 2, got n={n}")
     if k <= 0 or k >= n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
-    if tau_prime is not None and not 0.0 < tau_prime < 1.0:
-        raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")
+    if tau_prime is not None:
+        check_tau_prime(tau_prime)
     return (k * k + n - 1) // n  # exact integer arithmetic
+
+
+def check_tau_prime(tau_prime: float) -> None:
+    """Raise unless the extrapolation level tau_prime lies in (0, 1): the
+    level rule of ``check_tail``, which needs no sample."""
+    if not 0.0 < tau_prime < 1.0:
+        raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")

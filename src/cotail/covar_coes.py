@@ -9,7 +9,10 @@ pushes the estimates at every k of a k-range to an extreme level tau' with
 the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
 share one selection on two tail indexes built once per call, and
-``estimate_all`` is its one-k case.  Each k is checked by
+``estimate_all`` is its one-k case.  Both take a stack of samples as well
+as one sample, and run their array passes once for the whole stack;
+``_MATRIX_CELLS`` is the one cell budget that sizes every stack and
+block of k.  Each k is checked by
 ``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions are
 derived here, and ``KRangeEstimates`` words every warning of the five
 ``WARNING_CODES``, one code per condition.  ``RECORD_KEYS`` is the one flat
@@ -66,41 +69,52 @@ ESTIMATOR_NAMES = RECORD_KEYS[6:]
 WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "gamma_above_half")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KRangeEstimates:
     """Every estimator at every k of a k-range on one sample, one row per k.
 
     ``errors[i]`` is what ``estimate_all`` raises at k = ``ks[i]`` (an
     ``EstimationError`` with its code, or a plain ``ValueError`` for an
-    invalid k), or None.  ``rows[i]`` is None where that k failed and
-    otherwise holds its ``RECORD_KEYS`` values, whether each warning of
-    ``WARNING_CODES`` fired, and what those warnings quote: Y_(n-k,n) and
-    the raw variant-1 eta-hat value (only variant 1 can be floored).  ``n``
-    and ``tau_prime`` are the sample size and extrapolation level the
-    warnings quote.
+    invalid k), or None.  Row i of ``values`` holds the ``RECORD_KEYS``
+    values at that k, row i of ``fired`` whether each warning of
+    ``WARNING_CODES`` fired, and row i of ``quoted`` what those warnings
+    quote: Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1
+    can be floored); a failed k's rows hold NaN and False.  ``rows`` gives
+    the same as Python tuples.  ``n`` and ``tau_prime`` are the sample
+    size and extrapolation level the warnings quote.
     """
 
     ks: list[int]
     errors: tuple[ValueError | None, ...]
-    rows: tuple[tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]] | None, ...]
+    values: np.ndarray
+    fired: np.ndarray
+    quoted: np.ndarray
     n: int
     tau_prime: float
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]] | None, ...]:
+        """Per k, None where it failed, else its (values, fired, quoted)."""
+        return tuple(
+            None if error is not None else (tuple(values), tuple(fired), tuple(quoted))
+            for error, values, fired, quoted in zip(
+                self.errors, self.values.tolist(), self.fired.tolist(), self.quoted.tolist()
+            )
+        )
 
     def first_warnings(self) -> list[WarningRecord]:
         """Each warning code once, in the order a walk over the succeeded
         rows in k order meets it, with the message of its first row."""
-        first: dict[int, WarningRecord] = {}
-        for i, row in enumerate(self.rows):
-            for column, fired in enumerate(row[1] if row is not None else ()):
-                if fired and column not in first:
-                    first[column] = self._warning(i, column)
-        return list(first.values())
+        hits = self.fired.any(axis=0).tolist()
+        first_rows = self.fired.argmax(axis=0).tolist()
+        firsts = sorted((row, column) for column, (row, hit) in enumerate(zip(first_rows, hits)) if hit)
+        return [self._warning(row, column) for row, column in firsts]
 
     def _warning(self, row: int, column: int) -> WarningRecord:
         """The ``WARNING_CODES[column]`` record of row ``row``: the one home
         of every warning text."""
         n, k = self.n, self.ks[row]
-        values, _, quoted = self.rows[row]
+        values, quoted = self.values[row].tolist(), self.quoted[row].tolist()
         code = WARNING_CODES[column]
         if code == "small_k":
             message = (
@@ -127,10 +141,21 @@ class KRangeEstimates:
         return WarningRecord(code, message)
 
 
-_MATRIX_CELLS = 1 << 20
+_MATRIX_CELLS = 1 << 15
 
 
-def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEstimates:
+def _stack_rows(n: int, ks) -> int:
+    """How many samples of n pairs one ``estimate_k_range`` stack holds at
+    the k values ``ks``: the cell budget over the larger of one margin and
+    one sample's rank matrix, so that the stack's largest arrays stay
+    within ``_MATRIX_CELLS`` cells."""
+    width = min(max(ks), n) + 1
+    return max(1, _MATRIX_CELLS // max(n, len(ks) * width))
+
+
+def estimate_k_range(
+    sample: LossPairSample, ks, tau_prime: float
+) -> KRangeEstimates | list[KRangeEstimates]:
     """Every intermediate and extrapolated estimator at every k of ``ks``.
 
     With d = k/(n(1 - tau')), CoVaR variants 1-2 are
@@ -141,13 +166,16 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     rank (``filtered_x_ranks``) and one cumulative sum of log order
     statistics (Hill); only these closed forms are evaluated k by k.  They
     read the top k_max + 2 of each margin and no deeper, so each margin is
-    sorted to that depth only (``build_margin_index``).  A wide range is
-    cut into blocks of k whose rank matrix stays below ``_MATRIX_CELLS``
-    entries; no result depends on the blocks.  An n below 2 or a tau'
-    outside (0, 1) raises once.  A k fails, in this order, when it is
-    invalid, when X_(n-k,n) is not positive, when gamma1 lies outside
-    (0, 1) (the variant 1-3 extrapolations are undefined) or when eta-hat
-    is not attained; its failure is recorded, not raised.
+    sorted to that depth only (``build_margin_index``).  A stacked sample
+    runs each of these array passes once for all its rows and gives one
+    ``KRangeEstimates`` per row, in a list, each the result that row gets
+    alone; a 1-D sample is a stack of one.  A wide range is cut into
+    blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
+    no result depends on the blocks.  An n below 2 or a tau' outside
+    (0, 1) raises once.  A k fails, in this order, when it is invalid, when
+    X_(n-k,n) is not positive, when gamma1 lies outside (0, 1) (the
+    variant 1-3 extrapolations are undefined) or when eta-hat is not
+    attained; its failure is recorded, not raised.
     """
     ks = np.asarray(ks)
     if ks.ndim != 1 or ks.size == 0:
@@ -157,61 +185,79 @@ def estimate_k_range(sample: LossPairSample, ks, tau_prime: float) -> KRangeEsti
     n = sample.n
     check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
     ks = ks.tolist()
-    errors: list = [None] * len(ks)
+    k_errors: list = [None] * len(ks)
     ms = [0] * len(ks)
     for i, k in enumerate(ks):
         try:
             ms[i] = check_tail(n, k, tau_prime)
         except ValueError as error:
-            errors[i] = error
-    rows: list = [None] * len(ks)
-    live = [i for i, error in enumerate(errors) if error is None]
+            k_errors[i] = error
+    live = [i for i, error in enumerate(k_errors) if error is None]
     k_max = max((ks[i] for i in live), default=0)
-    x_index, y_index = (build_margin_index(v, k_max + 2) for v in (sample.xs, sample.ys))
+    x_index, y_index = (build_margin_index(np.atleast_2d(v), k_max + 2) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
-    # each block of k shares one (k, k_max + 1) rank matrix; blocks bound its size
-    block = max(1, _MATRIX_CELLS // (k_max + 1))
+    stack = x_sorted.shape[0]
+    errors = [list(k_errors) for _ in range(stack)]
+    values = np.full((stack, len(ks), len(RECORD_KEYS)), np.nan)
+    fired = np.zeros((stack, len(ks), len(WARNING_CODES)), dtype=bool)
+    quoted = np.full((stack, len(ks), 2), np.nan)
+    # each block of k shares one (stack, k, k_max + 1) rank matrix; blocks bound its size
+    block = max(1, _MATRIX_CELLS // (stack * (k_max + 1)))
+    k_array, m_array = np.array(ks), np.array(ms)
     for start in range(0, len(live), block):
-        part = live[start : start + block]
-        part_ks = np.array([ks[i] for i in part])
-        part_ms = np.array([ms[i] for i in part])
+        part = np.array(live[start : start + block])
+        part_ks, part_ms = k_array[part], m_array[part]
         selected, ranks1, ranks2 = filtered_x_ranks(x_index, y_index, part_ks, part_ms)
-        covar_int, coes_int = _intermediate(x_index, part_ks, selected, ranks1)
-        columns = (_hill(x_index, part_ks), ranks1, ranks2, covar_int, coes_int)
-        # the closed forms run on Python floats: at the few k of a range
-        # that is cheaper than numpy's per-call cost on short arrays
-        for i, gamma, r1, r2, covar_i, coes_i in zip(part, *(c.tolist() for c in columns)):
-            k = ks[i]
-            var_x = x_sorted.item(n - k - 1)
-            if var_x <= 0.0:
-                errors[i] = _threshold_not_positive(n, k, var_x)
-                continue
-            if not 0.0 < gamma < 1.0:
-                errors[i] = EstimationError(
-                    "hill_out_of_range",
-                    f"tail index estimate gamma1={gamma:.4f} outside (0, 1); "
-                    "extrapolation is invalid",
-                )
-                continue
-            eta1, eta2 = _eta(n, k, 1, r1), _eta(n, k, 2, r2)
-            if eta1 is None or eta2 is None:
-                errors[i] = _not_attained(k, n)
-                continue
-            d = k / (n * (1.0 - tau_prime))
-            base = d ** (2.0 * gamma)
-            covar1 = base * eta1[1] ** (-gamma) * var_x
-            covar2 = base * eta2[1] ** (-gamma) * var_x
-            covar3 = base * covar_i
-            spread = 1.0 - gamma
-            y_at = y_sorted.item(n - k - 1)
-            ties = k < n - 1 and y_sorted.item(n - k - 2) == y_at
-            rows[i] = (
-                (gamma, var_x, eta1[1], eta2[1], covar_i, coes_i, covar1, covar2, covar3,
-                 covar1 / spread, covar2 / spread, covar3 / spread, base * coes_i),
-                (k < n ** (2.0 / 3.0), d < 1.0, ties, eta1[2], gamma >= 0.5),
-                (y_at, eta1[0]),
-            )
-    return KRangeEstimates(ks, tuple(errors), tuple(rows), n, tau_prime)
+        covar_int, coes_int = _intermediate(x_index, part_ks, part_ms, selected, ranks1)
+        gamma, var_x = _hill(x_index, part_ks), x_sorted[:, n - part_ks - 1]
+        raw1, eta1, clamped, attained1 = _eta(n, part_ks, 1, ranks1)
+        _, eta2, _, attained2 = _eta(n, part_ks, 2, ranks2)
+        # the first check that fails each (sample, k), in this order, or 0;
+        # an error record is built only where one fails
+        failed = np.select(
+            [var_x <= 0.0, ~((0.0 < gamma) & (gamma < 1.0)), ~(attained1 & attained2)], [1, 2, 3], 0
+        )
+        for row, j in zip(*(where.tolist() for where in np.nonzero(failed))):
+            i = part[j].item()
+            if failed[row, j] == 1:
+                errors[row][i] = _threshold_not_positive(n, ks[i], var_x[row, j].item())
+            elif failed[row, j] == 2:
+                errors[row][i] = _hill_out_of_range(gamma[row, j].item())
+            else:
+                errors[row][i] = _not_attained(ks[i], n)
+        done, j = np.nonzero(failed == 0)
+        gamma, var_x, eta1, eta2, covar_int, coes_int = (
+            c[done, j] for c in (gamma, var_x, eta1, eta2, covar_int, coes_int)
+        )
+        done_ks = part_ks[j]
+        d = done_ks / (n * (1.0 - tau_prime))
+        # the powers run on Python floats: numpy's ** differs from the C
+        # library's pow in the last bit on a few percent of pairs
+        gammas = gamma.tolist()
+        base, pow1, pow2 = (
+            np.array([x ** (sign * g) for x, g in zip(column.tolist(), gammas)], dtype=float)
+            for column, sign in ((d, 2.0), (eta1, -1.0), (eta2, -1.0))
+        )
+        covar1, covar2, covar3 = base * pow1 * var_x, base * pow2 * var_x, base * covar_int
+        spread = 1.0 - gamma
+        at = (done, part[j])
+        values[at] = np.stack(
+            (gamma, var_x, eta1, eta2, covar_int, coes_int, covar1, covar2, covar3,
+             covar1 / spread, covar2 / spread, covar3 / spread, base * coes_int),
+            axis=-1,
+        )
+        y_at = y_sorted[done, n - done_ks - 1]
+        # Y_(n-k-1,n) wraps to the maximum at k = n - 1, where no tie is possible
+        ties = (done_ks < n - 1) & (y_sorted[done, n - done_ks - 2] == y_at)
+        fired[at] = np.stack(
+            (done_ks < n ** (2.0 / 3.0), d < 1.0, ties, clamped[done, j], gamma >= 0.5), axis=-1
+        )
+        quoted[at] = np.stack((y_at, raw1[done, j]), axis=-1)
+    results = [
+        KRangeEstimates(ks, tuple(e), v, f, q, n, tau_prime)
+        for e, v, f, q in zip(errors, values, fired, quoted)
+    ]
+    return results if sample.stacked else results[0]
 
 
 def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
@@ -221,9 +267,21 @@ def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError
     )
 
 
-def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstimates:
+def _hill_out_of_range(gamma: float) -> EstimationError:
+    return EstimationError(
+        "hill_out_of_range",
+        f"tail index estimate gamma1={gamma:.4f} outside (0, 1); extrapolation is invalid",
+    )
+
+
+def estimate_all(
+    sample: LossPairSample, k: int, tau_prime: float
+) -> RiskEstimates | list[RiskEstimates | ValueError]:
     """Every intermediate and extrapolated estimator at one k: the one-row
     case of ``estimate_k_range``.
+
+    On a stacked sample nothing is raised per row: the list holds each
+    row's estimates, or the error that row raises alone.
 
     Raises:
         EstimationError: X_(n-k,n) not positive, gamma1 outside (0, 1), or
@@ -231,16 +289,27 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
         ValueError: an invalid k or tau_prime.
     """
     result = estimate_k_range(sample, (k,), tau_prime)
+    if sample.stacked:
+        return [_one_k(row) for row in result]
+    outcome = _one_k(result)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def _one_k(result: KRangeEstimates) -> RiskEstimates | ValueError:
+    """The estimates of a one-k result, or its error."""
     if result.errors[0] is not None:
-        raise result.errors[0]
+        return result.errors[0]
     # with one row, each fired code is met once, in column order
-    return RiskEstimates(*result.rows[0][0], warnings=tuple(result.first_warnings()))
+    return RiskEstimates(*result.values[0].tolist(), warnings=tuple(result.first_warnings()))
 
 
 def _intermediate(
-    x_index: MarginIndex, ks: np.ndarray, rows: np.ndarray, r1: np.ndarray
+    x_index: MarginIndex, ks: np.ndarray, ms: np.ndarray, rows: np.ndarray, r1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(CoVaR, CoES) at level 1 - k/n for each k, from ``filtered_x_ranks``.
+    """(CoVaR, CoES) at level 1 - k/n for each k, from ``filtered_x_ranks``,
+    with a leading row axis on stacked indexes.
 
     CoVaR is the (k+2-m)-th smallest filtered X value, the X order
     statistic at the m-th largest filtered X-rank r1; CoES is
@@ -251,11 +320,19 @@ def _intermediate(
     and the pair is meaningless.
     """
     x_sorted = x_index.sorted
-    covar = x_sorted[r1 - 1]
-    # X >= CoVaR exactly at the ranks above the position of the first X equal
-    # to CoVaR, which leaves out the 0 padding
-    joint = np.where(rows > np.searchsorted(x_sorted, covar)[:, None], x_sorted[rows - 1], 0.0)
+    covar = np.take_along_axis(x_sorted, r1 - 1, axis=-1)
+    # the filtered X >= CoVaR end each ascending row: the m at ranks >= r1
+    # and any lower rank tied with CoVaR.  The last max(m) + 1 columns hold
+    # them all unless a tie reaches the first of these; then every column
+    full = rows.shape[-1]
+    for width in (min(int(ms.max()) + 1, full), full):
+        last = rows[..., full - width :]
+        filtered = np.take_along_axis(x_sorted[..., None, :], last - 1, axis=-1)
+        # rank 0 is padding or lies below the tail
+        joint = (last > 0) & (filtered >= covar[..., None])
+        if width == full or not joint[..., 0].any():
+            break
     # a sequential sum over each ascending row: the zeros before the joint
     # values add exactly nothing, so the sum at one k is the same float
-    # whichever other k share the matrix
-    return covar, x_index.n / (ks * ks) * joint.cumsum(axis=1)[:, -1]
+    # whichever columns or other k share the matrix
+    return covar, x_index.n / (ks * ks) * np.where(joint, filtered, 0.0).cumsum(axis=-1)[..., -1]

@@ -6,7 +6,8 @@ intersection of their dates and returns one ``LossPairSample`` of the
 negative log returns of the aligned prices, with the date each loss ends
 on.  The rolling driver re-estimates on a moving window of that sample,
 optionally averaging the estimates over a range of k values, and keeps a
-window's failure as its outcome instead of aborting.  ``k_values`` is the
+window's failure as its outcome instead of aborting; it estimates the
+windows in stacks, one set of array passes and one column mean per stack.  ``k_values`` is the
 one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
 ``write_text`` produce every TSV the package writes: floats as ``.10g``,
 UTF-8, LF line endings.
@@ -22,10 +23,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
-from .covar_coes import RiskEstimates, estimate_k_range
-from .empirical import hill_curve, tail_prob_curve
+from .covar_coes import KRangeEstimates, RiskEstimates, _stack_rows, estimate_k_range
+from .empirical import check_tau_grid, hill_curve, tail_prob_curve
 from .tail_copula import r11_curve
 
 
@@ -105,32 +107,55 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
 
 def estimate_with_k_values(
     sample: LossPairSample, ks: Sequence[int], tau_prime: float
-) -> RiskEstimates:
+) -> RiskEstimates | list[RiskEstimates | ValueError]:
     """``estimate_k_range`` averaged over the k values that succeed.
 
     Each field is the column mean over the succeeded rows.  Warnings are
     deduplicated by code (``KRangeEstimates.first_warnings``); failed k
     values add a ``k_partial`` warning carrying their reasons.  Raises if
-    every k fails.
+    every k fails.  On a stacked sample nothing is raised per row: the
+    list holds each row's average, or the error that row raises alone, and
+    the rows that share a count of succeeded k share one column mean.
     """
-    estimates = estimate_k_range(sample, ks, tau_prime)
-    failures = [f"k={k}: {e}" for k, e in zip(estimates.ks, estimates.errors) if e is not None]
-    succeeded = [row[0] for row in estimates.rows if row is not None]
-    if not succeeded:
-        raise ValueError("; ".join(failures))
-    warnings = estimates.first_warnings()
-    if failures:
-        warnings.append(
-            WarningRecord(
-                "k_partial",
-                f"{len(failures)} of {len(estimates.ks)} k values "
-                f"failed and were excluded: {'; '.join(failures)}",
+    results = estimate_k_range(sample, ks, tau_prime)
+    if sample.stacked:
+        return _k_averages(results)
+    outcome = _k_averages([results])[0]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def _k_averages(results: Sequence[KRangeEstimates]) -> list[RiskEstimates | ValueError]:
+    """The k average of each result, or the error that stops it."""
+    outcomes: list = [None] * len(results)
+    by_count: dict[int, list[tuple[int, list[bool]]]] = {}
+    for i, estimates in enumerate(results):
+        succeeded = [error is None for error in estimates.errors]
+        failures = [f"k={k}: {e}" for k, e in zip(estimates.ks, estimates.errors) if e is not None]
+        if not any(succeeded):
+            outcomes[i] = ValueError("; ".join(failures))
+            continue
+        warnings = estimates.first_warnings()
+        if failures:
+            warnings.append(
+                WarningRecord(
+                    "k_partial",
+                    f"{len(failures)} of {len(estimates.ks)} k values "
+                    f"failed and were excluded: {'; '.join(failures)}",
+                )
             )
-        )
-    # one contiguous row per field: numpy then sums each field pairwise,
-    # exactly as np.mean sums a list of that field's values
-    means = np.ascontiguousarray(np.array(succeeded).T).mean(axis=1)
-    return RiskEstimates(*means.tolist(), warnings=tuple(warnings))
+        outcomes[i] = tuple(warnings)
+        by_count.setdefault(sum(succeeded), []).append((i, succeeded))
+    for members in by_count.values():
+        kept = np.stack([results[i].values[succeeded] for i, succeeded in members])
+        # one contiguous row per field of each sample: numpy then sums each
+        # field pairwise over the succeeded k, exactly as np.mean sums a
+        # list of that field's values, whichever samples share the call
+        means = np.ascontiguousarray(kept.transpose(0, 2, 1)).mean(axis=-1)
+        for (i, _), row in zip(members, means.tolist()):
+            outcomes[i] = RiskEstimates(*row, warnings=outcomes[i])
+    return outcomes
 
 
 def rolling_estimates(
@@ -141,22 +166,23 @@ def rolling_estimates(
     ``dates[i]`` is the date loss i ends on.  Windows end at loss indices
     window, window+step, ... n; each yields (the date of its last loss, its
     estimates or the error that stopped them).  There are
-    floor((n - window)/step) + 1 windows.
+    floor((n - window)/step) + 1 windows.  They are estimated in stacks of
+    windows, views into the series, each as ``estimate_with_k_values``
+    estimates a window alone.
     """
     if len(dates) != sample.n:
         raise ValueError(f"{len(dates)} dates for {sample.n} losses")
     if plan.window > sample.n:
         raise ValueError(f"window {plan.window} exceeds loss series length {sample.n}")
     ks = k_values(plan.k)
+    xs, ys = (sliding_window_view(v, plan.window)[:: plan.step] for v in (sample.xs, sample.ys))
+    ends = range(plan.window, sample.n + 1, plan.step)
+    block = _stack_rows(plan.window, ks)
     rows = []
-    for end in range(plan.window, sample.n + 1, plan.step):
-        window = LossPairSample(
-            xs=sample.xs[end - plan.window : end], ys=sample.ys[end - plan.window : end]
-        )
-        try:
-            rows.append((dates[end - 1], estimate_with_k_values(window, ks, plan.tau_prime)))
-        except ValueError as exc:
-            rows.append((dates[end - 1], exc))
+    for start in range(0, len(ends), block):
+        stack = LossPairSample(xs=xs[start : start + block], ys=ys[start : start + block])
+        outcomes = estimate_with_k_values(stack, ks, plan.tau_prime)
+        rows += [(dates[end - 1], outcome) for end, outcome in zip(ends[start : start + block], outcomes)]
     return rows
 
 
@@ -188,9 +214,7 @@ def diagnostics_export(
     (1 - tau)^2; r11.tsv: both tail-copula estimates at (1, 1) over the ks.
     """
     ks = k_values(k)
-    taus = [float(t) for t in tau_grid]
-    if not taus:
-        raise ValueError("empty tau grid")
+    tau_array = check_tau_grid(tau_grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -203,9 +227,8 @@ def diagnostics_export(
         else:
             half = 1.645 / math.sqrt(k)
             hill_rows.append((k, gamma, max(0.0, gamma * (1.0 - half)), gamma * (1.0 + half), ""))
-    tau_array = np.array(taus)
     p_hat = tail_prob_curve(x_index, y_index, tau_array)
-    prob_rows = zip(taus, p_hat.tolist(), ((1.0 - tau_array) ** 2).tolist())
+    prob_rows = zip(tau_array.tolist(), p_hat.tolist(), ((1.0 - tau_array) ** 2).tolist())
     r_rows = zip(ks, *(r.tolist() for r in r11_curve(x_index, y_index, ks)))
 
     paths = {

@@ -19,23 +19,29 @@ from .core import MarginIndex, _check_reach, check_tail
 
 
 def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
-    """Hill estimates at every k of ``ks`` from one cumulative sum of logs.
+    """Hill estimates at every k of ``ks`` from one cumulative sum of logs,
+    with a leading row axis on a stacked margin.
 
     The top log order statistics are summed in descending order, so the
     estimate at k is the same float whichever other k are computed with
-    it.  A flat top (X_(n,n) == X_(n-k,n)) gives exactly 0.0, and any other
+    it.  The logs are taken row by row, on 1-D descending views: numpy's
+    log on a contiguous or 2-D block takes another kernel that can differ
+    in the last bit, and each row must equal its lone-sample estimate.  A
+    flat top (X_(n,n) == X_(n-k,n)) gives exactly 0.0, and any other
     result is clamped at 0.0, where rounding can leave the difference of
     logs just below zero.  Only rows with a positive threshold X_(n-k,n)
     are meaningful; the others are left as whatever the logs give.
     """
     n = margin.n
-    descending = margin.sorted[n - 1 - max(ks.tolist()) :][::-1]
+    descending = margin.sorted[..., n - 1 - max(ks.tolist()) :][..., ::-1]
+    logs = np.empty(descending.shape)
     # a threshold <= 0 takes logs of values <= 0, only on its own rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(descending)
-        gammas = logs.cumsum()[ks - 1] / ks - logs[ks]
+        for row, out in zip(np.atleast_2d(descending), np.atleast_2d(logs)):
+            np.log(row, out=out)
+        gammas = logs.cumsum(axis=-1)[..., ks - 1] / ks - logs[..., ks]
     np.maximum(gammas, 0.0, out=gammas)
-    gammas[descending[ks] == descending[0]] = 0.0
+    gammas[descending[..., ks] == descending[..., :1]] = 0.0
     return gammas
 
 
@@ -46,9 +52,7 @@ def tail_prob_curve(x_index: MarginIndex, y_index: MarginIndex, taus) -> np.ndar
     index >= ceil(n*tau), the left-continuous inverse of the empirical
     CDF; each index must order the top n + 1 - ceil(n*tau) at every tau.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if not np.all((0.0 < taus) & (taus < 1.0)):
-        raise ValueError("every tau must lie in (0, 1)")
+    taus = check_tau_grid(taus)
     n = x_index.n
     _check_reach((x_index, y_index), n + 1 - math.ceil(n * taus.min()), f"tau={taus.min()}")
     p_hat = np.empty(taus.size)
@@ -58,6 +62,17 @@ def tail_prob_curve(x_index: MarginIndex, y_index: MarginIndex, taus) -> np.ndar
         x_hit, y_hit = (i.ranks > np.searchsorted(i.sorted, i.sorted[at]) for i in (x_index, y_index))
         p_hat[j] = np.mean(x_hit & y_hit)
     return p_hat
+
+
+def check_tau_grid(taus) -> np.ndarray:
+    """``taus`` as a float array, raising unless it is nonempty with every
+    level in (0, 1): the one rule for a grid of levels."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if taus.size == 0:
+        raise ValueError("empty tau grid")
+    if not np.all((0.0 < taus) & (taus < 1.0)):
+        raise ValueError("every tau must lie in (0, 1)")
+    return taus
 
 
 def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:

@@ -7,7 +7,9 @@ estimator on each, and reports the mean squared relative error
 
 per estimator.  Replications are scored against the memoized population
 truth at tau'.  Per-replication RNG streams are derived up front from the
-plan seed, so results are bit-identical regardless of worker count.
+plan seed, and each replication's estimates are those of its sample alone
+although replications are estimated in stacks, so results are
+bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, estimate_all
-from .core import _whole_number, check_tail
+from .covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
+from .core import LossPairSample, _whole_number, check_tail
 from .models import ModelSpec, sample_model
 from .oracle import oracle_result
 
@@ -121,18 +123,22 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
         for child in np.random.SeedSequence(plan.seed).spawn(plan.replications)
     ]
 
-    def task(rng: np.random.Generator):
-        sample = sample_model(plan.spec, plan.n, rng)
-        try:
-            return estimate_all(sample, plan.k, plan.tau_prime)
-        except ValueError as exc:
-            return exc
+    def task(block: list[np.random.Generator]) -> list:
+        samples = [sample_model(plan.spec, plan.n, rng) for rng in block]
+        stack = LossPairSample(
+            xs=np.stack([sample.xs for sample in samples]), ys=np.stack([sample.ys for sample in samples])
+        )
+        return estimate_all(stack, plan.k, plan.tau_prime)
 
+    # whole blocks of replications, each estimated as one stack; a worker
+    # takes whole blocks, and no outcome depends on the blocks
+    size = _stack_rows(plan.n, (plan.k,))
+    blocks = [streams[start : start + size] for start in range(0, len(streams), size)]
     if workers == 1:
-        outcomes = [task(rng) for rng in streams]
+        outcomes = [outcome for block in blocks for outcome in task(block)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, streams))
+            outcomes = [outcome for done in pool.map(task, blocks) for outcome in done]
 
     truths = {name: truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES}
     ratios: dict[str, list[float]] = {name: [] for name in ESTIMATOR_NAMES}

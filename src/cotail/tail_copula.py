@@ -40,39 +40,37 @@ def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarra
     return counts[ks] / ks, counts[ks - 1] / ks
 
 
-def _eta1_value(n: int, k: int, depth: int) -> float:
+def _eta1_value(n: int, k, depth):
     # (n/k) * Z~ with Z~ = depth/n; shared by the procedure and the test
-    # scan so the two produce identical floats.
+    # scan so the two produce identical floats.  Elementwise on arrays: each
+    # operation rounds once, in numpy as in Python.
     return (n / k) * (depth / n)
 
 
-def _eta2_value(n: int, k: int, rank: int) -> float:
+def _eta2_value(n: int, k, rank):
     return (n + 0.5 - rank) / k
 
 
-def _eta(n: int, k: int, variant: int, rank: int) -> tuple[float, float, bool] | None:
-    """(raw, value, clamped) of eta-hat from its filtered X-rank, or None
-    when R-hat(., 1) does not reach the level k/n.
+def _eta(n: int, ks, variant: int, ranks) -> tuple:
+    """(raw, value, clamped, attained) of eta-hat from filtered X-ranks,
+    elementwise, with ``ks`` broadcast against ``ranks``.
 
-    ``rank`` is the m-th largest X-rank r of the conditioning set
+    ``ranks`` holds the m-th largest X-rank r of each conditioning set
     (``filtered_x_ranks``: r1 of C(k + 1) for variant 1, r2 of C(k) for
-    variant 2).  Variant 1's raw value is the m-th smallest filtered
-    1 - F-hat_X, (n - r)/n, scaled by n/k; its value is floored at 1/(2k)
-    and capped at 1.  Variant 2's value is its raw (n + 1/2 - r)/k.
+    variant 2).  ``attained`` is false where R-hat(., 1) does not reach the
+    level k/n; the other three are meaningless there.  Variant 1's raw
+    value is the m-th smallest filtered 1 - F-hat_X, (n - r)/n, scaled by
+    n/k; its value is floored at 1/(2k) and capped at 1.  Variant 2's value
+    is its raw (n + 1/2 - r)/k.
     """
     if variant == 2:
-        if rank < n - k + 1:
-            return None
-        raw = _eta2_value(n, k, rank)
-        return raw, raw, False
-    depth = n - rank
-    if depth > k:
-        return None
-    raw = _eta1_value(n, k, depth)
-    floor = 1.0 / (2.0 * k)
-    if raw < floor:
-        return raw, floor, True
-    return raw, min(raw, 1.0), False
+        raw = _eta2_value(n, ks, ranks)
+        return raw, raw, False, ranks >= n - ks + 1
+    depth = n - ranks
+    raw = _eta1_value(n, ks, depth)
+    floor = 1.0 / (2.0 * ks)
+    clamped = raw < floor
+    return raw, np.where(clamped, floor, np.minimum(raw, 1.0)), clamped, depth <= ks
 
 
 def filtered_x_ranks(
@@ -86,7 +84,8 @@ def filtered_x_ranks(
     largest X-rank (m = ``ms[i]``) of C(k + 1) and of C(k).  C(k) is
     C(k + 1) less its lowest-ranked Y, so its m-th largest X-rank is the
     (m+1)-th largest of the row when that dropped observation is among the
-    row's m largest, and the m-th largest otherwise.
+    row's m largest, and the m-th largest otherwise.  On stacked indexes
+    every result gains a leading row axis, one row per sample.
 
     ``y_index`` must order the top k_max + 1 system losses.  An X-rank below
     the tail of ``x_index`` reads as its sentinel 0; when ``x_index`` orders
@@ -95,16 +94,16 @@ def filtered_x_ranks(
     wherever eta-hat is attained.
     """
     width = max(ks.tolist()) + 1
-    ranks = x_index.ranks[y_index.ranked(width)]
-    dropped = ranks[ks]  # read first: with one k, the sort below reorders ranks
+    ranks = np.take_along_axis(x_index.ranks, y_index.ranked(width), axis=-1)
+    dropped = ranks[..., ks]  # read first: with one k, the sort below reorders ranks
     if ks.size == 1:
-        rows = ranks[None, :]
+        rows = ranks[..., None, :]
     else:
-        rows = np.where(np.arange(width) <= ks[:, None], ranks, 0)
-    rows.sort(axis=1)
+        rows = np.where(np.arange(width) <= ks[:, None], ranks[..., None, :], 0)
+    rows.sort(axis=-1)
     lines, at = np.arange(ks.size), width - ms
-    r1 = rows[lines, at]
-    return rows, r1, np.where(dropped < r1, r1, rows[lines, at - 1])
+    r1 = rows[..., lines, at]
+    return rows, r1, np.where(dropped < r1, r1, rows[..., lines, at - 1])
 
 
 def _not_attained(k: int, n: int) -> EstimationError:

@@ -98,9 +98,9 @@ def selection_at(
     ks, ms = np.array([k]), np.array([check_tail(n, k)])
     x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
     rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
-    covar, coes = _intermediate(x_index, ks, rows, r1)
+    covar, coes = _intermediate(x_index, ks, ms, rows, r1)
     etas = (_eta(n, k, 1, int(r1[0])), _eta(n, k, 2, int(r2[0])))
-    raw1, raw2 = (None if eta is None else eta[0] for eta in etas)
+    raw1, raw2 = (float(raw) if attained else None for raw, _, _, attained in etas)
     return raw1, raw2, float(covar[0]), float(coes[0])
 
 

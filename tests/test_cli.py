@@ -63,6 +63,12 @@ _FLAG_TAILS = {
                      id="rolling-step"),
         pytest.param("diagnose", ["--k", "60", "--taugrid", "0.9:x:5"], "error: --taugrid takes",
                      id="diagnose-taugrid"),
+        # the library's own checks, in its own words
+        pytest.param("estimate", ["--k", "60", "--tau", "1.5"],
+                     "error: tau_prime must lie in (0, 1), got 1.5\n", id="estimate-tau-range"),
+        pytest.param("diagnose", ["--k", "60:20"], "error: empty k range (60, 20)\n", id="diagnose-k-range"),
+        pytest.param("diagnose", ["--k", "60", "--taugrid", "1.5"], "error: every tau must lie in (0, 1)\n",
+                     id="diagnose-tau-range"),
     ],
 )
 def test_malformed_flag_is_reported_before_a_missing_file(command, flags, error, tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_margin_index_rank_permutation_roundtrip():
 
 @pytest.mark.parametrize(
     "bad",
-    [[], [[1.0, 2.0]], [1.0, np.nan], [1.0, np.inf]],
+    [[], [[[1.0, 2.0]]], [1.0, np.nan], [1.0, np.inf]],  # a stack is 2-D, nothing is 3-D
 )
 def test_margin_index_rejects_bad_input(bad):
     with pytest.raises(ValueError):
@@ -102,7 +102,11 @@ def test_loss_pair_sample_coerces_and_validates():
     with pytest.raises(ValueError):
         LossPairSample(xs=[1.0, np.nan], ys=[1.0, 2.0])
     with pytest.raises(ValueError):
-        LossPairSample(xs=[[1.0, 2.0]], ys=[[1.0, 2.0]])
+        LossPairSample(xs=[[[1.0, 2.0]]], ys=[[[1.0, 2.0]]])
+    with pytest.raises(ValueError):
+        LossPairSample(xs=[[1.0, 2.0]], ys=[1.0, 2.0])
+    stack = LossPairSample(xs=[[1.0, 2.0], [3.0, 4.0]], ys=np.ones((2, 2)))
+    assert stack.stacked and stack.n == 2
 
 
 def _configured(n, k, tau_prime):

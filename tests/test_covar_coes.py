@@ -329,21 +329,29 @@ def _outcome(sample, k, tau_prime):
 
 
 def test_each_margin_is_sorted_once_per_sample(monkeypatch):
-    calls = []
+    """One index build per margin per stack, on the whole (B, n) stack; a
+    1-D sample is a stack of one."""
+    shapes = []
     original = cotail.covar_coes.build_margin_index
 
     def counting(values, depth=None):
-        calls.append(len(values))
+        shapes.append(np.shape(values))
         return original(values, depth)
 
     monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
     rng = np.random.default_rng(17)
     estimate_all(sample_model(make_spec("Cauchy"), 2000, rng), 250, 0.999)
-    assert calls == [2000, 2000]
-    calls.clear()
+    assert shapes == [(1, 2000), (1, 2000)]
+    shapes.clear()
     sample = sample_model(make_spec("Cauchy"), 1000, rng)
     estimate_with_k_values(sample, range(60, 81), 0.999)
-    assert calls == [1000, 1000]
+    assert shapes == [(1, 1000), (1, 1000)]
+    shapes.clear()
+    samples = [sample_model(make_spec("Cauchy"), 1000, rng) for _ in range(5)]
+    stack = LossPairSample(xs=np.stack([s.xs for s in samples]), ys=np.stack([s.ys for s in samples]))
+    estimate_with_k_values(stack, range(60, 81), 0.999)
+    estimate_all(stack, 250, 0.999)
+    assert shapes == [(5, 1000)] * 4
 
 
 @pytest.mark.parametrize("family", ["Logistic", "Cauchy", "Pareto2", "StudentT"])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import cotail.covar_coes
 import cotail.data_io
 from cotail.core import LossPairSample, build_margin_index
-from cotail.covar_coes import RECORD_KEYS, estimate_all
+from cotail.covar_coes import RECORD_KEYS, _stack_rows, estimate_all
 from cotail.data_io import (
     RollingPlan,
     diagnostics_export,
@@ -278,6 +279,29 @@ class TestRolling:
             rolling_estimates(
                 _dates(9), LossPairSample(xs=zeros, ys=zeros), RollingPlan(window=5, k=2, tau_prime=0.9)
             )
+
+    def test_each_margin_is_sorted_once_per_block(self, monkeypatch):
+        """251 windows of 1000, as the rolling benchmark runs them: one index
+        build per margin per block of windows, each on the (B, window) stack."""
+        shapes = []
+        original = cotail.covar_coes.build_margin_index
+
+        def counting(values, depth=None):
+            shapes.append(np.shape(values))
+            return original(values, depth)
+
+        monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
+        sample = sample_model(make_spec("StudentT"), 1250, np.random.default_rng(251))
+        ks = range(60, 81)
+        rows = rolling_estimates(_dates(1250), sample, RollingPlan(window=1000, k=(60, 80), tau_prime=0.999))
+        assert len(rows) == 251
+        block = _stack_rows(1000, ks)
+        blocks = [min(block, 251 - start) for start in range(0, 251, block)]
+        assert 1 < len(blocks) < 251
+        assert shapes == [(b, 1000) for b in blocks for _ in range(2)]
+        for index in (0, block - 1, block, 250):
+            window = LossPairSample(xs=sample.xs[index : index + 1000], ys=sample.ys[index : index + 1000])
+            assert rows[index][1] == estimate_with_k_values(window, ks, 0.999)
 
     def test_rows_are_dated_by_their_last_loss(self, tmp_path):
         prices_x, prices_y = _model_prices(seed=99, n=80)

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import cotail.covar_coes
 from cotail.cli import main
-from cotail.covar_coes import ESTIMATOR_NAMES
+from cotail.covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
 from cotail.harness import ExperimentPlan, msre, plan_from_record, run_experiment
-from cotail.models import make_spec
+from cotail.models import make_spec, sample_model
+from cotail.oracle import oracle_result
 
 
 def _plan(family="Cauchy", n=200, k=40, tau_prime=0.99, replications=1, seed=0):
@@ -101,6 +103,41 @@ def test_worker_count_invariance():
     assert serial.ratios == threaded.ratios
     assert serial.failure_count == threaded.failure_count
     assert serial.warning_counts == threaded.warning_counts
+
+
+def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
+    """Each replication keeps its spawned stream and its lone-sample
+    estimate; blocks of replications share one index build per margin, and
+    threads taking whole blocks change nothing."""
+    plan = _plan(n=500, k=60, replications=300, seed=41)
+    shapes = []
+    original = cotail.covar_coes.build_margin_index
+
+    def counting(values, depth=None):
+        shapes.append(np.shape(values))
+        return original(values, depth)
+
+    monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
+    serial = run_experiment(plan)
+    size = _stack_rows(500, (60,))
+    blocks = [min(size, 300 - start) for start in range(0, 300, size)]
+    assert len(blocks) > 1
+    assert shapes == [(b, 500) for b in blocks for _ in range(2)]
+    threaded = run_experiment(plan, workers=3)
+    assert (serial.ratios, serial.failure_count, serial.warning_counts) == (
+        threaded.ratios, threaded.failure_count, threaded.warning_counts
+    )
+    truth = oracle_result(plan.spec, plan.tau_prime)
+    alone = []
+    for child in np.random.SeedSequence(41).spawn(300):
+        try:
+            alone.append(estimate_all(sample_model(plan.spec, 500, np.random.default_rng(child)), 60, 0.99))
+        except ValueError:
+            continue
+    assert serial.failure_count == 300 - len(alone)
+    for name in ESTIMATOR_NAMES:
+        scale = truth.covar if name.startswith("covar") else truth.coes
+        assert serial.ratios[name] == tuple(getattr(e, name) / scale for e in alone)
 
 
 def test_failure_accounting():

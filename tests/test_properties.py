@@ -14,6 +14,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -26,7 +27,8 @@ from cotail.core import (
     check_tail,
 )
 from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
-from cotail.empirical import tail_prob_curve
+from cotail.data_io import estimate_with_k_values
+from cotail.empirical import _hill, tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
 from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
 from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, tail_prob_by_value
@@ -285,13 +287,13 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     ms = np.array([check_tail(n, k) for k in ks.tolist()])
     x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
     rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
-    covar, _ = _intermediate(x_index, ks, rows, r1)
+    covar, _ = _intermediate(x_index, ks, ms, rows, r1)
     result = estimate_k_range(sample, ks, 0.999)
     for i, k in enumerate(ks.tolist()):
         raws = []
         for variant, rank in ((1, int(r1[i])), (2, int(r2[i]))):
-            eta = _eta(n, k, variant, rank)
-            raws.append(None if eta is None else eta[0])
+            raw, _, _, attained = _eta(n, k, variant, rank)
+            raws.append(float(raw) if attained else None)
             assert raws[-1] == _bruteforce(sample, k, variant)
         assert covar[i] == intermediate_covar_scan(sample, k)
         error = result.errors[i]
@@ -302,3 +304,82 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
             assert values[4] == covar[i]
         elif error.code == "eta_not_attained":
             assert None in raws
+
+
+def _bits(outcome):
+    """An estimate_all / estimate_with_k_values outcome, with every float as
+    its exact hex digits, or its error's type, code and message."""
+    if isinstance(outcome, ValueError):
+        return type(outcome), getattr(outcome, "code", None), str(outcome)
+    return [value.hex() for value in outcome.to_record().values()], outcome.warnings
+
+
+def _alone(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
+
+
+@st.composite
+def stacks(draw):
+    """(rows, ks): 2 to 7 model samples of one size n, some rounded so that
+    they tie at the cut, in a drawn order, and a k-range that may cross n."""
+    n = draw(st.integers(8, 80))
+    rows = []
+    for _ in range(draw(st.integers(2, 7))):
+        spec, seed = make_spec(draw(st.sampled_from(FAMILIES))), draw(st.integers(0, 2**32 - 1))
+        sample = sample_model(spec, n, np.random.default_rng(seed))
+        decimals = draw(st.sampled_from([None, 0, 1]))
+        rows.append(tuple(v if decimals is None else np.round(v, decimals) for v in (sample.xs, sample.ys)))
+    rows = draw(st.permutations(rows))
+    lo = draw(st.integers(1, n))
+    return rows, range(lo, draw(st.integers(lo, n + 3)) + 1)
+
+
+@settings(SETTINGS, max_examples=120)
+@given(stacks(), st.sampled_from([0.99, 0.999]))
+def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
+    """Each row of a stacked estimate is, bit for bit, what its sample gives
+    alone: index, values, errors with their codes and texts, warnings, the
+    k average and the one-k record."""
+    rows, ks = case
+    stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
+    stacked = estimate_k_range(stack, ks, tau_prime)
+    averaged = estimate_with_k_values(stack, ks, tau_prime)
+    one_k = estimate_all(stack, ks[0], tau_prime)
+    indexes = build_margin_index(stack.xs, ks[-1])
+    assert len(stacked) == len(averaged) == len(one_k) == len(rows)
+    for row, (xs, ys) in enumerate(rows):
+        sample = LossPairSample(xs=xs, ys=ys)
+        index = build_margin_index(xs, ks[-1])
+        assert indexes.sorted[row].tobytes() == index.sorted.tobytes()
+        assert np.array_equal(indexes.ranks[row], index.ranks)
+        assert np.array_equal(indexes.order[row], index.order[index.depth - indexes.depth :])
+        alone = estimate_k_range(sample, ks, tau_prime)
+        result = stacked[row]
+        assert [e and _bits(e) for e in result.errors] == [e and _bits(e) for e in alone.errors]
+        for name in ("values", "fired", "quoted"):
+            assert getattr(result, name).tobytes() == getattr(alone, name).tobytes()
+        assert result.first_warnings() == alone.first_warnings()
+        assert _bits(averaged[row]) == _bits(_alone(lambda: estimate_with_k_values(sample, ks, tau_prime)))
+        assert _bits(one_k[row]) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
+
+
+def test_hill_on_a_stack_takes_each_row_s_logs_alone():
+    """numpy's log on a contiguous or 2-D block can take a vector kernel
+    that differs from the C library's log in the last bit; Hill on a stack
+    still equals the 1-D Hill of each row, bit for bit."""
+    candidates = np.random.default_rng(2026).uniform(1.0, 50.0, 200_000)
+    contiguous = np.log(candidates)
+    differs = candidates[[math.log(v) != c for v, c in zip(candidates.tolist(), contiguous.tolist())]]
+    if differs.size < 20:
+        pytest.skip("numpy's contiguous log agrees with math.log on this host: there is no trap to pin")
+    assert all(math.log(v) != np.log(np.array([v] * 16))[0] for v in differs[:20].tolist())
+    rng = np.random.default_rng(7)
+    rows = [np.concatenate([rng.permutation(differs[:20]), rng.uniform(0.1, 0.9, 80)]) for _ in range(4)]
+    stack = np.stack(rows)
+    ks = np.arange(1, 20)
+    stacked = _hill(build_margin_index(stack, 21), ks)
+    for row, values in enumerate(stack):
+        assert stacked[row].tobytes() == _hill(build_margin_index(values, 21), ks).tobytes()

@@ -150,6 +150,6 @@ def test_eta2_is_never_clamped():
     for n in range(2, 61):
         for k in range(1, n):
             for rank in range(n - k + 1, n + 1):
-                raw, value, clamped = _eta(n, k, 2, rank)
-                assert value == raw and not clamped
+                raw, value, clamped, attained = _eta(n, k, 2, rank)
+                assert attained and value == raw and not clamped
                 assert 1.0 / (2.0 * k) <= raw < 1.0
