@@ -16,8 +16,9 @@ survival's conditional quadrature over |T1| = z, weighted by
 z^x_exponent - c, so one quadrature rather than one per node.  The tail is
 finite iff X's extreme value index gamma_1 < 1; at gamma_1 >= 1 (StudentT
 nu <= 1/2, Pareto2 theta <= 1/6) the oracle raises the tail error without
-integrating.  ``oracle_result`` computes both, memoized per (model, tau): it
-is the one path to the truth.  Within a cell no survival is evaluated twice.
+integrating, before the CoVaR root.  ``oracle_result`` computes both,
+memoized per (model, tau): it is the one path to the truth.  Within a cell
+no survival is evaluated twice.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy import integrate, optimize
-from scipy.special import gammaln, stdtr
+from scipy.special import cython_special, gammaln
 
 from .models import ModelSpec, marginal_quantiles, pre_margin_survival, true_tail_copula
 
@@ -112,14 +113,17 @@ def _student_integrand(
 
     Given T1 = z, (T2 - rho z)/sigma(z) is t with nu + 1 degrees of freedom,
     sigma(z) = sqrt((nu + z^2)(1 - rho^2)/(nu + 1)): one quadrature over
-    z >= a, one ``stdtr`` call per node for both tails; central symmetry
-    gives the factor 2 the caller applies.  The weight w defaults to 1,
-    which gives the joint survival.
+    z >= a, two compiled scalar t-CDF calls per node (``cython_special.stdtr``,
+    the kernel of the ``stdtr`` ufunc without its per-call array overhead),
+    one for each conditional tail; central symmetry gives the factor 2 the
+    caller applies.  The weight w defaults to 1, which gives the joint
+    survival.
     """
     nu, rho = spec.nu, spec.rho
-    coef = math.sqrt((1.0 - rho * rho) / (nu + 1.0))
+    df = nu + 1.0
+    coef = math.sqrt((1.0 - rho * rho) / df)
     scale = max(a, 1.0)
-    log_norm = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    log_norm = float(gammaln(0.5 * df) - gammaln(0.5 * nu)) - 0.5 * math.log(nu * math.pi)
 
     def integrand(u: float) -> float:
         # z = a + scale*((1 - u)/u)^2 folds [a, inf) onto (0, 1] with
@@ -127,8 +131,9 @@ def _student_integrand(
         r = (1.0 - u) / u
         z = a + scale * r * r
         sigma = coef * math.sqrt(nu + z * z)
-        upper, lower = stdtr(nu + 1.0, ((rho * z - b) / sigma, (-b - rho * z) / sigma)).tolist()
-        density = math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+        upper = cython_special.stdtr(df, (rho * z - b) / sigma)
+        lower = cython_special.stdtr(df, (-b - rho * z) / sigma)
+        density = math.exp(log_norm - 0.5 * df * math.log1p(z * z / nu))
         w = 1.0 if weight is None else weight(z)
         return w * density * (upper + lower) * scale * 2.0 * r / (u * u)
 
@@ -156,12 +161,6 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
     quadrature over |T1| = z >= c^(1/x_exponent) weighted by z^x_exponent - c.
     The closed-form families integrate S itself in s = c/u, u in (0, 1].
     """
-    if spec.gamma_1 >= 1.0:
-        # E[X; Y >= var_y] is infinite
-        raise ValueError(
-            "CoES tail quadrature did not converge: The integral is divergent "
-            f"({spec.family} gamma_1 = {spec.gamma_1:g} >= 1, CoES is infinite)"
-        )
     if spec.family == "StudentT":
         factor = 2.0  # central symmetry, as in the survival
         integrand = _student_integrand(
@@ -191,6 +190,13 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
     if hit is not None:
         return hit
     var_x, var_y = marginal_quantiles(spec, tau)
+    if spec.gamma_1 >= 1.0:
+        # E[X; Y >= var_y] is infinite: no CoVaR root is solved for a CoES
+        # that cannot be given
+        raise ValueError(
+            "CoES tail quadrature did not converge: The integral is divergent "
+            f"({spec.family} gamma_1 = {spec.gamma_1:g} >= 1, CoES is infinite)"
+        )
     target = (1.0 - tau) ** 2
     # one memo for the s_lo check, the doubling loop and brentq, which
     # evaluates both bracket ends again: no survival is computed twice

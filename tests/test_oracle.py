@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.special import cython_special
 
 import cotail.oracle
 from cotail.cli import main
@@ -193,6 +195,14 @@ _STUDENT_TRUTH = {
         0.999: (12.923978636687961, 11.38014691321562, 13.666356797793478, 1.1380146913215622e-09),
         0.9999: (28.000130010950002, 24.551826006893013, 29.471855944520044, 2.4551826006893014e-09),
     },
+    # nu < 1: gamma1 = 1/(2 nu) in (1/2, 1), the heavy-tail branch of the
+    # weighted tail quadrature
+    (0.7, 0.1): {
+        0.95: (36.611415031588656, 51.23306264423563, 179.86792545431325, 7.861855610968845e-08),
+        0.99: (364.9352029815851, 512.2953909293095, 1793.5818028606259, 7.790992850864584e-07),
+        0.999: (9790.117523122977, 13748.178639162277, 48119.17270884929, 2.085971673171368e-05),
+        0.9999: (262639.07174878556, 368826.6581139, 1290893.8508453604, 0.0005597970004213149),
+    },
 }
 
 
@@ -202,6 +212,41 @@ def test_student_truth_is_pinned_bit_for_bit(nu, rho):
     for tau, pinned in _STUDENT_TRUTH[(nu, rho)].items():
         result = oracle_result(spec, tau)
         assert (result.var_y, result.covar, result.coes, result.abs_tol) == pinned
+
+
+@pytest.mark.parametrize("df", [1.45, 1.7, 2.5, 4.0, 11.0])
+def test_scalar_t_cdf_is_the_ufunc_kernel(df):
+    # the StudentT integrand calls cython_special.stdtr one node at a time;
+    # the pinned truths above were made with the special.stdtr ufunc, so a
+    # scipy release that parts the two entry points is named here first
+    powers = [10.0**e for e in range(-8, 13)]
+    rng = np.random.default_rng(2024)
+    xs = [0.0, 1e-300, -1e-300] + powers + [-p for p in powers]
+    xs += rng.standard_normal(500).tolist() + (3.0 * rng.standard_cauchy(500)).tolist()
+    ufunc = special.stdtr(df, np.array(xs)).tolist()
+    scalar = [cython_special.stdtr(df, x) for x in xs]
+    assert [v.hex() for v in scalar] == [v.hex() for v in ufunc]
+
+
+def test_infinite_coes_is_raised_before_any_survival(monkeypatch):
+    # gamma1 = 10: no CoVaR root is solved (whose survival quadrature would
+    # warn at this nu) for a CoES that is infinite
+    calls = []
+    survival = cotail.oracle.joint_survival
+
+    def traced(*args):
+        calls.append(args)
+        return survival(*args)
+
+    monkeypatch.setattr(cotail.oracle, "joint_survival", traced)
+    spec = make_spec("StudentT", nu=0.05, rho=0.5)
+    assert _oracle_error(spec, 0.9999) == (
+        "CoES tail quadrature did not converge: The integral is divergent "
+        "(StudentT gamma_1 = 10 >= 1, CoES is infinite)"
+    )
+    # a bad level is still reported first
+    assert _oracle_error(spec, 1.5) == "tau must lie in (0, 1), got 1.5"
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau", [0.99, 0.999])
