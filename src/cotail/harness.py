@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
-from .core import LossPairSample, _whole_number, check_tail
+from .core import _whole_number, check_tail
 from .models import ModelSpec, sample_model
 from .oracle import oracle_result
 
@@ -124,11 +124,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
     ]
 
     def task(block: list[np.random.Generator]) -> list:
-        samples = [sample_model(plan.spec, plan.n, rng) for rng in block]
-        stack = LossPairSample(
-            xs=np.stack([sample.xs for sample in samples]), ys=np.stack([sample.ys for sample in samples])
-        )
-        return estimate_all(stack, plan.k, plan.tau_prime)
+        return estimate_all(sample_model(plan.spec, plan.n, block), plan.k, plan.tau_prime)
 
     # whole blocks of replications, each estimated as one stack; a worker
     # takes whole blocks, and no outcome depends on the blocks

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,13 @@ def make_spec(
     return ModelSpec(family=family, **params)
 
 
-def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> LossPairSample:
-    """Draw n i.i.d. pairs from the model.
+def sample_model(
+    spec: ModelSpec, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> LossPairSample:
+    """Draw n i.i.d. pairs from the model with one Generator; with a
+    sequence of B Generators, a (B, n) stack whose row i is the sample
+    ``rng[i]`` draws alone, drawn row by row into the stack and validated
+    once.
 
     The draw order per family is fixed (documented below), so a given
     Generator state always yields the same sample:
@@ -139,6 +145,17 @@ def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> LossPairS
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if isinstance(rng, np.random.Generator):
+        xs, ys = _draw_pairs(spec, n, rng)
+        return LossPairSample(xs=xs, ys=ys)
+    xs, ys = np.empty((len(rng), n)), np.empty((len(rng), n))
+    for row, generator in enumerate(rng):
+        xs[row], ys[row] = _draw_pairs(spec, n, generator)
+    return LossPairSample(xs=xs, ys=ys)
+
+
+def _draw_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of n pairs in ``sample_model``'s draw order."""
     if spec.family == "Logistic":
         z1, z2 = _sample_logistic_frechet(spec.theta, n, rng)
     elif spec.family == "Cauchy":
@@ -159,7 +176,7 @@ def sample_model(spec: ModelSpec, n: int, rng: np.random.Generator) -> LossPairS
         z2 = np.abs(
             (spec.rho * normals[:, 0] + math.sqrt(1.0 - spec.rho**2) * normals[:, 1]) / scale
         )
-    return LossPairSample(xs=z1**spec.x_exponent, ys=z2)
+    return z1**spec.x_exponent, z2
 
 
 def _sample_logistic_frechet(

@@ -1,9 +1,14 @@
 import datetime
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cotail
 from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
 from cotail.data_io import estimate_with_k_values, load_pair_series
@@ -281,6 +286,16 @@ def test_oracle_quadrature_failure_exits_with_error(capsys):
     assert captured.err.startswith(
         "error: CoES tail quadrature did not converge: The integral is divergent"
     )
+
+
+def test_cli_imports_neither_scipy_integrate_nor_optimize():
+    # the oracle's quadrature and Brent root are the package's own: a fresh
+    # interpreter that imports the CLI loads scipy.special alone
+    src = str(Path(cotail.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cotail.cli; print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_diagnose_rejects_inverted_range(price_files, tmp_path, capsys):

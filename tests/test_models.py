@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import cotail.models
 from cotail.models import (
     FAMILIES,
     ModelSpec,
@@ -104,6 +105,21 @@ class TestSampler:
             assert np.array_equal(first.xs, second.xs)
             assert np.array_equal(first.ys, second.ys)
             assert not np.array_equal(first.ys, other.ys)
+
+    def test_stack_rows_are_the_samples_alone(self, monkeypatch):
+        # one validation per stack, and each row byte for byte its Generator's lone sample
+        built = []
+        real = cotail.models.LossPairSample
+        monkeypatch.setattr(cotail.models, "LossPairSample", lambda **arrays: built.append(1) or real(**arrays))
+        for family in FAMILIES:
+            seeds = np.random.SeedSequence(5).spawn(3)
+            built.clear()
+            stack = sample_model(make_spec(family), 40, [np.random.default_rng(seed) for seed in seeds])
+            assert (stack.xs.shape, len(built)) == ((3, 40), 1)
+            for row, seed in enumerate(seeds):
+                alone = sample_model(make_spec(family), 40, np.random.default_rng(seed))
+                assert stack.xs[row].tobytes() == alone.xs.tobytes()
+                assert stack.ys[row].tobytes() == alone.ys.tobytes()
 
     def test_pareto_marginal_survival(self):
         rng = np.random.default_rng(1001)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, optimize, special
 from scipy.special import cython_special
 
 import cotail.oracle
@@ -15,7 +15,7 @@ from cotail.models import (
     sample_model,
     true_tail_copula,
 )
-from cotail.oracle import joint_survival, oracle_result
+from cotail.oracle import _RTOL, _brentq, _kronrod21, _quad, joint_survival, oracle_result
 from oracles import covar_coes_mp, eta_star, eta_true, joint_survival_quad
 
 
@@ -123,14 +123,26 @@ def test_eta_star_solves_tail_copula_level():
 # gamma1 = 1/(6 theta) in (2/3, 1) on the heavy Pareto2 cells: the tail
 # integral converges slowly, and the exact incomplete-beta reference bounds
 # its error
-AUDIT_SPECS = [pytest.param(make_spec(family), id=family) for family in FAMILIES] + [
-    pytest.param(make_spec("Pareto2", theta=theta), id=f"Pareto2-theta{theta}")
-    for theta in (0.17, 0.2, 0.25)
+AUDIT_SPECS = [(family, make_spec(family)) for family in FAMILIES] + [
+    (f"Pareto2-theta{theta}", make_spec("Pareto2", theta=theta)) for theta in (0.17, 0.2, 0.25)
+]
+AUDIT_CELLS = [
+    pytest.param(spec, tau, id=f"{tau}-{name}")
+    for tau in (0.95, 0.99, 0.999, 0.9999)
+    for name, spec in AUDIT_SPECS
+] + [
+    # gamma1 within 2% of 1: the StudentT tail decays like z^(1/2 - nu) far
+    # beyond double range, and the Pareto2 closed form divides by
+    # theta - 1/6 = 3.3e-5
+    pytest.param(make_spec("StudentT", nu=nu, rho=0.3), tau, id=f"{tau}-StudentT-nu{nu}")
+    for nu, tau in ((0.51, 0.99), (0.51, 0.999), (0.55, 0.9999), (0.5001, 0.99))
+] + [
+    pytest.param(make_spec("Pareto2", theta=0.1667), tau, id=f"{tau}-Pareto2-theta0.1667")
+    for tau in (0.99, 0.9999)
 ]
 
 
-@pytest.mark.parametrize("spec", AUDIT_SPECS)
-@pytest.mark.parametrize("tau", [0.95, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("spec, tau", AUDIT_CELLS)
 def test_oracle_matches_mpmath_audit(spec, tau):
     """CoVaR solves the defining equation and CoES matches an mpmath tail integral."""
     result = oracle_result(spec, tau)
@@ -190,18 +202,18 @@ _STUDENT_TRUTH = {
         0.9999: (384.5724025215815, 422.3111913399944, 633.6058747449338, 4.2231119133999445e-08),
     },
     (3.0, 0.8): {
-        0.95: (3.1824463052837078, 3.0421921694822633, 3.67631990625909, 3.0421921694822637e-10),
-        0.99: (5.840909309733355, 5.261401795472469, 6.327152142436824, 5.261401795472469e-10),
-        0.999: (12.923978636687961, 11.38014691321562, 13.666356797793478, 1.1380146913215622e-09),
-        0.9999: (28.000130010950002, 24.551826006893013, 29.471855944520044, 2.4551826006893014e-09),
+        0.95: (3.1824463052837078, 3.0421921694822633, 3.6763199062590894, 3.0421921694822637e-10),
+        0.99: (5.840909309733355, 5.261401795472469, 6.327152142436823, 5.261401795472469e-10),
+        0.999: (12.923978636687961, 11.38014691321562, 13.666356797793476, 1.1380146913215622e-09),
+        0.9999: (28.000130010950002, 24.551826006893013, 29.47185594452004, 2.4551826006893014e-09),
     },
     # nu < 1: gamma1 = 1/(2 nu) in (1/2, 1), the heavy-tail branch of the
     # weighted tail quadrature
     (0.7, 0.1): {
-        0.95: (36.611415031588656, 51.23306264423563, 179.86792545431325, 7.861855610968845e-08),
-        0.99: (364.9352029815851, 512.2953909293095, 1793.5818028606259, 7.790992850864584e-07),
-        0.999: (9790.117523122977, 13748.178639162277, 48119.17270884929, 2.085971673171368e-05),
-        0.9999: (262639.07174878556, 368826.6581139, 1290893.8508453604, 0.0005597970004213149),
+        0.95: (36.611415031588656, 51.233062644237535, 179.86792545430592, 5.123306264423753e-09),
+        0.99: (364.9352029815851, 512.2953909293286, 1793.5818028609197, 5.1229539092932866e-08),
+        0.999: (9790.117523122977, 13748.178639162776, 48119.1727088491, 1.3748178639162775e-06),
+        0.9999: (262639.07174878556, 368826.65811391344, 1290893.8508454207, 3.688266581139134e-05),
     },
 }
 
@@ -216,9 +228,10 @@ def test_student_truth_is_pinned_bit_for_bit(nu, rho):
 
 @pytest.mark.parametrize("df", [1.45, 1.7, 2.5, 4.0, 11.0])
 def test_scalar_t_cdf_is_the_ufunc_kernel(df):
-    # the StudentT integrand calls cython_special.stdtr one node at a time;
-    # the pinned truths above were made with the special.stdtr ufunc, so a
-    # scipy release that parts the two entry points is named here first
+    # the StudentT integrand evaluates the stdtr ufunc on arrays of nodes;
+    # the survival pin of test_joint_survival_known_values was made with
+    # the scalar cython_special.stdtr, one node at a time, so a scipy
+    # release that parts the two entry points is named here first
     powers = [10.0**e for e in range(-8, 13)]
     rng = np.random.default_rng(2024)
     xs = [0.0, 1e-300, -1e-300] + powers + [-p for p in powers]
@@ -365,25 +378,119 @@ def _oracle_error(spec, tau) -> str:
 
 @pytest.fixture
 def tail_quad(monkeypatch):
-    """Make the tail integral's full_output quadrature return a given result;
-    every other quadrature is the real one, and the memo starts empty."""
+    """Make the quadrature return a given (value, error, message); in a
+    Cauchy cell it integrates only the CoES tail.  The memo starts empty."""
     monkeypatch.setattr(cotail.oracle, "_CACHE", {})
-    real = cotail.oracle.integrate.quad
 
     def patch(*result):
-        def quad(*args, **kwargs):
-            return result if kwargs.get("full_output") else real(*args, **kwargs)
-
-        monkeypatch.setattr(cotail.oracle.integrate, "quad", quad)
+        monkeypatch.setattr(cotail.oracle, "_quad", lambda *args, **kwargs: result)
 
     return patch
 
 
 def test_student_survival_nonconvergence_is_an_error(monkeypatch):
-    monkeypatch.setattr(cotail.oracle.integrate, "quad", lambda *args, **kwargs: (0.25, 1.0))
+    monkeypatch.setattr(cotail.oracle, "_quad", lambda *args, **kwargs: (0.25, 1.0, ""))
     with pytest.raises(ValueError) as excinfo:
         joint_survival(make_spec("StudentT"), 2.0, 1.0)
     assert str(excinfo.value) == "StudentT survival quadrature did not converge (err=1)"
+
+
+# the closed-form CoVaR roots as scipy.optimize.brentq gave them, before
+# the root was written out in the package
+_CLOSED_FORM_COVAR = {
+    ("Logistic", 0.95): "0x1.ca577f3e6ec25p+2",
+    ("Logistic", 0.99): "0x1.5574987637153p+4",
+    ("Logistic", 0.999): "0x1.8f3237eecb18dp+6",
+    ("Logistic", 0.9999): "0x1.cff56a1a561a3p+8",
+    ("Cauchy", 0.95): "0x1.922adefa506c8p+2",
+    ("Cauchy", 0.99): "0x1.280a4ef33ba00p+4",
+    ("Cauchy", 0.999): "0x1.580b51ceec4a8p+6",
+    ("Cauchy", 0.9999): "0x1.8f49b2f8478fap+8",
+    ("Pareto2", 0.95): "0x1.d75bfe0b865e4p+2",
+    ("Pareto2", 0.99): "0x1.58b42c909ddb7p+4",
+    ("Pareto2", 0.999): "0x1.8ffffba16a128p+6",
+    ("Pareto2", 0.9999): "0x1.d028ac877f2b1p+8",
+}
+
+
+def test_closed_form_covar_is_pinned_bit_for_bit():
+    for (family, tau), pinned in _CLOSED_FORM_COVAR.items():
+        assert oracle_result(make_spec(family), tau).covar.hex() == pinned, (family, tau)
+
+
+@pytest.mark.parametrize("family", ["Logistic", "Cauchy", "Pareto2"])
+def test_brent_root_is_scipys_on_the_covar_roots(family):
+    spec = make_spec(family)
+    for tau in (0.9, 0.95, 0.99, 0.995, 0.999, 0.9999):
+        var_x, var_y = marginal_quantiles(spec, tau)
+        target = (1.0 - tau) ** 2
+
+        def g(c):
+            return joint_survival(spec, c, var_y) - target
+
+        lo, hi = var_x, 2.0 * var_x
+        while g(hi) >= 0.0:
+            lo, hi = hi, 2.0 * hi
+        ours = _brentq(g, lo, hi, xtol=1e-300, rtol=_RTOL)
+        assert ours.hex() == optimize.brentq(g, lo, hi, xtol=1e-300, rtol=_RTOL).hex(), tau
+
+
+def _seeded_function(rng):
+    """A smooth function of one of four shapes, with random coefficients."""
+    c = rng.normal(size=4).tolist()
+    kind = rng.integers(4)
+    if kind == 0:
+        return lambda x: c[0] + x * (c[1] + x * (c[2] + x * c[3]))
+    if kind == 1:
+        return lambda x: math.tanh(c[0] * (x - c[1])) + 0.5 * c[2]
+    if kind == 2:
+        return lambda x: math.exp(c[0] * x) - math.exp(c[1])
+    return lambda x: c[0] + c[1] * x + math.sin(3.0 * c[2] * x + c[3])
+
+
+def test_brent_root_is_scipys_on_seeded_functions():
+    rng = np.random.default_rng(1973)
+    compared = 0
+    while compared < 3000:
+        f = _seeded_function(rng)
+        lo, hi = sorted((rng.uniform(-4.0, 4.0, size=2) * 10.0 ** rng.uniform(-2.0, 1.0)).tolist())
+        if math.copysign(1.0, f(lo)) == math.copysign(1.0, f(hi)):
+            continue
+        for xtol, rtol in ((1e-300, _RTOL), (2e-12, 4.0 * np.finfo(float).eps)):
+            ours = _brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+            assert ours.hex() == optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol).hex(), (lo, hi)
+        compared += 1
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x**5 - 3.0 * x * x + 1.0, -1.0, 2.0),
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, 5.0),
+        (lambda x: x / (1.0 + x) ** 3, 0.0, 40.0),
+        (np.sqrt, 0.0, 2.0),
+    ],
+)
+def test_kronrod21_is_quadpacks_rule(f, a, b):
+    # QUADPACK stops after its first 21-point rule at limit = 1, and
+    # full_output returns its message instead of warning
+    ref, ref_err, _, _ = integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b, limit=1, full_output=1)
+    value, err = _kronrod21(f, np.array([a]), np.array([b]))
+    assert value[0].hex() == ref.hex()
+    assert err[0] == pytest.approx(ref_err, rel=1e-12)
+
+
+def test_quadrature_error_estimate_bounds_the_error():
+    value, err, message = _quad(np.sqrt, (0.0, 1.0), epsabs=0.0, epsrel=1e-10)
+    assert message == ""
+    assert abs(value - 2.0 / 3.0) <= err <= 1e-10 * value
+
+
+def test_quadrature_reports_its_panel_limit():
+    # no panel meets a zero bound: every round bisects all, 1 -> 2 -> 4 -> 8
+    value, err, message = _quad(np.sqrt, (0.0, 1.0), epsabs=0.0, epsrel=0.0, limit=8)
+    assert message == "The maximum number of subdivisions (8) has been achieved."
+    assert abs(value - 2.0 / 3.0) <= err
 
 
 def test_unbracketed_covar_root_is_an_error(monkeypatch):
@@ -394,7 +501,7 @@ def test_unbracketed_covar_root_is_an_error(monkeypatch):
 
 
 def test_tail_quadrature_message_is_an_error(tail_quad):
-    tail_quad(1.0, 0.5, {}, "The maximum number of subdivisions (200) has been achieved.\n  More.")
+    tail_quad(1.0, 0.5, "The maximum number of subdivisions (200) has been achieved.")
     assert _oracle_error(make_spec("Cauchy"), 0.99) == (
         "CoES tail quadrature did not converge: "
         "The maximum number of subdivisions (200) has been achieved."
@@ -402,8 +509,8 @@ def test_tail_quadrature_message_is_an_error(tail_quad):
 
 
 def test_non_finite_tail_quadrature_is_an_error(tail_quad):
-    tail_quad(math.inf, 0.0, {})
-    assert _oracle_error(make_spec("Pareto2"), 0.99) == (
+    tail_quad(math.inf, 0.0, "")
+    assert _oracle_error(make_spec("Cauchy"), 0.99) == (
         "CoES tail quadrature did not converge: non-finite value"
     )
 
