@@ -34,7 +34,7 @@ from .data_io import (
     write_text,
 )
 from .empirical import check_tau_grid
-from .harness import plan_from_record, run_experiment
+from .harness import msre, plan_from_record, ratios, run_experiment
 from .models import make_spec
 from .oracle import oracle_result
 
@@ -80,17 +80,24 @@ def _cmd_simulate(args) -> int:
             np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
         )
         plans.append(plan_from_record(record, default_seed=derived))
-    runs = [(index, plan, run_experiment(plan, workers=args.workers)) for index, plan in enumerate(plans)]
+    # one plan at a time: its outcomes are dropped once scored
+    runs = []
+    for index, plan in enumerate(plans):
+        truth, outcomes = run_experiment(plan, workers=args.workers)
+        plan_ratios = ratios(outcomes, truth)
+        msres = [msre(plan_ratios[name]) for name in ESTIMATOR_NAMES]
+        failures = sum(isinstance(outcome, ValueError) for outcome in outcomes)
+        runs.append((index, plan, plan_ratios, msres, failures))
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
     blocks = []
     for (n, k, tau_prime, replications), group in groupby(
         runs, key=lambda run: (run[1].n, run[1].k, run[1].tau_prime, run[1].replications)
     ):
-        lines = [f"n={n}  k={k}  tau'={tau_prime:g}  N={replications}", header]
-        for _, plan, table in group:
-            cells = (f"{table.msre[name]:9.5f}" for name in ESTIMATOR_NAMES)
-            lines.append("  ".join([plan.spec.family.ljust(10), *cells, str(table.failure_count).rjust(6)]))
+        lines = [f"n={n}  k={k}  tau'={tau_prime:.10g}  N={replications}", header]
+        for _, plan, _, msres, failures in group:
+            cells = (f"{value:9.5f}" for value in msres)
+            lines.append("  ".join([plan.spec.family.ljust(10), *cells, str(failures).rjust(6)]))
         blocks.append("\n".join(lines) + "\n")
     table_text = "\n".join(blocks)
 
@@ -98,17 +105,17 @@ def _cmd_simulate(args) -> int:
         ("plan", "family", "n", "k", "tau_prime", "replications", *ESTIMATOR_NAMES, "failures")
     ] + [
         (index, plan.spec.family, plan.n, plan.k, plan.tau_prime, plan.replications,
-         *(table.msre[name] for name in ESTIMATOR_NAMES), table.failure_count)
-        for index, plan, table in runs
+         *msres, failures)
+        for index, plan, _, msres, failures in runs
     ]
     # a stream, not a list: ratios.tsv has a row per replication and estimator
     ratio_rows = chain(
         [("plan", "family", "estimator", "ratio")],
         (
             (index, plan.spec.family, name, ratio)
-            for index, plan, table in runs
+            for index, plan, plan_ratios, _, _ in runs
             for name in ESTIMATOR_NAMES
-            for ratio in table.ratios[name]
+            for ratio in plan_ratios[name]
         ),
     )
     out = Path(args.out)

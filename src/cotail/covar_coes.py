@@ -79,9 +79,9 @@ class KRangeEstimates:
     values at that k, row i of ``fired`` whether each warning of
     ``WARNING_CODES`` fired, and row i of ``quoted`` what those warnings
     quote: Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1
-    can be floored); a failed k's rows hold NaN and False.  ``rows`` gives
-    the same as Python tuples.  ``n`` and ``tau_prime`` are the sample
-    size and extrapolation level the warnings quote.
+    can be floored); a failed k's rows hold NaN and False.  ``n`` and
+    ``tau_prime`` are the sample size and extrapolation level the warnings
+    quote.
     """
 
     ks: list[int]
@@ -91,16 +91,6 @@ class KRangeEstimates:
     quoted: np.ndarray
     n: int
     tau_prime: float
-
-    @property
-    def rows(self) -> tuple[tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]] | None, ...]:
-        """Per k, None where it failed, else its (values, fired, quoted)."""
-        return tuple(
-            None if error is not None else (tuple(values), tuple(fired), tuple(quoted))
-            for error, values, fired, quoted in zip(
-                self.errors, self.values.tolist(), self.fired.tolist(), self.quoted.tolist()
-            )
-        )
 
     def first_warnings(self) -> list[WarningRecord]:
         """Each warning code once, in the order a walk over the succeeded

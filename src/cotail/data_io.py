@@ -59,30 +59,33 @@ def k_values(k: int | tuple[int, int]) -> range:
 
 
 def _load_price_file(path) -> dict[datetime.date, float]:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports often write
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
-            raise ValueError(f"{path}: expected header 'date,price'")
-        table: dict[datetime.date, float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-                price = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(price):
-                raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
-            if price <= 0.0:
-                raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
-            if day in table:
-                raise ValueError(f"{path}:{lineno}: duplicate date {day}")
-            table[day] = price
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often write
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
+                raise ValueError(f"{path}: expected header 'date,price'")
+            table: dict[datetime.date, float] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                try:
+                    day = datetime.date.fromisoformat(row[0].strip())
+                    price = float(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not math.isfinite(price):
+                    raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
+                if price <= 0.0:
+                    raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
+                if day in table:
+                    raise ValueError(f"{path}:{lineno}: duplicate date {day}")
+                table[day] = price
+    except UnicodeDecodeError as exc:  # a ValueError that would not name the file
+        raise ValueError(f"{path}: {exc}") from None
     if not table:
         raise ValueError(f"{path}: no data rows")
     return table

@@ -1,15 +1,19 @@
 """Seeded Monte Carlo experiments scoring the estimators against the oracle.
 
-An experiment draws N independent samples from a model, runs every
-estimator on each, and reports the mean squared relative error
+An experiment draws N independent samples from a model and runs every
+estimator on each.  ``run_experiment`` returns the memoized population
+truth at tau' and each replication's outcome, in replication order: its
+``RiskEstimates``, or the ``ValueError`` that stopped it.  Every score is a
+plain function of the outcomes: ``ratios`` gives estimate/truth per
+estimator over the replications that succeeded, and ``msre`` the mean
+squared relative error
 
     MSRE = (1/N) * sum_l (estimate_l / truth - 1)^2
 
-per estimator.  Replications are scored against the memoized population
-truth at tau'.  Per-replication RNG streams are derived up front from the
-plan seed, and each replication's estimates are those of its sample alone
-although replications are estimated in stacks, so results are
-bit-identical regardless of worker count.
+of one estimator's ratios.  Per-replication RNG streams are derived up
+front from the plan seed, and each replication's estimates are those of
+its sample alone although replications are estimated in stacks, so the
+outcomes are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
+from .covar_coes import ESTIMATOR_NAMES, RiskEstimates, _stack_rows, estimate_all
 from .core import _whole_number, check_tail
 from .models import ModelSpec, sample_model
-from .oracle import oracle_result
+from .oracle import OracleResult, oracle_result
 
 
 @dataclass(frozen=True)
@@ -47,21 +51,6 @@ class ExperimentPlan:
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         check_tail(self.n, self.k, self.tau_prime)
-
-
-@dataclass(frozen=True)
-class MsreTable:
-    """Per-estimator MSREs for one experiment.
-
-    ``ratios`` keeps the raw estimate/truth samples from the successful
-    replications (useful for plotting spread); ``warning_counts`` tallies
-    warning codes across successful replications.
-    """
-
-    msre: dict[str, float]
-    failure_count: int
-    warning_counts: dict[str, int]
-    ratios: dict[str, tuple[float, ...]]
 
 
 def plan_from_record(record: dict, default_seed: int | None = None) -> ExperimentPlan:
@@ -97,23 +86,31 @@ def plan_from_record(record: dict, default_seed: int | None = None) -> Experimen
     )
 
 
-def msre(estimates: Sequence[float], truth: float) -> float:
-    """Mean squared relative error of the estimates against a nonzero truth."""
-    if truth == 0.0:
-        raise ValueError("truth must be nonzero for a relative error")
-    arr = np.asarray(estimates, dtype=float)
+def ratios(outcomes: Sequence[RiskEstimates | ValueError], truth: OracleResult) -> dict[str, list[float]]:
+    """Estimate/truth per ``ESTIMATOR_NAMES`` entry over the replications
+    that succeeded, in replication order; CoVaR variants are scored against
+    ``truth.covar`` and CoES variants against ``truth.coes``."""
+    succeeded = [outcome for outcome in outcomes if not isinstance(outcome, ValueError)]
+    truths = {name: truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES}
+    return {name: [getattr(outcome, name) / scale for outcome in succeeded] for name, scale in truths.items()}
+
+
+def msre(ratios: Sequence[float]) -> float:
+    """Mean squared relative error of estimate/truth ratios: the mean of (r - 1)^2."""
+    arr = np.asarray(ratios, dtype=float)
     if arr.size == 0:
-        raise ValueError("need at least one estimate")
-    return float(np.mean((arr / truth - 1.0) ** 2))
+        raise ValueError("need at least one ratio")
+    return float(np.mean((arr - 1.0) ** 2))
 
 
-def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
-    """Run all replications of a plan and aggregate MSREs.
+def run_experiment(
+    plan: ExperimentPlan, workers: int = 1
+) -> tuple[OracleResult, list[RiskEstimates | ValueError]]:
+    """Run all replications of a plan: the truth at tau' and the outcomes.
 
-    Replications failing with ValueError (e.g. a Hill estimate outside
-    (0, 1)) are counted in ``failure_count`` and dropped from the MSRE
-    denominator.  Raises if every replication fails, or if ``workers`` is
-    below 1.
+    Each outcome is a replication's ``RiskEstimates``, or the ValueError
+    that stopped it (e.g. a Hill estimate outside (0, 1)), in replication
+    order.  Raises if every replication fails, or if ``workers`` is below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -135,27 +132,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> MsreTable:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = [outcome for done in pool.map(task, blocks) for outcome in done]
-
-    truths = {name: truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES}
-    ratios: dict[str, list[float]] = {name: [] for name in ESTIMATOR_NAMES}
-    warning_counts: dict[str, int] = {}
-    failure_count = 0
-    for outcome in outcomes:
-        if isinstance(outcome, ValueError):
-            failure_count += 1
-            continue
-        for name, values in ratios.items():
-            values.append(getattr(outcome, name) / truths[name])
-        for warning in outcome.warnings:
-            warning_counts[warning.code] = warning_counts.get(warning.code, 0) + 1
-    if failure_count == plan.replications:
+    if all(isinstance(outcome, ValueError) for outcome in outcomes):
         raise ValueError(
             f"all {plan.replications} replications failed for {plan.spec.family} "
             f"(n={plan.n}, k={plan.k})"
         )
-    return MsreTable(
-        msre={name: msre(values, 1.0) for name, values in ratios.items()},
-        failure_count=failure_count,
-        warning_counts=warning_counts,
-        ratios={name: tuple(values) for name, values in ratios.items()},
-    )
+    return truth, outcomes

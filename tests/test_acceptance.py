@@ -18,7 +18,7 @@ from cotail.cli import main
 from cotail.core import LossPairSample, build_margin_index
 from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.empirical import hill_curve
-from cotail.harness import ExperimentPlan, run_experiment
+from cotail.harness import ExperimentPlan, msre, ratios, run_experiment
 from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
 from cotail.oracle import oracle_result
 from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, selection_at
@@ -42,6 +42,11 @@ def _criterion(number, description):
     print(f"[criterion {number}] PASS: {description}")
 
 
+def _ratios(plan):
+    truth, outcomes = run_experiment(plan, workers=4)
+    return ratios(outcomes, truth)
+
+
 def _within_factor_two(value, reference):
     return reference / 2.0 <= value <= reference * 2.0
 
@@ -53,10 +58,11 @@ def test_criterion_1_cauchy_reference_msres():
             spec=make_spec("Cauchy"), n=2000, k=250, tau_prime=0.99,
             replications=100, seed=20260826,
         )
-        table = run_experiment(plan, workers=4)
+        scored = _ratios(plan)
+        covar1, coes1 = msre(scored["covar1"]), msre(scored["coes1"])
         elapsed = time.perf_counter() - start
-        assert _within_factor_two(table.msre["covar1"], 0.01873), table.msre["covar1"]
-        assert _within_factor_two(table.msre["coes1"], 0.02853), table.msre["coes1"]
+        assert _within_factor_two(covar1, 0.01873), covar1
+        assert _within_factor_two(coes1, 0.02853), coes1
         assert elapsed < 60.0, f"{elapsed:.1f}s"
 
 
@@ -67,10 +73,11 @@ def test_criterion_2_pareto_reference_msres():
             spec=make_spec("Pareto2"), n=5000, k=300, tau_prime=0.999,
             replications=100, seed=20260826,
         )
-        table = run_experiment(plan, workers=4)
+        scored = _ratios(plan)
+        covar2, coes4 = msre(scored["covar2"]), msre(scored["coes4"])
         elapsed = time.perf_counter() - start
-        assert _within_factor_two(table.msre["covar2"], 0.05490), table.msre["covar2"]
-        assert _within_factor_two(table.msre["coes4"], 0.08290), table.msre["coes4"]
+        assert _within_factor_two(covar2, 0.05490), covar2
+        assert _within_factor_two(coes4, 0.08290), coes4
         assert elapsed < 180.0, f"{elapsed:.1f}s"
 
 
@@ -85,9 +92,9 @@ def test_criterion_3_grid_concentrates_with_sample_size():
                     spec=make_spec(family), n=n, k=_k_for(family, n),
                     tau_prime=0.99, replications=100, seed=11000 + n,
                 )
-                table = run_experiment(plan, workers=4)
+                scored = _ratios(plan)
                 for name in curves:
-                    curves[name].append(table.msre[name])
+                    curves[name].append(msre(scored[name]))
             for name, curve in curves.items():
                 for smaller, larger in zip(curve, curve[1:]):
                     if larger >= smaller:
@@ -131,7 +138,7 @@ def test_criterion_5_procedure_equals_bruteforce():
             if covar_int != intermediate_covar_scan(sample, 30):
                 mismatches += 1
             if result.errors[0] is None:
-                values, _, quoted = result.rows[0]
+                values, quoted = result.values[0].tolist(), result.quoted[0].tolist()
                 if (quoted[1], values[3], values[4]) != (raw1, raw2, covar_int):
                     mismatches += 1
         assert mismatches == 0
@@ -228,6 +235,5 @@ def test_criterion_9_median_ratio_near_one():
             spec=make_spec("Cauchy"), n=5000, k=300, tau_prime=0.99,
             replications=200, seed=404,
         )
-        table = run_experiment(plan, workers=4)
-        ratio = median(table.ratios["covar2"])
+        ratio = median(_ratios(plan)["covar2"])
         assert 0.85 <= ratio <= 1.15, ratio

@@ -70,7 +70,7 @@ def test_intermediate_covar_matches_scan():
         expected = intermediate_covar_scan(sample, k)
         assert selection_at(sample, k)[2] == expected
         if result.errors[0] is None:
-            assert result.rows[0][0][RECORD_KEYS.index("covar_int")] == expected
+            assert result.values[0, RECORD_KEYS.index("covar_int")] == expected
 
 
 def test_intermediate_coes_comonotone():
@@ -221,8 +221,9 @@ def test_k_range_rows_are_the_one_k_estimates():
     for i, k in enumerate(range(55, 86)):
         one = estimate_k_range(sample, [k], 0.999)
         assert result.errors[i] is None and one.errors[0] is None
-        assert result.rows[i] == one.rows[0]
-        assert result.rows[i][0] == tuple(estimate_all(sample, k, 0.999).to_record().values())
+        for name in ("values", "fired", "quoted"):
+            assert getattr(result, name)[i].tolist() == getattr(one, name)[0].tolist()
+        assert result.values[i].tolist() == list(estimate_all(sample, k, 0.999).to_record().values())
 
 
 def test_k_range_blocks_change_no_row(monkeypatch):
@@ -231,7 +232,9 @@ def test_k_range_blocks_change_no_row(monkeypatch):
     whole = estimate_k_range(sample, range(5, 600), 0.999)
     monkeypatch.setattr(cotail.covar_coes, "_MATRIX_CELLS", 2000)
     blocked = estimate_k_range(sample, range(5, 600), 0.999)
-    assert blocked.rows == whole.rows
+    # failed k hold NaN in values and quoted, equal in both
+    for name in ("values", "fired", "quoted"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True)
     assert [str(e) for e in blocked.errors] == [str(e) for e in whole.errors]
 
 

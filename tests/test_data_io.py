@@ -147,6 +147,15 @@ class TestLoader:
         with pytest.raises(ValueError, match=fragment):
             load_pair_series(bad, tmp_path / "y.csv")
 
+    def test_non_utf8_file_is_named(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,price\n2015-01-05,100\n2015-01-06,10\xff\n")
+        _write_csv(tmp_path / "y.csv", _dates(2), [50.0, 51.0])
+        with pytest.raises(ValueError) as caught:
+            load_pair_series(bad, tmp_path / "y.csv")
+        assert not isinstance(caught.value, UnicodeDecodeError)
+        assert str(caught.value).startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff")
+
     def test_disjoint_and_thin_overlaps(self, tmp_path):
         _write_csv(tmp_path / "x.csv", _dates(3), [1.0, 2.0, 3.0])
         _write_csv(tmp_path / "y.csv", _dates(3, start=datetime.date(2020, 1, 1)), [1.0, 2.0, 3.0])

@@ -6,7 +6,7 @@ import pytest
 import cotail.covar_coes
 from cotail.cli import main
 from cotail.covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
-from cotail.harness import ExperimentPlan, msre, plan_from_record, run_experiment
+from cotail.harness import ExperimentPlan, msre, plan_from_record, ratios, run_experiment
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
 
@@ -22,15 +22,26 @@ def _plan(family="Cauchy", n=200, k=40, tau_prime=0.99, replications=1, seed=0):
     )
 
 
+def _comparable(outcomes):
+    """Outcomes with each failure as its (type, code, message): exceptions
+    compare by identity."""
+    return [
+        (type(outcome), getattr(outcome, "code", None), str(outcome)) if isinstance(outcome, ValueError) else outcome
+        for outcome in outcomes
+    ]
+
+
+def _msres(plan, workers=1):
+    truth, outcomes = run_experiment(plan, workers=workers)
+    return {name: msre(values) for name, values in ratios(outcomes, truth).items()}
+
+
 def test_msre_examples():
-    theta = 4.0
-    assert msre([theta, theta, theta], theta) == 0.0
-    assert msre([1.1 * theta, 0.9 * theta], theta) == pytest.approx(0.01)
-    assert msre([2.0 * theta], theta) == pytest.approx(1.0)
+    assert msre([1.0, 1.0, 1.0]) == 0.0
+    assert msre([1.1, 0.9]) == pytest.approx(0.01)
+    assert msre([2.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        msre([1.0], 0.0)
-    with pytest.raises(ValueError):
-        msre([], 1.0)
+        msre([])
 
 
 def test_plan_validation():
@@ -86,30 +97,28 @@ def test_plan_rejects_fractional_counts(field):
 
 def test_single_replication_reproducible():
     plan = _plan(replications=1, seed=12345)
-    first = run_experiment(plan)
-    second = run_experiment(plan)
-    assert first.msre == second.msre
-    assert first.ratios == second.ratios
-    # with N=1 the table is exactly the one squared relative error
+    truth, first = run_experiment(plan)
+    assert run_experiment(plan) == (truth, first)
+    scored = ratios(first, truth)
+    # with N=1 the MSRE is exactly the one squared relative error
     for name in ESTIMATOR_NAMES:
-        assert first.msre[name] == (first.ratios[name][0] - 1.0) ** 2
+        assert msre(scored[name]) == (scored[name][0] - 1.0) ** 2
 
 
 def test_worker_count_invariance():
     plan = _plan(n=500, k=120, replications=16, seed=31)
-    serial = run_experiment(plan, workers=1)
-    threaded = run_experiment(plan, workers=4)
-    assert serial.msre == threaded.msre
-    assert serial.ratios == threaded.ratios
-    assert serial.failure_count == threaded.failure_count
-    assert serial.warning_counts == threaded.warning_counts
+    serial_truth, serial = run_experiment(plan, workers=1)
+    threaded_truth, threaded = run_experiment(plan, workers=4)
+    assert serial_truth == threaded_truth
+    assert len(serial) == 16
+    assert _comparable(serial) == _comparable(threaded)
 
 
 def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
     """Each replication keeps its spawned stream and its lone-sample
-    estimate; blocks of replications share one index build per margin, and
-    threads taking whole blocks change nothing."""
-    plan = _plan(n=500, k=60, replications=300, seed=41)
+    outcome, estimate or failure; blocks of replications share one index
+    build per margin, and threads taking whole blocks change nothing.  At
+    k=3 some replications fail (eta_not_attained, hill_out_of_range)."""
     shapes = []
     original = cotail.covar_coes.build_margin_index
 
@@ -118,41 +127,45 @@ def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
         return original(values, depth)
 
     monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
-    serial = run_experiment(plan)
-    size = _stack_rows(500, (60,))
-    blocks = [min(size, 300 - start) for start in range(0, 300, size)]
-    assert len(blocks) > 1
-    assert shapes == [(b, 500) for b in blocks for _ in range(2)]
-    threaded = run_experiment(plan, workers=3)
-    assert (serial.ratios, serial.failure_count, serial.warning_counts) == (
-        threaded.ratios, threaded.failure_count, threaded.warning_counts
-    )
-    truth = oracle_result(plan.spec, plan.tau_prime)
-    alone = []
-    for child in np.random.SeedSequence(41).spawn(300):
-        try:
-            alone.append(estimate_all(sample_model(plan.spec, 500, np.random.default_rng(child)), 60, 0.99))
-        except ValueError:
-            continue
-    assert serial.failure_count == 300 - len(alone)
-    for name in ESTIMATOR_NAMES:
-        scale = truth.covar if name.startswith("covar") else truth.coes
-        assert serial.ratios[name] == tuple(getattr(e, name) / scale for e in alone)
+    for k in (60, 3):
+        plan = _plan(n=500, k=k, replications=300, seed=41)
+        shapes.clear()
+        truth, serial = run_experiment(plan)
+        size = _stack_rows(500, (k,))
+        blocks = [min(size, 300 - start) for start in range(0, 300, size)]
+        assert len(blocks) > 1
+        assert shapes == [(b, 500) for b in blocks for _ in range(2)]
+        _, threaded = run_experiment(plan, workers=3)
+        assert _comparable(serial) == _comparable(threaded)
+        assert truth == oracle_result(plan.spec, plan.tau_prime)
+        alone = []
+        for child in np.random.SeedSequence(41).spawn(300):
+            try:
+                alone.append(estimate_all(sample_model(plan.spec, 500, np.random.default_rng(child)), k, 0.99))
+            except ValueError as exc:
+                alone.append(exc)
+        assert _comparable(serial) == _comparable(alone)
+        assert any(isinstance(outcome, ValueError) for outcome in alone) == (k == 3)
+        scored = ratios(serial, truth)
+        for name in ESTIMATOR_NAMES:
+            scale = truth.covar if name.startswith("covar") else truth.coes
+            assert scored[name] == [getattr(e, name) / scale for e in alone if not isinstance(e, ValueError)]
 
 
 def test_failure_accounting():
     """k=1 Hill estimates leave (0, 1) often; failures are dropped, not scored."""
     plan = _plan(n=50, k=1, replications=40, seed=1)
-    table = run_experiment(plan)
-    assert 0 < table.failure_count < 40
-    survivors = 40 - table.failure_count
+    truth, outcomes = run_experiment(plan)
+    survivors = [outcome for outcome in outcomes if not isinstance(outcome, ValueError)]
+    assert 0 < len(survivors) < 40
     # every successful replication carries the small-k warning at k=1
-    assert table.warning_counts["small_k"] == survivors
+    assert sum(warning.code == "small_k" for outcome in survivors for warning in outcome.warnings) == len(survivors)
+    scored = ratios(outcomes, truth)
     for name in ESTIMATOR_NAMES:
-        assert len(table.ratios[name]) == survivors
-        assert table.msre[name] >= 0.0
-        recomputed = float(np.mean([(r - 1.0) ** 2 for r in table.ratios[name]]))
-        assert table.msre[name] == pytest.approx(recomputed, rel=1e-15)
+        assert len(scored[name]) == len(survivors)
+        assert msre(scored[name]) >= 0.0
+        recomputed = float(np.mean([(r - 1.0) ** 2 for r in scored[name]]))
+        assert msre(scored[name]) == pytest.approx(recomputed, rel=1e-15)
 
 
 def test_all_replications_failed():
@@ -163,32 +176,24 @@ def test_all_replications_failed():
 
 def test_pareto_extrapolated_coes_matches_reference_error():
     plan = _plan("Pareto2", n=5000, k=300, tau_prime=0.99, replications=100, seed=90210)
-    table = run_experiment(plan, workers=4)
-    assert 0.03961 / 2.0 <= table.msre["coes4"] <= 0.03961 * 2.0
+    assert 0.03961 / 2.0 <= _msres(plan, workers=4)["coes4"] <= 0.03961 * 2.0
 
 
 def test_msre_shrinks_with_sample_size():
     # every estimator should concentrate as n grows (20% head-room for noise)
-    small = run_experiment(_plan(n=500, k=120, replications=100, seed=6001), workers=4)
-    big = run_experiment(_plan(n=5000, k=300, replications=100, seed=6002), workers=4)
+    small = _msres(_plan(n=500, k=120, replications=100, seed=6001), workers=4)
+    big = _msres(_plan(n=5000, k=300, replications=100, seed=6002), workers=4)
     for name in ESTIMATOR_NAMES:
-        assert big.msre[name] <= 1.2 * small.msre[name]
+        assert big[name] <= 1.2 * small[name]
 
 
 def test_msre_grows_with_target_level():
     """Extrapolating further out is harder: MSRE rises in tau' for most estimators."""
     tables = [
-        run_experiment(
-            _plan(n=2000, k=250, tau_prime=tau_prime, replications=40, seed=7101),
-            workers=4,
-        )
+        _msres(_plan(n=2000, k=250, tau_prime=tau_prime, replications=40, seed=7101), workers=4)
         for tau_prime in (0.99, 0.995, 0.999)
     ]
-    monotone = sum(
-        1
-        for name in ESTIMATOR_NAMES
-        if tables[0].msre[name] <= tables[1].msre[name] <= tables[2].msre[name]
-    )
+    monotone = sum(1 for name in ESTIMATOR_NAMES if tables[0][name] <= tables[1][name] <= tables[2][name])
     assert monotone >= 5
 
 
@@ -215,6 +220,13 @@ def test_run_grid_single_plan(tmp_path, capsys):
     assert table[1].split() == ["model", *ESTIMATOR_NAMES, "fail"]
     assert table[2].startswith("Cauchy")
     assert len(msre_rows) == 2
+
+
+def test_run_grid_prints_tau_prime_as_msre_tsv_does(tmp_path, capsys):
+    # :g would round this level to 1
+    table, msre_rows = _simulate(tmp_path, capsys, [{**_record(), "tau_prime": 0.9999995}])
+    assert table[0] == "n=200  k=40  tau'=0.9999995  N=3"
+    assert msre_rows[1].split("\t")[4] == "0.9999995"
 
 
 def test_run_grid_duplicate_plan_rows_identical(tmp_path, capsys):

@@ -58,7 +58,7 @@ def _row_outcome(result, i):
     error = result.errors[i]
     if error is not None:
         return type(error), getattr(error, "code", None), str(error)
-    return result.rows[i]
+    return result.values[i].tolist(), result.fired[i].tolist(), result.quoted[i].tolist()
 
 
 @st.composite
@@ -298,7 +298,7 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
         assert covar[i] == intermediate_covar_scan(sample, k)
         error = result.errors[i]
         if error is None:
-            values, _, quoted = result.rows[i]
+            values, quoted = result.values[i].tolist(), result.quoted[i].tolist()
             assert quoted[1] == raws[0]
             assert values[3] == raws[1]
             assert values[4] == covar[i]
