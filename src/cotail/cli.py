@@ -35,7 +35,7 @@ from .data_io import (
 )
 from .empirical import check_tau_grid
 from .harness import msre, plan_from_record, ratios, run_experiment
-from .models import make_spec
+from .models import FAMILIES, PARAMETERS, make_spec
 from .oracle import oracle_result
 
 
@@ -175,7 +175,7 @@ def _cmd_rolling(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    spec = make_spec(args.model, theta=args.theta, nu=args.nu, rho=args.rho)
+    spec = make_spec(args.model, **{name: getattr(args, name) for name in PARAMETERS})
     result = oracle_result(spec, args.tau)
     rows = [
         ("family", "tau", "var_y", "covar", "coes", "tol"),
@@ -226,11 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rolling)
 
     p = sub.add_parser("oracle", help="population truth for a model")
-    p.add_argument("--model", required=True, help="Logistic, Cauchy, Pareto2, or StudentT")
+    p.add_argument("--model", required=True, help=", ".join(FAMILIES[:-1]) + ", or " + FAMILIES[-1])
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    for name in PARAMETERS:
+        p.add_argument(f"--{name}", type=float, default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

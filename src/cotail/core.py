@@ -241,8 +241,12 @@ def _check_reach(indexes, reach: int, reader: str) -> None:
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int; integral floats such as 1000.0 pass, 1000.7 raises."""
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    """``value`` as an int; integral floats such as 1000.0 pass, while 1000.7,
+    bools and non-numbers such as "1000" raise."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if not whole or isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -270,5 +274,5 @@ def check_tail(n: int, k: int, tau_prime: float | None = None) -> int:
 def check_tau_prime(tau_prime: float) -> None:
     """Raise unless the extrapolation level tau_prime lies in (0, 1): the
     level rule of ``check_tail``, which needs no sample."""
-    if not 0.0 < tau_prime < 1.0:
+    if not (isinstance(tau_prime, numbers.Real) and 0.0 < tau_prime < 1.0):
         raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")

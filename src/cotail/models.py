@@ -11,6 +11,11 @@ the first coordinate of a dependent pre-transform pair:
   the gamma-frailty construction Z_i = E_i / G.
 * StudentT: correlated bivariate t (nu, rho), X = |Z1|^(1/2), Y = |Z2|.
 
+One table states each family's facts: its X exponent, the parameter that
+is its pre-transform tail index, and each parameter's default and range.
+``ModelSpec`` and ``make_spec`` read it; the samplers, tail copulas,
+survivals and quantiles below are per-family algorithms.
+
 The analytic tail copula R, the pre-transform margin survival and the
 marginal quantiles serve the oracle; the tests also check the estimators
 against R.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,18 +34,27 @@ from scipy import special
 
 from .core import LossPairSample
 
-FAMILIES = ("Logistic", "Cauchy", "Pareto2", "StudentT")
+PARAMETERS = ("theta", "nu", "rho")
 
-_X_EXPONENT = {"Logistic": 1.0 / 3.0, "Cauchy": 1.0 / 3.0, "Pareto2": 1.0 / 6.0, "StudentT": 0.5}
-# default dependence parameters
-_DEFAULTS = {"Logistic": {"theta": 0.6}, "Cauchy": {}, "Pareto2": {"theta": 0.5}, "StudentT": {"nu": 1.5, "rho": 0.3}}
+# The family table.  Per family: X = Z1^x_exponent, the parameter that is the
+# tail index of the pre-transform margin Z (None where it is 1), and each
+# parameter it takes as name: (default, lo, hi, hi_included), lo excluded.
+_Family = namedtuple("_Family", ("x_exponent", "tail_index", "parameters"))
+_TABLE = {
+    "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.0, 1.0, True)}),
+    "Cauchy": _Family(1.0 / 3.0, None, {}),
+    "Pareto2": _Family(1.0 / 6.0, "theta", {"theta": (0.5, 0.0, math.inf, False)}),
+    "StudentT": _Family(0.5, "nu", {"nu": (1.5, 0.0, math.inf, False), "rho": (0.3, 0.0, 1.0, False)}),
+}
+FAMILIES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One generative model with its dependence parameters.
 
-    Unused parameters stay None; ``x_exponent`` derives from the family.
+    Parameters the family does not take stay None; the family table gives
+    the others' ranges, ``x_exponent`` and ``gamma_1``.
     """
 
     family: str
@@ -50,77 +65,53 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "Logistic":
-            if self.theta is None or not 0.0 < self.theta <= 1.0:
-                raise ValueError(f"Logistic requires theta in (0, 1], got {self.theta}")
-            self._forbid(nu=self.nu, rho=self.rho)
-        elif self.family == "Cauchy":
-            self._forbid(theta=self.theta, nu=self.nu, rho=self.rho)
-        elif self.family == "Pareto2":
-            if self.theta is None or not 0.0 < self.theta < math.inf:
-                raise ValueError(f"Pareto2 requires a finite theta > 0, got {self.theta}")
-            self._forbid(nu=self.nu, rho=self.rho)
-        else:
-            if self.nu is None or not 0.0 < self.nu < math.inf:
-                raise ValueError(f"StudentT requires a finite nu > 0, got {self.nu}")
-            if self.rho is None or not 0.0 < self.rho < 1.0:
-                raise ValueError(f"StudentT requires rho in (0, 1), got {self.rho}")
-            self._forbid(theta=self.theta)
-
-    def _forbid(self, **params) -> None:
-        for name, value in params.items():
-            if value is not None:
+        taken = _TABLE[self.family].parameters
+        for name, (_, lo, hi, hi_included) in taken.items():
+            value = getattr(self, name)
+            if value is None or not (lo < value < hi or hi_included and value == hi):
+                if hi == math.inf:
+                    requirement = f"a finite {name} > {lo:g}"
+                else:
+                    requirement = f"{name} in ({lo:g}, {hi:g}{']' if hi_included else ')'}"
+                raise ValueError(f"{self.family} requires {requirement}, got {value}")
+        for name in PARAMETERS:
+            if name not in taken and getattr(self, name) is not None:
                 raise ValueError(f"{self.family} does not take parameter {name!r}")
 
     @property
     def x_exponent(self) -> float:
-        return _X_EXPONENT[self.family]
+        return _TABLE[self.family].x_exponent
 
     @property
     def gamma_1(self) -> float:
         """X's extreme value index: ``x_exponent`` over the tail index of the
-        pre-transform margin (1 for Logistic and Cauchy, theta for Pareto2,
-        nu for StudentT)."""
-        if self.family == "Pareto2":
-            return self.x_exponent / self.theta
-        if self.family == "StudentT":
-            return self.x_exponent / self.nu
-        return self.x_exponent
+        pre-transform margin."""
+        tail_index = _TABLE[self.family].tail_index
+        return self.x_exponent if tail_index is None else self.x_exponent / getattr(self, tail_index)
 
     @classmethod
     def from_record(cls, record: dict) -> "ModelSpec":
-        """Build from a config mapping {family, theta?, nu?, rho?}."""
-        allowed = {"family", "theta", "nu", "rho"}
-        unknown = set(record) - allowed
+        """Build from a config mapping {family, and any of PARAMETERS}."""
+        unknown = set(record) - {"family", *PARAMETERS}
         if unknown:
             raise ValueError(f"unknown ModelSpec fields: {sorted(unknown)}")
         if "family" not in record:
             raise ValueError("ModelSpec record requires a 'family' field")
         if not isinstance(record["family"], str):
             raise ValueError(f"ModelSpec field 'family' must be a string, got {record['family']!r}")
-        for name in ("theta", "nu", "rho"):
+        for name in PARAMETERS:
             value = record.get(name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
                 raise ValueError(f"ModelSpec field {name!r} must be a number, got {value!r}")
-        return make_spec(
-            record["family"],
-            theta=record.get("theta"),
-            nu=record.get("nu"),
-            rho=record.get("rho"),
-        )
+        return make_spec(record["family"], **{name: record.get(name) for name in PARAMETERS})
 
 
-def make_spec(
-    family: str,
-    theta: float | None = None,
-    nu: float | None = None,
-    rho: float | None = None,
-) -> ModelSpec:
-    """ModelSpec with the standard study parameters filled in where omitted."""
-    params = {"theta": theta, "nu": nu, "rho": rho}
-    for name, value in _DEFAULTS.get(family, {}).items():
-        if params[name] is None:
-            params[name] = value
+def make_spec(family: str, **params: float | None) -> ModelSpec:
+    """ModelSpec with the family's default for each parameter (one of
+    PARAMETERS, by name) that is omitted or None."""
+    for name, (default, *_) in (_TABLE[family].parameters if family in _TABLE else {}).items():
+        if params.get(name) is None:
+            params[name] = default
     return ModelSpec(family=family, **params)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -96,7 +95,6 @@ _W11 = np.concatenate([[0.5 * _WGK[10]], _WGK[_PAIRS]])
 _W21 = np.concatenate([_WGK[10:], _WGK[_PAIRS], _WGK[_PAIRS]])
 
 _CACHE: dict[tuple[ModelSpec, float], OracleResult] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
@@ -378,10 +376,10 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
 
 
 def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
-    """Memoized (VaR_Y, CoVaR, CoES) truth for the model at level tau."""
+    """Memoized (VaR_Y, CoVaR, CoES) truth for the model at level tau; the
+    first result stored for a cell is the one every caller gets."""
     key = (spec, tau)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
+    hit = _CACHE.get(key)
     if hit is not None:
         return hit
     var_x, var_y = marginal_quantiles(spec, tau)
@@ -416,6 +414,4 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
         coes=coes,
         abs_tol=max(_RTOL * covar, scale * tail_err),
     )
-    with _CACHE_LOCK:
-        _CACHE.setdefault(key, result)
-    return result
+    return _CACHE.setdefault(key, result)

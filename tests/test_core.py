@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cotail.core import (
     LossPairSample,
     build_margin_index,
     check_tail,
+    check_tau_prime,
 )
 from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.data_io import RollingPlan
@@ -149,6 +151,10 @@ def test_check_tail_rejects_bad_tau_prime():
     for tau in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"tau_prime must lie in \(0, 1\)"):
             check_tail(100, 10, tau)
+    # a level that is not a real number is out of range too, not a TypeError
+    for tau in ("0.99", [0.99], True):
+        with pytest.raises(ValueError, match=re.escape(f"tau_prime must lie in (0, 1), got {tau}")):
+            check_tau_prime(tau)
 
 
 def test_small_k_warning():
@@ -198,3 +204,8 @@ def test_estimation_error_survives_pickle_and_copy(code):
     for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
         assert type(clone) is EstimationError
         assert (clone.code, str(clone)) == (code, f"message for {code}")
+
+
+def test_estimation_error_rejects_unknown_code():
+    with pytest.raises(ValueError, match="unknown estimation error code 'bogus'"):
+        EstimationError("bogus", "message")

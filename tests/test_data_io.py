@@ -77,6 +77,9 @@ def test_fractional_counts_rejected(name, whole, build, tmp_path):
     with pytest.raises(ValueError, match=f"{name} must be a whole number, got {whole + 0.7}"):
         build(whole + 0.7, tmp_path)
     assert build(float(whole), tmp_path) == whole
+    for bad in (str(whole), "abc", True, None):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {bad!r}"):
+            build(bad, tmp_path)
 
 
 class TestLoader:

@@ -93,6 +93,11 @@ def test_plan_rejects_fractional_counts(field):
         plan_from_record({**record, field: record[field] + 0.5})
     integral = plan_from_record({**record, field: float(record[field])})
     assert getattr(integral, field) == record[field]
+    # the plan itself takes no strings, bools or None for a count
+    fields = {"spec": make_spec("Cauchy"), **{name: record[name] for name in record if name != "model"}}
+    for bad in (str(record[field]), "abc", True, None):
+        with pytest.raises(ValueError, match=f"'{field}' must be a whole number, got {bad!r}"):
+            ExperimentPlan(**{**fields, field: bad})
 
 
 def test_single_replication_reproducible():

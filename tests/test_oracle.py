@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -300,6 +302,22 @@ def test_no_survival_is_evaluated_twice_in_a_cell(monkeypatch):
         assert len(set(calls)) == len(calls), (spec, tau)
 
 
+def test_racing_callers_share_the_first_stored_result(monkeypatch):
+    # the memo has no lock: callers that race on one cold cell may each
+    # compute it, and all of them get the result stored first
+    monkeypatch.setattr(cotail.oracle, "_CACHE", {})
+    spec = make_spec("StudentT")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(oracle_result, spec, 0.99) for _ in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result is cotail.oracle._CACHE[(spec, 0.99)] for result in results)
+
+
 def test_logistic_has_no_quad_route():
     with pytest.raises(ValueError, match="density"):
         joint_survival_quad(make_spec("Logistic"), 1.0, 1.0)
@@ -460,6 +478,23 @@ def test_brent_root_is_scipys_on_seeded_functions():
             ours = _brentq(f, lo, hi, xtol=xtol, rtol=rtol)
             assert ours.hex() == optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol).hex(), (lo, hi)
         compared += 1
+
+
+def test_brent_root_at_a_bracket_end_and_its_errors():
+    def f(x):
+        return x - 1.0
+
+    # a root exactly at the lower, then the upper bracket end is returned as is
+    for lo, hi in ((1.0, 2.0), (0.0, 1.0)):
+        ours = _brentq(f, lo, hi, xtol=1e-12, rtol=_RTOL)
+        assert ours.hex() == optimize.brentq(f, lo, hi, xtol=1e-12, rtol=_RTOL).hex() == (1.0).hex()
+    for root in (_brentq, optimize.brentq):
+        with pytest.raises(ValueError, match=r"f\(a\) and f\(b\) must have different signs"):
+            root(f, 2.0, 3.0, xtol=1e-12, rtol=_RTOL)
+    # with no tolerance a step at pi is never bracketed closely enough;
+    # SciPy refuses xtol = rtol = 0, so only the message is checked
+    with pytest.raises(ValueError, match="Brent's method did not converge in 100 iterations, value is "):
+        _brentq(lambda x: -1.0 if x < math.pi else 1.0, 3.0, 4.0, xtol=0.0, rtol=0.0)
 
 
 @pytest.mark.parametrize(
