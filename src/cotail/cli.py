@@ -165,7 +165,7 @@ def _cmd_rolling(args) -> int:
         if isinstance(outcome, ValueError):
             rows.append((date, *[""] * len(RECORD_KEYS), f"gap: {outcome}"))
         else:
-            rows.append((date, *outcome.to_record().values(), ""))
+            rows.append((date, *outcome[0], ""))
     text = format_tsv(rows)
     if args.out:
         write_text(args.out, text)

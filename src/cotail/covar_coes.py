@@ -10,13 +10,14 @@ the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
 share one selection on two tail indexes built once per call, and
 ``estimate_all`` is its one-k case.  Both take a stack of samples as well
-as one sample, and run their array passes once for the whole stack;
-``_MATRIX_CELLS`` is the one cell budget that sizes every stack and
-block of k.  Each k is checked by
-``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions are
-derived here, and ``KRangeEstimates`` words every warning of the five
-``WARNING_CODES``, one code per condition.  ``RECORD_KEYS`` is the one flat
-schema of a row.
+as one sample.  The (row, k) grid of a stack (values, failures, fired
+warnings) comes from whole-array passes, sized by ``_MATRIX_CELLS``, the
+one cell budget for every stack and block of k; an error is built only
+for a cell that fails.  Each k is checked by ``core.check_tail``; d and the
+``small_k`` / ``d_below_one`` conditions are derived here.
+``KRangeEstimates._warning`` words every warning of the five
+``WARNING_CODES``, only where a record is asked for.  ``RECORD_KEYS`` is the
+one flat schema of a row.
 """
 
 from __future__ import annotations
@@ -71,40 +72,54 @@ WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "
 
 @dataclass(frozen=True, eq=False)
 class KRangeEstimates:
-    """Every estimator at every k of a k-range on one sample, one row per k.
+    """Every estimator at every k of a k-range on one sample, or on each
+    row of a stack.
 
-    ``errors[i]`` is what ``estimate_all`` raises at k = ``ks[i]`` (an
+    Each array runs over ``ks`` on its first axis, after a leading row axis
+    on a stack; a cell is one (row and) k.  ``values`` holds each cell's
+    ``RECORD_KEYS`` values, ``fired`` whether each warning of
+    ``WARNING_CODES`` fired and ``quoted`` what those warnings quote:
+    Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1 can be
+    floored).  ``failed`` marks the cells that fail; they hold NaN and
+    False.  ``errors`` maps the index of each failed cell (i, or (row, i)
+    on a stack) to what ``estimate_all`` raises there: an
     ``EstimationError`` with its code, or a plain ``ValueError`` for an
-    invalid k), or None.  Row i of ``values`` holds the ``RECORD_KEYS``
-    values at that k, row i of ``fired`` whether each warning of
-    ``WARNING_CODES`` fired, and row i of ``quoted`` what those warnings
-    quote: Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1
-    can be floored); a failed k's rows hold NaN and False.  ``n`` and
-    ``tau_prime`` are the sample size and extrapolation level the warnings
-    quote.
+    invalid k.  ``n`` and ``tau_prime`` are the sample size and
+    extrapolation level the warnings quote.
     """
 
     ks: list[int]
-    errors: tuple[ValueError | None, ...]
     values: np.ndarray
     fired: np.ndarray
     quoted: np.ndarray
+    failed: np.ndarray
+    errors: dict
     n: int
     tau_prime: float
 
-    def first_warnings(self) -> list[WarningRecord]:
-        """Each warning code once, in the order a walk over the succeeded
-        rows in k order meets it, with the message of its first row."""
-        hits = self.fired.any(axis=0).tolist()
-        first_rows = self.fired.argmax(axis=0).tolist()
-        firsts = sorted((row, column) for column, (row, hit) in enumerate(zip(first_rows, hits)) if hit)
-        return [self._warning(row, column) for row, column in firsts]
+    def first_met(self) -> list[list[tuple[int, int]]]:
+        """For each row (one for a single sample), each warning that fires
+        on some k, once, as (the index of the first such k, its column of
+        ``WARNING_CODES``), in the order a walk over the k meets them."""
+        fired = self.fired.reshape(-1, *self.fired.shape[-2:])
+        return [
+            sorted((i, column) for column, (i, hit) in enumerate(zip(row_firsts, row_hits)) if hit)
+            for row_firsts, row_hits in zip(fired.argmax(axis=1).tolist(), fired.any(axis=1).tolist())
+        ]
 
-    def _warning(self, row: int, column: int) -> WarningRecord:
-        """The ``WARNING_CODES[column]`` record of row ``row``: the one home
-        of every warning text."""
-        n, k = self.n, self.ks[row]
-        values, quoted = self.values[row].tolist(), self.quoted[row].tolist()
+    def first_warnings(self) -> list[WarningRecord] | list[list[WarningRecord]]:
+        """The ``first_met`` warnings, each with the message of its first k:
+        one list for a single sample, one per row for a stack."""
+        met = self.first_met()
+        worded = [[self._warning(row, i, column) for i, column in cells] for row, cells in enumerate(met)]
+        return worded if self.failed.ndim == 2 else worded[0]
+
+    def _warning(self, row: int, i: int, column: int) -> WarningRecord:
+        """The ``WARNING_CODES[column]`` record of k = ``ks[i]`` in row
+        ``row`` (0 for one sample): the one home of every warning text."""
+        at = (row, i) if self.failed.ndim == 2 else i
+        n, k = self.n, self.ks[i]
+        values, quoted = self.values[at].tolist(), self.quoted[at].tolist()
         code = WARNING_CODES[column]
         if code == "small_k":
             message = (
@@ -145,7 +160,7 @@ def _stack_rows(n: int, ks) -> int:
 
 def estimate_k_range(
     sample: LossPairSample, ks, tau_prime: float
-) -> KRangeEstimates | list[KRangeEstimates]:
+) -> KRangeEstimates:
     """Every intermediate and extrapolated estimator at every k of ``ks``.
 
     With d = k/(n(1 - tau')), CoVaR variants 1-2 are
@@ -157,9 +172,10 @@ def estimate_k_range(
     statistics (Hill); only these closed forms are evaluated k by k.  They
     read the top k_max + 2 of each margin and no deeper, so each margin is
     sorted to that depth only (``build_margin_index``).  A stacked sample
-    runs each of these array passes once for all its rows and gives one
-    ``KRangeEstimates`` per row, in a list, each the result that row gets
-    alone; a 1-D sample is a stack of one.  A wide range is cut into
+    runs each of these array passes once for all its rows, and the failure
+    checks and warnings of every (row, k) cell too; its one
+    ``KRangeEstimates`` gives each row, bit for bit, the result that row
+    gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
     blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
     no result depends on the blocks.  An n below 2 or a tau' outside
     (0, 1) raises once.  A k fails, in this order, when it is invalid, when
@@ -175,93 +191,89 @@ def estimate_k_range(
     n = sample.n
     check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
     ks = ks.tolist()
-    k_errors: list = [None] * len(ks)
-    ms = [0] * len(ks)
+    k_errors = {}
+    ms = [1] * len(ks)
     for i, k in enumerate(ks):
         try:
             ms[i] = check_tail(n, k, tau_prime)
         except ValueError as error:
             k_errors[i] = error
-    live = [i for i, error in enumerate(k_errors) if error is None]
-    k_max = max((ks[i] for i in live), default=0)
+    # an invalid k runs as k = 1 (m = 1), so that each block of k is a slice
+    # of ks; its cells fail with its error
+    k_array, m_array = np.array([1 if i in k_errors else k for i, k in enumerate(ks)]), np.array(ms)
+    k_max = int(k_array.max())
     x_index, y_index = (build_margin_index(np.atleast_2d(v), k_max + 2) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
-    errors = [list(k_errors) for _ in range(stack)]
-    values = np.full((stack, len(ks), len(RECORD_KEYS)), np.nan)
-    fired = np.zeros((stack, len(ks), len(WARNING_CODES)), dtype=bool)
-    quoted = np.full((stack, len(ks), 2), np.nan)
+    values = np.empty((stack, len(ks), len(RECORD_KEYS)))
+    fired = np.empty((stack, len(ks), len(WARNING_CODES)), dtype=bool)
+    quoted = np.empty((stack, len(ks), 2))
+    # each cell's failure: 0 where it succeeds, -1 for an invalid k, else
+    # the first check that fails
+    reasons = np.empty((stack, len(ks)), dtype=np.int8)
     # each block of k shares one (stack, k, k_max + 1) rank matrix; blocks bound its size
     block = max(1, _MATRIX_CELLS // (stack * (k_max + 1)))
-    k_array, m_array = np.array(ks), np.array(ms)
-    for start in range(0, len(live), block):
-        part = np.array(live[start : start + block])
+    for start in range(0, len(ks), block):
+        part = slice(start, start + block)
         part_ks, part_ms = k_array[part], m_array[part]
         selected, ranks1, ranks2 = filtered_x_ranks(x_index, y_index, part_ks, part_ms)
         covar_int, coes_int = _intermediate(x_index, part_ks, part_ms, selected, ranks1)
         gamma, var_x = _hill(x_index, part_ks), x_sorted[:, n - part_ks - 1]
         raw1, eta1, clamped, attained1 = _eta(n, part_ks, 1, ranks1)
         _, eta2, _, attained2 = _eta(n, part_ks, 2, ranks2)
-        # the first check that fails each (sample, k), in this order, or 0;
-        # an error record is built only where one fails
-        failed = np.select(
-            [var_x <= 0.0, ~((0.0 < gamma) & (gamma < 1.0)), ~(attained1 & attained2)], [1, 2, 3], 0
+        # the first check that fails each cell, in order (1-3), or 0
+        reasons[:, part] = np.where(
+            var_x <= 0.0, 1, np.where((0.0 < gamma) & (gamma < 1.0), np.where(attained1 & attained2, 0, 3), 2)
         )
-        for row, j in zip(*(where.tolist() for where in np.nonzero(failed))):
-            i = part[j].item()
-            if failed[row, j] == 1:
-                errors[row][i] = _threshold_not_positive(n, ks[i], var_x[row, j].item())
-            elif failed[row, j] == 2:
-                errors[row][i] = _hill_out_of_range(gamma[row, j].item())
-            else:
-                errors[row][i] = _not_attained(ks[i], n)
-        done, j = np.nonzero(failed == 0)
-        gamma, var_x, eta1, eta2, covar_int, coes_int = (
-            c[done, j] for c in (gamma, var_x, eta1, eta2, covar_int, coes_int)
-        )
-        done_ks = part_ks[j]
-        d = done_ks / (n * (1.0 - tau_prime))
-        # the powers run on Python floats: numpy's ** differs from the C
+        done = reasons[:, part] == 0
+        d = part_ks / (n * (1.0 - tau_prime))
+        # the powers run on Python floats, and only where the k succeeds (a
+        # failed cell's power may overflow): numpy's ** differs from the C
         # library's pow in the last bit on a few percent of pairs
-        gammas = gamma.tolist()
-        base, pow1, pow2 = (
-            np.array([x ** (sign * g) for x, g in zip(column.tolist(), gammas)], dtype=float)
-            for column, sign in ((d, 2.0), (eta1, -1.0), (eta2, -1.0))
-        )
-        covar1, covar2, covar3 = base * pow1 * var_x, base * pow2 * var_x, base * covar_int
-        spread = 1.0 - gamma
-        at = (done, part[j])
-        values[at] = np.stack(
-            (gamma, var_x, eta1, eta2, covar_int, coes_int, covar1, covar2, covar3,
-             covar1 / spread, covar2 / spread, covar3 / spread, base * coes_int),
-            axis=-1,
-        )
-        y_at = y_sorted[done, n - done_ks - 1]
+        twice, negated = (2.0 * gamma[done]).tolist(), (-gamma[done]).tolist()
+        powers = np.full((3, *done.shape), np.nan)
+        bases = (np.broadcast_to(d, done.shape), eta1, eta2)
+        for power, column, exponent in zip(powers, bases, (twice, negated, negated)):
+            power[done] = list(map(pow, column[done].tolist(), exponent))
+        base, pow1, pow2 = powers
+        # the failed cells take part in the arithmetic and are overwritten below
+        with np.errstate(all="ignore"):
+            covar1, covar2, covar3 = base * pow1 * var_x, base * pow2 * var_x, base * covar_int
+            spread = 1.0 - gamma
+            values[:, part] = np.stack(
+                (gamma, var_x, eta1, eta2, covar_int, coes_int, covar1, covar2, covar3,
+                 covar1 / spread, covar2 / spread, covar3 / spread, base * coes_int),
+                axis=-1,
+            )
+        y_at = y_sorted[:, n - part_ks - 1]
         # Y_(n-k-1,n) wraps to the maximum at k = n - 1, where no tie is possible
-        ties = (done_ks < n - 1) & (y_sorted[done, n - done_ks - 2] == y_at)
-        fired[at] = np.stack(
-            (done_ks < n ** (2.0 / 3.0), d < 1.0, ties, clamped[done, j], gamma >= 0.5), axis=-1
-        )
-        quoted[at] = np.stack((y_at, raw1[done, j]), axis=-1)
-    results = [
-        KRangeEstimates(ks, tuple(e), v, f, q, n, tau_prime)
-        for e, v, f, q in zip(errors, values, fired, quoted)
-    ]
-    return results if sample.stacked else results[0]
-
-
-def _threshold_not_positive(n: int, k: int, threshold: float) -> EstimationError:
-    return EstimationError(
-        "threshold_not_positive",
-        f"threshold order statistic X_({n - k},{n}) = {threshold} is not positive",
-    )
-
-
-def _hill_out_of_range(gamma: float) -> EstimationError:
-    return EstimationError(
-        "hill_out_of_range",
-        f"tail index estimate gamma1={gamma:.4f} outside (0, 1); extrapolation is invalid",
-    )
+        ties = (part_ks < n - 1) & (y_sorted[:, n - part_ks - 2] == y_at)
+        for column, flag in enumerate((part_ks < n ** (2.0 / 3.0), d < 1.0, ties, clamped, gamma >= 0.5)):
+            fired[:, part, column] = flag
+        quoted[:, part] = np.stack((y_at, raw1), axis=-1)
+    reasons[:, list(k_errors)] = -1
+    # an error is built only for a cell that fails, before its values are cleared
+    errors = {}
+    rows, columns = np.nonzero(reasons)
+    for row, i, reason in zip(rows.tolist(), columns.tolist(), reasons[rows, columns].tolist()):
+        if reason < 0:
+            error = k_errors[i]
+        elif reason == 1:
+            threshold = values[row, i, 1].item()
+            message = f"threshold order statistic X_({n - ks[i]},{n}) = {threshold} is not positive"
+            error = EstimationError("threshold_not_positive", message)
+        elif reason == 2:
+            gamma = values[row, i, 0].item()
+            message = f"tail index estimate gamma1={gamma:.4f} outside (0, 1); extrapolation is invalid"
+            error = EstimationError("hill_out_of_range", message)
+        else:
+            error = _not_attained(ks[i], n)
+        errors[(row, i) if sample.stacked else i] = error
+    failed = reasons != 0
+    values[failed], fired[failed], quoted[failed] = np.nan, False, np.nan
+    if not sample.stacked:
+        values, fired, quoted, failed = values[0], fired[0], quoted[0], failed[0]
+    return KRangeEstimates(ks, values, fired, quoted, failed, errors, n, tau_prime)
 
 
 def estimate_all(
@@ -279,20 +291,16 @@ def estimate_all(
         ValueError: an invalid k or tau_prime.
     """
     result = estimate_k_range(sample, (k,), tau_prime)
-    if sample.stacked:
-        return [_one_k(row) for row in result]
-    outcome = _one_k(result)
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
-
-
-def _one_k(result: KRangeEstimates) -> RiskEstimates | ValueError:
-    """The estimates of a one-k result, or its error."""
-    if result.errors[0] is not None:
-        return result.errors[0]
-    # with one row, each fired code is met once, in column order
-    return RiskEstimates(*result.values[0].tolist(), warnings=tuple(result.first_warnings()))
+    if not sample.stacked:
+        if result.failed[0]:
+            raise result.errors[0]
+        return RiskEstimates(*result.values[0].tolist(), warnings=tuple(result.first_warnings()))
+    return [
+        result.errors[row, 0] if failed else RiskEstimates(*values, warnings=tuple(warnings))
+        for row, (failed, values, warnings) in enumerate(
+            zip(result.failed[:, 0].tolist(), result.values[:, 0].tolist(), result.first_warnings())
+        )
+    ]
 
 
 def _intermediate(

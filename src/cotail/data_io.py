@@ -6,9 +6,11 @@ intersection of their dates and returns one ``LossPairSample`` of the
 negative log returns of the aligned prices, with the date each loss ends
 on.  The rolling driver re-estimates on a moving window of that sample,
 optionally averaging the estimates over a range of k values, and keeps a
-window's failure as its outcome instead of aborting; it estimates the
-windows in stacks, one set of array passes and one column mean per stack.  ``k_values`` is the
-one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
+window's failure as its outcome instead of aborting.  One
+``estimate_with_k_values`` call per stack of windows gives each window its
+k-averaged values and warning codes from whole-stack arrays, with one
+column mean per count of succeeded k; no warning is worded for a window.
+``k_values`` is the one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
 ``write_text`` produce every TSV the package writes: floats as ``.10g``,
 UTF-8, LF line endings.
 """
@@ -26,7 +28,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
-from .covar_coes import KRangeEstimates, RiskEstimates, _stack_rows, estimate_k_range
+from .covar_coes import (
+    RECORD_KEYS,
+    WARNING_CODES,
+    KRangeEstimates,
+    RiskEstimates,
+    _stack_rows,
+    estimate_k_range,
+)
 from .empirical import check_tau_grid, hill_curve, tail_prob_curve
 from .tail_copula import r11_curve
 
@@ -110,68 +119,79 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
 
 def estimate_with_k_values(
     sample: LossPairSample, ks: Sequence[int], tau_prime: float
-) -> RiskEstimates | list[RiskEstimates | ValueError]:
+) -> RiskEstimates | list[tuple[list[float], tuple[str, ...]] | ValueError]:
     """``estimate_k_range`` averaged over the k values that succeed.
 
-    Each field is the column mean over the succeeded rows.  Warnings are
-    deduplicated by code (``KRangeEstimates.first_warnings``); failed k
-    values add a ``k_partial`` warning carrying their reasons.  Raises if
-    every k fails.  On a stacked sample nothing is raised per row: the
-    list holds each row's average, or the error that row raises alone, and
-    the rows that share a count of succeeded k share one column mean.
+    Each field is the column mean over the succeeded k.  Each warning code
+    comes once, in the order a walk over the k meets it
+    (``KRangeEstimates.first_met``), then ``k_partial`` if some k fail.
+    One sample gets a ``RiskEstimates`` with worded warnings (``k_partial``
+    lists each failed k with its reason), or raises if every k fails.  On a
+    stack nothing is worded and nothing raised per row: the list holds each
+    row's (``RECORD_KEYS`` values, warning codes), or the error that row
+    raises alone.  The rows that share a count of succeeded k share one
+    column mean.
     """
-    results = estimate_k_range(sample, ks, tau_prime)
+    result = estimate_k_range(sample, ks, tau_prime)
+    outcomes = _k_averages(result)
     if sample.stacked:
-        return _k_averages(results)
-    outcome = _k_averages([results])[0]
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
+        return outcomes
+    if isinstance(outcomes[0], ValueError):
+        raise outcomes[0]
+    warnings = result.first_warnings()
+    failures = _failures(result, 0)
+    if failures:
+        excluded = f"{len(failures)} of {len(result.ks)} k values failed and were excluded"
+        warnings.append(WarningRecord("k_partial", f"{excluded}: {'; '.join(failures)}"))
+    return RiskEstimates(*outcomes[0][0], warnings=tuple(warnings))
 
 
-def _k_averages(results: Sequence[KRangeEstimates]) -> list[RiskEstimates | ValueError]:
-    """The k average of each result, or the error that stops it."""
-    outcomes: list = [None] * len(results)
-    by_count: dict[int, list[tuple[int, list[bool]]]] = {}
-    for i, estimates in enumerate(results):
-        succeeded = [error is None for error in estimates.errors]
-        failures = [f"k={k}: {e}" for k, e in zip(estimates.ks, estimates.errors) if e is not None]
-        if not any(succeeded):
-            outcomes[i] = ValueError("; ".join(failures))
-            continue
-        warnings = estimates.first_warnings()
-        if failures:
-            warnings.append(
-                WarningRecord(
-                    "k_partial",
-                    f"{len(failures)} of {len(estimates.ks)} k values "
-                    f"failed and were excluded: {'; '.join(failures)}",
-                )
-            )
-        outcomes[i] = tuple(warnings)
-        by_count.setdefault(sum(succeeded), []).append((i, succeeded))
-    for members in by_count.values():
-        kept = np.stack([results[i].values[succeeded] for i, succeeded in members])
+def _k_averages(result: KRangeEstimates) -> list[tuple[list[float], tuple[str, ...]] | ValueError]:
+    """Each row's k average and warning codes, or the error that stops it."""
+    values = result.values.reshape(-1, len(result.ks), len(RECORD_KEYS))
+    succeeded = ~result.failed.reshape(values.shape[:2])
+    counts = succeeded.sum(axis=1)
+    means: list = [None] * len(counts)
+    for count in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == count).tolist()
+        kept = values[succeeded & (counts == count)[:, None]].reshape(len(rows), count, len(RECORD_KEYS))
         # one contiguous row per field of each sample: numpy then sums each
         # field pairwise over the succeeded k, exactly as np.mean sums a
         # list of that field's values, whichever samples share the call
-        means = np.ascontiguousarray(kept.transpose(0, 2, 1)).mean(axis=-1)
-        for (i, _), row in zip(members, means.tolist()):
-            outcomes[i] = RiskEstimates(*row, warnings=outcomes[i])
-    return outcomes
+        for row, mean in zip(rows, np.ascontiguousarray(kept.transpose(0, 2, 1)).mean(axis=-1).tolist()):
+            means[row] = mean
+    partial = ("k_partial",)
+    return [
+        (mean, tuple(WARNING_CODES[c] for _, c in met) + (partial if count < len(result.ks) else ()))
+        if count
+        else ValueError("; ".join(_failures(result, row)))
+        for row, (mean, met, count) in enumerate(zip(means, result.first_met(), counts.tolist()))
+    ]
+
+
+def _failures(result: KRangeEstimates, row: int) -> list[str]:
+    """"k=K: reason" for each k that fails in one row of the result; a
+    one-sample result is row 0."""
+    failed = result.failed.reshape(-1, len(result.ks))[row].tolist()
+    return [
+        f"k={k}: {result.errors[(row, i) if result.failed.ndim == 2 else i]}"
+        for i, (k, fails) in enumerate(zip(result.ks, failed))
+        if fails
+    ]
 
 
 def rolling_estimates(
     dates: Sequence[datetime.date], sample: LossPairSample, plan: RollingPlan
-) -> list[tuple[datetime.date, RiskEstimates | ValueError]]:
+) -> list[tuple[datetime.date, tuple[list[float], tuple[str, ...]] | ValueError]]:
     """Re-estimate on every window of the losses.
 
     ``dates[i]`` is the date loss i ends on.  Windows end at loss indices
     window, window+step, ... n; each yields (the date of its last loss, its
-    estimates or the error that stopped them).  There are
-    floor((n - window)/step) + 1 windows.  They are estimated in stacks of
-    windows, views into the series, each as ``estimate_with_k_values``
-    estimates a window alone.
+    ``RECORD_KEYS`` values and warning codes, or the error that stopped
+    them).  There are floor((n - window)/step) + 1 windows.  They are
+    estimated in stacks of windows, views into the series, one
+    ``estimate_with_k_values`` call per stack; each window gets the values
+    and codes it gets alone.
     """
     if len(dates) != sample.n:
         raise ValueError(f"{len(dates)} dates for {sample.n} losses")

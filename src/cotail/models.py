@@ -63,6 +63,10 @@ class ModelSpec:
     rho: float | None = None
 
     def __post_init__(self) -> None:
+        for name in PARAMETERS:
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"ModelSpec field {name!r} must be a number, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         taken = _TABLE[self.family].parameters
@@ -99,10 +103,6 @@ class ModelSpec:
             raise ValueError("ModelSpec record requires a 'family' field")
         if not isinstance(record["family"], str):
             raise ValueError(f"ModelSpec field 'family' must be a string, got {record['family']!r}")
-        for name in PARAMETERS:
-            value = record.get(name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-                raise ValueError(f"ModelSpec field {name!r} must be a number, got {value!r}")
         return make_spec(record["family"], **{name: record.get(name) for name in PARAMETERS})
 
 

@@ -69,7 +69,7 @@ def test_intermediate_covar_matches_scan():
         result = estimate_k_range(sample, [k], 0.99)
         expected = intermediate_covar_scan(sample, k)
         assert selection_at(sample, k)[2] == expected
-        if result.errors[0] is None:
+        if not result.failed[0]:
             assert result.values[0, RECORD_KEYS.index("covar_int")] == expected
 
 
@@ -220,7 +220,7 @@ def test_k_range_rows_are_the_one_k_estimates():
     result = estimate_k_range(sample, range(55, 86), 0.999)
     for i, k in enumerate(range(55, 86)):
         one = estimate_k_range(sample, [k], 0.999)
-        assert result.errors[i] is None and one.errors[0] is None
+        assert not result.failed[i] and not one.failed[0]
         for name in ("values", "fired", "quoted"):
             assert getattr(result, name)[i].tolist() == getattr(one, name)[0].tolist()
         assert result.values[i].tolist() == list(estimate_all(sample, k, 0.999).to_record().values())
@@ -229,13 +229,21 @@ def test_k_range_rows_are_the_one_k_estimates():
 def test_k_range_blocks_change_no_row(monkeypatch):
     rng = np.random.default_rng(72)
     sample = sample_model(make_spec("Cauchy"), 600, rng)
-    whole = estimate_k_range(sample, range(5, 600), 0.999)
+    # two invalid k inside the range: the blocks around them keep every other row
+    ks = [*range(5, 300), 0, 600, *range(300, 600)]
+    whole = estimate_k_range(sample, ks, 0.999)
     monkeypatch.setattr(cotail.covar_coes, "_MATRIX_CELLS", 2000)
-    blocked = estimate_k_range(sample, range(5, 600), 0.999)
+    blocked = estimate_k_range(sample, ks, 0.999)
     # failed k hold NaN in values and quoted, equal in both
-    for name in ("values", "fired", "quoted"):
+    for name in ("values", "fired", "quoted", "failed"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True)
-    assert [str(e) for e in blocked.errors] == [str(e) for e in whole.errors]
+    assert {i: str(e) for i, e in blocked.errors.items()} == {i: str(e) for i, e in whole.errors.items()}
+    assert str(blocked.errors[295]) == "k must satisfy 1 <= k < n, got k=0 with n=600"
+    assert str(blocked.errors[296]) == "k must satisfy 1 <= k < n, got k=600 with n=600"
+    valid = estimate_k_range(sample, range(5, 600), 0.999)
+    kept = [i for i, k in enumerate(ks) if 0 < k < 600]
+    for name in ("values", "fired", "quoted", "failed"):
+        assert np.array_equal(getattr(blocked, name)[kept], getattr(valid, name), equal_nan=True)
 
 
 def test_k_range_rejects_empty_and_fractional_k():

@@ -1,9 +1,11 @@
 import datetime
+import json
 import math
 
 import numpy as np
 import pytest
 
+import cotail.cli
 import cotail.covar_coes
 import cotail.data_io
 from cotail.core import LossPairSample, build_margin_index
@@ -238,6 +240,11 @@ class TestAveraging:
             estimate_with_k_values(self._fixture(), [], 0.9)
 
 
+def _values_and_codes(estimates):
+    """What a rolling window carries of its estimates: the record's values and the warning codes."""
+    return list(estimates.to_record().values()), tuple(w.code for w in estimates.warnings)
+
+
 class TestRolling:
     def test_window_count_long_series(self):
         """3821 losses, window 1000, step 1 -> 2822 windows, dated by last loss."""
@@ -260,7 +267,7 @@ class TestRolling:
         rows = rolling_estimates(dates, sample, RollingPlan(window=60, k=12, tau_prime=0.95))
         assert len(rows) == 1
         whole = estimate_all(sample, 12, 0.95)
-        assert rows[0][1].to_record() == whole.to_record()
+        assert rows[0][1] == _values_and_codes(whole)
 
     def test_step_larger_than_remainder(self):
         dates, sample = self._small_sample()
@@ -313,7 +320,71 @@ class TestRolling:
         assert shapes == [(b, 1000) for b in blocks for _ in range(2)]
         for index in (0, block - 1, block, 250):
             window = LossPairSample(xs=sample.xs[index : index + 1000], ys=sample.ys[index : index + 1000])
-            assert rows[index][1] == estimate_with_k_values(window, ks, 0.999)
+            assert rows[index][1] == _values_and_codes(estimate_with_k_values(window, ks, 0.999))
+
+    def test_rows_crossing_stack_edges_are_their_windows_alone(self, monkeypatch):
+        """Windows in stacks of seven, at step 1 and step 7: a stack holds a
+        window where every k succeeds, one where some k fail (k_partial), a
+        gap and one whose system losses tie at Y_(n-k,n), and each row is,
+        bit for bit, its window estimated alone."""
+        pair = sample_model(make_spec("Pareto2"), 90, np.random.default_rng(27))
+        xs, ys = pair.xs.copy(), np.round(pair.ys, 1)
+        # two runs of negative X: windows over them lose the Hill threshold for some or all k
+        for start in (25, 65):
+            xs[start : start + 15] = -1.0 - 0.01 * np.arange(15)
+        sample = LossPairSample(xs=xs, ys=ys)
+        window, ks = 20, range(4, 9)
+        monkeypatch.setattr(cotail.covar_coes, "_MATRIX_CELLS", 7 * len(ks) * (ks[-1] + 1))
+        assert _stack_rows(window, ks) == 7
+        for step in (1, 7):
+            rows = rolling_estimates(_dates(90), sample, RollingPlan(window, (4, 8), 0.99, step=step))
+            ends = range(window, 91, step)
+            assert len(rows) == len(ends) > 7
+            kinds = []
+            for (_, outcome), end in zip(rows, ends):
+                alone = LossPairSample(xs=xs[end - window : end], ys=ys[end - window : end])
+                try:
+                    expected = estimate_with_k_values(alone, ks, 0.99)
+                except ValueError as error:
+                    assert isinstance(outcome, ValueError) and str(outcome) == str(error)
+                    kinds.append({"gap"})
+                    continue
+                values, codes = outcome
+                assert [v.hex() for v in values] == [v.hex() for v in expected.to_record().values()]
+                assert codes == tuple(w.code for w in expected.warnings)
+                kinds.append({"every k" if "k_partial" not in codes else "k_partial"} | set(codes))
+            wanted = {"every k", "k_partial", "gap", "ties_at_threshold"}
+            assert any(wanted <= set().union(*kinds[start : start + 7]) for start in range(0, len(rows), 7))
+
+    def test_windows_word_no_warning(self, monkeypatch, tmp_path, capsys):
+        """The 251 windows of the rolling benchmark's geometry carry codes
+        only: small_k fires in every window, and no warning text is
+        worded.  ``estimate --json`` on the same files still prints each
+        warning's message."""
+        calls = []
+        original = cotail.covar_coes.KRangeEstimates._warning
+
+        def counting(self, *cell):
+            calls.append(cell)
+            return original(self, *cell)
+
+        monkeypatch.setattr(cotail.covar_coes.KRangeEstimates, "_warning", counting)
+        prices_x, prices_y = _model_prices(seed=251, n=1250)
+        _write_csv(tmp_path / "x.csv", _dates(1251), prices_x)
+        _write_csv(tmp_path / "y.csv", _dates(1251), prices_y)
+        dates, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+        rows = rolling_estimates(dates, sample, RollingPlan(window=1000, k=(60, 80), tau_prime=0.999))
+        assert len(rows) == 251
+        assert all(not isinstance(outcome, ValueError) and "small_k" in outcome[1] for _, outcome in rows)
+        assert calls == []
+        files = ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")]
+        assert cotail.cli.main(["estimate", *files, "--k", "60:80", "--tau", "0.999", "--json"]) == 0
+        warnings = json.loads(capsys.readouterr().out)["warnings"]
+        assert len(calls) == len(warnings) > 0
+        assert warnings[0] == {
+            "code": "small_k",
+            "message": "k=60 is below n^(2/3)=116.0; intermediate-order asymptotics are doubtful",
+        }
 
     def test_rows_are_dated_by_their_last_loss(self, tmp_path):
         prices_x, prices_y = _model_prices(seed=99, n=80)
@@ -330,7 +401,7 @@ class TestRolling:
         assert [date for date, _ in rows] == [days[kept[end]] for end in ends]
         for (_, outcome), end in zip(rows, ends):
             window = LossPairSample(xs=sample.xs[end - 30 : end], ys=sample.ys[end - 30 : end])
-            assert outcome.to_record() == estimate_with_k_values(window, [8], 0.95).to_record()
+            assert outcome == _values_and_codes(estimate_with_k_values(window, [8], 0.95))
 
 
 class TestDiagnostics:

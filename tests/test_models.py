@@ -83,6 +83,13 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="'theta' must be a number"):
             ModelSpec.from_record({"family": "Pareto2", "theta": "2"})
 
+    def test_constructor_rejects_non_numbers(self):
+        # the constructor itself checks types, as from_record and the CLI do
+        for family, name, value in (("Pareto2", "theta", "2"), ("Logistic", "theta", True)):
+            expected = re.escape(f"ModelSpec field '{name}' must be a number, got {value!r}")
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                ModelSpec(family, **{name: value})
+
 
 class TestSampler:
     def test_single_draw_positive(self):

@@ -26,7 +26,7 @@ from cotail.core import (
     build_margin_index,
     check_tail,
 )
-from cotail.covar_coes import ESTIMATOR_NAMES, _intermediate, estimate_all, estimate_k_range
+from cotail.covar_coes import ESTIMATOR_NAMES, RiskEstimates, _intermediate, estimate_all, estimate_k_range
 from cotail.data_io import estimate_with_k_values
 from cotail.empirical import _hill, tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
@@ -55,8 +55,8 @@ def _full_outcome(call):
 
 def _row_outcome(result, i):
     """Row i of a ``KRangeEstimates``, or its error's type, code and message."""
-    error = result.errors[i]
-    if error is not None:
+    if result.failed[i]:
+        error = result.errors[i]
         return type(error), getattr(error, "code", None), str(error)
     return result.values[i].tolist(), result.fired[i].tolist(), result.quoted[i].tolist()
 
@@ -296,13 +296,12 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
             raws.append(float(raw) if attained else None)
             assert raws[-1] == _bruteforce(sample, k, variant)
         assert covar[i] == intermediate_covar_scan(sample, k)
-        error = result.errors[i]
-        if error is None:
+        if not result.failed[i]:
             values, quoted = result.values[i].tolist(), result.quoted[i].tolist()
             assert quoted[1] == raws[0]
             assert values[3] == raws[1]
             assert values[4] == covar[i]
-        elif error.code == "eta_not_attained":
+        elif result.errors[i].code == "eta_not_attained":
             assert None in raws
 
 
@@ -312,6 +311,18 @@ def _bits(outcome):
     if isinstance(outcome, ValueError):
         return type(outcome), getattr(outcome, "code", None), str(outcome)
     return [value.hex() for value in outcome.to_record().values()], outcome.warnings
+
+
+def _average_bits(outcome):
+    """A k average, from a stack as (values, codes) or from one sample as
+    ``RiskEstimates``, as (exact hex values, warning codes); or its error's
+    type, code and message."""
+    if isinstance(outcome, ValueError):
+        return type(outcome), getattr(outcome, "code", None), str(outcome)
+    if isinstance(outcome, RiskEstimates):
+        outcome = list(outcome.to_record().values()), tuple(w.code for w in outcome.warnings)
+    values, codes = outcome
+    return [value.hex() for value in values], codes
 
 
 def _alone(call):
@@ -342,14 +353,15 @@ def stacks(draw):
 def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
     """Each row of a stacked estimate is, bit for bit, what its sample gives
     alone: index, values, errors with their codes and texts, warnings, the
-    k average and the one-k record."""
+    k average with its warning codes and the one-k record."""
     rows, ks = case
     stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
     stacked = estimate_k_range(stack, ks, tau_prime)
     averaged = estimate_with_k_values(stack, ks, tau_prime)
     one_k = estimate_all(stack, ks[0], tau_prime)
     indexes = build_margin_index(stack.xs, ks[-1])
-    assert len(stacked) == len(averaged) == len(one_k) == len(rows)
+    assert stacked.failed.shape == (len(rows), len(ks))
+    assert len(averaged) == len(one_k) == len(rows)
     for row, (xs, ys) in enumerate(rows):
         sample = LossPairSample(xs=xs, ys=ys)
         index = build_margin_index(xs, ks[-1])
@@ -357,12 +369,14 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
         assert np.array_equal(indexes.ranks[row], index.ranks)
         assert np.array_equal(indexes.order[row], index.order[index.depth - indexes.depth :])
         alone = estimate_k_range(sample, ks, tau_prime)
-        result = stacked[row]
-        assert [e and _bits(e) for e in result.errors] == [e and _bits(e) for e in alone.errors]
-        for name in ("values", "fired", "quoted"):
-            assert getattr(result, name).tobytes() == getattr(alone, name).tobytes()
-        assert result.first_warnings() == alone.first_warnings()
-        assert _bits(averaged[row]) == _bits(_alone(lambda: estimate_with_k_values(sample, ks, tau_prime)))
+        row_errors = {i: _bits(e) for (at, i), e in stacked.errors.items() if at == row}
+        assert row_errors == {i: _bits(e) for i, e in alone.errors.items()}
+        for name in ("values", "fired", "quoted", "failed"):
+            assert getattr(stacked, name)[row].tobytes() == getattr(alone, name).tobytes()
+        assert stacked.first_met()[row] == alone.first_met()[0]
+        assert stacked.first_warnings()[row] == alone.first_warnings()
+        average = _alone(lambda: estimate_with_k_values(sample, ks, tau_prime))
+        assert _average_bits(averaged[row]) == _average_bits(average)
         assert _bits(one_k[row]) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
 
 
