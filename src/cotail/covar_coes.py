@@ -9,12 +9,14 @@ pushes the estimates at every k of a k-range to an extreme level tau' with
 the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
 share one selection on two tail indexes built once per call, and
-``estimate_all`` is its one-k case.  Both take a stack of samples as well
-as one sample.  The (row, k) grid of a stack (values, failures, fired
-warnings) comes from whole-array passes, sized by ``_MATRIX_CELLS``, the
-one cell budget for every stack and block of k; an error is built only
-for a cell that fails.  Each k is checked by ``core.check_tail``; d and the
-``small_k`` / ``d_below_one`` conditions are derived here.
+``estimate_all`` is its one-k case.  Both take a stack of samples, and
+one sample is a stack of one: only ``estimate_all`` and
+``data_io.estimate_with_k_values`` unwrap its one row.  The (row, k) grid
+(values, failures, fired warnings) comes from whole-array passes, sized
+by ``_MATRIX_CELLS``, the one cell budget for every stack and block of k;
+an error is built only for a cell that fails.  Each k is checked by
+``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions
+are derived here.
 ``KRangeEstimates._warning`` words every warning of the five
 ``WARNING_CODES``, only where a record is asked for.  ``RECORD_KEYS`` is the
 one flat schema of a row.
@@ -72,20 +74,19 @@ WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "
 
 @dataclass(frozen=True, eq=False)
 class KRangeEstimates:
-    """Every estimator at every k of a k-range on one sample, or on each
-    row of a stack.
+    """Every estimator at every k of a k-range on each row of a stack; one
+    sample is a stack of one.
 
-    Each array runs over ``ks`` on its first axis, after a leading row axis
-    on a stack; a cell is one (row and) k.  ``values`` holds each cell's
+    Each array has a leading row axis, one row per sample, then runs over
+    ``ks``; a cell is one row and k.  ``values`` holds each cell's
     ``RECORD_KEYS`` values, ``fired`` whether each warning of
     ``WARNING_CODES`` fired and ``quoted`` what those warnings quote:
     Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1 can be
     floored).  ``failed`` marks the cells that fail; they hold NaN and
-    False.  ``errors`` maps the index of each failed cell (i, or (row, i)
-    on a stack) to what ``estimate_all`` raises there: an
-    ``EstimationError`` with its code, or a plain ``ValueError`` for an
-    invalid k.  ``n`` and ``tau_prime`` are the sample size and
-    extrapolation level the warnings quote.
+    False.  ``errors`` maps the index (row, i) of each failed cell to what
+    ``estimate_all`` raises there: an ``EstimationError`` with its code, or
+    a plain ``ValueError`` for an invalid k.  ``n`` and ``tau_prime`` are
+    the sample size and extrapolation level the warnings quote.
     """
 
     ks: list[int]
@@ -98,28 +99,26 @@ class KRangeEstimates:
     tau_prime: float
 
     def first_met(self) -> list[list[tuple[int, int]]]:
-        """For each row (one for a single sample), each warning that fires
-        on some k, once, as (the index of the first such k, its column of
-        ``WARNING_CODES``), in the order a walk over the k meets them."""
-        fired = self.fired.reshape(-1, *self.fired.shape[-2:])
+        """For each row, each warning that fires on some k, once, as (the
+        index of the first such k, its column of ``WARNING_CODES``), in the
+        order a walk over the k meets them."""
+        firsts, hits = self.fired.argmax(axis=1).tolist(), self.fired.any(axis=1).tolist()
         return [
             sorted((i, column) for column, (i, hit) in enumerate(zip(row_firsts, row_hits)) if hit)
-            for row_firsts, row_hits in zip(fired.argmax(axis=1).tolist(), fired.any(axis=1).tolist())
+            for row_firsts, row_hits in zip(firsts, hits)
         ]
 
-    def first_warnings(self) -> list[WarningRecord] | list[list[WarningRecord]]:
-        """The ``first_met`` warnings, each with the message of its first k:
-        one list for a single sample, one per row for a stack."""
+    def first_warnings(self) -> list[list[WarningRecord]]:
+        """For each row, the ``first_met`` warnings, each with the message
+        of its first k."""
         met = self.first_met()
-        worded = [[self._warning(row, i, column) for i, column in cells] for row, cells in enumerate(met)]
-        return worded if self.failed.ndim == 2 else worded[0]
+        return [[self._warning(row, i, column) for i, column in cells] for row, cells in enumerate(met)]
 
     def _warning(self, row: int, i: int, column: int) -> WarningRecord:
         """The ``WARNING_CODES[column]`` record of k = ``ks[i]`` in row
-        ``row`` (0 for one sample): the one home of every warning text."""
-        at = (row, i) if self.failed.ndim == 2 else i
+        ``row``: the one home of every warning text."""
         n, k = self.n, self.ks[i]
-        values, quoted = self.values[at].tolist(), self.quoted[at].tolist()
+        values, quoted = self.values[row, i].tolist(), self.quoted[row, i].tolist()
         code = WARNING_CODES[column]
         if code == "small_k":
             message = (
@@ -268,11 +267,9 @@ def estimate_k_range(
             error = EstimationError("hill_out_of_range", message)
         else:
             error = _not_attained(ks[i], n)
-        errors[(row, i) if sample.stacked else i] = error
+        errors[row, i] = error
     failed = reasons != 0
     values[failed], fired[failed], quoted[failed] = np.nan, False, np.nan
-    if not sample.stacked:
-        values, fired, quoted, failed = values[0], fired[0], quoted[0], failed[0]
     return KRangeEstimates(ks, values, fired, quoted, failed, errors, n, tau_prime)
 
 
@@ -282,8 +279,9 @@ def estimate_all(
     """Every intermediate and extrapolated estimator at one k: the one-row
     case of ``estimate_k_range``.
 
-    On a stacked sample nothing is raised per row: the list holds each
-    row's estimates, or the error that row raises alone.
+    One sample gets its ``RiskEstimates`` or raises.  On a stacked sample
+    nothing is raised per row: the list holds each row's estimates, or the
+    error that row raises alone.
 
     Raises:
         EstimationError: X_(n-k,n) not positive, gamma1 outside (0, 1), or
@@ -291,16 +289,17 @@ def estimate_all(
         ValueError: an invalid k or tau_prime.
     """
     result = estimate_k_range(sample, (k,), tau_prime)
-    if not sample.stacked:
-        if result.failed[0]:
-            raise result.errors[0]
-        return RiskEstimates(*result.values[0].tolist(), warnings=tuple(result.first_warnings()))
-    return [
+    outcomes = [
         result.errors[row, 0] if failed else RiskEstimates(*values, warnings=tuple(warnings))
         for row, (failed, values, warnings) in enumerate(
             zip(result.failed[:, 0].tolist(), result.values[:, 0].tolist(), result.first_warnings())
         )
     ]
+    if sample.stacked:
+        return outcomes
+    if isinstance(outcomes[0], ValueError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _intermediate(

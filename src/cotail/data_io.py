@@ -138,7 +138,7 @@ def estimate_with_k_values(
         return outcomes
     if isinstance(outcomes[0], ValueError):
         raise outcomes[0]
-    warnings = result.first_warnings()
+    warnings = result.first_warnings()[0]
     failures = _failures(result, 0)
     if failures:
         excluded = f"{len(failures)} of {len(result.ks)} k values failed and were excluded"
@@ -148,8 +148,7 @@ def estimate_with_k_values(
 
 def _k_averages(result: KRangeEstimates) -> list[tuple[list[float], tuple[str, ...]] | ValueError]:
     """Each row's k average and warning codes, or the error that stops it."""
-    values = result.values.reshape(-1, len(result.ks), len(RECORD_KEYS))
-    succeeded = ~result.failed.reshape(values.shape[:2])
+    values, succeeded = result.values, ~result.failed
     counts = succeeded.sum(axis=1)
     means: list = [None] * len(counts)
     for count in np.unique(counts[counts > 0]).tolist():
@@ -170,12 +169,10 @@ def _k_averages(result: KRangeEstimates) -> list[tuple[list[float], tuple[str, .
 
 
 def _failures(result: KRangeEstimates, row: int) -> list[str]:
-    """"k=K: reason" for each k that fails in one row of the result; a
-    one-sample result is row 0."""
-    failed = result.failed.reshape(-1, len(result.ks))[row].tolist()
+    """"k=K: reason" for each k that fails in one row of the result."""
     return [
-        f"k={k}: {result.errors[(row, i) if result.failed.ndim == 2 else i]}"
-        for i, (k, fails) in enumerate(zip(result.ks, failed))
+        f"k={k}: {result.errors[row, i]}"
+        for i, (k, fails) in enumerate(zip(result.ks, result.failed[row].tolist()))
         if fails
     ]
 

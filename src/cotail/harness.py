@@ -12,8 +12,9 @@ squared relative error
 
 of one estimator's ratios.  Per-replication RNG streams are derived up
 front from the plan seed, and each replication's estimates are those of
-its sample alone although replications are estimated in stacks, so the
-outcomes are bit-identical regardless of worker count.
+its sample alone although replications are estimated in stacks.  Blocks
+of replications run on a thread pool for every worker count, one thread
+included, so the outcomes are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -127,11 +128,8 @@ def run_experiment(
     # takes whole blocks, and no outcome depends on the blocks
     size = _stack_rows(plan.n, (plan.k,))
     blocks = [streams[start : start + size] for start in range(0, len(streams), size)]
-    if workers == 1:
-        outcomes = [outcome for block in blocks for outcome in task(block)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [outcome for done in pool.map(task, blocks) for outcome in done]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = [outcome for done in pool.map(task, blocks) for outcome in done]
     if all(isinstance(outcome, ValueError) for outcome in outcomes):
         raise ValueError(
             f"all {plan.replications} replications failed for {plan.spec.family} "

@@ -84,8 +84,9 @@ def filtered_x_ranks(
     largest X-rank (m = ``ms[i]``) of C(k + 1) and of C(k).  C(k) is
     C(k + 1) less its lowest-ranked Y, so its m-th largest X-rank is the
     (m+1)-th largest of the row when that dropped observation is among the
-    row's m largest, and the m-th largest otherwise.  On stacked indexes
-    every result gains a leading row axis, one row per sample.
+    row's m largest, and the m-th largest otherwise.  One k is a range of
+    one: the k axis stays.  On stacked indexes, which ``estimate_k_range``
+    always passes, every result gains a leading row axis, one per sample.
 
     ``y_index`` must order the top k_max + 1 system losses.  An X-rank below
     the tail of ``x_index`` reads as its sentinel 0; when ``x_index`` orders
@@ -95,15 +96,11 @@ def filtered_x_ranks(
     """
     width = max(ks.tolist()) + 1
     ranks = np.take_along_axis(x_index.ranks, y_index.ranked(width), axis=-1)
-    dropped = ranks[..., ks]  # read first: with one k, the sort below reorders ranks
-    if ks.size == 1:
-        rows = ranks[..., None, :]
-    else:
-        rows = np.where(np.arange(width) <= ks[:, None], ranks[..., None, :], 0)
+    rows = np.where(np.arange(width) <= ks[:, None], ranks[..., None, :], 0)
     rows.sort(axis=-1)
     lines, at = np.arange(ks.size), width - ms
     r1 = rows[..., lines, at]
-    return rows, r1, np.where(dropped < r1, r1, rows[..., lines, at - 1])
+    return rows, r1, np.where(ranks[..., ks] < r1, r1, rows[..., lines, at - 1])
 
 
 def _not_attained(k: int, n: int) -> EstimationError:

@@ -137,8 +137,8 @@ def test_criterion_5_procedure_equals_bruteforce():
                     mismatches += 1
             if covar_int != intermediate_covar_scan(sample, 30):
                 mismatches += 1
-            if not result.failed[0]:
-                values, quoted = result.values[0].tolist(), result.quoted[0].tolist()
+            if not result.failed[0, 0]:
+                values, quoted = result.values[0, 0].tolist(), result.quoted[0, 0].tolist()
                 if (quoted[1], values[3], values[4]) != (raw1, raw2, covar_int):
                     mismatches += 1
         assert mismatches == 0

@@ -195,7 +195,7 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
         with pytest.raises(ValueError) as caught:
             call()
         assert str(caught.value) == expected
-    assert str(estimate_k_range(sample, [k], 0.99).errors[0]) == expected
+    assert str(estimate_k_range(sample, [k], 0.99).errors[0, 0]) == expected
 
 
 @pytest.mark.parametrize("code", ESTIMATION_ERROR_CODES)

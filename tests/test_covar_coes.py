@@ -36,14 +36,14 @@ def test_intermediate_covar_comonotone():
 def test_intermediate_covar_anti_comonotone():
     # eta-hat variant 2 is not attained, so the row fails before CoVaR_int
     sample = LossPairSample(xs=np.arange(1.0, 9.0), ys=np.arange(8.0, 0.0, -1.0))
-    assert estimate_k_range(sample, [4], 0.99).errors[0].code == "eta_not_attained"
+    assert estimate_k_range(sample, [4], 0.99).errors[0, 0].code == "eta_not_attained"
     assert selection_at(sample, 4)[2] == 4.0
 
 
 def test_intermediate_covar_m_equals_k():
     # n=5, k=4 gives m=4, so the second smallest filtered value is selected;
     # gamma-hat is above 1 there, so the row fails before CoVaR_int
-    assert estimate_k_range(comonotone(5), [4], 0.99).errors[0].code == "hill_out_of_range"
+    assert estimate_k_range(comonotone(5), [4], 0.99).errors[0, 0].code == "hill_out_of_range"
     assert selection_at(comonotone(5), 4)[2] == 2.0
 
 
@@ -69,8 +69,8 @@ def test_intermediate_covar_matches_scan():
         result = estimate_k_range(sample, [k], 0.99)
         expected = intermediate_covar_scan(sample, k)
         assert selection_at(sample, k)[2] == expected
-        if not result.failed[0]:
-            assert result.values[0, RECORD_KEYS.index("covar_int")] == expected
+        if not result.failed[0, 0]:
+            assert result.values[0, 0, RECORD_KEYS.index("covar_int")] == expected
 
 
 def test_intermediate_coes_comonotone():
@@ -220,10 +220,10 @@ def test_k_range_rows_are_the_one_k_estimates():
     result = estimate_k_range(sample, range(55, 86), 0.999)
     for i, k in enumerate(range(55, 86)):
         one = estimate_k_range(sample, [k], 0.999)
-        assert not result.failed[i] and not one.failed[0]
+        assert not result.failed[0, i] and not one.failed[0, 0]
         for name in ("values", "fired", "quoted"):
-            assert getattr(result, name)[i].tolist() == getattr(one, name)[0].tolist()
-        assert result.values[i].tolist() == list(estimate_all(sample, k, 0.999).to_record().values())
+            assert getattr(result, name)[0, i].tolist() == getattr(one, name)[0, 0].tolist()
+        assert result.values[0, i].tolist() == list(estimate_all(sample, k, 0.999).to_record().values())
 
 
 def test_k_range_blocks_change_no_row(monkeypatch):
@@ -238,12 +238,12 @@ def test_k_range_blocks_change_no_row(monkeypatch):
     for name in ("values", "fired", "quoted", "failed"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True)
     assert {i: str(e) for i, e in blocked.errors.items()} == {i: str(e) for i, e in whole.errors.items()}
-    assert str(blocked.errors[295]) == "k must satisfy 1 <= k < n, got k=0 with n=600"
-    assert str(blocked.errors[296]) == "k must satisfy 1 <= k < n, got k=600 with n=600"
+    assert str(blocked.errors[0, 295]) == "k must satisfy 1 <= k < n, got k=0 with n=600"
+    assert str(blocked.errors[0, 296]) == "k must satisfy 1 <= k < n, got k=600 with n=600"
     valid = estimate_k_range(sample, range(5, 600), 0.999)
     kept = [i for i, k in enumerate(ks) if 0 < k < 600]
     for name in ("values", "fired", "quoted", "failed"):
-        assert np.array_equal(getattr(blocked, name)[kept], getattr(valid, name), equal_nan=True)
+        assert np.array_equal(getattr(blocked, name)[0, kept], getattr(valid, name)[0], equal_nan=True)
 
 
 def test_k_range_rejects_empty_and_fractional_k():
@@ -301,7 +301,7 @@ def _tied_at_180():
 def test_warning_texts(sample, k, tau_prime, expected):
     expected = [WarningRecord(code, message) for code, message in expected]
     assert list(estimate_all(sample, k, tau_prime).warnings) == expected
-    assert estimate_k_range(sample, [k], tau_prime).first_warnings() == expected
+    assert estimate_k_range(sample, [k], tau_prime).first_warnings()[0] == expected
 
 
 def test_pareto_ratio_between_intermediates():

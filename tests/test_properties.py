@@ -54,11 +54,11 @@ def _full_outcome(call):
 
 
 def _row_outcome(result, i):
-    """Row i of a ``KRangeEstimates``, or its error's type, code and message."""
-    if result.failed[i]:
-        error = result.errors[i]
+    """Cell i of a one-sample ``KRangeEstimates``, or its error's type, code and message."""
+    if result.failed[0, i]:
+        error = result.errors[0, i]
         return type(error), getattr(error, "code", None), str(error)
-    return result.values[i].tolist(), result.fired[i].tolist(), result.quoted[i].tolist()
+    return result.values[0, i].tolist(), result.fired[0, i].tolist(), result.quoted[0, i].tolist()
 
 
 @st.composite
@@ -296,12 +296,12 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
             raws.append(float(raw) if attained else None)
             assert raws[-1] == _bruteforce(sample, k, variant)
         assert covar[i] == intermediate_covar_scan(sample, k)
-        if not result.failed[i]:
-            values, quoted = result.values[i].tolist(), result.quoted[i].tolist()
+        if not result.failed[0, i]:
+            values, quoted = result.values[0, i].tolist(), result.quoted[0, i].tolist()
             assert quoted[1] == raws[0]
             assert values[3] == raws[1]
             assert values[4] == covar[i]
-        elif result.errors[i].code == "eta_not_attained":
+        elif result.errors[0, i].code == "eta_not_attained":
             assert None in raws
 
 
@@ -323,6 +323,13 @@ def _average_bits(outcome):
         outcome = list(outcome.to_record().values()), tuple(w.code for w in outcome.warnings)
     values, codes = outcome
     return [value.hex() for value in values], codes
+
+
+def _k_range_bits(result):
+    """A ``KRangeEstimates`` as bytes: each array's shape and bytes, each
+    error's key, type, code and message, and the warnings first met."""
+    arrays = [(a.shape, a.tobytes()) for a in (result.values, result.fired, result.quoted, result.failed)]
+    return arrays, {at: _bits(e) for at, e in result.errors.items()}, result.first_met(), result.first_warnings()
 
 
 def _alone(call):
@@ -353,7 +360,8 @@ def stacks(draw):
 def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
     """Each row of a stacked estimate is, bit for bit, what its sample gives
     alone: index, values, errors with their codes and texts, warnings, the
-    k average with its warning codes and the one-k record."""
+    k average with its warning codes and the one-k record.  A sample alone
+    is the same whether 1-D or a (1, n) stack."""
     rows, ks = case
     stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
     stacked = estimate_k_range(stack, ks, tau_prime)
@@ -369,12 +377,14 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
         assert np.array_equal(indexes.ranks[row], index.ranks)
         assert np.array_equal(indexes.order[row], index.order[index.depth - indexes.depth :])
         alone = estimate_k_range(sample, ks, tau_prime)
+        one_row = estimate_k_range(LossPairSample(xs=xs[None], ys=ys[None]), ks, tau_prime)
+        assert _k_range_bits(one_row) == _k_range_bits(alone)
         row_errors = {i: _bits(e) for (at, i), e in stacked.errors.items() if at == row}
-        assert row_errors == {i: _bits(e) for i, e in alone.errors.items()}
+        assert row_errors == {i: _bits(e) for (_, i), e in alone.errors.items()}
         for name in ("values", "fired", "quoted", "failed"):
-            assert getattr(stacked, name)[row].tobytes() == getattr(alone, name).tobytes()
+            assert getattr(stacked, name)[row].tobytes() == getattr(alone, name)[0].tobytes()
         assert stacked.first_met()[row] == alone.first_met()[0]
-        assert stacked.first_warnings()[row] == alone.first_warnings()
+        assert stacked.first_warnings()[row] == alone.first_warnings()[0]
         average = _alone(lambda: estimate_with_k_values(sample, ks, tau_prime))
         assert _average_bits(averaged[row]) == _average_bits(average)
         assert _bits(one_k[row]) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
