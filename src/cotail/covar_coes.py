@@ -157,6 +157,15 @@ def _stack_rows(n: int, ks) -> int:
     return max(1, _MATRIX_CELLS // max(n, len(ks) * width))
 
 
+def tail_depth(ks) -> int:
+    """How many of the largest values of each margin ``estimate_k_range``
+    reads at the k values ``ks``: k_max + 2.  The tie check at k_max reads
+    Y_(n-k_max-2,n), and X-ranks that deep change no eta-hat
+    (``filtered_x_ranks``).  A window whose two tails at this depth do not
+    change keeps its estimates (``data_io.rolling_estimates``)."""
+    return int(np.max(ks)) + 2
+
+
 def estimate_k_range(
     sample: LossPairSample, ks, tau_prime: float
 ) -> KRangeEstimates:
@@ -169,12 +178,13 @@ def estimate_k_range(
     pass over arrays: the X-ranks of the k_max + 1 largest system losses by
     rank (``filtered_x_ranks``) and one cumulative sum of log order
     statistics (Hill); only these closed forms are evaluated k by k.  They
-    read the top k_max + 2 of each margin and no deeper, so each margin is
-    sorted to that depth only (``build_margin_index``).  A stacked sample
-    runs each of these array passes once for all its rows, and the failure
-    checks and warnings of every (row, k) cell too; its one
-    ``KRangeEstimates`` gives each row, bit for bit, the result that row
-    gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
+    read the top ``tail_depth(ks)`` = k_max + 2 of each margin and no
+    deeper, so each margin is sorted to that depth only
+    (``build_margin_index``): every array read is a function of the two
+    tails.  A stacked sample runs each of these array passes once for all
+    its rows, and the failure checks and warnings of every (row, k) cell
+    too; its one ``KRangeEstimates`` gives each row, bit for bit, the
+    result that row gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
     blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
     no result depends on the blocks.  An n below 2 or a tau' outside
     (0, 1) raises once.  A k fails, in this order, when it is invalid, when
@@ -200,8 +210,8 @@ def estimate_k_range(
     # an invalid k runs as k = 1 (m = 1), so that each block of k is a slice
     # of ks; its cells fail with its error
     k_array, m_array = np.array([1 if i in k_errors else k for i, k in enumerate(ks)]), np.array(ms)
-    k_max = int(k_array.max())
-    x_index, y_index = (build_margin_index(np.atleast_2d(v), k_max + 2) for v in (sample.xs, sample.ys))
+    depth = tail_depth(k_array)
+    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
     values = np.empty((stack, len(ks), len(RECORD_KEYS)))
@@ -211,7 +221,7 @@ def estimate_k_range(
     # the first check that fails
     reasons = np.empty((stack, len(ks)), dtype=np.int8)
     # each block of k shares one (stack, k, k_max + 1) rank matrix; blocks bound its size
-    block = max(1, _MATRIX_CELLS // (stack * (k_max + 1)))
+    block = max(1, _MATRIX_CELLS // (stack * (depth - 1)))
     for start in range(0, len(ks), block):
         part = slice(start, start + block)
         part_ks, part_ms = k_array[part], m_array[part]

@@ -4,11 +4,15 @@ Input files are CSV with header ``date,price`` (ISO-8601 date, positive
 decimal price).  ``load_pair_series`` aligns two assets on the
 intersection of their dates and returns one ``LossPairSample`` of the
 negative log returns of the aligned prices, with the date each loss ends
-on.  The rolling driver re-estimates on a moving window of that sample,
+on.  The rolling driver estimates a moving window of that sample,
 optionally averaging the estimates over a range of k values, and keeps a
-window's failure as its outcome instead of aborting.  One
-``estimate_with_k_values`` call per stack of windows gives each window its
-k-averaged values and warning codes from whole-stack arrays, with one
+window's failure as its outcome instead of aborting.  The estimates read
+only the two tails of a window, each margin's values at or above its cut
+(``core.tail_cuts`` at ``covar_coes.tail_depth``), so a window is
+estimated only when a loss at or above a cut of the window before enters
+or leaves; every other window gets the outcome of the window before.  One
+``estimate_with_k_values`` call per stack of estimated windows gives each
+its k-averaged values and warning codes from whole-stack arrays, with one
 column mean per count of succeeded k; no warning is worded for a window.
 ``k_values`` is the one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
 ``write_text`` produce every TSV the package writes: floats as ``.10g``,
@@ -27,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
+from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail, tail_cuts
 from .covar_coes import (
     RECORD_KEYS,
     WARNING_CODES,
@@ -35,6 +39,7 @@ from .covar_coes import (
     RiskEstimates,
     _stack_rows,
     estimate_k_range,
+    tail_depth,
 )
 from .empirical import check_tau_grid, hill_curve, tail_prob_curve
 from .tail_copula import r11_curve
@@ -180,15 +185,23 @@ def _failures(result: KRangeEstimates, row: int) -> list[str]:
 def rolling_estimates(
     dates: Sequence[datetime.date], sample: LossPairSample, plan: RollingPlan
 ) -> list[tuple[datetime.date, tuple[list[float], tuple[str, ...]] | ValueError]]:
-    """Re-estimate on every window of the losses.
+    """Estimate every window of the losses whose tails change.
 
     ``dates[i]`` is the date loss i ends on.  Windows end at loss indices
     window, window+step, ... n; each yields (the date of its last loss, its
     ``RECORD_KEYS`` values and warning codes, or the error that stopped
-    them).  There are floor((n - window)/step) + 1 windows.  They are
-    estimated in stacks of windows, views into the series, one
-    ``estimate_with_k_values`` call per stack; each window gets the values
-    and codes it gets alone.
+    them).  There are floor((n - window)/step) + 1 windows.
+
+    A window's estimates read only its two tails: the values of each margin
+    at or above the cut, the ``tail_depth(ks)``-th largest value
+    (``core.tail_cuts``).  Two consecutive windows have the same tails
+    exactly when every loss that leaves or enters between them lies below
+    the earlier window's cut, in both margins; the later window then gets
+    the earlier one's outcome, the same object.  A step >= window changes
+    the tails every time, as the whole earlier window leaves.  The windows
+    whose tails change are estimated in stacks, copies of their rows, one
+    ``estimate_with_k_values`` call per stack; each window gets, bit for
+    bit, the values and codes it gets alone.
     """
     if len(dates) != sample.n:
         raise ValueError(f"{len(dates)} dates for {sample.n} losses")
@@ -198,12 +211,21 @@ def rolling_estimates(
     xs, ys = (sliding_window_view(v, plan.window)[:: plan.step] for v in (sample.xs, sample.ys))
     ends = range(plan.window, sample.n + 1, plan.step)
     block = _stack_rows(plan.window, ks)
-    rows = []
-    for start in range(0, len(ends), block):
-        stack = LossPairSample(xs=xs[start : start + block], ys=ys[start : start + block])
-        outcomes = estimate_with_k_values(stack, ks, plan.tau_prime)
-        rows += [(dates[end - 1], outcome) for end, outcome in zip(ends[start : start + block], outcomes)]
-    return rows
+    depth, span = tail_depth(ks), (len(ends) - 1) * plan.step
+    # whether each window's tails differ from the window before's; the first is always estimated
+    changed = np.arange(len(ends)) == 0
+    for values, view in ((sample.xs, xs), (sample.ys, ys)):
+        cuts = np.concatenate([tail_cuts(view[at : at + block], depth) for at in range(0, len(ends), block)])
+        # the largest loss that leaves, and that enters, between each window and the next
+        moved = (values[at : at + span].reshape(-1, plan.step).max(axis=1) for at in (0, plan.window))
+        changed[1:] |= np.maximum(*moved) >= cuts[:-1]
+    estimated = np.flatnonzero(changed)
+    outcomes = []
+    for at in range(0, estimated.size, block):
+        rows = estimated[at : at + block]
+        outcomes += estimate_with_k_values(LossPairSample(xs=xs[rows], ys=ys[rows]), ks, plan.tau_prime)
+    # each window's outcome is that of the last window estimated at or before it
+    return [(dates[end - 1], outcomes[i]) for end, i in zip(ends, (np.cumsum(changed) - 1).tolist())]
 
 
 def format_tsv(rows: Iterable[Sequence]) -> str:

@@ -301,12 +301,16 @@ class TestRolling:
 
     def test_each_margin_is_sorted_once_per_block(self, monkeypatch):
         """251 windows of 1000, as the rolling benchmark runs them: one index
-        build per margin per block of windows, each on the (B, window) stack."""
-        shapes = []
+        build per margin per block of the windows whose tails change, each
+        on the (B, window) stack.  A window's tails are the positions of
+        the top k_max + 2 values of each margin, ties at the cut included;
+        the first window and each window whose tails differ from the
+        window before's are estimated, and the rest reuse an outcome."""
+        built = []
         original = cotail.covar_coes.build_margin_index
 
         def counting(values, depth=None):
-            shapes.append(np.shape(values))
+            built.append(np.array(values))
             return original(values, depth)
 
         monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
@@ -314,13 +318,87 @@ class TestRolling:
         ks = range(60, 81)
         rows = rolling_estimates(_dates(1250), sample, RollingPlan(window=1000, k=(60, 80), tau_prime=0.999))
         assert len(rows) == 251
+
+        def windows(start):
+            return [v[start : start + 1000] for v in (sample.xs, sample.ys)]
+
+        def tails(start):
+            """Each margin's top k_max + 2 = 82 positions, ties at the cut included."""
+            return [frozenset((start + np.flatnonzero(w >= np.sort(w)[-82])).tolist()) for w in windows(start)]
+
+        sets = [tails(start) for start in range(251)]
+        changed = [0] + [start for start in range(1, 251) if sets[start] != sets[start - 1]]
+        # the rule's count: a window is estimated when the loss that leaves
+        # or enters is at or above the cut of the window before, in some margin
+        predicted = 1
+        for start in range(1, 251):
+            moved = (max(v[start - 1], v[start + 999]) for v in (sample.xs, sample.ys))
+            predicted += any(m >= np.sort(w)[-82] for m, w in zip(moved, windows(start - 1)))
+        assert len(changed) == predicted < 251
         block = _stack_rows(1000, ks)
-        blocks = [min(block, 251 - start) for start in range(0, 251, block)]
-        assert 1 < len(blocks) < 251
-        assert shapes == [(b, 1000) for b in blocks for _ in range(2)]
-        for index in (0, block - 1, block, 250):
+        blocks = [min(block, len(changed) - start) for start in range(0, len(changed), block)]
+        assert 1 < len(blocks)
+        assert [b.shape for b in built] == [(b, 1000) for b in blocks for _ in range(2)]
+        for margin, stacks in ((sample.xs, built[::2]), (sample.ys, built[1::2])):
+            assert np.array_equal(np.concatenate(stacks), [margin[start : start + 1000] for start in changed])
+        for index in (0, block - 1, block, 250, changed[1] - 1, changed[1], changed[-1]):
             window = LossPairSample(xs=sample.xs[index : index + 1000], ys=sample.ys[index : index + 1000])
             assert rows[index][1] == _values_and_codes(estimate_with_k_values(window, ks, 0.999))
+
+    def test_reuse_rule_at_the_cut(self):
+        """Windows of 12 at k 2:4 read the top 6 of each margin, cut at the
+        6th largest value.  On this series the Y loss that leaves between
+        the windows starting at 10 and 11 equals window 10's Y cut, and the
+        one that enters between 13 and 14 equals window 13's, while every
+        other loss that moves lies below its cut; each changes the
+        estimate.  Windows 11-14 hold a run of tied Y values across the
+        cut.  The windows starting at 7 and 12 move only losses below the
+        cuts and share the outcome of the window before, the same object;
+        at a step >= window no outcome is shared.  Every row, gaps
+        included, is its window estimated alone."""
+        xs = np.array(
+            [2, 5, 1, 3, 4, 1, 4, 7, 3, 8, 7, -1, 10, 1, 10, -1, 5, 8, 3, 8, 8, 8, -1, 5, 8, 6, 6, 6, 8, 8], float
+        )
+        ys = np.array(
+            [1, 4, 1, 2, 2, 2, 5, 8, 2, 8, 8, 6, 9, 2, 9, 7, 3, 8, 1, 9, 7, 9, 6, 3, 7, 7, 4, 6, 6, 7], float
+        )
+        window, ks = 12, range(2, 5)
+
+        def alone(start):
+            pair = LossPairSample(xs=xs[start : start + window], ys=ys[start : start + window])
+            try:
+                expected = estimate_with_k_values(pair, ks, 0.95)
+            except ValueError as error:
+                return str(error)
+            return [v.hex() for v in expected.to_record().values()], tuple(w.code for w in expected.warnings)
+
+        def cut(values, start):
+            return np.sort(values[start : start + window])[-6]
+
+        for before in (10, 13):
+            # the losses that leave and enter between this window and the next
+            x_moved, y_moved = (v[[before, before + window]] for v in (xs, ys))
+            assert x_moved.max() < cut(xs, before) and y_moved.min() < cut(ys, before) == y_moved.max()
+            assert alone(before + 1) != alone(before)
+        for start in range(11, 15):
+            tail = ys[start : start + window]
+            assert cut(ys, start) == 7 and (tail > 7).sum() < 6 < (tail >= 7).sum()
+        for step in (1, 2, window, window + 3):
+            plan = RollingPlan(window, (2, 4), 0.95, step=step)
+            rows = rolling_estimates(_dates(30), LossPairSample(xs=xs, ys=ys), plan)
+            starts = range(0, 30 - window + 1, step)
+            assert len(rows) == len(starts)
+            for (_, outcome), start in zip(rows, starts):
+                if isinstance(outcome, ValueError):
+                    assert str(outcome) == alone(start)
+                else:
+                    assert ([v.hex() for v in outcome[0]], outcome[1]) == alone(start)
+            outcomes = [outcome for _, outcome in rows]
+            if step == 1:
+                assert outcomes[7] is outcomes[6] and outcomes[12] is outcomes[11]
+                assert {"gap", "values"} == {"gap" if isinstance(o, ValueError) else "values" for o in outcomes}
+            if step >= window:
+                assert len({id(outcome) for outcome in outcomes}) == len(outcomes)
 
     def test_rows_crossing_stack_edges_are_their_windows_alone(self, monkeypatch):
         """Windows in stacks of seven, at step 1 and step 7: a stack holds a

@@ -27,7 +27,7 @@ from cotail.core import (
     check_tail,
 )
 from cotail.covar_coes import ESTIMATOR_NAMES, RiskEstimates, _intermediate, estimate_all, estimate_k_range
-from cotail.data_io import estimate_with_k_values
+from cotail.data_io import RollingPlan, estimate_with_k_values, k_values, rolling_estimates
 from cotail.empirical import _hill, tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
 from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
@@ -388,6 +388,41 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
         average = _alone(lambda: estimate_with_k_values(sample, ks, tau_prime))
         assert _average_bits(averaged[row]) == _average_bits(average)
         assert _bits(one_k[row]) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
+
+
+@st.composite
+def rolling_cases(draw):
+    """(sample, plan): a coarse-rounded, tie-heavy pair of loss series, X
+    sometimes shifted below zero, and a window, step and k-range on it.
+    The step may pass the window, and k_max may be window - 1, where each
+    margin's tail is the whole window."""
+    window = draw(st.integers(3, 40))
+    n = draw(st.integers(window, 120))
+    u = draw(hnp.arrays(np.int64, n, elements=st.integers(1, 40), fill=st.nothing()))
+    v = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3), fill=st.nothing()))
+    shift = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([0, 0, 0, 3]), fill=st.nothing()))
+    coarse = lambda w: np.round(np.sqrt(40.0 / w), 1)
+    sample = LossPairSample(xs=coarse(u) - shift, ys=coarse(np.clip(u + v - 1, 1, 40)))
+    k_max = draw(st.one_of(st.just(window - 1), st.integers(1, max(1, window // 4)), st.integers(1, window - 1)))
+    k = (draw(st.integers(1, k_max)), k_max)
+    step = draw(st.sampled_from([1, 1, 2, 3, window, window + 1]))
+    return sample, RollingPlan(window, k, draw(st.sampled_from([0.9, 0.99])), step=step)
+
+
+@SETTINGS
+@given(rolling_cases())
+def test_rolling_rows_are_their_windows_alone(case):
+    """Each rolling row, whether its window is estimated or reuses the
+    outcome of the window before, is bit for bit its window estimated
+    alone: values, warning codes, or the gap's error text."""
+    sample, plan = case
+    rows = rolling_estimates(range(sample.n), sample, plan)
+    ends = range(plan.window, sample.n + 1, plan.step)
+    assert [date for date, _ in rows] == [end - 1 for end in ends]
+    for (_, outcome), end in zip(rows, ends):
+        window = LossPairSample(xs=sample.xs[end - plan.window : end], ys=sample.ys[end - plan.window : end])
+        alone = _alone(lambda: estimate_with_k_values(window, k_values(plan.k), plan.tau_prime))
+        assert _average_bits(outcome) == _average_bits(alone)
 
 
 def test_hill_on_a_stack_takes_each_row_s_logs_alone():
