@@ -160,13 +160,15 @@ def _cmd_diagnose(args) -> int:
 def _cmd_rolling(args) -> int:
     plan = RollingPlan(window=args.window, k=_parse_k(args.k), tau_prime=args.tau, step=args.step)
     dates, sample = load_pair_series(args.x, args.y)
-    rows = [("date", *RECORD_KEYS, "note")]
+    lines, last = [format_tsv([("date", *RECORD_KEYS, "note")])], None
     for date, outcome in rolling_estimates(dates, sample, plan):
-        if isinstance(outcome, ValueError):
-            rows.append((date, *[""] * len(RECORD_KEYS), f"gap: {outcome}"))
-        else:
-            rows.append((date, *outcome[0], ""))
-    text = format_tsv(rows)
+        # a window that reuses the outcome of the window before reuses its formatted cells
+        if outcome is not last:
+            gap = isinstance(outcome, ValueError)
+            cells = format_tsv([[*[""] * len(RECORD_KEYS), f"gap: {outcome}"] if gap else [*outcome[0], ""]])
+            last = outcome
+        lines.append(f"{date}\t{cells}")
+    text = "".join(lines)
     if args.out:
         write_text(args.out, text)
     else:

@@ -13,8 +13,7 @@ together, one set of numpy calls for all B; a 1-D sample is a stack of
 one.  An index may order only the top of its margin (a tail index): every
 value at or above the row's cut, its depth-th largest value.  The k-range
 estimators read the top k_max + 2 of each margin, while the diagnostics
-read full indexes.  ``tail_cuts`` is the one home of the cut; the rolling
-driver reads it too, to tell whether a moving window's tails change.
+read full indexes.
 ``MarginIndex.ranked`` is the one place the tie rule lives: the
 conditioning subsample of every tail estimator is the first k+1 (or k)
 entries of ``y_index.ranked(count)`` for any count > k.
@@ -171,14 +170,14 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     """Sort the top of one margin, or of each row of a (B, n) stack, and
     compute tie-broken ranks.
 
-    The cut is the ``depth``-th largest value (``tail_cuts``); every
-    observation at or above it is kept, so the tail is closed under ties
-    and may hold more than ``depth`` observations.  The kept positions, in
-    ascending position order, are stably sorted by value, which gives the
-    full sort's order on them.  At depth n the cut is the minimum and every
-    position is kept: the full index is the stable argsort.  A stack is cut
-    row by row and sorted in one call, so each row's index is the one its
-    row would get alone.
+    The cut is the ``depth``-th largest value; every observation at or
+    above it is kept, so the tail is closed under ties and may hold more
+    than ``depth`` observations.  The kept positions, in ascending position
+    order, are stably sorted by value, which gives the full sort's order on
+    them.  At depth n the cut is the minimum and every position is kept:
+    the full index is the stable argsort.  A stack is cut row by row and
+    sorted in one call, so each row's index is the one its row would get
+    alone.
 
     ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin
     of its stack.  ``data_io.diagnostics_export`` builds full indexes: it
@@ -204,8 +203,10 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
         raise ValueError(f"depth must be at least 1, got {depth}")
     stack = np.atleast_2d(arr)
     rows, n = stack.shape
+    # each row's cut, its depth-th largest value (its minimum at depth >= n), by one partition
+    at = 0 if depth is None else max(n - int(depth), 0)
     # the kept observations, grouped by row, each row in position order
-    kept = np.flatnonzero(stack >= tail_cuts(stack, depth)[:, None])
+    kept = np.flatnonzero(stack >= np.partition(stack, at, axis=-1)[:, at, None])
     row = kept // n
     tails = np.bincount(row, minlength=rows)
     width = int(tails.max())
@@ -232,19 +233,6 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     if arr.ndim == 1:
         return MarginIndex(sorted=sorted_values[0], ranks=ranks[0], order=order[0])
     return MarginIndex(sorted=sorted_values, ranks=ranks, order=order)
-
-
-def tail_cuts(values: np.ndarray, depth: int | None) -> np.ndarray:
-    """Each row's cut: the ``depth``-th largest value of each row of a
-    (B, n) array, by one partition; the minimum at depth None or >= n.
-
-    A tail index keeps every value at or above its row's cut
-    (``build_margin_index``).  ``data_io.rolling_estimates`` compares what
-    enters and leaves a moving window with the cut, to tell whether the
-    window's tails change.
-    """
-    at = 0 if depth is None else max(values.shape[-1] - int(depth), 0)
-    return np.partition(values, at, axis=-1)[..., at]
 
 
 def _check_reach(indexes, reach: int, reader: str) -> None:

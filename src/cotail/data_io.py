@@ -8,15 +8,15 @@ on.  The rolling driver estimates a moving window of that sample,
 optionally averaging the estimates over a range of k values, and keeps a
 window's failure as its outcome instead of aborting.  The estimates read
 only the two tails of a window, each margin's values at or above its cut
-(``core.tail_cuts`` at ``covar_coes.tail_depth``), so a window is
-estimated only when a loss at or above a cut of the window before enters
-or leaves; every other window gets the outcome of the window before.  One
-``estimate_with_k_values`` call per stack of estimated windows gives each
-its k-averaged values and warning codes from whole-stack arrays, with one
-column mean per count of succeeded k; no warning is worded for a window.
-``k_values`` is the one reading of a k or (kmin, kmax) range, and ``format_tsv`` /
-``write_text`` produce every TSV the package writes: floats as ``.10g``,
-UTF-8, LF line endings.
+(the ``covar_coes.tail_depth``-th largest value), so a window is estimated
+only when a loss that enters or leaves has fewer than depth values of the
+window before above it; every other window gets the outcome of the window
+before.  One ``estimate_with_k_values`` call per stack of estimated
+windows gives each its k-averaged values and warning codes from
+whole-stack arrays, with one column mean per count of succeeded k; no
+warning is worded for a window.  ``k_values`` is the one reading of a k or
+(kmin, kmax) range, and ``format_tsv`` / ``write_text`` produce every TSV
+the package writes: floats as ``.10g``, UTF-8, LF line endings.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail, tail_cuts
+from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
 from .covar_coes import (
     RECORD_KEYS,
     WARNING_CODES,
     KRangeEstimates,
     RiskEstimates,
+    _MATRIX_CELLS,
     _stack_rows,
     estimate_k_range,
     tail_depth,
@@ -113,7 +114,7 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
     """
     table_x = _load_price_file(path_x)
     table_y = _load_price_file(path_y)
-    common = sorted(set(table_x) & set(table_y))
+    common = sorted(day for day in table_x if day in table_y)
     if not common:
         raise ValueError("empty intersection of dates between the two files")
     if len(common) < 2:
@@ -193,13 +194,15 @@ def rolling_estimates(
     them).  There are floor((n - window)/step) + 1 windows.
 
     A window's estimates read only its two tails: the values of each margin
-    at or above the cut, the ``tail_depth(ks)``-th largest value
-    (``core.tail_cuts``).  Two consecutive windows have the same tails
-    exactly when every loss that leaves or enters between them lies below
-    the earlier window's cut, in both margins; the later window then gets
-    the earlier one's outcome, the same object.  A step >= window changes
-    the tails every time, as the whole earlier window leaves.  The windows
-    whose tails change are estimated in stacks, copies of their rows, one
+    at or above the cut, its ``tail_depth(ks)``-th largest value (its
+    minimum at a depth above the window).  Two consecutive windows have the
+    same tails exactly when every loss that leaves or enters between them
+    lies below the earlier window's cut in both margins, that is, when at
+    least depth values of that window exceed each; no cut is taken.  The
+    later window then gets the earlier one's outcome, the same object.  At
+    a depth above the window (k_max = window - 1), or a step >= window,
+    every window is estimated.  The windows whose tails change are
+    estimated in stacks, copies of their rows, one
     ``estimate_with_k_values`` call per stack; each window gets, bit for
     bit, the values and codes it gets alone.
     """
@@ -212,13 +215,17 @@ def rolling_estimates(
     ends = range(plan.window, sample.n + 1, plan.step)
     block = _stack_rows(plan.window, ks)
     depth, span = tail_depth(ks), (len(ends) - 1) * plan.step
+    # windows per count: each count's bool matrix stays within the cell budget
+    counted = max(1, _MATRIX_CELLS // plan.window)
     # whether each window's tails differ from the window before's; the first is always estimated
     changed = np.arange(len(ends)) == 0
-    for values, view in ((sample.xs, xs), (sample.ys, ys)):
-        cuts = np.concatenate([tail_cuts(view[at : at + block], depth) for at in range(0, len(ends), block)])
+    for values, before in ((sample.xs, xs[:-1]), (sample.ys, ys[:-1])):
         # the largest loss that leaves, and that enters, between each window and the next
-        moved = (values[at : at + span].reshape(-1, plan.step).max(axis=1) for at in (0, plan.window))
-        changed[1:] |= np.maximum(*moved) >= cuts[:-1]
+        leaving, entering = (values[at : at + span].reshape(-1, plan.step).max(axis=1) for at in (0, plan.window))
+        moved = np.maximum(leaving, entering)
+        for at in range(0, moved.size, counted):
+            above = np.count_nonzero(before[at : at + counted] > moved[at : at + counted, None], axis=1)
+            changed[at + 1 : at + 1 + counted] |= above < depth
     estimated = np.flatnonzero(changed)
     outcomes = []
     for at in range(0, estimated.size, block):

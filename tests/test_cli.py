@@ -11,7 +11,8 @@ import pytest
 import cotail
 from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
-from cotail.data_io import estimate_with_k_values, load_pair_series
+from cotail.core import LossPairSample
+from cotail.data_io import RollingPlan, estimate_with_k_values, format_tsv, load_pair_series, rolling_estimates
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
 
@@ -239,6 +240,41 @@ def test_rolling_gap_rows(tmp_path, capsys):
         cells = row.split("\t")
         assert cells[1:-1] == [""] * len(RECORD_KEYS)
         assert cells[-1].startswith("gap: ")
+
+
+def test_rolling_reused_outcomes_print_as_their_windows_alone(tmp_path, capsys):
+    """Windows of 40 at k 8:12 on prices rounded to 0.5, which tie often:
+    some windows reuse the outcome of the window before, value rows and a
+    gap row among them.  Every line ``rolling`` prints is, byte for byte,
+    ``format_tsv`` of its row built from its window estimated alone: the
+    date, the values or the ``gap:`` text, and the note."""
+    rng = np.random.default_rng(0)
+    returns = 0.01 * rng.standard_t(3, size=(400, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+    prices = np.round(80.0 * np.exp(np.cumsum(returns, axis=0))) / 2
+    base = datetime.date(2015, 1, 5)
+    files = []
+    for column, name in enumerate(("x.csv", "y.csv")):
+        lines = [f"{base + datetime.timedelta(days=i)},{p}" for i, p in enumerate(prices[:, column].tolist())]
+        (tmp_path / name).write_text("date,price\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        files += [f"--{name[0]}", str(tmp_path / name)]
+    dates, sample = load_pair_series(tmp_path / "x.csv", tmp_path / "y.csv")
+    window, ks = 40, range(8, 13)
+    outcomes = [outcome for _, outcome in rolling_estimates(dates, sample, RollingPlan(window, (8, 12), 0.99))]
+    reused = [later for earlier, later in zip(outcomes, outcomes[1:]) if later is earlier]
+    assert {isinstance(outcome, ValueError) for outcome in reused} == {True, False}
+
+    assert main(["rolling", *files, "--window", "40", "--k", "8:12", "--tau", "0.99"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0] == format_tsv([("date", *RECORD_KEYS, "note")])
+    ends = range(window, sample.n + 1)
+    assert len(lines) == 1 + len(ends)
+    for line, end in zip(lines[1:], ends):
+        alone = LossPairSample(xs=sample.xs[end - window : end], ys=sample.ys[end - window : end])
+        try:
+            row = (dates[end - 1], *estimate_with_k_values(alone, ks, 0.99).to_record().values(), "")
+        except ValueError as error:
+            row = (dates[end - 1], *[""] * len(RECORD_KEYS), f"gap: {error}")
+        assert line == format_tsv([row])
 
 
 def test_oracle_row(capsys):

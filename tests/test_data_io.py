@@ -400,6 +400,66 @@ class TestRolling:
             if step >= window:
                 assert len({id(outcome) for outcome in outcomes}) == len(outcomes)
 
+    @pytest.mark.parametrize(
+        "n, window, k, step, rounded",
+        [
+            pytest.param(90, 12, (9, 11), 1, False, id="k_max-window-1"),
+            pytest.param(40, 40, (3, 5), 1, False, id="one-window"),
+            pytest.param(90, 12, (2, 4), 12, False, id="step-window"),
+            pytest.param(90, 12, (2, 4), 15, True, id="step-past-window"),
+            pytest.param(200, 20, (2, 4), 1, True, id="ties"),
+            pytest.param(200, 20, (2, 4), 3, True, id="ties-step-3"),
+            pytest.param(200, 30, (3, 6), 1, False, id="continuous"),
+        ],
+    )
+    def test_count_rule_picks_the_cut_rule_windows(self, monkeypatch, n, window, k, step, rounded):
+        """The windows estimated are exactly those a brute-force cut rule
+        picks: a window is estimated when it is the first, or when a loss
+        that leaves or enters between it and the window before lies at or
+        above that window's cut (from ``np.sort``, the k_max + 2-th largest
+        value, or the minimum when that depth exceeds the window) in either
+        margin.  The count test runs in blocks of three windows, so the
+        pairs of windows cross its block edges."""
+        pair = sample_model(make_spec("Pareto2"), n, np.random.default_rng(window * 1000 + n + step))
+        xs, ys = (np.round(v, 0) if rounded else v for v in (pair.xs, pair.ys))
+        stacks = []
+        original = cotail.data_io.estimate_with_k_values
+
+        def recording(stack, ks, tau_prime):
+            stacks.append((stack.xs.copy(), stack.ys.copy()))
+            return original(stack, ks, tau_prime)
+
+        monkeypatch.setattr(cotail.data_io, "estimate_with_k_values", recording)
+        monkeypatch.setattr(cotail.data_io, "_MATRIX_CELLS", 3 * window)
+        rows = rolling_estimates(_dates(n), LossPairSample(xs=xs, ys=ys), RollingPlan(window, k, 0.95, step=step))
+        starts = range(0, n - window + 1, step)
+        assert len(rows) == len(starts)
+
+        def cut(values, start):
+            ordered = np.sort(values[start : start + window])
+            return ordered[-(k[1] + 2)] if k[1] + 2 <= window else ordered[0]
+
+        at_cut = 0
+        estimated = [0]
+        for before, start in zip(starts, starts[1:]):
+            left = range(before, min(start, before + window))
+            entered = range(max(start, before + window), start + window)
+            moved = [values[[*left, *entered]] for values in (xs, ys)]
+            cuts = [cut(values, before) for values in (xs, ys)]
+            at_cut += any((m == c).any() for m, c in zip(moved, cuts))
+            if any((m >= c).any() for m, c in zip(moved, cuts)):
+                estimated.append(start)
+        for margin, recorded in ((xs, [s[0] for s in stacks]), (ys, [s[1] for s in stacks])):
+            assert np.array_equal(np.concatenate(recorded), [margin[s : s + window] for s in estimated])
+        # the whole window before leaves, or its cut is its minimum: every window is estimated
+        if k[1] == window - 1 or step >= window:
+            assert estimated == list(starts)
+        elif len(starts) > 1:
+            assert 1 < len(estimated) < len(starts)
+        # coarse-rounded losses move a loss equal to a cut
+        if rounded and step < window:
+            assert at_cut > 0
+
     def test_rows_crossing_stack_edges_are_their_windows_alone(self, monkeypatch):
         """Windows in stacks of seven, at step 1 and step 7: a stack holds a
         window where every k succeeds, one where some k fail (k_partial), a
