@@ -1,12 +1,16 @@
 """Price-file ingestion, rolling-window estimation, and diagnostic exports.
 
 Input files are CSV with header ``date,price`` (ISO-8601 date, positive
-decimal price).  ``load_pair_series`` aligns two assets on the
-intersection of their dates and returns one ``LossPairSample`` of the
-negative log returns of the aligned prices, with the date each loss ends
-on.  The rolling driver estimates a moving window of that sample,
-optionally averaging the estimates over a range of k values, and keeps a
-window's failure as its outcome instead of aborting.  The estimates read
+decimal price).  Each file is read whole and as columns: one split into
+cells (``csv.reader`` only for a text that holds a quote, a blank line or
+a line of other than two cells), one conversion of each column, and every
+check on whole columns; the rows are walked in file order only to word
+the first error.  ``load_pair_series`` joins two assets on their common
+day ordinals and returns one ``LossPairSample`` of the negative log
+returns of the aligned prices, with the date each loss ends on.  The
+rolling driver estimates a moving window of that sample, optionally
+averaging the estimates over a range of k values, and keeps a window's
+failure as its outcome instead of aborting.  The estimates read
 only the two tails of a window, each margin's values at or above its cut
 (the ``covar_coes.tail_depth``-th largest value), so a window is estimated
 only when a loss that enters or leaves has fewer than depth values of the
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,37 +78,94 @@ def k_values(k: int | tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
-def _load_price_file(path) -> dict[datetime.date, float]:
+_EPOCH = datetime.date(1970, 1, 1).toordinal()
+_COMMA, _LF = ord(","), ord("\n")
+
+
+def _cells(text: str) -> list[str] | None:
+    """The header's two cells, then each data row's date and price cells,
+    in file order, as ``csv.reader`` reads them; None if the header or a
+    data row holds other than two cells.
+
+    A text with no quote whose every line holds one comma is split whole:
+    its line ends (CRLF, CR, LF, as csv reads them) become commas, and one
+    split gives every cell.  ``csv.reader`` reads any other text, and its
+    blank rows (no cell, or one blank cell) are dropped.
+    """
+    if '"' not in text:
+        flat = text.replace("\r\n", "\n").replace("\r", "\n")
+        if flat.endswith("\n"):  # it ends the last row and starts none
+            flat = flat[:-1]
+        raw = np.frombuffer(flat.encode(), np.uint8)
+        separators = raw[(raw == _COMMA) | (raw == _LF)]
+        # a comma, a line end, a comma, ... a comma: two cells on every line
+        if separators.size % 2 and not ((separators[::2] != _COMMA).any() or (separators[1::2] != _LF).any()):
+            return flat.replace("\n", ",").split(",")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    data = [row for row in rows[1:] if len(row) > 1 or row and row[0].strip()]
+    if rows and {len(rows[0]), *map(len, data)} == {2}:
+        return [cell for row in (rows[0], *data) for cell in row]
+    return None
+
+
+def _columns(cells: list[str] | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each data row's day ordinal and price, in file order, checked as
+    whole columns; None if the cells fail a check or hold no data row."""
+    if cells is None or len(cells) < 4 or [cell.strip().lower() for cell in cells[:2]] != ["date", "price"]:
+        return None
+    date_cells, price_cells = cells[2::2], cells[3::2]
+    try:
+        days = map(datetime.date.fromisoformat, map(str.strip, date_cells))
+        ordinals = np.fromiter(map(datetime.date.toordinal, days), np.int64, len(date_cells))
+        prices = np.fromiter(map(float, price_cells), float, len(price_cells))
+    except ValueError:
+        return None
+    ordered = np.sort(ordinals)
+    if not (np.isfinite(prices).all() and (prices > 0.0).all()) or (ordered[1:] == ordered[:-1]).any():
+        return None
+    return ordinals, prices
+
+
+def _first_error(path, text: str) -> str:
+    """The error of the first bad row of a text in file order, or of a
+    text with no data rows: the one place a price file's errors are worded."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
+        return f"{path}: expected header 'date,price'"
+    seen: set[datetime.date] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            return f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+        try:
+            day = datetime.date.fromisoformat(row[0].strip())
+            price = float(row[1])
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if not math.isfinite(price):
+            return f"{path}:{lineno}: non-finite price {row[1]}"
+        if price <= 0.0:
+            return f"{path}:{lineno}: non-positive price {row[1]}"
+        if day in seen:
+            return f"{path}:{lineno}: duplicate date {day}"
+        seen.add(day)
+    return f"{path}: no data rows"
+
+
+def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's day ordinal and price, in file order."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often write
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
-                raise ValueError(f"{path}: expected header 'date,price'")
-            table: dict[datetime.date, float] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-                try:
-                    day = datetime.date.fromisoformat(row[0].strip())
-                    price = float(row[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if not math.isfinite(price):
-                    raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
-                if price <= 0.0:
-                    raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
-                if day in table:
-                    raise ValueError(f"{path}:{lineno}: duplicate date {day}")
-                table[day] = price
+            text = handle.read()
     except UnicodeDecodeError as exc:  # a ValueError that would not name the file
         raise ValueError(f"{path}: {exc}") from None
-    if not table:
-        raise ValueError(f"{path}: no data rows")
-    return table
+    columns = _columns(_cells(text))
+    if columns is None:
+        raise ValueError(_first_error(path, text))
+    return columns
 
 
 def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPairSample]:
@@ -112,15 +174,18 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
     Returns the date each loss ends on (the common dates less the first)
     and the sample of negative log returns ``-diff(log(prices))``.
     """
-    table_x = _load_price_file(path_x)
-    table_y = _load_price_file(path_y)
-    common = sorted(day for day in table_x if day in table_y)
-    if not common:
+    (ordinals_x, prices_x), (ordinals_y, prices_y) = _load_price_file(path_x), _load_price_file(path_y)
+    common, at_x, at_y = np.intersect1d(ordinals_x, ordinals_y, assume_unique=True, return_indices=True)
+    if not common.size:
         raise ValueError("empty intersection of dates between the two files")
-    if len(common) < 2:
-        raise ValueError(f"need at least 2 overlapping dates, got {len(common)}")
-    xs, ys = (-np.diff(np.log([table[d] for d in common])) for table in (table_x, table_y))
-    return tuple(common[1:]), LossPairSample(xs=xs, ys=ys)
+    if common.size < 2:
+        raise ValueError(f"need at least 2 overlapping dates, got {common.size}")
+    # the log of a fresh array of the common prices, as numpy's log may
+    # differ in the last bit with an element's place in its array
+    xs, ys = (-np.diff(np.log(prices[at])) for prices, at in ((prices_x, at_x), (prices_y, at_y)))
+    # ordinals to dates: numpy counts days from 1970-01-01 and lists them as dates
+    dates = (common[1:] - _EPOCH).astype("datetime64[D]").tolist()
+    return tuple(dates), LossPairSample(xs=xs, ys=ys)
 
 
 def estimate_with_k_values(

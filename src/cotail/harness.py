@@ -12,9 +12,11 @@ squared relative error
 
 of one estimator's ratios.  Per-replication RNG streams are derived up
 front from the plan seed, and each replication's estimates are those of
-its sample alone although replications are estimated in stacks.  Blocks
-of replications run on a thread pool for every worker count, one thread
-included, so the outcomes are bit-identical regardless of worker count.
+its sample alone although replications are estimated in stacks.  One
+worker runs the blocks of replications on the calling thread; more run
+them on a thread pool of that many threads.  A block's outcomes do not
+depend on the thread that runs it, so they are bit-identical regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -128,8 +130,12 @@ def run_experiment(
     # takes whole blocks, and no outcome depends on the blocks
     size = _stack_rows(plan.n, (plan.k,))
     blocks = [streams[start : start + size] for start in range(0, len(streams), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = [outcome for done in pool.map(task, blocks) for outcome in done]
+    if workers == 1:
+        per_block = list(map(task, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_block = list(pool.map(task, blocks))
+    outcomes = [outcome for done in per_block for outcome in done]
     if all(isinstance(outcome, ValueError) for outcome in outcomes):
         raise ValueError(
             f"all {plan.replications} replications failed for {plan.spec.family} "

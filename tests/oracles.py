@@ -20,6 +20,11 @@ The model references are definitions the tests hold the package to: the
 finite-level eta at the true CoVaR (``eta_true``) and its limit, the root of
 R(eta, 1) = 1 - tau (``eta_star``).
 
+The price-file references read row by row what ``data_io`` reads as whole
+columns: ``price_table_by_rows`` walks ``csv.reader`` rows and wraps each
+bad row's error, and ``pair_series_by_dates`` joins the two tables on
+their sorted common dates by lookup.
+
 ``selection_at`` is not an oracle: it is the package's own selection at one
 k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
 ``estimate_k_range`` row fails before it reaches them.
@@ -27,6 +32,8 @@ k, for the tests that need eta-hat or the intermediate CoVaR/CoES where an
 
 from __future__ import annotations
 
+import csv
+import datetime
 import functools
 import math
 
@@ -341,3 +348,55 @@ def _student_covar_coes_mp(spec: ModelSpec, tau: float, covar: float) -> tuple[f
         survival = 2 * mpmath.quad(conditional, breaks)
         tail = 2 * mpmath.quad(lambda v: c * mpmath.expm1(v / 2) * conditional(v), breaks)
         return float(survival / target), float(c + tail / target)
+
+
+def price_table_by_rows(path) -> dict[datetime.date, float]:
+    """A price file's {date: price} in file order, read row by row with
+    ``csv.reader`` on the open file.  Test oracle for
+    ``data_io._load_price_file``, which reads whole columns; each bad file
+    raises the same ValueError text here (a file that fails to decode
+    aside: this loop reports the first bad row of the chunks it read)."""
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often write
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
+                raise ValueError(f"{path}: expected header 'date,price'")
+            table: dict[datetime.date, float] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                try:
+                    day = datetime.date.fromisoformat(row[0].strip())
+                    price = float(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not math.isfinite(price):
+                    raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
+                if price <= 0.0:
+                    raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
+                if day in table:
+                    raise ValueError(f"{path}:{lineno}: duplicate date {day}")
+                table[day] = price
+    except UnicodeDecodeError as exc:  # a ValueError that would not name the file
+        raise ValueError(f"{path}: {exc}") from None
+    if not table:
+        raise ValueError(f"{path}: no data rows")
+    return table
+
+
+def pair_series_by_dates(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPairSample]:
+    """Two price tables joined on their sorted common dates by dict lookup.
+    Test oracle for ``data_io.load_pair_series``, which joins day ordinals."""
+    table_x = price_table_by_rows(path_x)
+    table_y = price_table_by_rows(path_y)
+    common = sorted(day for day in table_x if day in table_y)
+    if not common:
+        raise ValueError("empty intersection of dates between the two files")
+    if len(common) < 2:
+        raise ValueError(f"need at least 2 overlapping dates, got {len(common)}")
+    xs, ys = (-np.diff(np.log([table[d] for d in common])) for table in (table_x, table_y))
+    return tuple(common[1:]), LossPairSample(xs=xs, ys=ys)

@@ -3,7 +3,9 @@
 Each case runs one command line through ``cli.main`` in a fresh working
 directory that holds a copy of ``golden/inputs``, with relative paths, and
 compares its stdout, stderr, exit code and every file it wrote with
-``golden/expected/<case>``.  A change meant to alter an output regenerates
+``golden/expected/<case>``.  The seed-3 price files, rewritten with CRLF
+line ends or with every cell quoted, must give the ``rolling-3`` and
+``estimate-3-k70`` bytes too.  A change meant to alter an output regenerates
 the expected files and says which changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -70,11 +72,12 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def run_case(argv: list[str]) -> dict[str, bytes]:
-    """stdout, stderr, exit code and written files of one command, by name."""
+def run_case(argv: list[str], inputs: Path = INPUTS) -> dict[str, bytes]:
+    """stdout, stderr, exit code and written files of one command, by name,
+    run on a copy of ``inputs``."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "work"
-        shutil.copytree(INPUTS, work)
+        shutil.copytree(inputs, work)
         stdout, stderr = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         os.chdir(work)
@@ -90,7 +93,7 @@ def run_case(argv: list[str]) -> dict[str, bytes]:
         }
         for path in sorted(work.rglob("*")):
             name = path.relative_to(work).as_posix()
-            if path.is_file() and not (INPUTS / name).exists():
+            if path.is_file() and not (inputs / name).exists():
                 outputs[name] = path.read_bytes()
         return outputs
 
@@ -119,6 +122,23 @@ def test_golden_output(case):
     for name in want:
         if got[name] != want[name]:
             pytest.fail(_first_difference(name, got[name], want[name]), pytrace=False)
+
+
+@pytest.mark.parametrize("shape", ["crlf", "quoted"])
+@pytest.mark.parametrize("case", ["rolling-3", "estimate-3-k70"])
+def test_price_files_in_other_shapes(tmp_path, case, shape):
+    """The seed-3 price files rewritten with CRLF line ends, or with every
+    cell quoted, give the expected output of the LF files byte for byte."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(INPUTS, inputs)
+    for name in ("x3.csv", "y3.csv"):
+        lines = (INPUTS / name).read_text(encoding="utf-8").splitlines()
+        if shape == "crlf":
+            text = "\r\n".join(lines) + "\r\n"
+        else:
+            text = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in lines)
+        (inputs / name).write_bytes(text.encode("utf-8"))
+    assert run_case(CASES[case], inputs) == _expected(case)
 
 
 def regenerate() -> None:

@@ -1,9 +1,11 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import cotail.covar_coes
+import cotail.harness
 from cotail.cli import main
 from cotail.covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
 from cotail.harness import ExperimentPlan, msre, plan_from_record, ratios, run_experiment
@@ -116,6 +118,29 @@ def test_worker_count_invariance():
     threaded_truth, threaded = run_experiment(plan, workers=4)
     assert serial_truth == threaded_truth
     assert len(serial) == 16
+    assert _comparable(serial) == _comparable(threaded)
+
+
+def test_one_worker_runs_on_the_calling_thread(monkeypatch):
+    """One worker estimates every block on the calling thread and opens no
+    pool; two workers run the blocks on pool threads."""
+    threads = []
+    original = cotail.harness.estimate_all
+
+    def recording(sample, k, tau_prime):
+        threads.append(threading.get_ident())
+        return original(sample, k, tau_prime)
+
+    monkeypatch.setattr(cotail.harness, "estimate_all", recording)
+    plan = _plan(n=2000, k=100, replications=40, seed=5)
+    assert _stack_rows(plan.n, (plan.k,)) < plan.replications
+    with monkeypatch.context() as patched:
+        patched.setattr(cotail.harness, "ThreadPoolExecutor", None)
+        _, serial = run_experiment(plan, workers=1)
+    assert len(threads) > 1 and set(threads) == {threading.get_ident()}
+    threads.clear()
+    _, threaded = run_experiment(plan, workers=2)
+    assert threading.get_ident() not in threads
     assert _comparable(serial) == _comparable(threaded)
 
 

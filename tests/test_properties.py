@@ -6,16 +6,19 @@ tie-heavy, degenerate and permuted inputs, and check that every row of a
 k-range is the one-k estimate and matches the brute-force definitions, that
 a tail index is the full sort on its tail and changes no k-range result,
 that the diagnostic curves equal their definitions, and that the
-estimators scale with X and R-hat keeps its bounds.  Examples are
-derandomized, so the suite draws the same cases on every run.
+estimators scale with X and R-hat keeps its bounds.  The price-file
+loader, which reads whole columns, is held to the row-by-row reference
+loader on generated texts, and its ordinal join to the lookup join.
+Examples are derandomized, so the suite draws the same cases on every run.
 """
 
+import datetime
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -27,11 +30,25 @@ from cotail.core import (
     check_tail,
 )
 from cotail.covar_coes import ESTIMATOR_NAMES, RiskEstimates, _intermediate, estimate_all, estimate_k_range
-from cotail.data_io import RollingPlan, estimate_with_k_values, k_values, rolling_estimates
+from cotail.data_io import (
+    RollingPlan,
+    _load_price_file,
+    estimate_with_k_values,
+    k_values,
+    load_pair_series,
+    rolling_estimates,
+)
 from cotail.empirical import _hill, tail_prob_curve
 from cotail.models import FAMILIES, make_spec, sample_model
 from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
-from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, tail_prob_by_value
+from oracles import (
+    eta_hat_bruteforce,
+    intermediate_covar_scan,
+    pair_series_by_dates,
+    price_table_by_rows,
+    r_hat,
+    tail_prob_by_value,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -423,6 +440,117 @@ def test_rolling_rows_are_their_windows_alone(case):
         window = LossPairSample(xs=sample.xs[end - plan.window : end], ys=sample.ys[end - plan.window : end])
         alone = _alone(lambda: estimate_with_k_values(window, k_values(plan.k), plan.tau_prime))
         assert _average_bits(outcome) == _average_bits(alone)
+
+
+# price-file texts: pads that str.strip drops but str.splitlines would break
+# on, and price cells that are non-finite, non-positive, or odd to parse
+_DAYS = [datetime.date(2015, 1, 5) + datetime.timedelta(days=i) for i in range(400)]
+_PADS = ["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+_BAD_DATES = ["2015-13-40", "2015-1-5", "20150105", "2015-02-30", "", "date", "2015-01-05x"]
+_ODD_PRICES = [["inf", "-inf", "nan", "1e400"], ["0", "-1", "0.0", "-0"], ["abc", "", "1_000", " 7.5 "]]
+_HEADERS = ["date,price"] * 12 + [" Date , Price ", "DATE,PRICE\t", "date,close", "date", "date,price,volume", ""]
+
+
+@st.composite
+def price_texts(draw):
+    """A price file's text: LF, CRLF, lone CR or mixed line ends, with or
+    without a final one, a BOM, blank and space-only lines, quoted cells
+    (some holding a comma or a line end), 1-4 fields, padded and malformed
+    dates, bad prices, duplicate dates, header variants and no data rows."""
+    quoting = draw(st.integers(0, 2)) == 0
+
+    def cell(text):
+        if quoting and draw(st.integers(0, 2)) == 0:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    def row(day, price, pad=""):
+        return cell(f"{pad}{day}{pad}") + "," + cell(price)
+
+    days = draw(st.lists(st.sampled_from(_DAYS), unique=True, max_size=12))
+    rows = [row(day, repr(draw(st.floats(1e-3, 1e6))), draw(st.sampled_from(_PADS))) for day in days]
+    any_cell = st.one_of(
+        st.sampled_from(_DAYS).map(str),
+        st.sampled_from(_BAD_DATES + sum(_ODD_PRICES, []) + ["1,5", "2015-01-05\n", 'x"y']),
+        st.floats(1e-3, 1e6).map(repr),
+    )
+    other_row = st.one_of(
+        st.sampled_from(["", "", " ", " \t ", "\x0c"]),
+        st.lists(any_cell.map(cell), min_size=1, max_size=4).map(",".join),
+        st.builds(row, st.sampled_from(_BAD_DATES), st.floats(1e-3, 1e6).map(repr)),
+        *(st.builds(row, st.sampled_from(_DAYS), st.sampled_from(prices)) for prices in _ODD_PRICES),
+        st.builds(row, st.sampled_from(days or _DAYS), st.just("1.5")),  # a duplicate when days hold it
+    )
+    for other in draw(st.lists(other_row, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), other)
+    header = draw(st.sampled_from(_HEADERS))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    lines = [header, *rows]
+    ends = [ending or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _table_or_error(load, path):
+    """(ordinal, price bits) per row in file order, or the error text."""
+    try:
+        loaded = load(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(loaded, dict):
+        return [(day.toordinal(), price.hex()) for day, price in loaded.items()]
+    return [(day, price.hex()) for day, price in zip(*(column.tolist() for column in loaded))]
+
+
+@SETTINGS
+@given(price_texts())
+# a lone CR ends a row, here within a line that holds one comma
+@example("date,price\n2015-01-05\r,1\n2015-01-06,2\n")
+# a last row of one cell with no line end after it
+@example("date,price\n2015-01-05,1\n2015-01-06")
+# rows of four cells, and of one then one, hold as many commas as two rows
+@example("date,price\n2015-01-05,1,2015-01-06,2\n")
+@example("date,price\n2015-01-05\n1.5\n")
+# three cells then one, in a text csv.reader reads
+@example('date,price\n"2015-01-05",1,2015-01-06\n2\n')
+# valid: CRLF with a blank row, lone CRs, a quoted cell holding a line end
+@example("date,price\r\n2015-01-05,1\r\n\r\n2015-01-06,2\r\n")
+@example("date,price\r2015-01-05,1\r2015-01-06,2")
+@example('date,price\n"2015-01-05\n",1\n2015-01-06,2\n')
+def test_column_loader_reads_every_text_as_the_row_loop(tmp_path_factory, text):
+    """The whole-column loader returns the row loop's dates and price bits
+    in file order, or raises its ValueError text.  The examples are texts
+    whose lines hold as many commas as two-cell rows would, or whose row
+    ends are mixed."""
+    path = tmp_path_factory.mktemp("prices") / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _table_or_error(_load_price_file, path) == _table_or_error(price_table_by_rows, path)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(st.sampled_from(_DAYS[:40]), st.floats(1e-3, 1e6)), max_size=30, unique_by=lambda row: row[0]),
+    st.lists(st.tuples(st.sampled_from(_DAYS[:40]), st.floats(1e-3, 1e6)), max_size=30, unique_by=lambda row: row[0]),
+)
+def test_ordinal_join_is_the_date_lookup_join(tmp_path_factory, rows_x, rows_y):
+    """Files in any date order, overlapping in none, one or many dates:
+    the ordinal join gives the lookup join's dates and loss bits, or its
+    error text."""
+    directory = tmp_path_factory.mktemp("pair")
+    for name, rows in (("x.csv", rows_x), ("y.csv", rows_y)):
+        lines = ["date,price"] + [f"{day.isoformat()},{price!r}" for day, price in rows]
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def joined(load):
+        try:
+            dates, sample = load(directory / "x.csv", directory / "y.csv")
+        except ValueError as exc:
+            return str(exc)
+        return dates, sample.xs.tobytes(), sample.ys.tobytes()
+
+    assert joined(load_pair_series) == joined(pair_series_by_dates)
 
 
 def test_hill_on_a_stack_takes_each_row_s_logs_alone():
