@@ -34,7 +34,7 @@ from .data_io import (
     write_text,
 )
 from .empirical import check_tau_grid
-from .harness import msre, plan_from_record, ratios, run_experiment
+from .harness import _check_seed, msre, plan_from_record, ratios, run_experiment
 from .models import FAMILIES, PARAMETERS, make_spec
 from .oracle import oracle_result
 
@@ -66,6 +66,7 @@ def _parse_tau_grid(text: str) -> list[float]:
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     with open(args.plan, encoding="utf-8") as handle:
         payload = json.load(handle)
     records = payload.get("plans") if isinstance(payload, dict) else payload
@@ -76,18 +77,15 @@ def _cmd_simulate(args) -> int:
         )
     plans = []
     for index, record in enumerate(records):
-        derived = int(
-            np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
-        )
-        plans.append(plan_from_record(record, default_seed=derived))
+        derived = np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
+        plans.append(plan_from_record(record, default_seed=int(derived)))
     # one plan at a time: its outcomes are dropped once scored
     runs = []
     for index, plan in enumerate(plans):
         truth, outcomes = run_experiment(plan, workers=args.workers)
         plan_ratios = ratios(outcomes, truth)
-        msres = [msre(plan_ratios[name]) for name in ESTIMATOR_NAMES]
-        failures = sum(isinstance(outcome, ValueError) for outcome in outcomes)
-        runs.append((index, plan, plan_ratios, msres, failures))
+        msres = msre([plan_ratios[name] for name in ESTIMATOR_NAMES]).tolist()
+        runs.append((index, plan, plan_ratios, msres, int(outcomes.failed.sum())))
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
     blocks = []

@@ -166,18 +166,18 @@ class MarginIndex:
         return self.order[..., self.depth - count :][..., ::-1]
 
 
-def build_margin_index(values, depth: int | None = None) -> MarginIndex:
+def build_margin_index(values, depth: int | None = None, *, finite: bool = False) -> MarginIndex:
     """Sort the top of one margin, or of each row of a (B, n) stack, and
     compute tie-broken ranks.
 
     The cut is the ``depth``-th largest value; every observation at or
     above it is kept, so the tail is closed under ties and may hold more
-    than ``depth`` observations.  The kept positions, in ascending position
-    order, are stably sorted by value, which gives the full sort's order on
-    them.  At depth n the cut is the minimum and every position is kept:
-    the full index is the stable argsort.  A stack is cut row by row and
-    sorted in one call, so each row's index is the one its row would get
-    alone.
+    than ``depth`` observations.  The kept values are sorted by numpy's
+    default (SIMD) argsort, or stably, by position, where two in a row
+    tie: the full sort's order on them.  At depth n the cut is the minimum
+    and every position is kept: the full index is the stable argsort.  A
+    stack is cut row by row and sorted in one call, so each row's index is
+    the one its row would get alone.
 
     ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin
     of its stack.  ``data_io.diagnostics_export`` builds full indexes: it
@@ -187,6 +187,7 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
         values: nonempty finite reals, 1-D, or 2-D with one margin per row.
         depth: how many of the largest values must be ordered, at least 1;
             None, or any depth >= n, gives the full index.
+        finite: the values are a ``LossPairSample``'s, checked already.
 
     Returns:
         MarginIndex with the order statistics and ranks of the tail, with a
@@ -197,7 +198,7 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
         raise ValueError("values must be one-dimensional, or a two-dimensional stack")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    if not np.isfinite(arr).all():
+    if not finite and not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     if depth is not None and _whole_number(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -211,24 +212,30 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     tails = np.bincount(row, minlength=rows)
     width = int(tails.max())
     # each row's kept values, right-aligned in a row as wide as the widest
-    # tail after -inf pads, which sort first: a stable sort then orders
-    # each tail as the full sort of its row does
+    # tail after -inf pads, which sort first; the order among pads is
+    # immaterial, as they share one value and one home
     at = np.arange(kept.size) + np.repeat(np.arange(rows) * width + width - np.cumsum(tails), tails)
     padded = np.full(rows * width, -np.inf)
-    padded[at] = stack[row, kept - row * n]
+    padded[at] = stack.ravel()[kept]
     # where each entry lives in a (rows, n + 1) layout; a pad lives in its
     # row's spare last column
     home = np.repeat(np.arange(rows) * (n + 1) + n, width)
     home[at] = kept + row
-    by_value = np.argsort(padded.reshape(rows, width), axis=1, kind="stable")
-    by_value += np.arange(0, rows * width, width)[:, None]
+    offsets = np.arange(0, rows * width, width)[:, None]
+    for kind in (None, "stable"):
+        by_value = np.argsort(padded.reshape(rows, width), axis=1, kind=kind) + offsets
+        ascending = padded[by_value]
+        # the default sort orders equal values arbitrarily: where two kept
+        # values of a row tie, the stable sort puts the earlier first
+        if kind or not ((ascending[:, 1:] == ascending[:, :-1]) & (ascending[:, 1:] > -np.inf)).any():
+            break
     sorted_values = np.full((rows, n), -np.inf)
-    sorted_values[:, n - width :] = padded[by_value]
+    sorted_values[:, n - width :] = ascending
     home = home[by_value]
     # column c of a sorted row holds rank n - width + 1 + c
     ranks = np.zeros((rows, n + 1), dtype=np.int64)
     ranks.ravel()[home] = np.arange(n - width + 1, n + 1)
-    order = home[:, width - int(tails.min()) :] % (n + 1)
+    order = home[:, width - int(tails.min()) :] - np.arange(0, rows * (n + 1), n + 1)[:, None]
     ranks = ranks[:, :n]
     if arr.ndim == 1:
         return MarginIndex(sorted=sorted_values[0], ranks=ranks[0], order=order[0])

@@ -9,12 +9,12 @@ pushes the estimates at every k of a k-range to an extreme level tau' with
 the Hill estimate, the factor d^(2 gamma) and either an adjustment factor
 (variants 1-2) or the intermediate estimate itself (variants 3-4).  All k
 share one selection on two tail indexes built once per call, and
-``estimate_all`` is its one-k case.  Both take a stack of samples, and
-one sample is a stack of one: only ``estimate_all`` and
-``data_io.estimate_with_k_values`` unwrap its one row.  The (row, k) grid
-(values, failures, fired warnings) comes from whole-array passes, sized
-by ``_MATRIX_CELLS``, the one cell budget for every stack and block of k;
-an error is built only for a cell that fails.  Each k is checked by
+``estimate_all`` is its one-k case on one sample.  ``estimate_k_range``
+takes a stack of samples, and one sample is a stack of one: only
+``estimate_all`` and ``data_io.estimate_with_k_values`` unwrap its one
+row.  The (row, k) grid (values, failures, fired warnings) comes from
+whole-array passes, sized by ``_MATRIX_CELLS``, the one cell budget for
+every stack and block of k; an error is built only for a cell that fails.  Each k is checked by
 ``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions
 are derived here.
 ``KRangeEstimates._warning`` words every warning of the five
@@ -211,7 +211,7 @@ def estimate_k_range(
     # of ks; its cells fail with its error
     k_array, m_array = np.array([1 if i in k_errors else k for i, k in enumerate(ks)]), np.array(ms)
     depth = tail_depth(k_array)
-    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
+    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth, finite=True) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
     values = np.empty((stack, len(ks), len(RECORD_KEYS)))
@@ -239,11 +239,12 @@ def estimate_k_range(
         # the powers run on Python floats, and only where the k succeeds (a
         # failed cell's power may overflow): numpy's ** differs from the C
         # library's pow in the last bit on a few percent of pairs
-        twice, negated = (2.0 * gamma[done]).tolist(), (-gamma[done]).tolist()
+        cells = np.nonzero(done)
+        twice, negated = (2.0 * gamma[cells]).tolist(), (-gamma[cells]).tolist()
         powers = np.full((3, *done.shape), np.nan)
-        bases = (np.broadcast_to(d, done.shape), eta1, eta2)
+        bases = (d[cells[1]], eta1[cells], eta2[cells])
         for power, column, exponent in zip(powers, bases, (twice, negated, negated)):
-            power[done] = list(map(pow, column[done].tolist(), exponent))
+            power[cells] = list(map(pow, column.tolist(), exponent))
         base, pow1, pow2 = powers
         # the failed cells take part in the arithmetic and are overwritten below
         with np.errstate(all="ignore"):
@@ -283,33 +284,22 @@ def estimate_k_range(
     return KRangeEstimates(ks, values, fired, quoted, failed, errors, n, tau_prime)
 
 
-def estimate_all(
-    sample: LossPairSample, k: int, tau_prime: float
-) -> RiskEstimates | list[RiskEstimates | ValueError]:
-    """Every intermediate and extrapolated estimator at one k: the one-row
-    case of ``estimate_k_range``.
-
-    One sample gets its ``RiskEstimates`` or raises.  On a stacked sample
-    nothing is raised per row: the list holds each row's estimates, or the
-    error that row raises alone.
+def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstimates:
+    """Every intermediate and extrapolated estimator at one k on one
+    sample: the one-row case of ``estimate_k_range``, with its warnings
+    worded.  A stack is estimated by ``estimate_k_range``.
 
     Raises:
         EstimationError: X_(n-k,n) not positive, gamma1 outside (0, 1), or
             eta-hat not attained (see ``estimate_k_range``).
-        ValueError: an invalid k or tau_prime.
+        ValueError: an invalid k or tau_prime, or a stacked sample.
     """
-    result = estimate_k_range(sample, (k,), tau_prime)
-    outcomes = [
-        result.errors[row, 0] if failed else RiskEstimates(*values, warnings=tuple(warnings))
-        for row, (failed, values, warnings) in enumerate(
-            zip(result.failed[:, 0].tolist(), result.values[:, 0].tolist(), result.first_warnings())
-        )
-    ]
     if sample.stacked:
-        return outcomes
-    if isinstance(outcomes[0], ValueError):
-        raise outcomes[0]
-    return outcomes[0]
+        raise ValueError("estimate_all takes one sample; estimate a stack with estimate_k_range")
+    result = estimate_k_range(sample, (k,), tau_prime)
+    if result.failed[0, 0]:
+        raise result.errors[0, 0]
+    return RiskEstimates(*result.values[0, 0].tolist(), warnings=tuple(result.first_warnings()[0]))
 
 
 def _intermediate(

@@ -101,7 +101,10 @@ def _cells(text: str) -> list[str] | None:
         # a comma, a line end, a comma, ... a comma: two cells on every line
         if separators.size % 2 and not ((separators[::2] != _COMMA).any() or (separators[1::2] != _LF).any()):
             return flat.replace("\n", ",").split(",")
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:  # a cell over csv's field limit, say; worded by _first_error
+        return None
     data = [row for row in rows[1:] if len(row) > 1 or row and row[0].strip()]
     if rows and {len(rows[0]), *map(len, data)} == {2}:
         return [cell for row in (rows[0], *data) for cell in row]
@@ -130,27 +133,30 @@ def _first_error(path, text: str) -> str:
     """The error of the first bad row of a text in file order, or of a
     text with no data rows: the one place a price file's errors are worded."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
-        return f"{path}: expected header 'date,price'"
-    seen: set[datetime.date] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            return f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-        try:
-            day = datetime.date.fromisoformat(row[0].strip())
-            price = float(row[1])
-        except ValueError as exc:
-            return f"{path}:{lineno}: {exc}"
-        if not math.isfinite(price):
-            return f"{path}:{lineno}: non-finite price {row[1]}"
-        if price <= 0.0:
-            return f"{path}:{lineno}: non-positive price {row[1]}"
-        if day in seen:
-            return f"{path}:{lineno}: duplicate date {day}"
-        seen.add(day)
+    try:
+        header = next(reader, None)
+        if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
+            return f"{path}: expected header 'date,price'"
+        seen: set[datetime.date] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                return f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+            try:
+                day = datetime.date.fromisoformat(row[0].strip())
+                price = float(row[1])
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+            if not math.isfinite(price):
+                return f"{path}:{lineno}: non-finite price {row[1]}"
+            if price <= 0.0:
+                return f"{path}:{lineno}: non-positive price {row[1]}"
+            if day in seen:
+                return f"{path}:{lineno}: duplicate date {day}"
+            seen.add(day)
+    except csv.Error as exc:  # a cell over csv's field limit, or a NUL on Python 3.10
+        return f"{path}:{reader.line_num}: {exc}"  # the line the reader stopped on
     return f"{path}: no data rows"
 
 
@@ -276,17 +282,18 @@ def rolling_estimates(
     if plan.window > sample.n:
         raise ValueError(f"window {plan.window} exceeds loss series length {sample.n}")
     ks = k_values(plan.k)
-    xs, ys = (sliding_window_view(v, plan.window)[:: plan.step] for v in (sample.xs, sample.ys))
-    ends = range(plan.window, sample.n + 1, plan.step)
+    step = min(plan.step, sample.n - plan.window + 1)  # any larger step gives the first window alone
+    xs, ys = (sliding_window_view(v, plan.window)[::step] for v in (sample.xs, sample.ys))
+    ends = range(plan.window, sample.n + 1, step)
     block = _stack_rows(plan.window, ks)
-    depth, span = tail_depth(ks), (len(ends) - 1) * plan.step
+    depth, span = tail_depth(ks), (len(ends) - 1) * step
     # windows per count: each count's bool matrix stays within the cell budget
     counted = max(1, _MATRIX_CELLS // plan.window)
     # whether each window's tails differ from the window before's; the first is always estimated
     changed = np.arange(len(ends)) == 0
     for values, before in ((sample.xs, xs[:-1]), (sample.ys, ys[:-1])):
         # the largest loss that leaves, and that enters, between each window and the next
-        leaving, entering = (values[at : at + span].reshape(-1, plan.step).max(axis=1) for at in (0, plan.window))
+        leaving, entering = (values[at : at + span].reshape(-1, step).max(axis=1) for at in (0, plan.window))
         moved = np.maximum(leaving, entering)
         for at in range(0, moved.size, counted):
             above = np.count_nonzero(before[at : at + counted] > moved[at : at + counted, None], axis=1)
@@ -304,8 +311,8 @@ def format_tsv(rows: Iterable[Sequence]) -> str:
     """Tab-separated lines, each ending in LF; floats print as ``.10g``,
     every other cell as ``str``.  The first row is the header, if any."""
     return "".join(
-        "\t".join(f"{cell:.10g}" if isinstance(cell, float) else str(cell) for cell in row) + "\n"
-        for row in rows
+        ["\t".join([f"{cell:.10g}" if isinstance(cell, float) else str(cell) for cell in row]) + "\n"
+         for row in rows]
     )
 
 

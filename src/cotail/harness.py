@@ -2,21 +2,20 @@
 
 An experiment draws N independent samples from a model and runs every
 estimator on each.  ``run_experiment`` returns the memoized population
-truth at tau' and each replication's outcome, in replication order: its
-``RiskEstimates``, or the ``ValueError`` that stopped it.  Every score is a
-plain function of the outcomes: ``ratios`` gives estimate/truth per
-estimator over the replications that succeeded, and ``msre`` the mean
-squared relative error
+truth at tau' and one outcome block, the one-k ``KRangeEstimates`` of
+all N replications.  Every score is an array pass over it: ``ratios``
+gives estimate/truth per estimator over the replications that succeeded,
+and ``msre`` the mean squared relative error
 
     MSRE = (1/N) * sum_l (estimate_l / truth - 1)^2
 
-of one estimator's ratios.  Per-replication RNG streams are derived up
-front from the plan seed, and each replication's estimates are those of
-its sample alone although replications are estimated in stacks.  One
-worker runs the blocks of replications on the calling thread; more run
-them on a thread pool of that many threads.  A block's outcomes do not
-depend on the thread that runs it, so they are bit-identical regardless
-of worker count.
+of one estimator's ratios, or of each row of a matrix of them.
+Replication l draws from child l of the plan seed's ``SeedSequence``, and
+its estimates are those of its sample alone although replications are
+drawn and estimated in blocks.  One worker runs the blocks on the calling
+thread; more run them on a thread pool of that many threads.  A block's
+outcomes do not depend on the thread that runs it, so they are
+bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, RiskEstimates, _stack_rows, estimate_all
+from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS, KRangeEstimates, _stack_rows, estimate_k_range
 from .core import _whole_number, check_tail
 from .models import ModelSpec, sample_model
 from .oracle import OracleResult, oracle_result
@@ -49,11 +47,21 @@ class ExperimentPlan:
         for name in ("n", "k", "replications", "seed"):
             value = _whole_number(getattr(self, name), f"plan field {name!r}")
             object.__setattr__(self, name, value)
-        if self.replications < 1:
-            raise ValueError(f"need at least one replication, got {self.replications}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(f"replications must lie in [1, {MAX_REPLICATIONS}], got {self.replications}")
+        _check_seed(self.seed)
         check_tail(self.n, self.k, self.tau_prime)
+
+
+# ``simulate`` holds about 1.2 kB a replication (its outcome row, ratios and
+# TSV lines) until its plan is written, 1.2 GB at this bound; a larger study is several plans
+MAX_REPLICATIONS = 10**6
+
+
+def _check_seed(seed: int) -> None:
+    """The one check of a plan's seed and of ``simulate --seed``."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def plan_from_record(record: dict, default_seed: int | None = None) -> ExperimentPlan:
@@ -89,56 +97,58 @@ def plan_from_record(record: dict, default_seed: int | None = None) -> Experimen
     )
 
 
-def ratios(outcomes: Sequence[RiskEstimates | ValueError], truth: OracleResult) -> dict[str, list[float]]:
+def ratios(outcomes: KRangeEstimates, truth: OracleResult) -> dict[str, list[float]]:
     """Estimate/truth per ``ESTIMATOR_NAMES`` entry over the replications
     that succeeded, in replication order; CoVaR variants are scored against
     ``truth.covar`` and CoES variants against ``truth.coes``."""
-    succeeded = [outcome for outcome in outcomes if not isinstance(outcome, ValueError)]
-    truths = {name: truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES}
-    return {name: [getattr(outcome, name) / scale for outcome in succeeded] for name, scale in truths.items()}
+    scales = np.array([truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES])
+    estimates = outcomes.values[~outcomes.failed[:, 0], 0, len(RECORD_KEYS) - len(ESTIMATOR_NAMES) :]
+    return dict(zip(ESTIMATOR_NAMES, (estimates / scales).T.tolist()))
 
 
-def msre(ratios: Sequence[float]) -> float:
-    """Mean squared relative error of estimate/truth ratios: the mean of (r - 1)^2."""
+def msre(ratios) -> float | np.ndarray:
+    """Mean squared relative error of estimate/truth ratios: the mean of
+    (r - 1)^2 over one sequence, or over each row of a matrix of them."""
     arr = np.asarray(ratios, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one ratio")
-    return float(np.mean((arr - 1.0) ** 2))
+    # each row contiguous, so that numpy sums it pairwise, as it sums one sequence
+    means = np.ascontiguousarray((arr - 1.0) ** 2).mean(axis=-1)
+    return float(means) if arr.ndim == 1 else means
 
 
-def run_experiment(
-    plan: ExperimentPlan, workers: int = 1
-) -> tuple[OracleResult, list[RiskEstimates | ValueError]]:
-    """Run all replications of a plan: the truth at tau' and the outcomes.
+def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult, KRangeEstimates]:
+    """Run all replications of a plan: the truth at tau' and the outcome block.
 
-    Each outcome is a replication's ``RiskEstimates``, or the ValueError
-    that stopped it (e.g. a Hill estimate outside (0, 1)), in replication
-    order.  Raises if every replication fails, or if ``workers`` is below 1.
+    The block is the one-k ``KRangeEstimates`` of all N replications, row
+    l for replication l: its values, or ``failed`` with the ValueError
+    that stopped it (e.g. a Hill estimate outside (0, 1)) in ``errors``.
+    Each block of ``_stack_rows`` replications is one ``sample_model`` and
+    one ``estimate_k_range`` call.  Raises if every replication fails, or
+    if ``workers`` is below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     truth = oracle_result(plan.spec, plan.tau_prime)
-    streams = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(plan.seed).spawn(plan.replications)
-    ]
-
-    def task(block: list[np.random.Generator]) -> list:
-        return estimate_all(sample_model(plan.spec, plan.n, block), plan.k, plan.tau_prime)
-
-    # whole blocks of replications, each estimated as one stack; a worker
-    # takes whole blocks, and no outcome depends on the blocks
     size = _stack_rows(plan.n, (plan.k,))
-    blocks = [streams[start : start + size] for start in range(0, len(streams), size)]
+
+    def task(start: int) -> KRangeEstimates:
+        # replication l draws from child l of the plan seed, the one SeedSequence.spawn makes
+        rows = range(start, min(start + size, plan.replications))
+        block = [np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(l,))) for l in rows]
+        return estimate_k_range(sample_model(plan.spec, plan.n, block), (plan.k,), plan.tau_prime)
+
+    # a worker takes whole blocks, and no outcome depends on the blocks
+    starts = range(0, plan.replications, size)
     if workers == 1:
-        per_block = list(map(task, blocks))
+        blocks = list(map(task, starts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(task, blocks))
-    outcomes = [outcome for done in per_block for outcome in done]
-    if all(isinstance(outcome, ValueError) for outcome in outcomes):
-        raise ValueError(
-            f"all {plan.replications} replications failed for {plan.spec.family} "
-            f"(n={plan.n}, k={plan.k})"
-        )
+            blocks = list(pool.map(task, starts))
+    arrays = (np.concatenate([getattr(b, key) for b in blocks]) for key in ("values", "fired", "quoted", "failed"))
+    errors = {(start + row, i): error for start, b in zip(starts, blocks) for (row, i), error in b.errors.items()}
+    outcomes = KRangeEstimates([plan.k], *arrays, errors, plan.n, plan.tau_prime)
+    if outcomes.failed.all():
+        message = f"all {plan.replications} replications failed for {plan.spec.family}"
+        raise ValueError(f"{message} (n={plan.n}, k={plan.k})")
     return truth, outcomes

@@ -120,77 +120,64 @@ def sample_model(
 ) -> LossPairSample:
     """Draw n i.i.d. pairs from the model with one Generator; with a
     sequence of B Generators, a (B, n) stack whose row i is the sample
-    ``rng[i]`` draws alone, drawn row by row into the stack and validated
-    once.
-
-    The draw order per family is fixed (documented below), so a given
-    Generator state always yields the same sample:
+    ``rng[i]`` draws alone.  Each Generator draws its variates in the
+    family's fixed order (below) into its row of the stack's buffers; the
+    elementwise family transform runs once on the stack, and the stack is
+    validated once.  So a Generator state always yields the same sample:
 
     * Logistic: uniforms (stable angle), exponentials (stable denominator),
       then an (n, 2) exponential block.  theta = 1 degenerates to the
       independence case with no stable draws.
     * Cauchy: one (n, 3) standard-normal block.
-    * Pareto2: gamma frailties, then an (n, 2) exponential block.
-    * StudentT: chi-square denominators (as gamma), then an (n, 2)
-      standard-normal block.
+    * Pareto2: gamma frailties (``standard_gamma``, the values gamma(theta,
+      1) draws), then an (n, 2) exponential block.
+    * StudentT: chi-square denominators (2 ``standard_gamma``(nu/2), the
+      values gamma(nu/2, 2) draws), then an (n, 2) standard-normal block.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if isinstance(rng, np.random.Generator):
-        xs, ys = _draw_pairs(spec, n, rng)
-        return LossPairSample(xs=xs, ys=ys)
-    xs, ys = np.empty((len(rng), n)), np.empty((len(rng), n))
-    for row, generator in enumerate(rng):
-        xs[row], ys[row] = _draw_pairs(spec, n, generator)
-    return LossPairSample(xs=xs, ys=ys)
-
-
-def _draw_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) of n pairs in ``sample_model``'s draw order."""
+    # one Generator draws a stack of one, whose one row is its sample
+    generators, rows = ([rng], 0) if isinstance(rng, np.random.Generator) else (rng, slice(None))
+    # in place where it can be, so that a block allocates little beyond its draws
     if spec.family == "Logistic":
-        z1, z2 = _sample_logistic_frechet(spec.theta, n, rng)
+        # unit-Frechet pairs with CDF exp{-(s^(-1/a) + t^(-1/a))^a}, a = theta,
+        # through a positive-stable factor with Laplace transform exp(-u^a)
+        a, factor = spec.theta, 1.0
+        if a != 1.0:
+            angle, w = _draw(generators, (n,), "random"), _draw(generators, (n,), "standard_exponential")
+            angle = np.multiply(np.pi, np.clip(angle, 1e-15, 1.0 - 1e-15, out=angle), out=angle)
+            factor = np.sin(a * angle) / np.sin(angle) ** (1.0 / a)
+            angle = np.sin(np.multiply(1.0 - a, angle, out=angle), out=angle)
+            factor *= np.divide(angle, w, out=angle) ** ((1.0 - a) / a)
+        e = _draw(generators, (n, 2), "standard_exponential")
+        z1, z2 = (factor / e[..., 0]) ** a, (factor / e[..., 1]) ** a
     elif spec.family == "Cauchy":
-        z = rng.standard_normal((n, 3))
-        denom = np.maximum(np.abs(z[:, 0]), np.finfo(float).tiny)
-        z1 = np.abs(z[:, 1] / denom)
-        z2 = np.abs(z[:, 2] / denom)
+        z = _draw(generators, (n, 3), "standard_normal")
+        denom = np.maximum(np.abs(z[..., 0]), np.finfo(float).tiny)
+        z1, z2 = np.abs(z[..., 1] / denom), np.abs(np.divide(z[..., 2], denom, out=denom), out=denom)
     elif spec.family == "Pareto2":
-        g = np.maximum(rng.gamma(spec.theta, 1.0, size=n), np.finfo(float).tiny)
-        e = rng.standard_exponential((n, 2))
-        z1 = e[:, 0] / g
-        z2 = e[:, 1] / g
+        g = np.maximum(_draw(generators, (n,), "standard_gamma", spec.theta), np.finfo(float).tiny)
+        e = _draw(generators, (n, 2), "standard_exponential")
+        z1, z2 = e[..., 0] / g, np.divide(e[..., 1], g, out=g)
     else:
-        w = np.maximum(rng.gamma(0.5 * spec.nu, 2.0, size=n), np.finfo(float).tiny)
-        normals = rng.standard_normal((n, 2))
-        scale = np.sqrt(w / spec.nu)
-        z1 = np.abs(normals[:, 0] / scale)
-        z2 = np.abs(
-            (spec.rho * normals[:, 0] + math.sqrt(1.0 - spec.rho**2) * normals[:, 1]) / scale
-        )
-    return z1**spec.x_exponent, z2
+        scale = np.maximum(2.0 * _draw(generators, (n,), "standard_gamma", 0.5 * spec.nu), np.finfo(float).tiny)
+        normals = _draw(generators, (n, 2), "standard_normal")
+        scale = np.sqrt(np.divide(scale, spec.nu, out=scale), out=scale)
+        z1 = np.abs(normals[..., 0] / scale)
+        z2 = spec.rho * normals[..., 0]
+        z2 += math.sqrt(1.0 - spec.rho**2) * normals[..., 1]
+        z2 = np.abs(np.divide(z2, scale, out=z2), out=z2)
+    z1 **= spec.x_exponent
+    return LossPairSample(xs=z1[rows], ys=z2[rows])
 
 
-def _sample_logistic_frechet(
-    theta: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-Frechet pair with exp{-(s^(-1/theta) + t^(-1/theta))^theta} CDF."""
-    if theta == 1.0:
-        s = np.ones(n)
-    else:
-        # positive-stable factor with Laplace transform exp(-u^theta)
-        u = np.clip(rng.random(n), 1e-15, 1.0 - 1e-15)
-        angle = np.pi * u
-        w = rng.standard_exponential(n)
-        a = theta
-        s = (
-            np.sin(a * angle)
-            / np.sin(angle) ** (1.0 / a)
-            * (np.sin((1.0 - a) * angle) / w) ** ((1.0 - a) / a)
-        )
-    e = rng.standard_exponential((n, 2))
-    z1 = (s / e[:, 0]) ** theta
-    z2 = (s / e[:, 1]) ** theta
-    return z1, z2
+def _draw(generators: Sequence[np.random.Generator], shape: tuple, method: str, *shape_parameter) -> np.ndarray:
+    """A (B, *shape) buffer whose row i is what ``generators[i].method``
+    draws at ``shape``, each Generator drawing into its own row."""
+    out = np.empty((len(generators), *shape))
+    for row, generator in zip(out, generators):
+        getattr(generator, method)(*shape_parameter, out=row)
+    return out
 
 
 def _student_pair_term(x: float, y: float, rho: float, nu: float) -> float:

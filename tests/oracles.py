@@ -400,3 +400,66 @@ def pair_series_by_dates(path_x, path_y) -> tuple[tuple[datetime.date, ...], Los
         raise ValueError(f"need at least 2 overlapping dates, got {len(common)}")
     xs, ys = (-np.diff(np.log([table[d] for d in common])) for table in (table_x, table_y))
     return tuple(common[1:]), LossPairSample(xs=xs, ys=ys)
+
+
+def sample_by_rows(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of n pairs drawn from one Generator with the family's
+    sampler written per sample, each variate block drawn by size and
+    transformed on its own: the reference for ``sample_model``'s draw
+    order and transforms."""
+    tiny = np.finfo(float).tiny
+    if spec.family == "Logistic":
+        theta = spec.theta
+        if theta == 1.0:
+            s = np.ones(n)
+        else:
+            u = np.clip(rng.random(n), 1e-15, 1.0 - 1e-15)
+            angle = np.pi * u
+            w = rng.standard_exponential(n)
+            s = (
+                np.sin(theta * angle)
+                / np.sin(angle) ** (1.0 / theta)
+                * (np.sin((1.0 - theta) * angle) / w) ** ((1.0 - theta) / theta)
+            )
+        e = rng.standard_exponential((n, 2))
+        z1, z2 = (s / e[:, 0]) ** theta, (s / e[:, 1]) ** theta
+    elif spec.family == "Cauchy":
+        z = rng.standard_normal((n, 3))
+        denom = np.maximum(np.abs(z[:, 0]), tiny)
+        z1, z2 = np.abs(z[:, 1] / denom), np.abs(z[:, 2] / denom)
+    elif spec.family == "Pareto2":
+        g = np.maximum(rng.gamma(spec.theta, 1.0, size=n), tiny)
+        e = rng.standard_exponential((n, 2))
+        z1, z2 = e[:, 0] / g, e[:, 1] / g
+    else:
+        w = np.maximum(rng.gamma(0.5 * spec.nu, 2.0, size=n), tiny)
+        normals = rng.standard_normal((n, 2))
+        scale = np.sqrt(w / spec.nu)
+        z1 = np.abs(normals[:, 0] / scale)
+        z2 = np.abs((spec.rho * normals[:, 0] + math.sqrt(1.0 - spec.rho**2) * normals[:, 1]) / scale)
+    return z1**spec.x_exponent, z2
+
+
+def margin_index_by_stable_argsort(values, depth: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted, ranks, order) of ``MarginIndex``, row by row from each row's
+    full stable argsort: the kept values are those at or above the row's
+    depth-th largest, and ``order`` keeps the top of every row as deep as
+    the shortest row's tail."""
+    stack = np.atleast_2d(np.asarray(values, dtype=float))
+    rows, n = stack.shape
+    reach = n if depth is None else min(depth, n)
+    sorted_rows, rank_rows, orders, tails = [], [], [], []
+    for row in stack:
+        full = np.argsort(row, kind="stable")
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[full] = np.arange(1, n + 1)
+        kept = row >= row[full[n - reach]]
+        tails.append(int(kept.sum()))
+        ascending = row[full]
+        ascending[: n - tails[-1]] = -np.inf
+        sorted_rows.append(ascending)
+        rank_rows.append(np.where(kept, ranks, 0))
+        orders.append(full)
+    order = np.array([full[n - min(tails) :] for full in orders])
+    result = np.array(sorted_rows), np.array(rank_rows), order
+    return tuple(part[0] for part in result) if np.ndim(values) == 1 else result

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cotail
+import cotail.cli
 from cotail.cli import _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
 from cotail.core import LossPairSample
@@ -367,6 +368,38 @@ def test_simulate_rejects_empty_plan(tmp_path, capsys):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "seed, replications, error",
+    [
+        ("-5", 3, "seed must be a nonnegative integer, got -5"),
+        ("1", 1e20, "replications must lie in [1, 1000000], got 100000000000000000000"),
+    ],
+    ids=["negative-seed", "replications-1e20"],
+)
+def test_simulate_integers_get_cotail_checks(seed, replications, error, tmp_path, capsys, monkeypatch):
+    """A negative --seed meets the plan's own seed check, and a plan's
+    replications its bound, before any experiment runs."""
+    monkeypatch.setattr(cotail.cli, "run_experiment", None)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps([{**_plan_records()[0], "replications": replications}]), encoding="utf-8")
+    rc = main(["simulate", "--plan", str(plan_path), "--seed", seed, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_rolling_step_beyond_the_series_gives_the_first_window(tmp_path, price_files, capsys):
+    """The price files hold 400 losses: every step from 400 - 300 + 1 up
+    gives the one window, however large."""
+    argv = ["rolling", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
+            "--window", "300", "--k", "20:30", "--tau", "0.99", "--step"]
+    outputs = []
+    for step in ("101", "99999999999999999999999"):
+        assert main([*argv, step]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].out.splitlines()) == 2 and outputs[0].err == ""
 
 
 def test_simulate_rejects_workers_below_one(tmp_path, capsys):

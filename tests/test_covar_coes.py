@@ -345,9 +345,9 @@ def test_each_margin_is_sorted_once_per_sample(monkeypatch):
     shapes = []
     original = cotail.covar_coes.build_margin_index
 
-    def counting(values, depth=None):
+    def counting(values, depth=None, **options):
         shapes.append(np.shape(values))
-        return original(values, depth)
+        return original(values, depth, **options)
 
     monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
     rng = np.random.default_rng(17)
@@ -361,7 +361,7 @@ def test_each_margin_is_sorted_once_per_sample(monkeypatch):
     samples = [sample_model(make_spec("Cauchy"), 1000, rng) for _ in range(5)]
     stack = LossPairSample(xs=np.stack([s.xs for s in samples]), ys=np.stack([s.ys for s in samples]))
     estimate_with_k_values(stack, range(60, 81), 0.999)
-    estimate_all(stack, 250, 0.999)
+    estimate_k_range(stack, (250,), 0.999)
     assert shapes == [(5, 1000)] * 4
 
 

@@ -143,6 +143,17 @@ class TestLoader:
             ("date,price\n2015-01-05,nan\n", "non-finite price nan"),
             ("date,price\n2015-01-05,100\n2015-01-05,101\n", "duplicate"),
             ("date,price\n", "no data rows"),
+            # a cell over csv's 131072-character field limit, read whole or by csv.reader
+            pytest.param(
+                "date,price\n2015-01-05," + "1" * 140_000 + "\n",
+                r"^\S*bad.csv:2: field larger than field limit \(131072\)$",
+                id="cell-over-field-limit",
+            ),
+            pytest.param(
+                'date,price\n2015-01-05,"' + "1" * 140_000 + '"\n',
+                r"^\S*bad.csv:2: field larger than field limit \(131072\)$",
+                id="quoted-cell-over-field-limit",
+            ),
         ],
     )
     def test_malformed_files(self, tmp_path, body, fragment):
@@ -273,6 +284,10 @@ class TestRolling:
         dates, sample = self._small_sample()
         rows = rolling_estimates(dates, sample, RollingPlan(window=40, k=10, tau_prime=0.95, step=60))
         assert len(rows) == 1
+        # any step from n - window + 1 = 21 up, however large, gives the first window alone
+        for step in (21, 10**23):
+            alone = rolling_estimates(dates, sample, RollingPlan(window=40, k=10, tau_prime=0.95, step=step))
+            assert alone == rows
 
     def test_window_count_property(self):
         rng = np.random.default_rng(1234)
@@ -309,9 +324,9 @@ class TestRolling:
         built = []
         original = cotail.covar_coes.build_margin_index
 
-        def counting(values, depth=None):
+        def counting(values, depth=None, **options):
             built.append(np.array(values))
-            return original(values, depth)
+            return original(values, depth, **options)
 
         monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
         sample = sample_model(make_spec("StudentT"), 1250, np.random.default_rng(251))

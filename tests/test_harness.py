@@ -7,8 +7,8 @@ import pytest
 import cotail.covar_coes
 import cotail.harness
 from cotail.cli import main
-from cotail.covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
-from cotail.harness import ExperimentPlan, msre, plan_from_record, ratios, run_experiment
+from cotail.covar_coes import ESTIMATOR_NAMES, WARNING_CODES, _stack_rows, estimate_all
+from cotail.harness import MAX_REPLICATIONS, ExperimentPlan, msre, plan_from_record, ratios, run_experiment
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
 
@@ -25,12 +25,40 @@ def _plan(family="Cauchy", n=200, k=40, tau_prime=0.99, replications=1, seed=0):
 
 
 def _comparable(outcomes):
-    """Outcomes with each failure as its (type, code, message): exceptions
-    compare by identity."""
+    """An outcome block as plain values: each array's shape and bytes, and
+    each failure as its (row, type, code, message); exceptions compare by
+    identity."""
+    arrays = [(a.shape, a.tobytes()) for a in (outcomes.values, outcomes.fired, outcomes.quoted, outcomes.failed)]
+    errors = [(row, type(e), e.code, str(e)) for (row, _), e in sorted(outcomes.errors.items())]
+    return arrays, errors, outcomes.ks, outcomes.n, outcomes.tau_prime
+
+
+def _per_replication(outcomes):
+    """Each replication's (record values, warning codes), or its error's
+    (type, code, message)."""
     return [
-        (type(outcome), getattr(outcome, "code", None), str(outcome)) if isinstance(outcome, ValueError) else outcome
-        for outcome in outcomes
+        (type(outcomes.errors[row, 0]), outcomes.errors[row, 0].code, str(outcomes.errors[row, 0]))
+        if failed
+        else (values, tuple(code for code, hit in zip(WARNING_CODES, fired) if hit))
+        for row, (failed, values, fired) in enumerate(
+            zip(outcomes.failed[:, 0].tolist(), outcomes.values[:, 0].tolist(), outcomes.fired[:, 0].tolist())
+        )
     ]
+
+
+def _alone(plan):
+    """``estimate_all`` on each replication's lone sample, drawn from its
+    spawned stream, as ``_per_replication`` gives it."""
+    outcomes = []
+    for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
+        sample = sample_model(plan.spec, plan.n, np.random.default_rng(child))
+        try:
+            estimates = estimate_all(sample, plan.k, plan.tau_prime)
+        except ValueError as exc:
+            outcomes.append((type(exc), getattr(exc, "code", None), str(exc)))
+        else:
+            outcomes.append((list(estimates.to_record().values()), tuple(w.code for w in estimates.warnings)))
+    return outcomes
 
 
 def _msres(plan, workers=1):
@@ -51,7 +79,7 @@ def test_plan_validation():
     assert (plan.n, plan.k, plan.replications, plan.seed) == (500, 120, 3, 7)
     with pytest.raises(ValueError):
         _plan(replications=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
         _plan(seed=-1)
     with pytest.raises(ValueError):
         _plan(n=100, k=100)
@@ -102,10 +130,21 @@ def test_plan_rejects_fractional_counts(field):
             ExperimentPlan(**{**fields, field: bad})
 
 
+def test_replications_are_bounded_before_any_work(monkeypatch):
+    """A plan past the bound is rejected by the plan itself, before a
+    stream is spawned; 1e20 passes the whole-number check first."""
+    monkeypatch.setattr(np.random, "SeedSequence", None)
+    assert _plan(replications=MAX_REPLICATIONS).replications == MAX_REPLICATIONS
+    for replications in (MAX_REPLICATIONS + 1, 1e20):
+        with pytest.raises(ValueError, match=rf"^replications must lie in \[1, {MAX_REPLICATIONS}\], got {int(replications)}$"):
+            plan_from_record({**_record(), "replications": replications})
+
+
 def test_single_replication_reproducible():
     plan = _plan(replications=1, seed=12345)
     truth, first = run_experiment(plan)
-    assert run_experiment(plan) == (truth, first)
+    again_truth, again = run_experiment(plan)
+    assert again_truth == truth and _comparable(again) == _comparable(first)
     scored = ratios(first, truth)
     # with N=1 the MSRE is exactly the one squared relative error
     for name in ESTIMATOR_NAMES:
@@ -117,7 +156,7 @@ def test_worker_count_invariance():
     serial_truth, serial = run_experiment(plan, workers=1)
     threaded_truth, threaded = run_experiment(plan, workers=4)
     assert serial_truth == threaded_truth
-    assert len(serial) == 16
+    assert serial.failed.shape == (16, 1)
     assert _comparable(serial) == _comparable(threaded)
 
 
@@ -125,13 +164,13 @@ def test_one_worker_runs_on_the_calling_thread(monkeypatch):
     """One worker estimates every block on the calling thread and opens no
     pool; two workers run the blocks on pool threads."""
     threads = []
-    original = cotail.harness.estimate_all
+    original = cotail.harness.estimate_k_range
 
-    def recording(sample, k, tau_prime):
+    def recording(sample, ks, tau_prime):
         threads.append(threading.get_ident())
-        return original(sample, k, tau_prime)
+        return original(sample, ks, tau_prime)
 
-    monkeypatch.setattr(cotail.harness, "estimate_all", recording)
+    monkeypatch.setattr(cotail.harness, "estimate_k_range", recording)
     plan = _plan(n=2000, k=100, replications=40, seed=5)
     assert _stack_rows(plan.n, (plan.k,)) < plan.replications
     with monkeypatch.context() as patched:
@@ -152,9 +191,9 @@ def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
     shapes = []
     original = cotail.covar_coes.build_margin_index
 
-    def counting(values, depth=None):
+    def counting(values, depth=None, **options):
         shapes.append(np.shape(values))
-        return original(values, depth)
+        return original(values, depth, **options)
 
     monkeypatch.setattr(cotail.covar_coes, "build_margin_index", counting)
     for k in (60, 3):
@@ -168,31 +207,42 @@ def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
         _, threaded = run_experiment(plan, workers=3)
         assert _comparable(serial) == _comparable(threaded)
         assert truth == oracle_result(plan.spec, plan.tau_prime)
-        alone = []
-        for child in np.random.SeedSequence(41).spawn(300):
-            try:
-                alone.append(estimate_all(sample_model(plan.spec, 500, np.random.default_rng(child)), k, 0.99))
-            except ValueError as exc:
-                alone.append(exc)
-        assert _comparable(serial) == _comparable(alone)
-        assert any(isinstance(outcome, ValueError) for outcome in alone) == (k == 3)
+        alone = _alone(plan)
+        assert _per_replication(serial) == alone
+        assert any(len(outcome) == 3 for outcome in alone) == (k == 3)
         scored = ratios(serial, truth)
-        for name in ESTIMATOR_NAMES:
+        for column, name in enumerate(ESTIMATOR_NAMES, start=6):
             scale = truth.covar if name.startswith("covar") else truth.coes
-            assert scored[name] == [getattr(e, name) / scale for e in alone if not isinstance(e, ValueError)]
+            assert scored[name] == [values[column] / scale for values, _ in (o for o in alone if len(o) == 2)]
+
+
+@pytest.mark.parametrize(
+    "family, n, k, replications, seed",
+    # n = 16385 puts one replication in a block, the stacks of one
+    [("Cauchy", 16385, 400, 2, 3), ("StudentT", 700, 3, 70, 8), ("Logistic", 60, 50, 40, 2)],
+)
+def test_replications_equal_estimate_all_alone(family, n, k, replications, seed):
+    """Each replication's values, warning codes and error codes in the
+    outcome block are those of ``estimate_all`` on its lone sample."""
+    plan = _plan(family, n=n, k=k, replications=replications, seed=seed)
+    assert (_stack_rows(n, (k,)) == 1) == (n > 16384)
+    _, outcomes = run_experiment(plan, workers=2)
+    assert _per_replication(outcomes) == _alone(plan)
 
 
 def test_failure_accounting():
     """k=1 Hill estimates leave (0, 1) often; failures are dropped, not scored."""
     plan = _plan(n=50, k=1, replications=40, seed=1)
     truth, outcomes = run_experiment(plan)
-    survivors = [outcome for outcome in outcomes if not isinstance(outcome, ValueError)]
-    assert 0 < len(survivors) < 40
+    survivors = int((~outcomes.failed).sum())
+    assert 0 < survivors < 40
+    assert {error.code for error in outcomes.errors.values()} <= {"hill_out_of_range", "eta_not_attained"}
+    assert len(outcomes.errors) == 40 - survivors
     # every successful replication carries the small-k warning at k=1
-    assert sum(warning.code == "small_k" for outcome in survivors for warning in outcome.warnings) == len(survivors)
+    assert outcomes.fired[:, 0, WARNING_CODES.index("small_k")].sum() == survivors
     scored = ratios(outcomes, truth)
     for name in ESTIMATOR_NAMES:
-        assert len(scored[name]) == len(survivors)
+        assert len(scored[name]) == survivors
         assert msre(scored[name]) >= 0.0
         recomputed = float(np.mean([(r - 1.0) ** 2 for r in scored[name]]))
         assert msre(scored[name]) == pytest.approx(recomputed, rel=1e-15)

@@ -39,14 +39,16 @@ from cotail.data_io import (
     rolling_estimates,
 )
 from cotail.empirical import _hill, tail_prob_curve
-from cotail.models import FAMILIES, make_spec, sample_model
+from cotail.models import FAMILIES, ModelSpec, make_spec, sample_model
 from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
 from oracles import (
     eta_hat_bruteforce,
     intermediate_covar_scan,
+    margin_index_by_stable_argsort,
     pair_series_by_dates,
     price_table_by_rows,
     r_hat,
+    sample_by_rows,
     tail_prob_by_value,
 )
 
@@ -76,6 +78,59 @@ def _row_outcome(result, i):
         error = result.errors[0, i]
         return type(error), getattr(error, "code", None), str(error)
     return result.values[0, i].tolist(), result.fired[0, i].tolist(), result.quoted[0, i].tolist()
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 7), st.integers(1, 60)).flatmap(
+            lambda shape: st.one_of(
+                hnp.arrays(float, shape, elements=st.integers(0, 4).map(float)),
+                hnp.arrays(float, shape, elements=st.floats(-3.0, 3.0).map(lambda v: round(v, 1))),
+                hnp.arrays(float, shape, elements=st.sampled_from([-0.0, 0.0, 1.0])),
+            )
+        ),
+        hnp.arrays(float, st.integers(1, 60), elements=st.sampled_from([-0.0, 0.0, 1.0, 2.0])),
+    )
+)
+@example(np.array([[0.0, -0.0, 0.0, -0.0], [1.0, 1.0, 0.0, 2.0]]))
+def test_margin_index_is_the_stable_argsort_oracle(values):
+    """On tie-heavy stacks and samples, a margin index at every depth from
+    1 to n + 2, and the full index, is bit for bit the one read from each
+    row's stable argsort: the default sort's arbitrary order among ties,
+    and the sign of a zero, never show."""
+    n = values.shape[-1]
+    for depth in [*range(1, n + 3), None]:
+        index = build_margin_index(values, depth)
+        expected = margin_index_by_stable_argsort(values, depth)
+        for got, want in zip((index.sorted, index.ranks, index.order), expected):
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+SAMPLER_SPECS = [make_spec(family) for family in FAMILIES] + [ModelSpec("Logistic", theta=1.0)]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(
+    st.sampled_from(SAMPLER_SPECS),
+    st.sampled_from([1, 2, 3, 7, 65]),
+    st.integers(1, 600),
+    st.integers(0, 2**32 - 1),
+)
+@example(SAMPLER_SPECS[-1], 65, 501, 7)
+@example(SAMPLER_SPECS[0], 7, 1, 8)
+def test_stack_rows_are_their_generators_lone_draws(spec, rows, n, seed):
+    """Each row of a sample_model stack is, bit for bit, the sample its
+    Generator draws alone, and the one the per-sample reference sampler
+    draws from the same stream."""
+    children = np.random.SeedSequence(seed).spawn(rows)
+    stack = sample_model(spec, n, [np.random.default_rng(child) for child in children])
+    assert stack.xs.shape == (rows, n)
+    for row, child in enumerate(children):
+        alone = sample_model(spec, n, np.random.default_rng(child))
+        reference = sample_by_rows(spec, n, np.random.default_rng(child))
+        for got, lone, want in zip((stack.xs[row], stack.ys[row]), (alone.xs, alone.ys), reference):
+            assert got.tobytes() == lone.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -153,8 +208,8 @@ def test_k_range_on_tail_indexes_equals_full_indexes(case, width, tau_prime):
     on_tail = estimate_k_range(sample, ks, tau_prime)
     built = []
 
-    def full_index(values, depth):
-        built.append(build_margin_index(values))
+    def full_index(values, depth, **options):
+        built.append(build_margin_index(values, **options))
         return built[-1]
 
     with mock.patch("cotail.covar_coes.build_margin_index", full_index):
@@ -383,10 +438,11 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
     stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
     stacked = estimate_k_range(stack, ks, tau_prime)
     averaged = estimate_with_k_values(stack, ks, tau_prime)
-    one_k = estimate_all(stack, ks[0], tau_prime)
+    one_k = estimate_k_range(stack, ks[:1], tau_prime)
     indexes = build_margin_index(stack.xs, ks[-1])
     assert stacked.failed.shape == (len(rows), len(ks))
-    assert len(averaged) == len(one_k) == len(rows)
+    assert one_k.failed.shape == (len(rows), 1)
+    assert len(averaged) == len(rows)
     for row, (xs, ys) in enumerate(rows):
         sample = LossPairSample(xs=xs, ys=ys)
         index = build_margin_index(xs, ks[-1])
@@ -404,7 +460,10 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
         assert stacked.first_warnings()[row] == alone.first_warnings()[0]
         average = _alone(lambda: estimate_with_k_values(sample, ks, tau_prime))
         assert _average_bits(averaged[row]) == _average_bits(average)
-        assert _bits(one_k[row]) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
+        one_k_row = one_k.errors[row, 0] if one_k.failed[row, 0] else RiskEstimates(
+            *one_k.values[row, 0].tolist(), warnings=tuple(one_k.first_warnings()[row])
+        )
+        assert _bits(one_k_row) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
 
 
 @st.composite
