@@ -50,25 +50,35 @@ def _parse_k(text: str) -> int | tuple[int, int]:
         raise ValueError(f"--k takes an integer k or a range KMIN:KMAX, got {text!r}") from None
 
 
+# each level is one pass over the losses and one tailprob.tsv row; the
+# empirical curve steps at most once per loss, so this many levels resolve
+# every step of 10^5 daily losses (four centuries)
+MAX_TAU_LEVELS = 10**5
+
+
 def _parse_tau_grid(text: str) -> list[float]:
     """Comma-separated levels, or lo:hi:count for an even grid."""
     try:
         if ":" not in text:
             return [float(piece) for piece in text.split(",") if piece.strip()]
         lo, hi, count = text.split(":")
-        if int(count) >= 1:
+        if 1 <= int(count) <= MAX_TAU_LEVELS:
             return [float(t) for t in np.linspace(float(lo), float(hi), int(count))]
     except ValueError:
         pass
     raise ValueError(
-        f"--taugrid takes comma-separated levels or lo:hi:count with an integer count >= 1, got {text!r}"
+        "--taugrid takes comma-separated levels or lo:hi:count with an integer count "
+        f"in [1, {MAX_TAU_LEVELS}], got {text!r}"
     )
 
 
 def _cmd_simulate(args) -> int:
     _check_seed(args.seed)
     with open(args.plan, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValueError(f"{args.plan}: JSON nested too deep to read") from None
     records = payload.get("plans") if isinstance(payload, dict) else payload
     if not isinstance(records, list) or not records:
         raise ValueError(

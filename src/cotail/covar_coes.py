@@ -186,19 +186,24 @@ def estimate_k_range(
     too; its one ``KRangeEstimates`` gives each row, bit for bit, the
     result that row gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
     blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
-    no result depends on the blocks.  An n below 2 or a tau' outside
-    (0, 1) raises once.  A k fails, in this order, when it is invalid, when
-    X_(n-k,n) is not positive, when gamma1 lies outside (0, 1) (the
-    variant 1-3 extrapolations are undefined) or when eta-hat is not
-    attained; its failure is recorded, not raised.
+    no result depends on the blocks.  An n below 2, a tau' outside (0, 1)
+    or more than 2n k values raises once.  A k fails, in this order, when
+    it is invalid, when X_(n-k,n) is not positive, when gamma1 lies outside
+    (0, 1) (the variant 1-3 extrapolations are undefined) or when eta-hat
+    is not attained; its failure is recorded, not raised.
     """
+    n = sample.n
+    check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
+    # at most n - 1 k values are valid: a sequence of more than 2n, a wide
+    # range say, is mostly invalid k and is not built into an array (a slice
+    # of a range has no len to overflow); one that crosses n runs
+    if len(ks[: 2 * n + 1]) > 2 * n:
+        raise ValueError(f"more than 2n = {2 * n} k values for n={n} pairs: only 1 <= k < n can be valid")
     ks = np.asarray(ks)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("need at least one k value")
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k values must be integers, got {ks.tolist()}")
-    n = sample.n
-    check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
     ks = ks.tolist()
     k_errors = {}
     ms = [1] * len(ks)

@@ -1,13 +1,14 @@
 """Price-file ingestion, rolling-window estimation, and diagnostic exports.
 
 Input files are CSV with header ``date,price`` (ISO-8601 date, positive
-decimal price).  Each file is read whole and as columns: one split into
-cells (``csv.reader`` only for a text that holds a quote, a blank line or
-a line of other than two cells), one conversion of each column, and every
-check on whole columns; the rows are walked in file order only to word
-the first error.  ``load_pair_series`` joins two assets on their common
-day ordinals and returns one ``LossPairSample`` of the negative log
-returns of the aligned prices, with the date each loss ends on.  The
+decimal price).  Each file is read whole, by one of two readers.  A
+plain text, with no quote and one comma on every line, is split once into
+cells, each column converted once and checked whole.  Every other text,
+and a plain one that fails a check, is walked row by row with
+``csv.reader``, which words the first bad row's error.
+``load_pair_series`` joins two assets on their common day ordinals and
+returns one ``LossPairSample`` of the negative log returns of the aligned
+prices, with the date each loss ends on.  The
 rolling driver estimates a moving window of that sample, optionally
 averaging the estimates over a range of k values, and keeps a window's
 failure as its outcome instead of aborting.  The estimates read
@@ -66,7 +67,10 @@ class RollingPlan:
             object.__setattr__(self, name, value)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        for k in k_values(self.k):
+        # the valid k are an interval: its first k, then k = window, the
+        # first above it, fail first, as a walk over every k would meet them
+        ks = k_values(self.k)
+        for k in (ks[0], min(ks[-1], self.window)):
             check_tail(self.window, k, self.tau_prime)
 
 
@@ -82,39 +86,27 @@ _EPOCH = datetime.date(1970, 1, 1).toordinal()
 _COMMA, _LF = ord(","), ord("\n")
 
 
-def _cells(text: str) -> list[str] | None:
-    """The header's two cells, then each data row's date and price cells,
-    in file order, as ``csv.reader`` reads them; None if the header or a
-    data row holds other than two cells.
+def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each data row's day ordinal and price, in file order, of a text with
+    no quote whose every line holds one comma, split whole and checked as
+    whole columns; None for any other text, one with no data row, or one
+    that fails a check.
 
-    A text with no quote whose every line holds one comma is split whole:
-    its line ends (CRLF, CR, LF, as csv reads them) become commas, and one
-    split gives every cell.  ``csv.reader`` reads any other text, and its
-    blank rows (no cell, or one blank cell) are dropped.
+    Its line ends (CRLF, CR, LF, as csv reads them) become commas, and one
+    split gives the header's two cells, then each row's date and price.
     """
-    if '"' not in text:
-        flat = text.replace("\r\n", "\n").replace("\r", "\n")
-        if flat.endswith("\n"):  # it ends the last row and starts none
-            flat = flat[:-1]
-        raw = np.frombuffer(flat.encode(), np.uint8)
-        separators = raw[(raw == _COMMA) | (raw == _LF)]
-        # a comma, a line end, a comma, ... a comma: two cells on every line
-        if separators.size % 2 and not ((separators[::2] != _COMMA).any() or (separators[1::2] != _LF).any()):
-            return flat.replace("\n", ",").split(",")
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error:  # a cell over csv's field limit, say; worded by _first_error
+    if '"' in text:
         return None
-    data = [row for row in rows[1:] if len(row) > 1 or row and row[0].strip()]
-    if rows and {len(rows[0]), *map(len, data)} == {2}:
-        return [cell for row in (rows[0], *data) for cell in row]
-    return None
-
-
-def _columns(cells: list[str] | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each data row's day ordinal and price, in file order, checked as
-    whole columns; None if the cells fail a check or hold no data row."""
-    if cells is None or len(cells) < 4 or [cell.strip().lower() for cell in cells[:2]] != ["date", "price"]:
+    flat = text.replace("\r\n", "\n").replace("\r", "\n")
+    if flat.endswith("\n"):  # it ends the last row and starts none
+        flat = flat[:-1]
+    raw = np.frombuffer(flat.encode(), np.uint8)
+    separators = raw[(raw == _COMMA) | (raw == _LF)]
+    # a comma, a line end, a comma, ... a comma: two cells on every line
+    if not separators.size % 2 or (separators[::2] != _COMMA).any() or (separators[1::2] != _LF).any():
+        return None
+    cells = flat.replace("\n", ",").split(",")
+    if len(cells) < 4 or [cell.strip().lower() for cell in cells[:2]] != ["date", "price"]:
         return None
     date_cells, price_cells = cells[2::2], cells[3::2]
     try:
@@ -129,49 +121,52 @@ def _columns(cells: list[str] | None) -> tuple[np.ndarray, np.ndarray] | None:
     return ordinals, prices
 
 
-def _first_error(path, text: str) -> str:
-    """The error of the first bad row of a text in file order, or of a
-    text with no data rows: the one place a price file's errors are worded."""
+def _rows(path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each data row's day ordinal and price, in file order, read row by
+    row with ``csv.reader``; blank rows (no cell, or one blank cell) are
+    skipped.  Raises the error of the first bad row, or of a text with no
+    data rows: the one place a price file's errors are worded."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    table: dict[datetime.date, float] = {}
     try:
         header = next(reader, None)
         if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
-            return f"{path}: expected header 'date,price'"
-        seen: set[datetime.date] = set()
+            raise ValueError(f"{path}: expected header 'date,price'")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
-                return f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             try:
                 day = datetime.date.fromisoformat(row[0].strip())
                 price = float(row[1])
             except ValueError as exc:
-                return f"{path}:{lineno}: {exc}"
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(price):
-                return f"{path}:{lineno}: non-finite price {row[1]}"
+                raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
             if price <= 0.0:
-                return f"{path}:{lineno}: non-positive price {row[1]}"
-            if day in seen:
-                return f"{path}:{lineno}: duplicate date {day}"
-            seen.add(day)
+                raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
+            if day in table:
+                raise ValueError(f"{path}:{lineno}: duplicate date {day}")
+            table[day] = price
     except csv.Error as exc:  # a cell over csv's field limit, or a NUL on Python 3.10
-        return f"{path}:{reader.line_num}: {exc}"  # the line the reader stopped on
-    return f"{path}: no data rows"
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None  # the line the reader stopped on
+    if not table:
+        raise ValueError(f"{path}: no data rows")
+    return np.array([day.toordinal() for day in table], np.int64), np.array(list(table.values()))
 
 
 def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's day ordinal and price, in file order."""
+    """Each row's day ordinal and price, in file order: a plain text as
+    columns, any other, and any that fails a check, row by row."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often write
         with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:  # a ValueError that would not name the file
         raise ValueError(f"{path}: {exc}") from None
-    columns = _columns(_cells(text))
-    if columns is None:
-        raise ValueError(_first_error(path, text))
-    return columns
+    columns = _plain_columns(text)
+    return _rows(path, text) if columns is None else columns
 
 
 def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPairSample]:

@@ -49,6 +49,8 @@ class ExperimentPlan:
             object.__setattr__(self, name, value)
         if not 1 <= self.replications <= MAX_REPLICATIONS:
             raise ValueError(f"replications must lie in [1, {MAX_REPLICATIONS}], got {self.replications}")
+        if self.n > MAX_SAMPLE_SIZE:
+            raise ValueError(f"n must be at most {MAX_SAMPLE_SIZE}, got {self.n}")
         _check_seed(self.seed)
         check_tail(self.n, self.k, self.tau_prime)
 
@@ -56,6 +58,9 @@ class ExperimentPlan:
 # ``simulate`` holds about 1.2 kB a replication (its outcome row, ratios and
 # TSV lines) until its plan is written, 1.2 GB at this bound; a larger study is several plans
 MAX_REPLICATIONS = 10**6
+# a replication's sample takes about 60 B a pair while it is drawn and
+# scored (50-60 MB of peak RSS at n = 10^6), so about 600 MB a worker at this bound
+MAX_SAMPLE_SIZE = 10**7
 
 
 def _check_seed(seed: int) -> None:

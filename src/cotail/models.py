@@ -143,14 +143,17 @@ def sample_model(
         # unit-Frechet pairs with CDF exp{-(s^(-1/a) + t^(-1/a))^a}, a = theta,
         # through a positive-stable factor with Laplace transform exp(-u^a)
         a, factor = spec.theta, 1.0
-        if a != 1.0:
-            angle, w = _draw(generators, (n,), "random"), _draw(generators, (n,), "standard_exponential")
-            angle = np.multiply(np.pi, np.clip(angle, 1e-15, 1.0 - 1e-15, out=angle), out=angle)
-            factor = np.sin(a * angle) / np.sin(angle) ** (1.0 / a)
-            angle = np.sin(np.multiply(1.0 - a, angle, out=angle), out=angle)
-            factor *= np.divide(angle, w, out=angle) ** ((1.0 - a) / a)
-        e = _draw(generators, (n, 2), "standard_exponential")
-        z1, z2 = (factor / e[..., 0]) ** a, (factor / e[..., 1]) ** a
+        # at a theta near 0 the powers 1/a can overflow: the sample's own
+        # finiteness check then raises, with no numpy warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if a != 1.0:
+                angle, w = _draw(generators, (n,), "random"), _draw(generators, (n,), "standard_exponential")
+                angle = np.multiply(np.pi, np.clip(angle, 1e-15, 1.0 - 1e-15, out=angle), out=angle)
+                factor = np.sin(a * angle) / np.sin(angle) ** (1.0 / a)
+                angle = np.sin(np.multiply(1.0 - a, angle, out=angle), out=angle)
+                factor *= np.divide(angle, w, out=angle) ** ((1.0 - a) / a)
+            e = _draw(generators, (n, 2), "standard_exponential")
+            z1, z2 = (factor / e[..., 0]) ** a, (factor / e[..., 1]) ** a
     elif spec.family == "Cauchy":
         z = _draw(generators, (n, 3), "standard_normal")
         denom = np.maximum(np.abs(z[..., 0]), np.finfo(float).tiny)
@@ -239,14 +242,19 @@ def pre_margin_survival(spec: ModelSpec, z: float) -> float:
     return 2.0 * float(special.stdtr(spec.nu, -z))
 
 
+def check_level(tau: float) -> None:
+    """Raise unless the level tau lies in (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+
 def marginal_quantiles(spec: ModelSpec, tau: float) -> tuple[float, float]:
     """(VaR_X(tau), VaR_Y(tau)) from the analytic margins.
 
     The pre-transform margin quantile is closed-form except for StudentT,
     where it is the t quantile at (1 + tau)/2 (``scipy.special.stdtrit``).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    check_level(tau)
     if spec.family == "Logistic":
         q = -1.0 / math.log(tau)
     elif spec.family == "Cauchy":

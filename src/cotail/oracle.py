@@ -16,10 +16,10 @@ E[(X - c)+; Y >= VaR_Y(tau)]: the survival's conditional quadrature over
 |T1| = z, weighted by z^x_exponent - c, in t = log(z/c^(1/x_exponent)) up
 to z = 1e150, plus the exact power-law tail beyond.  The tail is finite iff
 X's extreme value index gamma_1 < 1; at gamma_1 >= 1 (StudentT nu <= 1/2,
-Pareto2 theta <= 1/6) the oracle raises the tail error without integrating,
-before the CoVaR root.  ``oracle_result`` computes both, memoized per
-(model, tau): it is the one path to the truth.  Within a cell no survival
-is evaluated twice.
+Pareto2 theta <= 1/6) the oracle raises the tail error right after the
+level check, before any quantile, root or integral.  ``oracle_result``
+computes both, memoized per (model, tau): it is the one path to the truth.
+Within a cell no survival is evaluated twice.
 
 The root is SciPy's ``brentq`` and the quadrature QUADPACK's 21-point
 Gauss-Kronrod rule, both written out here, so the package imports only
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .models import ModelSpec, marginal_quantiles, pre_margin_survival, true_tail_copula
+from .models import ModelSpec, check_level, marginal_quantiles, pre_margin_survival, true_tail_copula
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,9 @@ def _student_tail(spec: ModelSpec, c: float, var_y: float) -> tuple[float, float
     edges = (0.0, *(2.0**k for k in range(math.ceil(math.log2(t_far)))), t_far)
     near, near_err, message = _quad(integrand, edges, epsabs=1e-14, epsrel=1e-9)
     log_k = _t_log_norm(nu) + 0.5 * (nu + 1.0) * math.log(nu)
-    far = math.exp(log_k) * (_Z_FAR ** (x - nu) / (nu - x) - c * _Z_FAR**-nu / nu)
+    powers = _Z_FAR ** (x - nu) / (nu - x) - c * _Z_FAR**-nu / nu
+    # the powers underflow to 0 (from nu ~ 2.7) before K overflows (from nu ~ 250)
+    far = math.exp(log_k) * powers if powers else 0.0
     # an exact term: exp carries the rounding of log_k, plus a few more
     far_err = _EPS * (8.0 + abs(log_k)) * far
     return 2.0 * (near + far), 2.0 * (near_err + far_err), message
@@ -382,14 +384,15 @@ def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    var_x, var_y = marginal_quantiles(spec, tau)
+    check_level(tau)
     if spec.gamma_1 >= 1.0:
-        # E[X; Y >= var_y] is infinite: no CoVaR root is solved for a CoES
-        # that cannot be given
+        # E[X; Y >= var_y] is infinite: no quantile (which can overflow) and
+        # no CoVaR root is computed for a CoES that cannot be given
         raise ValueError(
             "CoES tail quadrature did not converge: The integral is divergent "
             f"({spec.family} gamma_1 = {spec.gamma_1:g} >= 1, CoES is infinite)"
         )
+    var_x, var_y = marginal_quantiles(spec, tau)
     target = (1.0 - tau) ** 2
     # one memo for the s_lo check, the doubling loop and Brent's method,
     # which evaluates both bracket ends again: no survival is computed twice

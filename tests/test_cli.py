@@ -1,21 +1,28 @@
+import contextlib
 import datetime
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cotail
 import cotail.cli
-from cotail.cli import _parse_k, _parse_tau_grid, main
+from cotail.cli import MAX_TAU_LEVELS, _parse_k, _parse_tau_grid, main
 from cotail.covar_coes import RECORD_KEYS
 from cotail.core import LossPairSample
 from cotail.data_io import RollingPlan, estimate_with_k_values, format_tsv, load_pair_series, rolling_estimates
-from cotail.models import make_spec, sample_model
+from cotail.models import FAMILIES, PARAMETERS, make_spec, sample_model
 from cotail.oracle import oracle_result
+from test_properties import price_texts
 
 
 @pytest.fixture
@@ -100,9 +107,21 @@ def test_parse_tau_grid():
     assert len(grid) == 4
     assert grid[0] == pytest.approx(0.9)
     assert grid[-1] == pytest.approx(0.99)
-    for text in ("0.9:0.99", "0.9:0.99:0", "0.9:x:5", "0.9:0.99:2.5", "0.9,x"):
+    assert len(_parse_tau_grid(f"0.9:0.99:{MAX_TAU_LEVELS}")) == MAX_TAU_LEVELS
+    # a count past the bound is rejected before numpy is asked for the grid
+    for text in ("0.9:0.99", "0.9:0.99:0", "0.9:x:5", "0.9:0.99:2.5", "0.9,x", f"0.9:0.99:{MAX_TAU_LEVELS + 1}",
+                 "0.9:0.95:99999999999"):
         with pytest.raises(ValueError, match=r"^--taugrid takes comma-separated levels or lo:hi:count"):
             _parse_tau_grid(text)
+
+
+def test_deeply_nested_plan_is_a_worded_error(tmp_path, capsys):
+    """json's decoder recurses once per nested array: a plan nested past
+    the recursion limit is an error that names the file."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["simulate", "--plan", str(plan_path), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {plan_path}: JSON nested too deep to read\n"
 
 
 def test_malformed_k_exits_with_worded_error(price_files, capsys):
@@ -417,3 +436,190 @@ def test_diagnose_rejects_nan_tau(price_files, tmp_path, capsys):
                "--out", str(tmp_path / "d")])
     assert rc == 1
     assert capsys.readouterr().err == "error: every tau must lie in (0, 1)\n"
+
+
+
+# The CLI contract under hostile arguments.  A case is an argv, in which
+# "{dir}" stands for a fresh directory, and the texts of the files it names
+# there.  Values that would start large work (a huge n, R, k range or grid
+# count) are drawn only where a check rejects them: n and R stay small
+# otherwise, and --workers at 4 or below.
+_HUGE = ["99999999999", "99999999999999999999999", "-99999999999999999999999"]
+_BAD_WHOLE = st.sampled_from(["0", "-1", *_HUGE, "1e3", "2.5", "nan", "inf", "", "x"])
+_LEVEL = st.sampled_from(["0.9", "0.95", "0.99", "0.999"])
+_BAD_LEVEL = st.sampled_from(["0", "1", "1.5", "-0.5", "nan", "inf", "-inf", "1e-300", "0.99999999999999999", ""])
+_K = (
+    st.one_of(st.integers(1, 12).map(str), st.builds("{}:{}".format, st.integers(1, 6), st.integers(6, 14))),
+    st.one_of(_BAD_WHOLE, st.builds("{}:{}".format, _BAD_WHOLE, _BAD_WHOLE), st.just("1:99999999999")),
+)
+_GRID = (
+    st.sampled_from(["0.9,0.95", "0.5,0.99", "0.9:0.99:3", "0.8:0.95:20"]),
+    st.one_of(
+        _BAD_LEVEL,
+        st.lists(_BAD_LEVEL, min_size=1, max_size=3).map(",".join),
+        st.builds("{}:{}:{}".format, _LEVEL, _LEVEL, _BAD_WHOLE),
+    ),
+)
+_OUT = (st.just("{dir}/out"), st.sampled_from(["{dir}", "{dir}/x.csv", "{dir}/plan.json"]))
+_PATHS = {name: (st.just(f"{{dir}}/{name}.csv"), st.sampled_from(["{dir}/missing.csv", "{dir}"])) for name in "xy"}
+_PARAMETER = st.sampled_from([1e-300, 0.05, 0.15, 0.5, 0.999999, 1.0, 1.5, 1e10, 1e300, 0.0, -1.0, math.inf, math.nan])
+
+
+def _price_text(losses: np.ndarray) -> str:
+    """A plain price file whose prices on consecutive dates have these losses."""
+    prices = 100.0 * np.exp(-np.concatenate([[0.0], np.cumsum(0.01 * losses)]))
+    base = datetime.date(2015, 1, 5)
+    return "date,price\n" + "".join(f"{base + datetime.timedelta(days=i)},{p!r}\n" for i, p in enumerate(prices.tolist()))
+
+
+# 59 dependent t3 losses of each asset
+_LOSSES = np.random.default_rng(1).standard_t(3, (59, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+_PAIR = {"x.csv": _price_text(_LOSSES[:, 0]), "y.csv": _price_text(_LOSSES[:, 1])}
+# the plain pair, on which estimates succeed, or generated texts that both
+# readers take, one shared by both flags or one each
+_PRICE_FILES = st.one_of(
+    st.just(_PAIR),
+    st.just(_PAIR),
+    price_texts().map(lambda text: {"x.csv": text, "y.csv": text}),
+    st.builds(lambda x, y: {"x.csv": x, "y.csv": y}, price_texts(), price_texts()),
+)
+
+_PLAN_FIELDS = {
+    "model": (
+        st.sampled_from([{"family": family} for family in FAMILIES] + [{"family": "StudentT", "nu": 3.0, "rho": 0.5}]),
+        st.one_of(
+            st.builds(
+                lambda taken, value: {"family": taken[0], taken[1]: value},
+                st.sampled_from([("Logistic", "theta"), ("Pareto2", "theta"), ("StudentT", "nu"), ("StudentT", "rho")]),
+                _PARAMETER,
+            ),
+            st.sampled_from([5, {}, {"family": "Triangle"}, {"family": 3}, {"family": "Cauchy", "theta": 0.5},
+                             {"family": "Pareto2", "theta": True}, {"family": "Pareto2", "theta": "0.5"}]),
+        ),
+    ),
+    "n": (st.integers(20, 60), st.sampled_from([-1, 1, 1e300, 10**7 + 1, 10**30, 2.5, True, "5", None, math.inf])),
+    "k": (st.integers(2, 15), st.sampled_from([0, 60, 10**30, 2.5, True, "5", None, math.nan])),
+    "tau_prime": (st.sampled_from([0.9, 0.99, 0.999]), st.sampled_from([0.0, 1.0, 1.5, 1e-300, "0.99", None, math.nan])),
+    "replications": (st.integers(1, 4), st.sampled_from([0, -1, 10**6 + 1, 1e20, 10**30, 2.5, "3", None])),
+}
+
+
+@st.composite
+def _records(draw):
+    """A plan record with at most one hostile field, and maybe a seed or an unknown field."""
+    hostile = draw(st.sets(st.sampled_from(sorted(_PLAN_FIELDS)), max_size=1))
+    record = {name: draw(bad if name in hostile else good) for name, (good, bad) in _PLAN_FIELDS.items()}
+    return {**record, **draw(st.sampled_from([{}, {}, {}, {"seed": 3}, {"seed": 2**70}, {"seed": -1}, {"seed": 1.5}, {"x": 1}]))}
+
+
+_PLAN_TEXTS = st.one_of(
+    st.lists(_records(), min_size=1, max_size=2).map(json.dumps),
+    st.lists(_records(), max_size=1).map(lambda records: json.dumps({"plans": records})),
+    st.sampled_from(["[]", "{}", "5", "[1]", "null", "[", "NaN", "\ufeff[]"]),
+)
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv for one subcommand with at most two hostile flag values, and
+    the texts of its files."""
+    command = draw(st.sampled_from(["simulate", "estimate", "diagnose", "rolling", "oracle"]))
+    files, tau = {}, (_LEVEL, _BAD_LEVEL)
+    if command == "simulate":
+        files["plan.json"] = draw(_PLAN_TEXTS)
+        flags = {
+            "plan": (st.just("{dir}/plan.json"), st.sampled_from(["{dir}/missing.json", "{dir}"])),
+            "seed": (st.integers(0, 5).map(str), _BAD_WHOLE),
+            "out": _OUT,
+            "workers": (st.integers(1, 4).map(str), st.sampled_from(["0", "-1", _HUGE[2], "2.5", ""])),
+        }
+    elif command == "oracle":
+        flags = {"model": (st.sampled_from(FAMILIES), st.sampled_from(["Triangle", ""])), "tau": tau}
+    else:
+        files.update(draw(_PRICE_FILES))
+        flags = {"x": _PATHS["x"], "y": _PATHS["y"], "k": _K}
+        flags.update(
+            {
+                "estimate": {"tau": tau},
+                "diagnose": {"taugrid": _GRID, "out": _OUT},
+                "rolling": {"window": (st.integers(5, 40).map(str), _BAD_WHOLE), "tau": tau,
+                            "step": (st.integers(1, 6).map(str), _BAD_WHOLE), "out": _OUT},
+            }[command]
+        )
+    optional = {"workers", "step"} | ({"out"} if command == "rolling" else set())
+    hostile = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    pairs = [
+        [f"--{name}", draw(bad if name in hostile else good)]
+        for name, (good, bad) in flags.items()
+        if name in hostile or name not in optional or draw(st.booleans())
+    ]
+    if command == "oracle":
+        pairs += [[f"--{name}", repr(draw(_PARAMETER))] for name in draw(st.sets(st.sampled_from(PARAMETERS), max_size=2))]
+    if command == "estimate" and draw(st.booleans()):
+        pairs.append(["--json"])
+    # now and then a flag is left out: argparse's to report, if it is required
+    if draw(st.sampled_from([False] * 9 + [True])):
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    return [command, *(arg for pair in pairs for arg in pair)], files
+
+
+def _ends(argv, files):
+    """(exit code, stdout, stderr) of ``cli.main`` on a case, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in files.items():
+            Path(directory, name).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([arg.replace("{dir}", directory) for arg in argv])
+            except SystemExit as stop:
+                code = stop.code
+        return code, out.getvalue(), err.getvalue()
+
+
+_ROLLING = ["rolling", "--x", "{dir}/x.csv", "--y", "{dir}/y.csv", "--tau", "0.99"]
+_ESTIMATE = ["estimate", "--x", "{dir}/x.csv", "--y", "{dir}/y.csv", "--tau", "0.99"]
+
+
+def _plan(**fields):
+    record = {"model": {"family": "Cauchy"}, "n": 50, "k": 10, "tau_prime": 0.99, "replications": 2, **fields}
+    return {"plan.json": json.dumps([record])}
+
+
+_SIMULATE = ["simulate", "--plan", "{dir}/plan.json", "--out", "{dir}/out", "--seed"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_cases())
+# a price cell over csv's field limit
+@example((_ESTIMATE + ["--k", "5"], {"x.csv": "date,price\n2015-01-05," + "1" * 140_000 + "\n", "y.csv": _PAIR["y.csv"]}))
+# a plan's replications past their bound, and a negative --seed
+@example((_SIMULATE + ["1"], _plan(replications=1e20)))
+@example((_SIMULATE + ["-5"], _plan()))
+# a step past the series
+@example((_ROLLING + ["--window", "20", "--k", "3:5", "--step", "99999999999999999999999"], _PAIR))
+# an infinite CoES whose quantile would overflow, in the oracle and in a plan
+@example((["oracle", "--model", "Pareto2", "--theta", "1e-300", "--tau", "0.99"], {}))
+@example((_SIMULATE + ["1"], _plan(model={"family": "Pareto2", "theta": 1e-300})))
+# more than 2n k values, a grid count past its bound, a plan n past its bound
+@example((_ESTIMATE + ["--k", "1:99999999999"], _PAIR))
+@example((["diagnose", "--x", "{dir}/x.csv", "--y", "{dir}/y.csv", "--k", "5", "--taugrid", "0.9:0.95:99999999999",
+           "--out", "{dir}/out"], _PAIR))
+@example((_SIMULATE + ["1"], _plan(n=1e300)))
+# a k range as wide as a huge window, checked at its ends
+@example((_ROLLING + ["--window", "99999999999", "--k", "1:99999999998"], _PAIR))
+# a plan nested past json's recursion limit, a Student-t nu whose far-tail
+# constant overflows, and a Logistic theta whose stable factor does
+@example((_SIMULATE + ["1"], {"plan.json": "[" * 100_000 + "]" * 100_000}))
+@example((["oracle", "--model", "StudentT", "--nu", "1e10", "--tau", "0.99"], {}))
+@example((_SIMULATE + ["1"], _plan(model={"family": "Logistic", "theta": 1e-10})))
+def test_cli_ends_in_one_of_three_ways(case):
+    """Every argv ends in exit 0 with nothing on stderr, exit 1 with one
+    ``error:`` line and nothing on stdout, or argparse's exit 2: never a
+    traceback, a warning or a NumPy message."""
+    code, out, err = _ends(*case)
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    else:
+        assert code == 0 and err == "" or code == 2

@@ -400,3 +400,16 @@ def test_record_round_trip_follows_record_keys():
     record = estimates.to_record()
     assert tuple(record) == RECORD_KEYS
     assert RiskEstimates(**record, warnings=estimates.warnings) == estimates
+
+
+def test_more_k_values_than_twice_the_pairs_are_rejected_before_any_array():
+    """A sequence of more than 2n k values holds at most n - 1 valid k; it
+    is rejected from its length alone, so ranges of 10^11 and 10^25 values
+    are never built.  A range of 2n values keeps its n - 1 valid k."""
+    sample = sample_model(make_spec("Cauchy"), 40, np.random.default_rng(3))
+    message = r"^more than 2n = 80 k values for n=40 pairs: only 1 <= k < n can be valid$"
+    for ks in (range(1, 10**11), range(1, 10**25), range(1, 82), list(range(81))):
+        with pytest.raises(ValueError, match=message):
+            estimate_k_range(sample, ks, 0.99)
+    result = estimate_k_range(sample, range(1, 81), 0.99)
+    assert result.failed.shape == (1, 80) and str(result.errors[0, 79]).endswith("got k=80 with n=40")

@@ -1,6 +1,7 @@
 import datetime
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestRollingPlan:
             RollingPlan(window=100, k=(15, 10), tau_prime=0.99)
         with pytest.raises(ValueError):
             RollingPlan(window=100, k=120, tau_prime=0.99)
+
+    def test_k_range_is_checked_at_its_ends(self, monkeypatch):
+        """The k range is checked at its first k and at k = window, the
+        first k above the valid ones: the errors of a walk over every k,
+        and two checks for a range of 10^12 values."""
+        checked = []
+        check_tail = cotail.data_io.check_tail
+        monkeypatch.setattr(cotail.data_io, "check_tail", lambda *args: checked.append(args) or check_tail(*args))
+        assert RollingPlan(window=10**12, k=(1, 10**12 - 1), tau_prime=0.99).k == (1, 10**12 - 1)
+        assert len(checked) == 2
+        for k, bad in (((0, 10**12), 0), ((1, 10**12), 100), ((150, 160), 150)):
+            with pytest.raises(ValueError, match=rf"^k must satisfy 1 <= k < n, got k={bad} with n=100$"):
+                RollingPlan(window=100, k=k, tau_prime=0.99)
+        with pytest.raises(ValueError, match=r"^tau_prime must lie in \(0, 1\), got 1.5$"):
+            RollingPlan(window=100, k=(5, 10**12), tau_prime=1.5)
 
 
 def _plan(**fields):
@@ -162,6 +178,31 @@ class TestLoader:
         _write_csv(tmp_path / "y.csv", _dates(2), [50.0, 51.0])
         with pytest.raises(ValueError, match=fragment):
             load_pair_series(bad, tmp_path / "y.csv")
+
+    def test_plain_files_never_call_csv_reader(self, tmp_path, monkeypatch):
+        """A plain price file, LF or CRLF, is read by the one split of the
+        whole text: ``csv.reader``, twice as slow on such a file, never runs.
+        A quoted copy, which only the row walk reads, shows the guard bites."""
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        paths = [inputs / "x3.csv", inputs / "y3.csv"]
+        expected = load_pair_series(*paths)
+        for name in ("x.csv", "y.csv"):
+            lines = (inputs / name.replace(".", "3.")).read_text(encoding="utf-8").splitlines()
+            (tmp_path / f"crlf_{name}").write_bytes("".join(line + "\r\n" for line in lines).encode())
+            quoted = "".join('"' + line.replace(",", '","') + '"\n' for line in lines)
+            (tmp_path / f"quoted_{name}").write_text(quoted, encoding="utf-8")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr(cotail.data_io.csv, "reader", forbidden)
+        for pair in (paths, [tmp_path / "crlf_x.csv", tmp_path / "crlf_y.csv"]):
+            dates, sample = load_pair_series(*pair)
+            assert dates == expected[0]
+            assert sample.xs.tobytes() == expected[1].xs.tobytes()
+            assert sample.ys.tobytes() == expected[1].ys.tobytes()
+        with pytest.raises(AssertionError, match="csv.reader"):
+            load_pair_series(tmp_path / "quoted_x.csv", tmp_path / "quoted_y.csv")
 
     def test_non_utf8_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.csv"

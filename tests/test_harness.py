@@ -8,7 +8,7 @@ import cotail.covar_coes
 import cotail.harness
 from cotail.cli import main
 from cotail.covar_coes import ESTIMATOR_NAMES, WARNING_CODES, _stack_rows, estimate_all
-from cotail.harness import MAX_REPLICATIONS, ExperimentPlan, msre, plan_from_record, ratios, run_experiment
+from cotail.harness import MAX_REPLICATIONS, MAX_SAMPLE_SIZE, ExperimentPlan, msre, plan_from_record, ratios, run_experiment
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
 
@@ -138,6 +138,16 @@ def test_replications_are_bounded_before_any_work(monkeypatch):
     for replications in (MAX_REPLICATIONS + 1, 1e20):
         with pytest.raises(ValueError, match=rf"^replications must lie in \[1, {MAX_REPLICATIONS}\], got {int(replications)}$"):
             plan_from_record({**_record(), "replications": replications})
+
+
+def test_sample_size_is_bounded_before_any_work(monkeypatch):
+    """A plan's n past the bound is rejected by the plan itself; 1e300
+    passes the whole-number check first, and no sample is drawn."""
+    monkeypatch.setattr(cotail.harness, "sample_model", None)
+    assert _plan(n=MAX_SAMPLE_SIZE).n == MAX_SAMPLE_SIZE
+    for n in (MAX_SAMPLE_SIZE + 1, 1e300):
+        with pytest.raises(ValueError, match=rf"^n must be at most {MAX_SAMPLE_SIZE}, got {int(n)}$"):
+            plan_from_record({**_record(), "n": n})
 
 
 def test_single_replication_reproducible():

@@ -104,6 +104,13 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_model(make_spec("Cauchy"), 0, np.random.default_rng(0))
 
+    def test_logistic_overflow_is_an_error_not_a_warning(self):
+        """At theta = 1e-10 the stable factor's powers 1/theta overflow: the
+        sample's finiteness check raises, and numpy warns of nothing (the
+        suite turns any warning into a failure)."""
+        with pytest.raises(ValueError, match="^loss values must be finite$"):
+            sample_model(make_spec("Logistic", theta=1e-10), 50, np.random.default_rng(1))
+
     def test_reproducible_streams(self):
         for family in FAMILIES:
             first = sample_model(make_spec(family), 50, np.random.default_rng(12))

@@ -243,6 +243,28 @@ def test_scalar_t_cdf_is_the_ufunc_kernel(df):
     assert [v.hex() for v in scalar] == [v.hex() for v in ufunc]
 
 
+def test_infinite_coes_is_raised_before_any_quantile(monkeypatch):
+    """At theta = 1e-300, (1 - tau)^(-1/theta) would overflow: the coded
+    divergence is raised first, and a bad level still before it."""
+    monkeypatch.setattr(cotail.oracle, "marginal_quantiles", None)
+    spec = make_spec("Pareto2", theta=1e-300)
+    assert _oracle_error(spec, 0.99) == (
+        "CoES tail quadrature did not converge: The integral is divergent "
+        "(Pareto2 gamma_1 = 1.66667e+299 >= 1, CoES is infinite)"
+    )
+    assert _oracle_error(spec, 1.5) == "tau must lie in (0, 1), got 1.5"
+
+
+@pytest.mark.parametrize("nu", [300.0, 1e10])
+def test_student_far_tail_at_a_large_nu_is_zero(nu):
+    """From nu ~ 250 the far-tail constant K overflows while the power terms
+    it multiplies have underflowed to 0: the far tail is 0, and CoES is
+    finite, between the Gaussian limit and the value at nu = 200."""
+    result, at_200 = oracle_result(make_spec("StudentT", nu=nu), 0.99), oracle_result(make_spec("StudentT", nu=200.0), 0.99)
+    assert math.isfinite(result.coes) and result.abs_tol < 1e-6 * result.coes
+    assert result.covar < at_200.covar and result.coes < at_200.coes
+
+
 def test_infinite_coes_is_raised_before_any_survival(monkeypatch):
     # gamma1 = 10: no CoVaR root is solved (whose survival quadrature would
     # warn at this nu) for a CoES that is infinite
