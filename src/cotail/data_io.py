@@ -1,10 +1,7 @@
 """Price-file ingestion, rolling-window estimation, and diagnostic exports.
 
 Input files are CSV with header ``date,price`` (ISO-8601 date, positive
-decimal price).  Each file is read whole, by one of two readers.  A
-plain text, with no quote and one comma on every line, is split once into
-cells, each column converted once and checked whole.  Every other text,
-and a plain one that fails a check, is walked row by row with
+decimal price).  Each file is read whole and walked row by row with
 ``csv.reader``, which words the first bad row's error.
 ``load_pair_series`` joins two assets on their common day ordinals and
 returns one ``LossPairSample`` of the negative log returns of the aligned
@@ -83,90 +80,49 @@ def k_values(k: int | tuple[int, int]) -> range:
 
 
 _EPOCH = datetime.date(1970, 1, 1).toordinal()
-_COMMA, _LF = ord(","), ord("\n")
-
-
-def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each data row's day ordinal and price, in file order, of a text with
-    no quote whose every line holds one comma, split whole and checked as
-    whole columns; None for any other text, one with no data row, or one
-    that fails a check.
-
-    Its line ends (CRLF, CR, LF, as csv reads them) become commas, and one
-    split gives the header's two cells, then each row's date and price.
-    """
-    if '"' in text:
-        return None
-    flat = text.replace("\r\n", "\n").replace("\r", "\n")
-    if flat.endswith("\n"):  # it ends the last row and starts none
-        flat = flat[:-1]
-    raw = np.frombuffer(flat.encode(), np.uint8)
-    separators = raw[(raw == _COMMA) | (raw == _LF)]
-    # a comma, a line end, a comma, ... a comma: two cells on every line
-    if not separators.size % 2 or (separators[::2] != _COMMA).any() or (separators[1::2] != _LF).any():
-        return None
-    cells = flat.replace("\n", ",").split(",")
-    if len(cells) < 4 or [cell.strip().lower() for cell in cells[:2]] != ["date", "price"]:
-        return None
-    date_cells, price_cells = cells[2::2], cells[3::2]
-    try:
-        days = map(datetime.date.fromisoformat, map(str.strip, date_cells))
-        ordinals = np.fromiter(map(datetime.date.toordinal, days), np.int64, len(date_cells))
-        prices = np.fromiter(map(float, price_cells), float, len(price_cells))
-    except ValueError:
-        return None
-    ordered = np.sort(ordinals)
-    if not (np.isfinite(prices).all() and (prices > 0.0).all()) or (ordered[1:] == ordered[:-1]).any():
-        return None
-    return ordinals, prices
-
-
-def _rows(path, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each data row's day ordinal and price, in file order, read row by
-    row with ``csv.reader``; blank rows (no cell, or one blank cell) are
-    skipped.  Raises the error of the first bad row, or of a text with no
-    data rows: the one place a price file's errors are worded."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    table: dict[datetime.date, float] = {}
-    try:
-        header = next(reader, None)
-        if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
-            raise ValueError(f"{path}: expected header 'date,price'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-                price = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(price):
-                raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
-            if price <= 0.0:
-                raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
-            if day in table:
-                raise ValueError(f"{path}:{lineno}: duplicate date {day}")
-            table[day] = price
-    except csv.Error as exc:  # a cell over csv's field limit, or a NUL on Python 3.10
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None  # the line the reader stopped on
-    if not table:
-        raise ValueError(f"{path}: no data rows")
-    return np.array([day.toordinal() for day in table], np.int64), np.array(list(table.values()))
 
 
 def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's day ordinal and price, in file order: a plain text as
-    columns, any other, and any that fails a check, row by row."""
+    """Each data row's day ordinal and price, in file order, read row by
+    row with ``csv.reader``; blank rows (no cell, or one blank cell) are
+    skipped.  Raises the error of the first bad row, or of a file with no
+    data rows: the one place a price file's errors are worded."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often write
         with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:  # a ValueError that would not name the file
         raise ValueError(f"{path}: {exc}") from None
-    columns = _plain_columns(text)
-    return _rows(path, text) if columns is None else columns
+    reader = csv.reader(io.StringIO(text, newline=""))
+    table: dict[int, float] = {}  # price by day ordinal, in file order
+    parse_date = datetime.date.fromisoformat  # looked up once, not per row
+    try:
+        header = next(reader, None)
+        if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
+            raise ValueError(f"{path}: expected header 'date,price'")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            date_cell, price_cell = row
+            try:
+                day = parse_date(date_cell.strip())
+                price = float(price_cell)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not 0.0 < price < math.inf:
+                fault = "non-positive" if math.isfinite(price) else "non-finite"
+                raise ValueError(f"{path}:{lineno}: {fault} price {price_cell}")
+            ordinal = day.toordinal()
+            if ordinal in table:
+                raise ValueError(f"{path}:{lineno}: duplicate date {day}")
+            table[ordinal] = price
+    except csv.Error as exc:  # a cell over csv's field limit, or a NUL on Python 3.10
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None  # the line the reader stopped on
+    if not table:
+        raise ValueError(f"{path}: no data rows")
+    return np.fromiter(table, np.int64, len(table)), np.fromiter(table.values(), float, len(table))
 
 
 def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPairSample]:

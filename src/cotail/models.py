@@ -39,9 +39,13 @@ PARAMETERS = ("theta", "nu", "rho")
 # The family table.  Per family: X = Z1^x_exponent, the parameter that is the
 # tail index of the pre-transform margin Z (None where it is 1), and each
 # parameter it takes as name: (default, lo, hi, hi_included), lo excluded.
+# Logistic theta stops at 0.1: below it the sampler's stable factor, which
+# holds sin(angle)^(-1/theta) at an angle clipped 1e-15 from pi, can
+# overflow on one rare draw (at 0.09 with a stable denominator below 1e-16;
+# at 0.1 only below 1e-19), and a non-finite sample fails the whole plan.
 _Family = namedtuple("_Family", ("x_exponent", "tail_index", "parameters"))
 _TABLE = {
-    "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.0, 1.0, True)}),
+    "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.1, 1.0, True)}),
     "Cauchy": _Family(1.0 / 3.0, None, {}),
     "Pareto2": _Family(1.0 / 6.0, "theta", {"theta": (0.5, 0.0, math.inf, False)}),
     "StudentT": _Family(0.5, "nu", {"nu": (1.5, 0.0, math.inf, False), "rho": (0.3, 0.0, 1.0, False)}),
@@ -143,17 +147,14 @@ def sample_model(
         # unit-Frechet pairs with CDF exp{-(s^(-1/a) + t^(-1/a))^a}, a = theta,
         # through a positive-stable factor with Laplace transform exp(-u^a)
         a, factor = spec.theta, 1.0
-        # at a theta near 0 the powers 1/a can overflow: the sample's own
-        # finiteness check then raises, with no numpy warning
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if a != 1.0:
-                angle, w = _draw(generators, (n,), "random"), _draw(generators, (n,), "standard_exponential")
-                angle = np.multiply(np.pi, np.clip(angle, 1e-15, 1.0 - 1e-15, out=angle), out=angle)
-                factor = np.sin(a * angle) / np.sin(angle) ** (1.0 / a)
-                angle = np.sin(np.multiply(1.0 - a, angle, out=angle), out=angle)
-                factor *= np.divide(angle, w, out=angle) ** ((1.0 - a) / a)
-            e = _draw(generators, (n, 2), "standard_exponential")
-            z1, z2 = (factor / e[..., 0]) ** a, (factor / e[..., 1]) ** a
+        if a != 1.0:
+            angle, w = _draw(generators, (n,), "random"), _draw(generators, (n,), "standard_exponential")
+            angle = np.multiply(np.pi, np.clip(angle, 1e-15, 1.0 - 1e-15, out=angle), out=angle)
+            factor = np.sin(a * angle) / np.sin(angle) ** (1.0 / a)
+            angle = np.sin(np.multiply(1.0 - a, angle, out=angle), out=angle)
+            factor *= np.divide(angle, w, out=angle) ** ((1.0 - a) / a)
+        e = _draw(generators, (n, 2), "standard_exponential")
+        z1, z2 = (factor / e[..., 0]) ** a, (factor / e[..., 1]) ** a
     elif spec.family == "Cauchy":
         z = _draw(generators, (n, 3), "standard_normal")
         denom = np.maximum(np.abs(z[..., 0]), np.finfo(float).tiny)

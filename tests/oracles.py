@@ -21,7 +21,7 @@ finite-level eta at the true CoVaR (``eta_true``) and its limit, the root of
 R(eta, 1) = 1 - tau (``eta_star``).
 
 The price-file references read row by row, from the open file, what
-``data_io`` splits into columns or walks from the whole text:
+``data_io`` walks from the whole decoded text:
 ``price_table_by_rows`` walks ``csv.reader`` rows and wraps each bad row's
 error, and ``pair_series_by_dates`` joins the two tables on their sorted
 common dates by lookup.
@@ -354,8 +354,8 @@ def _student_covar_coes_mp(spec: ModelSpec, tau: float, covar: float) -> tuple[f
 def price_table_by_rows(path) -> dict[datetime.date, float]:
     """A price file's {date: price} in file order, read row by row with
     ``csv.reader`` on the open file.  Test oracle for
-    ``data_io._load_price_file``, which splits a plain text into columns and
-    walks any other from its decoded text; each bad file raises the same
+    ``data_io._load_price_file``, which walks the whole decoded text and
+    returns columns; each bad file raises the same
     ValueError text here (a file that fails to decode aside: this loop
     reports the first bad row of the chunks it read)."""
     try:

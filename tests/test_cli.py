@@ -609,7 +609,7 @@ _SIMULATE = ["simulate", "--plan", "{dir}/plan.json", "--out", "{dir}/out", "--s
 # a k range as wide as a huge window, checked at its ends
 @example((_ROLLING + ["--window", "99999999999", "--k", "1:99999999998"], _PAIR))
 # a plan nested past json's recursion limit, a Student-t nu whose far-tail
-# constant overflows, and a Logistic theta whose stable factor does
+# constant overflows, and a Logistic theta whose stable factor could
 @example((_SIMULATE + ["1"], {"plan.json": "[" * 100_000 + "]" * 100_000}))
 @example((["oracle", "--model", "StudentT", "--nu", "1e10", "--tau", "0.99"], {}))
 @example((_SIMULATE + ["1"], _plan(model={"family": "Logistic", "theta": 1e-10})))

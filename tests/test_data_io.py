@@ -179,31 +179,6 @@ class TestLoader:
         with pytest.raises(ValueError, match=fragment):
             load_pair_series(bad, tmp_path / "y.csv")
 
-    def test_plain_files_never_call_csv_reader(self, tmp_path, monkeypatch):
-        """A plain price file, LF or CRLF, is read by the one split of the
-        whole text: ``csv.reader``, twice as slow on such a file, never runs.
-        A quoted copy, which only the row walk reads, shows the guard bites."""
-        inputs = Path(__file__).parent / "golden" / "inputs"
-        paths = [inputs / "x3.csv", inputs / "y3.csv"]
-        expected = load_pair_series(*paths)
-        for name in ("x.csv", "y.csv"):
-            lines = (inputs / name.replace(".", "3.")).read_text(encoding="utf-8").splitlines()
-            (tmp_path / f"crlf_{name}").write_bytes("".join(line + "\r\n" for line in lines).encode())
-            quoted = "".join('"' + line.replace(",", '","') + '"\n' for line in lines)
-            (tmp_path / f"quoted_{name}").write_text(quoted, encoding="utf-8")
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("csv.reader called on a plain file")
-
-        monkeypatch.setattr(cotail.data_io.csv, "reader", forbidden)
-        for pair in (paths, [tmp_path / "crlf_x.csv", tmp_path / "crlf_y.csv"]):
-            dates, sample = load_pair_series(*pair)
-            assert dates == expected[0]
-            assert sample.xs.tobytes() == expected[1].xs.tobytes()
-            assert sample.ys.tobytes() == expected[1].ys.tobytes()
-        with pytest.raises(AssertionError, match="csv.reader"):
-            load_pair_series(tmp_path / "quoted_x.csv", tmp_path / "quoted_y.csv")
-
     def test_non_utf8_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"date,price\n2015-01-05,100\n2015-01-06,10\xff\n")

@@ -104,12 +104,16 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_model(make_spec("Cauchy"), 0, np.random.default_rng(0))
 
-    def test_logistic_overflow_is_an_error_not_a_warning(self):
-        """At theta = 1e-10 the stable factor's powers 1/theta overflow: the
-        sample's finiteness check raises, and numpy warns of nothing (the
-        suite turns any warning into a failure)."""
-        with pytest.raises(ValueError, match="^loss values must be finite$"):
-            sample_model(make_spec("Logistic", theta=1e-10), 50, np.random.default_rng(1))
+    def test_logistic_theta_is_bounded_before_any_draw(self):
+        """Below theta = 0.1 the stable factor's powers 1/theta can overflow
+        on a rare draw; such a theta is rejected by name, and the bound's
+        neighbour samples finite values with no numpy warning (the suite
+        turns any warning into a failure)."""
+        for theta in (1e-10, 0.1):
+            with pytest.raises(ValueError, match=rf"^Logistic requires theta in \(0.1, 1\], got {theta}$"):
+                make_spec("Logistic", theta=theta)
+        sample = sample_model(make_spec("Logistic", theta=0.1001), 10_000, np.random.default_rng(1))
+        assert np.isfinite(sample.xs).all() and np.isfinite(sample.ys).all()
 
     def test_reproducible_streams(self):
         for family in FAMILIES:

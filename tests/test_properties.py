@@ -7,9 +7,9 @@ k-range is the one-k estimate and matches the brute-force definitions, that
 a tail index is the full sort on its tail and changes no k-range result,
 that the diagnostic curves equal their definitions, and that the
 estimators scale with X and R-hat keeps its bounds.  The price-file
-loader, a split into columns for a plain text and a ``csv.reader`` row walk
-for any other, is held to the row-by-row reference loader on generated
-texts, and its ordinal join to the lookup join.
+loader, a ``csv.reader`` walk of the whole decoded text, is held to the
+reference loader that walks the open file on generated texts, and its
+ordinal join to the lookup join.
 Examples are derandomized, so the suite draws the same cases on every run.
 """
 
@@ -580,11 +580,10 @@ def _table_or_error(load, path):
 @example("date,price\r2015-01-05,1\r2015-01-06,2")
 @example('date,price\n"2015-01-05\n",1\n2015-01-06,2\n')
 def test_column_loader_reads_every_text_as_the_row_loop(tmp_path_factory, text):
-    """The loader, whichever of its two readers takes the text, returns the
-    reference row loop's dates and price bits in file order, or raises its
-    ValueError text.  The examples are texts whose lines hold as many
-    commas as two-cell rows would, which the split must leave to the row
-    walk, or whose row ends are mixed."""
+    """The loader returns the reference row loop's dates and price bits in
+    file order, or raises its ValueError text.  The examples are texts
+    whose lines hold as many commas as two-cell rows would, or whose row
+    ends are mixed."""
     path = tmp_path_factory.mktemp("prices") / "p.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _table_or_error(_load_price_file, path) == _table_or_error(price_table_by_rows, path)
