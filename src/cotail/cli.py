@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
         truth, outcomes = run_experiment(plan, workers=args.workers)
         plan_ratios = ratios(outcomes, truth)
         msres = msre([plan_ratios[name] for name in ESTIMATOR_NAMES]).tolist()
-        runs.append((index, plan, plan_ratios, msres, int(outcomes.failed.sum())))
+        runs.append((index, plan, plan_ratios, msres, sum(isinstance(o, ValueError) for o in outcomes)))
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
     blocks = []

@@ -17,8 +17,13 @@ whole-array passes, sized by ``_MATRIX_CELLS``, the one cell budget for
 every stack and block of k; an error is built only for a cell that fails.  Each k is checked by
 ``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions
 are derived here.
+``KRangeEstimates.outcomes`` reads each row as its ``Outcome``, the one
+shape of a rolling window and of a Monte Carlo replication: the values
+averaged over the k that succeed with the warning codes, or the error,
+code kept, of a row whose every k fails.  It is the one k-average.
 ``KRangeEstimates._warning`` words every warning of the five
-``WARNING_CODES``, only where a record is asked for.  ``RECORD_KEYS`` is the
+``WARNING_CODES``, and ``first_warnings`` the k-range warning
+``k_partial``, only where a record is asked for.  ``RECORD_KEYS`` is the
 one flat schema of a row.
 """
 
@@ -71,6 +76,9 @@ ESTIMATOR_NAMES = RECORD_KEYS[6:]
 
 WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "gamma_above_half")
 
+# a row's k-averaged values and warning codes, or its error (``KRangeEstimates.outcomes``)
+Outcome = tuple[list[float], tuple[str, ...]] | ValueError
+
 
 @dataclass(frozen=True, eq=False)
 class KRangeEstimates:
@@ -110,9 +118,49 @@ class KRangeEstimates:
 
     def first_warnings(self) -> list[list[WarningRecord]]:
         """For each row, the ``first_met`` warnings, each with the message
-        of its first k."""
-        met = self.first_met()
-        return [[self._warning(row, i, column) for i, column in cells] for row, cells in enumerate(met)]
+        of its first k, then ``k_partial``, listing each failed k with its
+        reason, if some but not all k fail."""
+        warnings = []
+        for row, cells in enumerate(self.first_met()):
+            warnings.append([self._warning(row, i, column) for i, column in cells])
+            failures = self._failures(row)
+            if 0 < len(failures) < len(self.ks):
+                excluded = f"{len(failures)} of {len(self.ks)} k values failed and were excluded"
+                warnings[row].append(WarningRecord("k_partial", f"{excluded}: {'; '.join(failures)}"))
+        return warnings
+
+    def outcomes(self) -> list[Outcome]:
+        """Each row's ``Outcome``: its ``RECORD_KEYS`` values averaged over
+        the k that succeed (at one k, the values themselves, bit for bit)
+        and its warning codes, each once in ``first_met`` order, then
+        ``k_partial`` if some k fail; nothing is worded.  A row whose every
+        k fails gets an ``EstimationError`` with its first k's code and
+        each k's "k=K: reason", or a plain ``ValueError`` if that k is
+        invalid.  Rows that share a count of succeeded k share one mean."""
+        succeeded = ~self.failed
+        counts = succeeded.sum(axis=1)
+        means: list = [None] * len(counts)
+        for count in np.unique(counts[counts > 0]).tolist():
+            rows = np.flatnonzero(counts == count).tolist()
+            kept = self.values[succeeded & (counts == count)[:, None]].reshape(len(rows), count, len(RECORD_KEYS))
+            # one contiguous row per field of each sample: numpy then sums each
+            # field pairwise over the succeeded k, exactly as np.mean sums a
+            # list of that field's values, whichever samples share the call
+            for row, mean in zip(rows, np.ascontiguousarray(kept.transpose(0, 2, 1)).mean(axis=-1).tolist()):
+                means[row] = mean
+        outcomes: list[Outcome] = []
+        for row, (mean, met, count) in enumerate(zip(means, self.first_met(), counts.tolist())):
+            if count:
+                partial = ("k_partial",) if count < len(self.ks) else ()
+                outcomes.append((mean, tuple(WARNING_CODES[column] for _, column in met) + partial))
+            else:  # the error of the first k, coded unless that k is invalid
+                error, text = self.errors[row, 0], "; ".join(self._failures(row))
+                outcomes.append(ValueError(text) if type(error) is ValueError else EstimationError(error.code, text))
+        return outcomes
+
+    def _failures(self, row: int) -> list[str]:
+        """"k=K: reason" for each k that fails in row ``row``."""
+        return [f"k={self.ks[i]}: {self.errors[row, i]}" for i in np.flatnonzero(self.failed[row]).tolist()]
 
     def _warning(self, row: int, i: int, column: int) -> WarningRecord:
         """The ``WARNING_CODES[column]`` record of k = ``ks[i]`` in row

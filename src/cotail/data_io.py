@@ -14,11 +14,12 @@ only the two tails of a window, each margin's values at or above its cut
 only when a loss that enters or leaves has fewer than depth values of the
 window before above it; every other window gets the outcome of the window
 before.  One ``estimate_with_k_values`` call per stack of estimated
-windows gives each its k-averaged values and warning codes from
-whole-stack arrays, with one column mean per count of succeeded k; no
-warning is worded for a window.  ``k_values`` is the one reading of a k or
-(kmin, kmax) range, and ``format_tsv`` / ``write_text`` produce every TSV
-the package writes: floats as ``.10g``, UTF-8, LF line endings.
+windows gives each its ``KRangeEstimates.outcomes`` row: its k-averaged
+values and warning codes, or the coded error of a window whose every k
+fails; no warning is worded for a window.  ``k_values`` is the one
+reading of a k or (kmin, kmax) range, and ``format_tsv`` / ``write_text``
+produce every TSV the package writes: floats as ``.10g``, UTF-8, LF line
+endings.
 """
 
 from __future__ import annotations
@@ -34,17 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LossPairSample, WarningRecord, _whole_number, build_margin_index, check_tail
-from .covar_coes import (
-    RECORD_KEYS,
-    WARNING_CODES,
-    KRangeEstimates,
-    RiskEstimates,
-    _MATRIX_CELLS,
-    _stack_rows,
-    estimate_k_range,
-    tail_depth,
-)
+from .core import LossPairSample, _whole_number, build_margin_index, check_tail
+from .covar_coes import _MATRIX_CELLS, Outcome, RiskEstimates, _stack_rows, estimate_k_range, tail_depth
 from .empirical import check_tau_grid, hill_curve, tail_prob_curve
 from .tail_copula import r11_curve
 
@@ -147,67 +139,25 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
 
 def estimate_with_k_values(
     sample: LossPairSample, ks: Sequence[int], tau_prime: float
-) -> RiskEstimates | list[tuple[list[float], tuple[str, ...]] | ValueError]:
+) -> RiskEstimates | list[Outcome]:
     """``estimate_k_range`` averaged over the k values that succeed.
 
-    Each field is the column mean over the succeeded k.  Each warning code
-    comes once, in the order a walk over the k meets it
-    (``KRangeEstimates.first_met``), then ``k_partial`` if some k fail.
-    One sample gets a ``RiskEstimates`` with worded warnings (``k_partial``
-    lists each failed k with its reason), or raises if every k fails.  On a
-    stack nothing is worded and nothing raised per row: the list holds each
-    row's (``RECORD_KEYS`` values, warning codes), or the error that row
-    raises alone.  The rows that share a count of succeeded k share one
-    column mean.
+    A stack gets each row's ``KRangeEstimates.outcomes``, with nothing
+    worded or raised.  One sample gets a ``RiskEstimates`` with its warnings
+    worded (``KRangeEstimates.first_warnings``), or raises if every k fails.
     """
     result = estimate_k_range(sample, ks, tau_prime)
-    outcomes = _k_averages(result)
+    outcomes = result.outcomes()
     if sample.stacked:
         return outcomes
     if isinstance(outcomes[0], ValueError):
         raise outcomes[0]
-    warnings = result.first_warnings()[0]
-    failures = _failures(result, 0)
-    if failures:
-        excluded = f"{len(failures)} of {len(result.ks)} k values failed and were excluded"
-        warnings.append(WarningRecord("k_partial", f"{excluded}: {'; '.join(failures)}"))
-    return RiskEstimates(*outcomes[0][0], warnings=tuple(warnings))
-
-
-def _k_averages(result: KRangeEstimates) -> list[tuple[list[float], tuple[str, ...]] | ValueError]:
-    """Each row's k average and warning codes, or the error that stops it."""
-    values, succeeded = result.values, ~result.failed
-    counts = succeeded.sum(axis=1)
-    means: list = [None] * len(counts)
-    for count in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == count).tolist()
-        kept = values[succeeded & (counts == count)[:, None]].reshape(len(rows), count, len(RECORD_KEYS))
-        # one contiguous row per field of each sample: numpy then sums each
-        # field pairwise over the succeeded k, exactly as np.mean sums a
-        # list of that field's values, whichever samples share the call
-        for row, mean in zip(rows, np.ascontiguousarray(kept.transpose(0, 2, 1)).mean(axis=-1).tolist()):
-            means[row] = mean
-    partial = ("k_partial",)
-    return [
-        (mean, tuple(WARNING_CODES[c] for _, c in met) + (partial if count < len(result.ks) else ()))
-        if count
-        else ValueError("; ".join(_failures(result, row)))
-        for row, (mean, met, count) in enumerate(zip(means, result.first_met(), counts.tolist()))
-    ]
-
-
-def _failures(result: KRangeEstimates, row: int) -> list[str]:
-    """"k=K: reason" for each k that fails in one row of the result."""
-    return [
-        f"k={k}: {result.errors[row, i]}"
-        for i, (k, fails) in enumerate(zip(result.ks, result.failed[row].tolist()))
-        if fails
-    ]
+    return RiskEstimates(*outcomes[0][0], warnings=tuple(result.first_warnings()[0]))
 
 
 def rolling_estimates(
     dates: Sequence[datetime.date], sample: LossPairSample, plan: RollingPlan
-) -> list[tuple[datetime.date, tuple[list[float], tuple[str, ...]] | ValueError]]:
+) -> list[tuple[datetime.date, Outcome]]:
     """Estimate every window of the losses whose tails change.
 
     ``dates[i]`` is the date loss i ends on.  Windows end at loss indices

@@ -2,10 +2,11 @@
 
 An experiment draws N independent samples from a model and runs every
 estimator on each.  ``run_experiment`` returns the memoized population
-truth at tau' and one outcome block, the one-k ``KRangeEstimates`` of
-all N replications.  Every score is an array pass over it: ``ratios``
-gives estimate/truth per estimator over the replications that succeeded,
-and ``msre`` the mean squared relative error
+truth at tau' and each replication's outcome, the shape a rolling window
+has (``KRangeEstimates.outcomes`` at one k): its values and warning codes,
+or its coded error.  Every score is an array pass: ``ratios`` gives
+estimate/truth per estimator over the (N, 7) block of the replications
+that succeeded, and ``msre`` the mean squared relative error
 
     MSRE = (1/N) * sum_l (estimate_l / truth - 1)^2
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS, KRangeEstimates, _stack_rows, estimate_k_range
+from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS, Outcome, _stack_rows, estimate_k_range
 from .core import _whole_number, check_tail
 from .models import ModelSpec, sample_model
 from .oracle import OracleResult, oracle_result
@@ -55,8 +56,8 @@ class ExperimentPlan:
         check_tail(self.n, self.k, self.tau_prime)
 
 
-# ``simulate`` holds about 1.2 kB a replication (its outcome row, ratios and
-# TSV lines) until its plan is written, 1.2 GB at this bound; a larger study is several plans
+# ``simulate`` holds about 1.6 kB a replication (its outcome, ratios and
+# TSV lines) until its plan is written, 1.6 GB at this bound; a larger study is several plans
 MAX_REPLICATIONS = 10**6
 # a replication's sample takes about 60 B a pair while it is drawn and
 # scored (50-60 MB of peak RSS at n = 10^6), so about 600 MB a worker at this bound
@@ -102,12 +103,13 @@ def plan_from_record(record: dict, default_seed: int | None = None) -> Experimen
     )
 
 
-def ratios(outcomes: KRangeEstimates, truth: OracleResult) -> dict[str, list[float]]:
+def ratios(outcomes: list[Outcome], truth: OracleResult) -> dict[str, list[float]]:
     """Estimate/truth per ``ESTIMATOR_NAMES`` entry over the replications
     that succeeded, in replication order; CoVaR variants are scored against
     ``truth.covar`` and CoES variants against ``truth.coes``."""
     scales = np.array([truth.covar if name.startswith("covar") else truth.coes for name in ESTIMATOR_NAMES])
-    estimates = outcomes.values[~outcomes.failed[:, 0], 0, len(RECORD_KEYS) - len(ESTIMATOR_NAMES) :]
+    succeeded = [outcome[0] for outcome in outcomes if not isinstance(outcome, ValueError)]
+    estimates = np.reshape(succeeded, (-1, len(RECORD_KEYS)))[:, -len(ESTIMATOR_NAMES) :]
     return dict(zip(ESTIMATOR_NAMES, (estimates / scales).T.tolist()))
 
 
@@ -122,26 +124,27 @@ def msre(ratios) -> float | np.ndarray:
     return float(means) if arr.ndim == 1 else means
 
 
-def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult, KRangeEstimates]:
-    """Run all replications of a plan: the truth at tau' and the outcome block.
+def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult, list[Outcome]]:
+    """Run all replications of a plan: the truth at tau' and each
+    replication's outcome, in replication order.
 
-    The block is the one-k ``KRangeEstimates`` of all N replications, row
-    l for replication l: its values, or ``failed`` with the ValueError
-    that stopped it (e.g. a Hill estimate outside (0, 1)) in ``errors``.
-    Each block of ``_stack_rows`` replications is one ``sample_model`` and
-    one ``estimate_k_range`` call.  Raises if every replication fails, or
-    if ``workers`` is below 1.
+    An outcome is a row of ``KRangeEstimates.outcomes`` at the one k: the
+    replication's ``RECORD_KEYS`` values and warning codes, or the
+    ``EstimationError`` that stopped it (e.g. a Hill estimate outside
+    (0, 1)), with its code.  Each block of ``_stack_rows`` replications is
+    one ``sample_model`` and one ``estimate_k_range`` call.  Raises if
+    every replication fails, or if ``workers`` is below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     truth = oracle_result(plan.spec, plan.tau_prime)
     size = _stack_rows(plan.n, (plan.k,))
 
-    def task(start: int) -> KRangeEstimates:
+    def task(start: int) -> list[Outcome]:
         # replication l draws from child l of the plan seed, the one SeedSequence.spawn makes
         rows = range(start, min(start + size, plan.replications))
         block = [np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(l,))) for l in rows]
-        return estimate_k_range(sample_model(plan.spec, plan.n, block), (plan.k,), plan.tau_prime)
+        return estimate_k_range(sample_model(plan.spec, plan.n, block), (plan.k,), plan.tau_prime).outcomes()
 
     # a worker takes whole blocks, and no outcome depends on the blocks
     starts = range(0, plan.replications, size)
@@ -150,10 +153,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(task, starts))
-    arrays = (np.concatenate([getattr(b, key) for b in blocks]) for key in ("values", "fired", "quoted", "failed"))
-    errors = {(start + row, i): error for start, b in zip(starts, blocks) for (row, i), error in b.errors.items()}
-    outcomes = KRangeEstimates([plan.k], *arrays, errors, plan.n, plan.tau_prime)
-    if outcomes.failed.all():
+    outcomes = [outcome for block in blocks for outcome in block]
+    if all(isinstance(outcome, ValueError) for outcome in outcomes):
         message = f"all {plan.replications} replications failed for {plan.spec.family}"
         raise ValueError(f"{message} (n={plan.n}, k={plan.k})")
     return truth, outcomes

@@ -9,7 +9,7 @@ import pytest
 import cotail.cli
 import cotail.covar_coes
 import cotail.data_io
-from cotail.core import LossPairSample, build_margin_index
+from cotail.core import EstimationError, LossPairSample, build_margin_index
 from cotail.covar_coes import RECORD_KEYS, _stack_rows, estimate_all
 from cotail.data_io import (
     RollingPlan,
@@ -554,6 +554,30 @@ class TestRolling:
             "code": "small_k",
             "message": "k=60 is below n^(2/3)=116.0; intermediate-order asymptotics are doubtful",
         }
+
+    def test_gaps_keep_their_first_k_code(self):
+        """A window whose every k fails is an ``EstimationError`` with its
+        first k's code and every k's reason, the text its ``gap:`` note
+        prints: the gaps of the golden ``rolling-3-window-30-step-7`` case,
+        the first of them hill_out_of_range."""
+        golden = Path(__file__).resolve().parent / "golden"
+        dates, sample = load_pair_series(golden / "inputs" / "x3.csv", golden / "inputs" / "y3.csv")
+        rows = rolling_estimates(dates, sample, RollingPlan(window=30, k=(10, 25), tau_prime=0.999, step=7))
+        stdout = (golden / "expected" / "rolling-3-window-30-step-7" / "stdout").read_text(encoding="utf-8")
+        notes = [line.split("\t")[-1] for line in stdout.splitlines()[1:]]
+        assert len(notes) == len(rows)
+        codes = []
+        for (_, outcome), note, end in zip(rows, notes, range(30, sample.n + 1, 7)):
+            if not isinstance(outcome, ValueError):
+                continue
+            window = LossPairSample(xs=sample.xs[end - 30 : end], ys=sample.ys[end - 30 : end])
+            with pytest.raises(EstimationError) as first:
+                estimate_all(window, 10, 0.999)
+            assert type(outcome) is EstimationError and outcome.code == first.value.code
+            assert note == f"gap: {outcome}" and str(outcome).startswith(f"k=10: {first.value}; k=11: ")
+            codes.append(outcome.code)
+        assert codes[0] == "hill_out_of_range"
+        assert set(codes) == {"hill_out_of_range", "threshold_not_positive", "eta_not_attained"}
 
     def test_rows_are_dated_by_their_last_loss(self, tmp_path):
         prices_x, prices_y = _model_prices(seed=99, n=80)

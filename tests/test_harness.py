@@ -7,7 +7,8 @@ import pytest
 import cotail.covar_coes
 import cotail.harness
 from cotail.cli import main
-from cotail.covar_coes import ESTIMATOR_NAMES, WARNING_CODES, _stack_rows, estimate_all
+from cotail.core import EstimationError
+from cotail.covar_coes import ESTIMATOR_NAMES, _stack_rows, estimate_all
 from cotail.harness import MAX_REPLICATIONS, MAX_SAMPLE_SIZE, ExperimentPlan, msre, plan_from_record, ratios, run_experiment
 from cotail.models import make_spec, sample_model
 from cotail.oracle import oracle_result
@@ -24,38 +25,27 @@ def _plan(family="Cauchy", n=200, k=40, tau_prime=0.99, replications=1, seed=0):
     )
 
 
-def _comparable(outcomes):
-    """An outcome block as plain values: each array's shape and bytes, and
-    each failure as its (row, type, code, message); exceptions compare by
-    identity."""
-    arrays = [(a.shape, a.tobytes()) for a in (outcomes.values, outcomes.fired, outcomes.quoted, outcomes.failed)]
-    errors = [(row, type(e), e.code, str(e)) for (row, _), e in sorted(outcomes.errors.items())]
-    return arrays, errors, outcomes.ks, outcomes.n, outcomes.tau_prime
-
-
-def _per_replication(outcomes):
-    """Each replication's (record values, warning codes), or its error's
-    (type, code, message)."""
+def _plain(outcomes):
+    """Each replication's outcome as plain values: its (record values,
+    warning codes), or its error's (type, code, message); exceptions
+    compare by identity."""
     return [
-        (type(outcomes.errors[row, 0]), outcomes.errors[row, 0].code, str(outcomes.errors[row, 0]))
-        if failed
-        else (values, tuple(code for code, hit in zip(WARNING_CODES, fired) if hit))
-        for row, (failed, values, fired) in enumerate(
-            zip(outcomes.failed[:, 0].tolist(), outcomes.values[:, 0].tolist(), outcomes.fired[:, 0].tolist())
-        )
+        (type(outcome), getattr(outcome, "code", None), str(outcome)) if isinstance(outcome, ValueError) else outcome
+        for outcome in outcomes
     ]
 
 
 def _alone(plan):
     """``estimate_all`` on each replication's lone sample, drawn from its
-    spawned stream, as ``_per_replication`` gives it."""
+    spawned stream, as ``_plain`` gives it: an error's text is prefixed
+    with its k, as in a k average whose every k fails."""
     outcomes = []
     for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
         sample = sample_model(plan.spec, plan.n, np.random.default_rng(child))
         try:
             estimates = estimate_all(sample, plan.k, plan.tau_prime)
         except ValueError as exc:
-            outcomes.append((type(exc), getattr(exc, "code", None), str(exc)))
+            outcomes.append((type(exc), getattr(exc, "code", None), f"k={plan.k}: {exc}"))
         else:
             outcomes.append((list(estimates.to_record().values()), tuple(w.code for w in estimates.warnings)))
     return outcomes
@@ -154,7 +144,7 @@ def test_single_replication_reproducible():
     plan = _plan(replications=1, seed=12345)
     truth, first = run_experiment(plan)
     again_truth, again = run_experiment(plan)
-    assert again_truth == truth and _comparable(again) == _comparable(first)
+    assert again_truth == truth and _plain(again) == _plain(first)
     scored = ratios(first, truth)
     # with N=1 the MSRE is exactly the one squared relative error
     for name in ESTIMATOR_NAMES:
@@ -166,8 +156,8 @@ def test_worker_count_invariance():
     serial_truth, serial = run_experiment(plan, workers=1)
     threaded_truth, threaded = run_experiment(plan, workers=4)
     assert serial_truth == threaded_truth
-    assert serial.failed.shape == (16, 1)
-    assert _comparable(serial) == _comparable(threaded)
+    assert len(serial) == 16
+    assert _plain(serial) == _plain(threaded)
 
 
 def test_one_worker_runs_on_the_calling_thread(monkeypatch):
@@ -190,7 +180,7 @@ def test_one_worker_runs_on_the_calling_thread(monkeypatch):
     threads.clear()
     _, threaded = run_experiment(plan, workers=2)
     assert threading.get_ident() not in threads
-    assert _comparable(serial) == _comparable(threaded)
+    assert _plain(serial) == _plain(threaded)
 
 
 def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
@@ -215,10 +205,10 @@ def test_replications_are_estimated_in_blocks_as_alone(monkeypatch):
         assert len(blocks) > 1
         assert shapes == [(b, 500) for b in blocks for _ in range(2)]
         _, threaded = run_experiment(plan, workers=3)
-        assert _comparable(serial) == _comparable(threaded)
+        assert _plain(serial) == _plain(threaded)
         assert truth == oracle_result(plan.spec, plan.tau_prime)
         alone = _alone(plan)
-        assert _per_replication(serial) == alone
+        assert _plain(serial) == alone
         assert any(len(outcome) == 3 for outcome in alone) == (k == 3)
         scored = ratios(serial, truth)
         for column, name in enumerate(ESTIMATOR_NAMES, start=6):
@@ -237,19 +227,20 @@ def test_replications_equal_estimate_all_alone(family, n, k, replications, seed)
     plan = _plan(family, n=n, k=k, replications=replications, seed=seed)
     assert (_stack_rows(n, (k,)) == 1) == (n > 16384)
     _, outcomes = run_experiment(plan, workers=2)
-    assert _per_replication(outcomes) == _alone(plan)
+    assert _plain(outcomes) == _alone(plan)
 
 
 def test_failure_accounting():
     """k=1 Hill estimates leave (0, 1) often; failures are dropped, not scored."""
     plan = _plan(n=50, k=1, replications=40, seed=1)
     truth, outcomes = run_experiment(plan)
-    survivors = int((~outcomes.failed).sum())
+    errors = [outcome for outcome in outcomes if isinstance(outcome, ValueError)]
+    survivors = 40 - len(errors)
     assert 0 < survivors < 40
-    assert {error.code for error in outcomes.errors.values()} <= {"hill_out_of_range", "eta_not_attained"}
-    assert len(outcomes.errors) == 40 - survivors
+    assert {type(error) for error in errors} == {EstimationError}
+    assert {error.code for error in errors} <= {"hill_out_of_range", "eta_not_attained"}
     # every successful replication carries the small-k warning at k=1
-    assert outcomes.fired[:, 0, WARNING_CODES.index("small_k")].sum() == survivors
+    assert all(outcome[1][0] == "small_k" for outcome in outcomes if not isinstance(outcome, ValueError))
     scored = ratios(outcomes, truth)
     for name in ESTIMATOR_NAMES:
         assert len(scored[name]) == survivors

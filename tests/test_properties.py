@@ -30,7 +30,7 @@ from cotail.core import (
     build_margin_index,
     check_tail,
 )
-from cotail.covar_coes import ESTIMATOR_NAMES, RiskEstimates, _intermediate, estimate_all, estimate_k_range
+from cotail.covar_coes import ESTIMATOR_NAMES, WARNING_CODES, RiskEstimates, _intermediate, estimate_all, estimate_k_range
 from cotail.data_io import (
     RollingPlan,
     _load_price_file,
@@ -465,6 +465,29 @@ def test_every_row_of_a_stack_is_its_sample_alone(case, tau_prime):
             *one_k.values[row, 0].tolist(), warnings=tuple(one_k.first_warnings()[row])
         )
         assert _bits(one_k_row) == _bits(_alone(lambda: estimate_all(sample, ks[0], tau_prime)))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(stacks(), st.sampled_from([0.99, 0.999]))
+def test_one_k_outcomes_are_the_cells_themselves(case, tau_prime):
+    """At one k each row's outcome is its one cell: ``values[row, 0]`` bit
+    for bit with the codes that fired there, in ``WARNING_CODES`` order, or
+    ``errors[row, 0]``'s type and code with its text after "k=K: "."""
+    rows, ks = case
+    stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
+    result = estimate_k_range(stack, ks[:1], tau_prime)
+    outcomes = result.outcomes()
+    assert len(outcomes) == len(rows)
+    for row, outcome in enumerate(outcomes):
+        if result.failed[row, 0]:
+            error = result.errors[row, 0]
+            assert type(outcome) is type(error) and getattr(outcome, "code", None) == getattr(error, "code", None)
+            assert str(outcome) == f"k={ks[0]}: {error}"
+        else:
+            values, codes = outcome
+            assert [value.hex() for value in values] == [value.hex() for value in result.values[row, 0].tolist()]
+            assert codes == tuple(code for code, hit in zip(WARNING_CODES, result.fired[row, 0]) if hit)
+            assert codes == tuple(WARNING_CODES[column] for _, column in result.first_met()[row])
 
 
 @st.composite
