@@ -173,8 +173,8 @@ def _cmd_rolling(args) -> int:
         # a window that reuses the outcome of the window before reuses its formatted cells
         if outcome is not last:
             gap = isinstance(outcome, ValueError)
-            cells = format_tsv([[*[""] * len(RECORD_KEYS), f"gap: {outcome}"] if gap else [*outcome[0], ""]])
-            last = outcome
+            row = [*[""] * len(RECORD_KEYS), f"gap: {outcome}"] if gap else [*outcome[0], ",".join(outcome[1])]
+            cells, last = format_tsv([row]), outcome
         lines.append(f"{date}\t{cells}")
     text = "".join(lines)
     if args.out:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cotail
 import cotail.cli
 from cotail.cli import MAX_TAU_LEVELS, _parse_k, _parse_tau_grid, main
-from cotail.covar_coes import RECORD_KEYS
+from cotail.covar_coes import RECORD_KEYS, WARNING_CODES
 from cotail.core import LossPairSample
 from cotail.data_io import RollingPlan, estimate_with_k_values, format_tsv, load_pair_series, rolling_estimates
 from cotail.models import FAMILIES, PARAMETERS, make_spec, sample_model
@@ -240,7 +240,8 @@ def test_rolling_stdout_matches_file(tmp_path, price_files, capsys):
     for line in lines[1:]:
         cells = line.split("\t")
         assert len(cells) == 1 + len(RECORD_KEYS) + 1
-        assert cells[-1] == ""  # no gaps on this fixture
+        # no gaps on this fixture: each note is the window's warning codes, if any
+        assert set(filter(None, cells[-1].split(","))) <= set(WARNING_CODES)
         float(cells[1])  # numeric payload
 
 
@@ -267,7 +268,8 @@ def test_rolling_reused_outcomes_print_as_their_windows_alone(tmp_path, capsys):
     some windows reuse the outcome of the window before, value rows and a
     gap row among them.  Every line ``rolling`` prints is, byte for byte,
     ``format_tsv`` of its row built from its window estimated alone: the
-    date, the values or the ``gap:`` text, and the note."""
+    date, the values and the warning codes, comma-joined, or the ``gap:``
+    text."""
     rng = np.random.default_rng(0)
     returns = 0.01 * rng.standard_t(3, size=(400, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
     prices = np.round(80.0 * np.exp(np.cumsum(returns, axis=0))) / 2
@@ -291,7 +293,9 @@ def test_rolling_reused_outcomes_print_as_their_windows_alone(tmp_path, capsys):
     for line, end in zip(lines[1:], ends):
         alone = LossPairSample(xs=sample.xs[end - window : end], ys=sample.ys[end - window : end])
         try:
-            row = (dates[end - 1], *estimate_with_k_values(alone, ks, 0.99).to_record().values(), "")
+            estimates = estimate_with_k_values(alone, ks, 0.99)
+            note = ",".join(w.code for w in estimates.warnings)
+            row = (dates[end - 1], *estimates.to_record().values(), note)
         except ValueError as error:
             row = (dates[end - 1], *[""] * len(RECORD_KEYS), f"gap: {error}")
         assert line == format_tsv([row])
