@@ -105,7 +105,7 @@ def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not 0.0 < price < math.inf:
                 fault = "non-positive" if math.isfinite(price) else "non-finite"
-                raise ValueError(f"{path}:{lineno}: {fault} price {price_cell}")
+                raise ValueError(f"{path}:{lineno}: {fault} price {price_cell.strip()}")
             ordinal = day.toordinal()
             if ordinal in table:
                 raise ValueError(f"{path}:{lineno}: duplicate date {day}")

@@ -377,9 +377,9 @@ def price_table_by_rows(path) -> dict[datetime.date, float]:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not math.isfinite(price):
-                    raise ValueError(f"{path}:{lineno}: non-finite price {row[1]}")
+                    raise ValueError(f"{path}:{lineno}: non-finite price {row[1].strip()}")
                 if price <= 0.0:
-                    raise ValueError(f"{path}:{lineno}: non-positive price {row[1]}")
+                    raise ValueError(f"{path}:{lineno}: non-positive price {row[1].strip()}")
                 if day in table:
                     raise ValueError(f"{path}:{lineno}: duplicate date {day}")
                 table[day] = price

@@ -597,6 +597,8 @@ _SIMULATE = ["simulate", "--plan", "{dir}/plan.json", "--out", "{dir}/out", "--s
 @given(cli_cases())
 # a price cell over csv's field limit
 @example((_ESTIMATE + ["--k", "5"], {"x.csv": "date,price\n2015-01-05," + "1" * 140_000 + "\n", "y.csv": _PAIR["y.csv"]}))
+# a quoted price cell that ends in a newline
+@example((_ESTIMATE + ["--k", "5"], {"x.csv": 'date,price\n2015-01-05,"-1\n"\n', "y.csv": _PAIR["y.csv"]}))
 # a plan's replications past their bound, and a negative --seed
 @example((_SIMULATE + ["1"], _plan(replications=1e20)))
 @example((_SIMULATE + ["-5"], _plan()))
@@ -623,7 +625,7 @@ def test_cli_ends_in_one_of_three_ways(case):
     traceback, a warning or a NumPy message."""
     code, out, err = _ends(*case)
     if code == 1:
-        assert out == "" and err.startswith("error: ")
-        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert err.splitlines(keepends=True) == [err]  # one line, by any line break
     else:
         assert code == 0 and err == "" or code == 2
