@@ -43,12 +43,16 @@ PARAMETERS = ("theta", "nu", "rho")
 # holds sin(angle)^(-1/theta) at an angle clipped 1e-15 from pi, can
 # overflow on one rare draw (at 0.09 with a stable denominator below 1e-16;
 # at 0.1 only below 1e-19), and a non-finite sample fails the whole plan.
+# Pareto2 theta and StudentT nu stop where the oracle stops: as either
+# grows the pair nears independence, the joint survival at VaR_X rounds
+# below (1 - tau)^2 and no CoVaR root is found.  Pareto2 first fails near
+# theta = 4e8, StudentT (rho 0.3) near nu = 3e14, at tau 0.95-0.9999.
 _Family = namedtuple("_Family", ("x_exponent", "tail_index", "parameters"))
 _TABLE = {
     "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.1, 1.0, True)}),
     "Cauchy": _Family(1.0 / 3.0, None, {}),
-    "Pareto2": _Family(1.0 / 6.0, "theta", {"theta": (0.5, 0.0, math.inf, False)}),
-    "StudentT": _Family(0.5, "nu", {"nu": (1.5, 0.0, math.inf, False), "rho": (0.3, 0.0, 1.0, False)}),
+    "Pareto2": _Family(1.0 / 6.0, "theta", {"theta": (0.5, 0.0, 1e8, True)}),
+    "StudentT": _Family(0.5, "nu", {"nu": (1.5, 0.0, 1e14, True), "rho": (0.3, 0.0, 1.0, False)}),
 }
 FAMILIES = tuple(_TABLE)
 
@@ -77,10 +81,7 @@ class ModelSpec:
         for name, (_, lo, hi, hi_included) in taken.items():
             value = getattr(self, name)
             if value is None or not (lo < value < hi or hi_included and value == hi):
-                if hi == math.inf:
-                    requirement = f"a finite {name} > {lo:g}"
-                else:
-                    requirement = f"{name} in ({lo:g}, {hi:g}{']' if hi_included else ')'}"
+                requirement = f"{name} in ({lo:g}, {hi:g}{']' if hi_included else ')'}"
                 raise ValueError(f"{self.family} requires {requirement}, got {value}")
         for name in PARAMETERS:
             if name not in taken and getattr(self, name) is not None:

@@ -6,6 +6,9 @@ import pytest
 from scipy import special
 
 import cotail.models
+import cotail.oracle
+from cotail.cli import main
+from cotail.harness import plan_from_record
 from cotail.models import (
     FAMILIES,
     ModelSpec,
@@ -15,6 +18,7 @@ from cotail.models import (
     sample_model,
     true_tail_copula,
 )
+from cotail.oracle import oracle_result
 from oracles import r_hat
 
 
@@ -114,6 +118,25 @@ class TestSampler:
                 make_spec("Logistic", theta=theta)
         sample = sample_model(make_spec("Logistic", theta=0.1001), 10_000, np.random.default_rng(1))
         assert np.isfinite(sample.xs).all() and np.isfinite(sample.ys).all()
+
+    @pytest.mark.parametrize("family, name, bound", [("Pareto2", "theta", 1e8), ("StudentT", "nu", 1e14)])
+    def test_oracle_families_are_bounded_where_the_oracle_stops(self, family, name, bound, monkeypatch, capsys):
+        """At its bound a family's oracle gives the truth at every level the
+        study uses; just past it the spec, a plan and ``cotail oracle`` are
+        rejected with the family's range before any quantile is computed."""
+        for tau in (0.95, 0.99, 0.999, 0.9999):
+            result = oracle_result(make_spec(family, **{name: bound}), tau)
+            assert 0.0 < result.covar < result.coes < math.inf
+        past = math.nextafter(bound, math.inf)
+        message = f"{family} requires {name} in (0, {bound:g}], got {past}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_spec(family, **{name: past})
+        record = {"model": {"family": family, name: past}, "n": 100, "k": 10, "tau_prime": 0.99, "replications": 1}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            plan_from_record(record, default_seed=1)
+        monkeypatch.setattr(cotail.oracle, "marginal_quantiles", None)
+        assert main(["oracle", "--model", family, f"--{name}", repr(past), "--tau", "0.99"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_reproducible_streams(self):
         for family in FAMILIES:
