@@ -89,13 +89,15 @@ def _cmd_simulate(args) -> int:
     for index, record in enumerate(records):
         derived = np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
         plans.append(plan_from_record(record, default_seed=int(derived)))
-    # one plan at a time: its outcomes are dropped once scored
-    runs = []
-    for index, plan in enumerate(plans):
+
+    def scored(index, plan):
+        # one plan at a time: its outcomes are dropped once scored, the last plan's too
         truth, outcomes = run_experiment(plan, workers=args.workers)
         plan_ratios = ratios(outcomes, truth)
         msres = msre([plan_ratios[name] for name in ESTIMATOR_NAMES]).tolist()
-        runs.append((index, plan, plan_ratios, msres, sum(isinstance(o, ValueError) for o in outcomes)))
+        return index, plan, plan_ratios, msres, sum(isinstance(outcome, ValueError) for outcome in outcomes)
+
+    runs = [scored(index, plan) for index, plan in enumerate(plans)]
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
     blocks = []

@@ -56,8 +56,8 @@ class ExperimentPlan:
         check_tail(self.n, self.k, self.tau_prime)
 
 
-# ``simulate`` holds about 1.6 kB a replication (its outcome, ratios and
-# TSV lines) until its plan is written, 1.6 GB at this bound; a larger study is several plans
+# ``simulate`` holds about 1.0 kB a replication (its outcome, ratios and
+# TSV lines) until its plan is written, 1.0 GB at this bound; a larger study is several plans
 MAX_REPLICATIONS = 10**6
 # a replication's sample takes about 60 B a pair while it is drawn and
 # scored (50-60 MB of peak RSS at n = 10^6), so about 600 MB a worker at this bound
