@@ -46,7 +46,8 @@ PARAMETERS = ("theta", "nu", "rho")
 # Pareto2 theta and StudentT nu stop where the oracle stops: as either
 # grows the pair nears independence, the joint survival at VaR_X rounds
 # below (1 - tau)^2 and no CoVaR root is found.  Pareto2 first fails near
-# theta = 4e8, StudentT (rho 0.3) near nu = 3e14, at tau 0.95-0.9999.
+# theta = 4e8, StudentT near nu = 3e14 at rho 0.3 (sooner at rho < 0.1),
+# at tau 0.95-0.9999.
 _Family = namedtuple("_Family", ("x_exponent", "tail_index", "parameters"))
 _TABLE = {
     "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.1, 1.0, True)}),
