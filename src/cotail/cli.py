@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .core import check_tau_prime
+from .core import check_level
 from .covar_coes import ESTIMATOR_NAMES, RECORD_KEYS
 from .data_io import (
     RollingPlan,
@@ -34,7 +34,7 @@ from .data_io import (
     write_text,
 )
 from .empirical import check_tau_grid
-from .harness import _check_seed, msre, plan_from_record, ratios, run_experiment
+from .harness import _check_seed, _check_workers, msre, plan_from_record, ratios, run_experiment
 from .models import FAMILIES, PARAMETERS, make_spec
 from .oracle import oracle_result
 
@@ -74,6 +74,7 @@ def _parse_tau_grid(text: str) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     _check_seed(args.seed)
+    _check_workers(args.workers)
     with open(args.plan, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -90,14 +91,28 @@ def _cmd_simulate(args) -> int:
         derived = np.random.SeedSequence(args.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
         plans.append(plan_from_record(record, default_seed=int(derived)))
 
-    def scored(index, plan):
-        # one plan at a time: its outcomes are dropped once scored, the last plan's too
+    def scored(plan):
+        # a plan's outcomes are dropped once scored, before its rows are formatted
         truth, outcomes = run_experiment(plan, workers=args.workers)
         plan_ratios = ratios(outcomes, truth)
         msres = msre([plan_ratios[name] for name in ESTIMATOR_NAMES]).tolist()
-        return index, plan, plan_ratios, msres, sum(isinstance(outcome, ValueError) for outcome in outcomes)
+        return plan_ratios, msres, sum(isinstance(outcome, ValueError) for outcome in outcomes)
 
-    runs = [scored(index, plan) for index, plan in enumerate(plans)]
+    runs = []
+
+    def ratio_pieces():
+        # a row per replication and estimator: each plan's ratios are
+        # written, and dropped, before the next plan runs
+        yield format_tsv([("plan", "family", "estimator", "ratio")])
+        for index, plan in enumerate(plans):
+            plan_ratios, msres, failures = scored(plan)
+            runs.append((index, plan, msres, failures))
+            for name in ESTIMATOR_NAMES:
+                yield format_tsv((index, plan.spec.family, name, ratio) for ratio in plan_ratios.pop(name))
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_text(out / "ratios.tsv", ratio_pieces())
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])
     blocks = []
@@ -105,7 +120,7 @@ def _cmd_simulate(args) -> int:
         runs, key=lambda run: (run[1].n, run[1].k, run[1].tau_prime, run[1].replications)
     ):
         lines = [f"n={n}  k={k}  tau'={tau_prime:.10g}  N={replications}", header]
-        for _, plan, _, msres, failures in group:
+        for _, plan, msres, failures in group:
             cells = (f"{value:9.5f}" for value in msres)
             lines.append("  ".join([plan.spec.family.ljust(10), *cells, str(failures).rjust(6)]))
         blocks.append("\n".join(lines) + "\n")
@@ -116,30 +131,17 @@ def _cmd_simulate(args) -> int:
     ] + [
         (index, plan.spec.family, plan.n, plan.k, plan.tau_prime, plan.replications,
          *msres, failures)
-        for index, plan, _, msres, failures in runs
+        for index, plan, msres, failures in runs
     ]
-    # a stream, not a list: ratios.tsv has a row per replication and estimator
-    ratio_rows = chain(
-        [("plan", "family", "estimator", "ratio")],
-        (
-            (index, plan.spec.family, name, ratio)
-            for index, plan, plan_ratios, _, _ in runs
-            for name in ESTIMATOR_NAMES
-            for ratio in plan_ratios[name]
-        ),
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_text(out / "table.txt", table_text)
     write_text(out / "msre.tsv", format_tsv(msre_rows))
-    write_text(out / "ratios.tsv", format_tsv(ratio_rows))
     print(table_text, end="")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     ks = k_values(_parse_k(args.k))
-    check_tau_prime(args.tau)
+    check_level(args.tau, "tau_prime")
     _, sample = load_pair_series(args.x, args.y)
     estimates = estimate_with_k_values(sample, ks, args.tau)
     if args.json:

@@ -5,6 +5,7 @@ A ``LossPairSample`` is a validated, immutable pair of loss vectors and a
 deterministic tie-break.  ``check_tail`` is the one check that an
 intermediate order ``k`` and an extrapolation level ``tau_prime`` are valid
 for a sample size ``n``; it returns the derived count ``m``.
+``check_level`` is the one rule for a level in (0, 1), tau' or tau.
 
 Each estimator call builds the margin indexes it reads, once per stack,
 with ``build_margin_index``, the one sort path.  A stack is a (B, n)
@@ -166,7 +167,7 @@ class MarginIndex:
         return self.order[..., self.depth - count :][..., ::-1]
 
 
-def build_margin_index(values, depth: int | None = None, *, finite: bool = False) -> MarginIndex:
+def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     """Sort the top of one margin, or of each row of a (B, n) stack, and
     compute tie-broken ranks.
 
@@ -187,7 +188,6 @@ def build_margin_index(values, depth: int | None = None, *, finite: bool = False
         values: nonempty finite reals, 1-D, or 2-D with one margin per row.
         depth: how many of the largest values must be ordered, at least 1;
             None, or any depth >= n, gives the full index.
-        finite: the values are a ``LossPairSample``'s, checked already.
 
     Returns:
         MarginIndex with the order statistics and ranks of the tail, with a
@@ -198,7 +198,7 @@ def build_margin_index(values, depth: int | None = None, *, finite: bool = False
         raise ValueError("values must be one-dimensional, or a two-dimensional stack")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    if not finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     if depth is not None and _whole_number(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -265,8 +265,8 @@ def check_tail(n: int, k: int, tau_prime: float | None = None) -> int:
 
     This is the package's one check of a tail configuration.  The checks
     run in a fixed order and the first that fails raises: n >= 2, then
-    1 <= k < n, then tau_prime in (0, 1) (skipped for intermediate-only
-    use, tau_prime None).
+    1 <= k < n, then tau_prime in (0, 1) by ``check_level`` (skipped for
+    intermediate-only use, tau_prime None).
 
     Raises:
         ValueError: the first failing check.
@@ -276,12 +276,12 @@ def check_tail(n: int, k: int, tau_prime: float | None = None) -> int:
     if k <= 0 or k >= n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
     if tau_prime is not None:
-        check_tau_prime(tau_prime)
+        check_level(tau_prime, "tau_prime")
     return (k * k + n - 1) // n  # exact integer arithmetic
 
 
-def check_tau_prime(tau_prime: float) -> None:
-    """Raise unless the extrapolation level tau_prime lies in (0, 1): the
-    level rule of ``check_tail``, which needs no sample."""
-    if not (isinstance(tau_prime, numbers.Real) and 0.0 < tau_prime < 1.0):
-        raise ValueError(f"tau_prime must lie in (0, 1), got {tau_prime}")
+def check_level(level, name: str) -> None:
+    """Raise, naming the level ``name``, unless it is a real number in
+    (0, 1): the one rule for tau_prime and every tau."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {level}")

@@ -257,14 +257,14 @@ def estimate_k_range(
     ms = [1] * len(ks)
     for i, k in enumerate(ks):
         try:
-            ms[i] = check_tail(n, k, tau_prime)
+            ms[i] = check_tail(n, k)
         except ValueError as error:
             k_errors[i] = error
     # an invalid k runs as k = 1 (m = 1), so that each block of k is a slice
     # of ks; its cells fail with its error
     k_array, m_array = np.array([1 if i in k_errors else k for i, k in enumerate(ks)]), np.array(ms)
     depth = tail_depth(k_array)
-    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth, finite=True) for v in (sample.xs, sample.ys))
+    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
     values = np.empty((stack, len(ks), len(RECORD_KEYS)))

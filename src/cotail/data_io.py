@@ -77,8 +77,9 @@ _EPOCH = datetime.date(1970, 1, 1).toordinal()
 def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Each data row's day ordinal and price, in file order, read row by
     row with ``csv.reader``; blank rows (no cell, or one blank cell) are
-    skipped.  Raises the error of the first bad row, or of a file with no
-    data rows: the one place a price file's errors are worded."""
+    skipped.  Raises the error of the first bad row, naming the line the
+    row starts on, or of a file with no data rows: the one place a price
+    file's errors are worded."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often write
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -92,7 +93,10 @@ def _load_price_file(path) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
             raise ValueError(f"{path}: expected header 'date,price'")
-        for lineno, row in enumerate(reader, start=2):
+        # a row starts on the line after the row before ends; a quoted cell may hold line ends
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if len(row) != 2:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
@@ -217,10 +221,10 @@ def format_tsv(rows: Iterable[Sequence]) -> str:
     )
 
 
-def write_text(path, text: str) -> None:
-    """Write text as UTF-8 with LF line endings on every platform."""
+def write_text(path, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable's pieces in turn, as UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines([text] if isinstance(text, str) else text)
 
 
 def diagnostics_export(

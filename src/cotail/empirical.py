@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import MarginIndex, _check_reach, check_tail
+from .core import MarginIndex, _check_reach, check_level, check_tail
 
 
 def _hill(margin: MarginIndex, ks: np.ndarray) -> np.ndarray:
@@ -65,13 +65,13 @@ def tail_prob_curve(x_index: MarginIndex, y_index: MarginIndex, taus) -> np.ndar
 
 
 def check_tau_grid(taus) -> np.ndarray:
-    """``taus`` as a float array, raising unless it is nonempty with every
-    level in (0, 1): the one rule for a grid of levels."""
+    """``taus`` as a float array, raising unless it is nonempty, or at its
+    first level outside (0, 1) by ``check_level``."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size == 0:
         raise ValueError("empty tau grid")
-    if not np.all((0.0 < taus) & (taus < 1.0)):
-        raise ValueError("every tau must lie in (0, 1)")
+    for tau in taus.tolist():
+        check_level(tau, "tau")
     return taus
 
 

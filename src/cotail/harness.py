@@ -56,8 +56,8 @@ class ExperimentPlan:
         check_tail(self.n, self.k, self.tau_prime)
 
 
-# ``simulate`` holds about 1.0 kB a replication (its outcome, ratios and
-# TSV lines) until its plan is written, 1.0 GB at this bound; a larger study is several plans
+# ``simulate`` holds about 1.0 kB a replication (its outcome) while a plan is scored, 1.0 GB
+# at this bound; each plan's ratios are written before the next runs, so a larger study is several plans
 MAX_REPLICATIONS = 10**6
 # a replication's sample takes about 60 B a pair while it is drawn and
 # scored (50-60 MB of peak RSS at n = 10^6), so about 600 MB a worker at this bound
@@ -68,6 +68,12 @@ def _check_seed(seed: int) -> None:
     """The one check of a plan's seed and of ``simulate --seed``."""
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _check_workers(workers: int) -> None:
+    """The one check of ``run_experiment``'s workers and of ``simulate --workers``."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def plan_from_record(record: dict, default_seed: int | None = None) -> ExperimentPlan:
@@ -135,8 +141,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult
     one ``sample_model`` and one ``estimate_k_range`` call.  Raises if
     every replication fails, or if ``workers`` is below 1.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     truth = oracle_result(plan.spec, plan.tau_prime)
     size = _stack_rows(plan.n, (plan.k,))
 

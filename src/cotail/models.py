@@ -13,12 +13,12 @@ the first coordinate of a dependent pre-transform pair:
 
 One table states each family's facts: its X exponent, the parameter that
 is its pre-transform tail index, and each parameter's default and range.
-``ModelSpec`` and ``make_spec`` read it; the samplers, tail copulas,
-survivals and quantiles below are per-family algorithms.
+``ModelSpec`` and ``make_spec`` read it; the samplers, survivals and
+quantiles below are per-family algorithms.
 
-The analytic tail copula R, the pre-transform margin survival and the
-marginal quantiles serve the oracle; the tests also check the estimators
-against R.
+The pre-transform margin survival and the marginal quantiles serve the
+oracle.  The analytic tail copulas R, which the tests check the estimators
+against, live with the other test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import LossPairSample
+from .core import LossPairSample, check_level
 
 PARAMETERS = ("theta", "nu", "rho")
 
@@ -186,45 +186,6 @@ def _draw(generators: Sequence[np.random.Generator], shape: tuple, method: str, 
     return out
 
 
-def _student_pair_term(x: float, y: float, rho: float, nu: float) -> float:
-    """Tail-copula contribution of one signed quadrant of a bivariate t pair."""
-    c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
-    points = (c * (rho - (y / x) ** (1.0 / nu)), c * (rho - (x / y) ** (1.0 / nu)))
-    cdf_y, cdf_x = special.stdtr(nu + 1.0, points).tolist()
-    return y * cdf_y + x * cdf_x
-
-
-def true_tail_copula(spec: ModelSpec, x: float, y: float) -> float:
-    """Analytic tail copula R(x, y) of the model.
-
-    Homogeneous of degree 1 with margins R(x, inf) = x, R(inf, y) = y.
-    For StudentT the absolute-value transforms fold the two signed
-    quadrants together, so R is the sum of the correlated (rho) and
-    anti-correlated (-rho) quadrant terms.
-    """
-    if x < 0.0 or y < 0.0:
-        raise ValueError("tail copula arguments must be nonnegative")
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    if spec.family == "Logistic":
-        # x + y - (x^(1/t) + y^(1/t))^t, factored through the larger
-        # argument so that the difference does not cancel
-        t = spec.theta
-        lo, hi = min(x, y), max(x, y)
-        return lo - hi * math.expm1(t * math.log1p((lo / hi) ** (1.0 / t)))
-    if spec.family == "Cauchy":
-        return x + y - math.hypot(x, y)
-    if spec.family == "Pareto2":
-        # (x^(-1/t) + y^(-1/t))^(-t), factored through the smaller argument
-        # so that a tiny one does not overflow
-        t = spec.theta
-        lo, hi = min(x, y), max(x, y)
-        return lo * (1.0 + (lo / hi) ** (1.0 / t)) ** (-t)
-    return _student_pair_term(x, y, spec.rho, spec.nu) + _student_pair_term(
-        x, y, -spec.rho, spec.nu
-    )
-
-
 def pre_margin_survival(spec: ModelSpec, z: float) -> float:
     """Survival P(Z > z) of one pre-transform coordinate, z >= 0.
 
@@ -245,19 +206,13 @@ def pre_margin_survival(spec: ModelSpec, z: float) -> float:
     return 2.0 * float(special.stdtr(spec.nu, -z))
 
 
-def check_level(tau: float) -> None:
-    """Raise unless the level tau lies in (0, 1)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-
-
 def marginal_quantiles(spec: ModelSpec, tau: float) -> tuple[float, float]:
     """(VaR_X(tau), VaR_Y(tau)) from the analytic margins.
 
     The pre-transform margin quantile is closed-form except for StudentT,
     where it is the t quantile at (1 + tau)/2 (``scipy.special.stdtrit``).
     """
-    check_level(tau)
+    check_level(tau, "tau")
     if spec.family == "Logistic":
         q = -1.0 / math.log(tau)
     elif spec.family == "Cauchy":

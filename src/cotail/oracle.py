@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .models import ModelSpec, check_level, marginal_quantiles, pre_margin_survival, true_tail_copula
+from .core import check_level
+from .models import ModelSpec, marginal_quantiles, pre_margin_survival
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,12 @@ def joint_survival(spec: ModelSpec, s: float, t: float) -> float:
         # inclusion-exclusion 1 - e^-x - e^-y + e^-V on the logistic
         # max-stable CDF (x = 1/z, y = 1/t, V = x + y - R(x, y)), regrouped
         # into two nonnegative terms so tail probabilities do not cancel;
-        # e^(R - x - y) <= 1 since R <= min(x, y), so neither term overflows
-        x, y = 1.0 / z, 1.0 / t
-        r = true_tail_copula(spec, x, y)
+        # e^(R - x - y) <= 1 since R <= min(x, y), so neither term overflows.
+        # R(x, y) = x + y - (x^(1/a) + y^(1/a))^a is factored through the
+        # larger argument so that the difference does not cancel
+        x, y, a = 1.0 / z, 1.0 / t, spec.theta
+        lo, hi = min(x, y), max(x, y)
+        r = lo - hi * math.expm1(a * math.log1p((lo / hi) ** (1.0 / a))) if lo else 0.0
         return math.expm1(-x) * math.expm1(-y) - math.exp(r - x - y) * math.expm1(-r)
     if spec.family == "Cauchy":
         return 4.0 * _cauchy_quadrant(z, t)
@@ -380,11 +384,11 @@ def _tail_integral(spec: ModelSpec, c: float, var_y: float) -> tuple[float, floa
 def oracle_result(spec: ModelSpec, tau: float) -> OracleResult:
     """Memoized (VaR_Y, CoVaR, CoES) truth for the model at level tau; the
     first result stored for a cell is the one every caller gets."""
+    check_level(tau, "tau")
     key = (spec, tau)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    check_level(tau)
     if spec.gamma_1 >= 1.0:
         # E[X; Y >= var_y] is infinite: no quantile (which can overflow) and
         # no CoVaR root is computed for a CoES that cannot be given

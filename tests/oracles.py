@@ -16,9 +16,11 @@ at the threshold.  The eta-hat scan imports the package's value expressions
 with the procedures bit-for-bit.  The joint tail probability is counted on
 values, against the rank-based diagnostic curve.
 
-The model references are definitions the tests hold the package to: the
-finite-level eta at the true CoVaR (``eta_true``) and its limit, the root of
-R(eta, 1) = 1 - tau (``eta_star``).
+The model references are definitions the tests hold the package to: each
+family's analytic tail copula R (``true_tail_copula``), the finite-level
+eta at the true CoVaR (``eta_true``) and its limit, the root of
+R(eta, 1) = 1 - tau (``eta_star``).  The oracle's Logistic joint survival
+writes out its own R, the one family whose R the package reads.
 
 The price-file references read row by row, from the open file, what
 ``data_io`` walks from the whole decoded text:
@@ -41,11 +43,11 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, stdtr
 
-from cotail.core import LossPairSample, build_margin_index, check_tail
+from cotail.core import LossPairSample, build_margin_index, check_level, check_tail
 from cotail.covar_coes import _intermediate
-from cotail.models import ModelSpec, marginal_quantiles, pre_margin_survival, true_tail_copula
+from cotail.models import ModelSpec, marginal_quantiles, pre_margin_survival
 from cotail.oracle import _root_above, oracle_result
 from cotail.tail_copula import _eta, _eta1_value, _eta2_value, _not_attained, filtered_x_ranks
 
@@ -77,6 +79,45 @@ def r_hat(sample: LossPairSample, k: int, variant: int, x: float, y: float) -> f
     return float(np.count_nonzero(hits) / k)
 
 
+def _student_pair_term(x: float, y: float, rho: float, nu: float) -> float:
+    """Tail-copula contribution of one signed quadrant of a bivariate t pair."""
+    c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
+    points = (c * (rho - (y / x) ** (1.0 / nu)), c * (rho - (x / y) ** (1.0 / nu)))
+    cdf_y, cdf_x = stdtr(nu + 1.0, points).tolist()
+    return y * cdf_y + x * cdf_x
+
+
+def true_tail_copula(spec: ModelSpec, x: float, y: float) -> float:
+    """Analytic tail copula R(x, y) of the model.
+
+    Homogeneous of degree 1 with margins R(x, inf) = x, R(inf, y) = y.
+    For StudentT the absolute-value transforms fold the two signed
+    quadrants together, so R is the sum of the correlated (rho) and
+    anti-correlated (-rho) quadrant terms.
+    """
+    if x < 0.0 or y < 0.0:
+        raise ValueError("tail copula arguments must be nonnegative")
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    if spec.family == "Logistic":
+        # x + y - (x^(1/t) + y^(1/t))^t, factored through the larger
+        # argument so that the difference does not cancel
+        t = spec.theta
+        lo, hi = min(x, y), max(x, y)
+        return lo - hi * math.expm1(t * math.log1p((lo / hi) ** (1.0 / t)))
+    if spec.family == "Cauchy":
+        return x + y - math.hypot(x, y)
+    if spec.family == "Pareto2":
+        # (x^(-1/t) + y^(-1/t))^(-t), factored through the smaller argument
+        # so that a tiny one does not overflow
+        t = spec.theta
+        lo, hi = min(x, y), max(x, y)
+        return lo * (1.0 + (lo / hi) ** (1.0 / t)) ** (-t)
+    return _student_pair_term(x, y, spec.rho, spec.nu) + _student_pair_term(
+        x, y, -spec.rho, spec.nu
+    )
+
+
 def eta_true(spec: ModelSpec, tau: float) -> float:
     """Finite-level eta: F-bar_X(CoVaR)/(1 - tau), at the memoized true CoVaR."""
     c = oracle_result(spec, tau).covar
@@ -85,8 +126,7 @@ def eta_true(spec: ModelSpec, tau: float) -> float:
 
 def eta_star(spec: ModelSpec, tau: float) -> float:
     """Limit analogue: the root of R(eta, 1) = 1 - tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    check_level(tau, "tau")
     target = 1.0 - tau
     return _root_above(lambda eta: target - true_tail_copula(spec, eta, 1.0), 0.0, 1.0, "eta*")
 
@@ -366,7 +406,9 @@ def price_table_by_rows(path) -> dict[datetime.date, float]:
             if header is None or [cell.strip().lower() for cell in header] != ["date", "price"]:
                 raise ValueError(f"{path}: expected header 'date,price'")
             table: dict[datetime.date, float] = {}
-            for lineno, row in enumerate(reader, start=2):
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 2:

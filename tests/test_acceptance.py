@@ -19,9 +19,9 @@ from cotail.core import LossPairSample, build_margin_index
 from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.empirical import hill_curve
 from cotail.harness import ExperimentPlan, msre, ratios, run_experiment
-from cotail.models import FAMILIES, make_spec, sample_model, true_tail_copula
+from cotail.models import FAMILIES, make_spec, sample_model
 from cotail.oracle import oracle_result
-from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, selection_at
+from oracles import eta_hat_bruteforce, intermediate_covar_scan, r_hat, selection_at, true_tail_copula
 
 GRID_K = {500: 120, 1000: 150, 2000: 250, 5000: 300}
 

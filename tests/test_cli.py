@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,7 @@ _FLAG_TAILS = {
         pytest.param("estimate", ["--k", "60", "--tau", "1.5"],
                      "error: tau_prime must lie in (0, 1), got 1.5\n", id="estimate-tau-range"),
         pytest.param("diagnose", ["--k", "60:20"], "error: empty k range (60, 20)\n", id="diagnose-k-range"),
-        pytest.param("diagnose", ["--k", "60", "--taugrid", "1.5"], "error: every tau must lie in (0, 1)\n",
+        pytest.param("diagnose", ["--k", "60", "--taugrid", "1.5"], "error: tau must lie in (0, 1), got 1.5\n",
                      id="diagnose-tau-range"),
     ],
 )
@@ -425,6 +426,41 @@ def test_rolling_step_beyond_the_series_gives_the_first_window(tmp_path, price_f
     assert len(outputs[0].out.splitlines()) == 2 and outputs[0].err == ""
 
 
+def test_simulate_holds_one_plan_at_a_time(tmp_path):
+    """Each plan's ratios are written before the next plan runs, so three
+    plans peak within 1.5x of one; formatting every plan's ratios at the
+    end would take about 2x at this R."""
+    record = {"model": {"family": "Cauchy"}, "n": 20, "k": 5, "tau_prime": 0.99, "replications": 4000}
+    oracle_result(make_spec("Cauchy"), 0.99)  # the memo is warm for both runs
+    peaks = []
+    for plans in (1, 3):
+        plan_path = tmp_path / f"plan{plans}.json"
+        plan_path.write_text(json.dumps([record] * plans), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--plan", str(plan_path), "--seed", "1",
+                             "--out", str(tmp_path / f"out{plans}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_failing_plan_leaves_the_ratios_of_the_plans_before_it(tmp_path, capsys):
+    """A plan that fails ends the run: ratios.tsv holds the rows of the
+    plans before it, and table.txt and msre.tsv are not written."""
+    good, bad = _plan_records()[0], {**_plan_records()[0], "model": {"family": "Pareto2", "theta": 0.1}}
+    for name, records in (("one", [good]), ("two", [good, bad])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(records), encoding="utf-8")
+    assert main(["simulate", "--plan", str(tmp_path / "one.json"), "--seed", "3", "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--plan", str(tmp_path / "two.json"), "--seed", "3", "--out", str(tmp_path / "two")]) == 1
+    assert "CoES is infinite" in capsys.readouterr().err
+    assert sorted(path.name for path in (tmp_path / "two").iterdir()) == ["ratios.tsv"]
+    assert (tmp_path / "two" / "ratios.tsv").read_bytes() == (tmp_path / "one" / "ratios.tsv").read_bytes()
+
+
 def test_simulate_rejects_workers_below_one(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(_plan_records()), encoding="utf-8")
@@ -432,6 +468,7 @@ def test_simulate_rejects_workers_below_one(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--workers", "-3"])
     assert rc == 1
     assert capsys.readouterr().err == "error: workers must be at least 1, got -3\n"
+    assert not (tmp_path / "out").exists()  # a flag error writes nothing
 
 
 def test_diagnose_rejects_nan_tau(price_files, tmp_path, capsys):
@@ -439,7 +476,7 @@ def test_diagnose_rejects_nan_tau(price_files, tmp_path, capsys):
                "--k", "20:30", "--taugrid", "nan",
                "--out", str(tmp_path / "d")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: every tau must lie in (0, 1)\n"
+    assert capsys.readouterr().err == "error: tau must lie in (0, 1), got nan\n"
 
 
 

@@ -10,8 +10,8 @@ from cotail.core import (
     EstimationError,
     LossPairSample,
     build_margin_index,
+    check_level,
     check_tail,
-    check_tau_prime,
 )
 from cotail.covar_coes import estimate_all, estimate_k_range
 from cotail.data_io import RollingPlan
@@ -154,7 +154,7 @@ def test_check_tail_rejects_bad_tau_prime():
     # a level that is not a real number is out of range too, not a TypeError
     for tau in ("0.99", [0.99], True):
         with pytest.raises(ValueError, match=re.escape(f"tau_prime must lie in (0, 1), got {tau}")):
-            check_tau_prime(tau)
+            check_level(tau, "tau_prime")
 
 
 def test_small_k_warning():

@@ -158,6 +158,12 @@ class TestLoader:
             ("date,price\n2015-01-05,inf\n", "non-finite price inf"),
             ("date,price\n2015-01-05,nan\n", "non-finite price nan"),
             ("date,price\n2015-01-05,100\n2015-01-05,101\n", "duplicate"),
+            # a row after a quoted cell that holds a line end is named by its own line
+            pytest.param(
+                'date,price\n2015-01-02,"1\n"\n2015-01-05,-1\n',
+                r"^\S*bad.csv:4: non-positive price -1$",
+                id="line-after-quoted-line-end",
+            ),
             ("date,price\n", "no data rows"),
             # a cell over csv's 131072-character field limit, read whole or by csv.reader
             pytest.param(

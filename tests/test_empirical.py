@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,8 +117,11 @@ def test_tail_prob_anti_comonotone_is_zero():
 def test_tail_prob_rejects_bad_tau():
     sample = LossPairSample(xs=np.arange(1.0, 11.0), ys=np.arange(1.0, 11.0))
     for tau in (0.0, 1.0, -0.1, math.nan):
-        with pytest.raises(ValueError, match=r"every tau must lie in \(0, 1\)"):
+        with pytest.raises(ValueError, match=re.escape(f"tau must lie in (0, 1), got {tau}")):
             _tail_prob(sample, [tau])
+    # a grid is named by its first level outside (0, 1)
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, 1\), got 1\.5$"):
+        _tail_prob(sample, [0.9, 1.5, 2.0])
 
 
 def test_tail_prob_nonincreasing_in_tau():

@@ -16,10 +16,9 @@ from cotail.models import (
     marginal_quantiles,
     pre_margin_survival,
     sample_model,
-    true_tail_copula,
 )
 from cotail.oracle import oracle_result
-from oracles import r_hat
+from oracles import r_hat, true_tail_copula
 
 
 class TestModelSpec:

@@ -15,10 +15,9 @@ from cotail.models import (
     marginal_quantiles,
     pre_margin_survival,
     sample_model,
-    true_tail_copula,
 )
 from cotail.oracle import _RTOL, _brentq, _kronrod21, _quad, joint_survival, oracle_result
-from oracles import covar_coes_mp, eta_star, eta_true, joint_survival_quad
+from oracles import covar_coes_mp, eta_star, eta_true, joint_survival_quad, true_tail_copula
 
 
 def test_joint_survival_known_values():
@@ -368,6 +367,16 @@ def test_invalid_tau_rejected():
             oracle_result(make_spec("Cauchy"), tau)
         with pytest.raises(ValueError):
             eta_star(make_spec("Cauchy"), tau)
+
+
+@pytest.mark.parametrize("tau", ["0.99", [0.99], True, math.nan])
+def test_non_number_tau_is_a_worded_error(tau):
+    """A level that is not a real number in (0, 1) meets the one level
+    rule, not a TypeError from a comparison or the memo's hash."""
+    for check in (oracle_result, marginal_quantiles):
+        with pytest.raises(ValueError) as caught:
+            check(make_spec("Cauchy"), tau)
+        assert str(caught.value) == f"tau must lie in (0, 1), got {tau}"
 
 
 def test_oracle_matches_monte_carlo_cauchy():

@@ -602,6 +602,8 @@ def _table_or_error(load, path):
 @example("date,price\r\n2015-01-05,1\r\n\r\n2015-01-06,2\r\n")
 @example("date,price\r2015-01-05,1\r2015-01-06,2")
 @example('date,price\n"2015-01-05\n",1\n2015-01-06,2\n')
+# a bad row after a quoted cell that holds a line end: line 4, not row 3
+@example('date,price\n2015-01-02,"1\n"\n2015-01-05,-1\n')
 def test_column_loader_reads_every_text_as_the_row_loop(tmp_path_factory, text):
     """The loader returns the reference row loop's dates and price bits in
     file order, or raises its ValueError text.  The examples are texts

@@ -5,9 +5,9 @@ import pytest
 
 from cotail.core import EstimationError, LossPairSample, WarningRecord
 from cotail.covar_coes import estimate_all
-from cotail.models import make_spec, sample_model, true_tail_copula
+from cotail.models import make_spec, sample_model
 from cotail.tail_copula import _eta
-from oracles import eta_hat_bruteforce, r_hat, selection_at
+from oracles import eta_hat_bruteforce, r_hat, selection_at, true_tail_copula
 
 SMALL_XS = np.array([1.0, 2.0, 3.0, 4.0])
 SMALL_YS = np.array([1.0, 3.0, 2.0, 4.0])
