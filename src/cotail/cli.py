@@ -112,6 +112,8 @@ def _cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("table.txt", "msre.tsv"):  # an earlier run's, which a failing plan would leave
+        (out / name).unlink(missing_ok=True)
     write_text(out / "ratios.tsv", ratio_pieces())
     # consecutive plans sharing (n, k, tau', N) form one block with a row per model
     header = "  ".join(["model".ljust(10), *(name.rjust(9) for name in ESTIMATOR_NAMES), "fail".rjust(6)])

@@ -14,13 +14,13 @@ takes a stack of samples, and one sample is a stack of one: only
 ``estimate_all`` and ``data_io.estimate_with_k_values`` unwrap its one
 row.  The (row, k) grid (values, failures, fired warnings) comes from
 whole-array passes, sized by ``_MATRIX_CELLS``, the one cell budget for
-every stack and block of k; an error is built only for a cell that fails.  Each k is checked by
-``core.check_tail``; d and the ``small_k`` / ``d_below_one`` conditions
-are derived here.
+every stack and block of k; an error is built only for a cell that fails.
+A k outside [1, n - 1] raises (``core.check_tail`` checks all k at once)
+and is never a cell; d and ``small_k`` / ``d_below_one`` are derived here.
 ``KRangeEstimates.outcomes`` reads each row as its ``Outcome``, the one
 shape of a rolling window and of a Monte Carlo replication: the values
-averaged over the k that succeed with the warning codes, or the error,
-code kept, of a row whose every k fails.  It is the one k-average.
+averaged over the k that succeed with the warning codes, or the coded
+error of a row whose every k fails.  It is the one k-average.
 ``KRangeEstimates._warning`` words every warning of the five
 ``WARNING_CODES``, and ``first_warnings`` the k-range warning
 ``k_partial``, only where a record is asked for.  ``RECORD_KEYS`` is the
@@ -77,7 +77,7 @@ ESTIMATOR_NAMES = RECORD_KEYS[6:]
 WARNING_CODES = ("small_k", "d_below_one", "ties_at_threshold", "eta_clamped", "gamma_above_half")
 
 # a row's k-averaged values and warning codes, or its error (``KRangeEstimates.outcomes``)
-Outcome = tuple[list[float], tuple[str, ...]] | ValueError
+Outcome = tuple[list[float], tuple[str, ...]] | EstimationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +92,9 @@ class KRangeEstimates:
     Y_(n-k,n) and the raw variant-1 eta-hat value (only variant 1 can be
     floored).  ``failed`` marks the cells that fail; they hold NaN and
     False.  ``errors`` maps the index (row, i) of each failed cell to what
-    ``estimate_all`` raises there: an ``EstimationError`` with its code, or
-    a plain ``ValueError`` for an invalid k.  ``n`` and ``tau_prime`` are
-    the sample size and extrapolation level the warnings quote.
+    ``estimate_all`` raises there, an ``EstimationError`` with its code.
+    ``n`` and ``tau_prime`` are the sample size and extrapolation level the
+    warnings quote.
     """
 
     ks: list[int]
@@ -135,8 +135,8 @@ class KRangeEstimates:
         and its warning codes, each once in ``first_met`` order, then
         ``k_partial`` if some k fail; nothing is worded.  A row whose every
         k fails gets an ``EstimationError`` with its first k's code and
-        each k's "k=K: reason", or a plain ``ValueError`` if that k is
-        invalid.  Rows that share a count of succeeded k share one mean."""
+        each k's "k=K: reason".  Rows that share a count of succeeded k
+        share one mean."""
         succeeded = ~self.failed
         counts = succeeded.sum(axis=1)
         means: list = [None] * len(counts)
@@ -153,9 +153,8 @@ class KRangeEstimates:
             if count:
                 partial = ("k_partial",) if count < len(self.ks) else ()
                 outcomes.append((mean, tuple(WARNING_CODES[column] for _, column in met) + partial))
-            else:  # the error of the first k, coded unless that k is invalid
-                error, text = self.errors[row, 0], "; ".join(self._failures(row))
-                outcomes.append(ValueError(text) if type(error) is ValueError else EstimationError(error.code, text))
+            else:  # the code of the first k
+                outcomes.append(EstimationError(self.errors[row, 0].code, "; ".join(self._failures(row))))
         return outcomes
 
     def _failures(self, row: int) -> list[str]:
@@ -234,17 +233,18 @@ def estimate_k_range(
     too; its one ``KRangeEstimates`` gives each row, bit for bit, the
     result that row gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
     blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
-    no result depends on the blocks.  An n below 2, a tau' outside (0, 1)
-    or more than 2n k values raises once.  A k fails, in this order, when
-    it is invalid, when X_(n-k,n) is not positive, when gamma1 lies outside
-    (0, 1) (the variant 1-3 extrapolations are undefined) or when eta-hat
-    is not attained; its failure is recorded, not raised.
+    no result depends on the blocks.  An n below 2, a tau' outside (0, 1),
+    more than 2n k values or a k outside [1, n - 1] (the first in order)
+    raises.  A valid k fails, in this order, when X_(n-k,n) is not
+    positive, when gamma1 lies outside (0, 1) (the variant 1-3
+    extrapolations are undefined) or when eta-hat is not attained; its
+    failure is recorded as an ``EstimationError``, not raised.
     """
     n = sample.n
     check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
     # at most n - 1 k values are valid: a sequence of more than 2n, a wide
     # range say, is mostly invalid k and is not built into an array (a slice
-    # of a range has no len to overflow); one that crosses n runs
+    # of a range has no len to overflow), while a shorter one raises below
     if len(ks[: 2 * n + 1]) > 2 * n:
         raise ValueError(f"more than 2n = {2 * n} k values for n={n} pairs: only 1 <= k < n can be valid")
     ks = np.asarray(ks)
@@ -252,17 +252,8 @@ def estimate_k_range(
         raise ValueError("need at least one k value")
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k values must be integers, got {ks.tolist()}")
-    ks = ks.tolist()
-    k_errors = {}
-    ms = [1] * len(ks)
-    for i, k in enumerate(ks):
-        try:
-            ms[i] = check_tail(n, k)
-        except ValueError as error:
-            k_errors[i] = error
-    # an invalid k runs as k = 1 (m = 1), so that each block of k is a slice
-    # of ks; its cells fail with its error
-    k_array, m_array = np.array([1 if i in k_errors else k for i, k in enumerate(ks)]), np.array(ms)
+    m_array = check_tail(n, ks)  # the first k outside [1, n - 1], in order, raises
+    k_array, ks = ks.astype(np.int64), ks.tolist()
     depth = tail_depth(k_array)
     x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
@@ -270,8 +261,7 @@ def estimate_k_range(
     values = np.empty((stack, len(ks), len(RECORD_KEYS)))
     fired = np.empty((stack, len(ks), len(WARNING_CODES)), dtype=bool)
     quoted = np.empty((stack, len(ks), 2))
-    # each cell's failure: 0 where it succeeds, -1 for an invalid k, else
-    # the first check that fails
+    # each cell's failure: 0 where it succeeds, else the first check that fails
     reasons = np.empty((stack, len(ks)), dtype=np.int8)
     # each block of k shares one (stack, k, k_max + 1) rank matrix; blocks bound its size
     block = max(1, _MATRIX_CELLS // (stack * (depth - 1)))
@@ -314,14 +304,11 @@ def estimate_k_range(
         for column, flag in enumerate((part_ks < n ** (2.0 / 3.0), d < 1.0, ties, clamped, gamma >= 0.5)):
             fired[:, part, column] = flag
         quoted[:, part] = np.stack((y_at, raw1), axis=-1)
-    reasons[:, list(k_errors)] = -1
     # an error is built only for a cell that fails, before its values are cleared
     errors = {}
     rows, columns = np.nonzero(reasons)
     for row, i, reason in zip(rows.tolist(), columns.tolist(), reasons[rows, columns].tolist()):
-        if reason < 0:
-            error = k_errors[i]
-        elif reason == 1:
+        if reason == 1:
             threshold = values[row, i, 1].item()
             message = f"threshold order statistic X_({n - ks[i]},{n}) = {threshold} is not positive"
             error = EstimationError("threshold_not_positive", message)

@@ -82,8 +82,7 @@ def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:
     keep their estimates.
     """
     n = margin.n
-    check_tail(n, k_min)
-    check_tail(n, k_max)
+    check_tail(n, np.array([k_min, k_max]))
     if k_min > k_max:
         raise ValueError(f"need k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     _check_reach((margin,), k_max + 1, f"k={k_max}")

@@ -213,6 +213,18 @@ def test_estimate_reports_bad_tau_once(price_files, capsys):
     assert capsys.readouterr().err == "error: tau_prime must lie in (0, 1), got 1.5\n"
 
 
+def test_estimate_range_crossing_n_is_one_error(capsys):
+    """A k range past the 1250 losses of the seed-3 golden files is an
+    argument error naming k = n, as in ``rolling``, not a k_partial row."""
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    rc = main(["estimate", "--x", str(inputs / "x3.csv"), "--y", str(inputs / "y3.csv"),
+               "--k", "1:2500", "--tau", "0.999"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must satisfy 1 <= k < n, got k=1250 with n=1250\n"
+
+
 def test_diagnose_writes_three_files(tmp_path, price_files, capsys):
     out_dir = tmp_path / "diag"
     rc = main(["diagnose", "--x", str(price_files["x"]), "--y", str(price_files["y"]),
@@ -459,6 +471,30 @@ def test_failing_plan_leaves_the_ratios_of_the_plans_before_it(tmp_path, capsys)
     assert "CoES is infinite" in capsys.readouterr().err
     assert sorted(path.name for path in (tmp_path / "two").iterdir()) == ["ratios.tsv"]
     assert (tmp_path / "two" / "ratios.tsv").read_bytes() == (tmp_path / "one" / "ratios.tsv").read_bytes()
+
+
+def test_failing_run_into_a_reused_out_leaves_no_earlier_table(tmp_path, capsys):
+    """A run that fails at a later plan, into the directory of an earlier
+    run, leaves only its own ratios.tsv: the earlier table.txt and msre.tsv
+    are gone, so the directory never mixes two runs."""
+    cauchy = {"model": {"family": "Cauchy"}, "n": 200, "k": 40, "tau_prime": 0.99, "replications": 3}
+    runs = {
+        "first": [{**cauchy, "replications": 5}],
+        "alone": [cauchy],
+        "reused": [cauchy, {**cauchy, "model": {"family": "Pareto2", "theta": 0.1}}],
+    }
+    for name, records in runs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(records), encoding="utf-8")
+
+    def simulate(plan, out):
+        return main(["simulate", "--plan", str(tmp_path / f"{plan}.json"), "--seed", "3", "--out", str(tmp_path / out)])
+
+    assert simulate("first", "out") == 0 and simulate("alone", "alone") == 0
+    capsys.readouterr()
+    assert simulate("reused", "out") == 1
+    assert "CoES is infinite" in capsys.readouterr().err
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["ratios.tsv"]
+    assert (tmp_path / "out" / "ratios.tsv").read_bytes() == (tmp_path / "alone" / "ratios.tsv").read_bytes()
 
 
 def test_simulate_rejects_workers_below_one(tmp_path, capsys):

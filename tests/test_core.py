@@ -188,6 +188,7 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
         lambda: r11_curve(build_margin_index(grid), build_margin_index(grid), [k]),
         lambda: hill_curve(build_margin_index(grid), k, k),
         lambda: estimate_all(sample, k, 0.99),
+        lambda: estimate_k_range(sample, [k], 0.99),
         lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),
         lambda: RollingPlan(window=n, k=k, tau_prime=0.99),
     ]
@@ -195,7 +196,6 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
         with pytest.raises(ValueError) as caught:
             call()
         assert str(caught.value) == expected
-    assert str(estimate_k_range(sample, [k], 0.99).errors[0, 0]) == expected
 
 
 @pytest.mark.parametrize("code", ESTIMATION_ERROR_CODES)

@@ -243,19 +243,12 @@ class TestAveraging:
         assert len(partial) == 1
         assert "k=10" in partial[0].message
 
-    def test_k_range_crossing_n_keeps_the_valid_k(self):
+    def test_k_range_crossing_n_raises_at_k_n(self):
         n = 40
         u = np.arange(1, n + 1) / (n + 1.0)
         sample = LossPairSample(xs=(1.0 - u) ** (-1.0 / 3.0), ys=np.arange(float(n)))
-        averaged = estimate_with_k_values(sample, range(36, 43), 0.99)
-        direct = [estimate_all(sample, k, 0.99) for k in range(36, 40)]
-        for name in RECORD_KEYS:
-            assert getattr(averaged, name) == np.mean([getattr(est, name) for est in direct])
-        partial = [w.message for w in averaged.warnings if w.code == "k_partial"]
-        assert partial == [
-            "3 of 7 k values failed and were excluded: "
-            + "; ".join(f"k={k}: k must satisfy 1 <= k < n, got k={k} with n=40" for k in (40, 41, 42))
-        ]
+        with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n, got k=40 with n=40$"):
+            estimate_with_k_values(sample, range(36, 43), 0.99)
 
     def test_warning_codes_deduplicated(self):
         sample = self._fixture()

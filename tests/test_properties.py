@@ -205,7 +205,7 @@ def test_k_range_on_tail_indexes_equals_full_indexes(case, width, tau_prime):
     full indexes, the ones the brute-force criterion reads, it gives the
     same rows."""
     sample, k = case
-    ks = range(k, min(k + width, sample.n + 2) + 1)
+    ks = range(k, min(k + width, sample.n - 1) + 1)
     on_tail = estimate_k_range(sample, ks, tau_prime)
     built = []
 
@@ -329,7 +329,7 @@ def test_permutation_changes_no_value_on_tie_free_data(family, seed, n, k_share)
 @given(tied_dependent_samples(), st.integers(0, 30), st.sampled_from([0.99, 0.999]))
 def test_k_range_rows_equal_estimate_all_on_ties(case, width, tau_prime):
     sample, k = case
-    ks = range(k, min(k + width, sample.n + 2) + 1)
+    ks = range(k, min(k + width, sample.n - 1) + 1)
     result = estimate_k_range(sample, ks, tau_prime)
     for i, k in enumerate(ks):
         assert _row_outcome(result, i) == _row_outcome(estimate_k_range(sample, [k], tau_prime), 0)
@@ -415,7 +415,7 @@ def _alone(call):
 @st.composite
 def stacks(draw):
     """(rows, ks): 2 to 7 model samples of one size n, some rounded so that
-    they tie at the cut, in a drawn order, and a k-range that may cross n."""
+    they tie at the cut, in a drawn order, and a k-range in [1, n - 1]."""
     n = draw(st.integers(8, 80))
     rows = []
     for _ in range(draw(st.integers(2, 7))):
@@ -424,8 +424,8 @@ def stacks(draw):
         decimals = draw(st.sampled_from([None, 0, 1]))
         rows.append(tuple(v if decimals is None else np.round(v, decimals) for v in (sample.xs, sample.ys)))
     rows = draw(st.permutations(rows))
-    lo = draw(st.integers(1, n))
-    return rows, range(lo, draw(st.integers(lo, n + 3)) + 1)
+    lo = draw(st.integers(1, n - 1))
+    return rows, range(lo, draw(st.integers(lo, n - 1)) + 1)
 
 
 @settings(SETTINGS, max_examples=120)
@@ -488,6 +488,68 @@ def test_one_k_outcomes_are_the_cells_themselves(case, tau_prime):
             assert [value.hex() for value in values] == [value.hex() for value in result.values[row, 0].tolist()]
             assert codes == tuple(code for code, hit in zip(WARNING_CODES, result.fired[row, 0]) if hit)
             assert codes == tuple(WARNING_CODES[column] for _, column in result.first_met()[row])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(stacks(), st.integers(0, 3), st.sampled_from([0.99, 0.999]))
+def test_every_failed_cell_is_coded(case, past, tau_prime):
+    """Every failed cell of a stack, and every row whose every k fails,
+    holds an ``EstimationError`` with a code of ``ESTIMATION_ERROR_CODES``;
+    a range stretched ``past`` its end to n leaves no cell, as it raises at
+    k = n."""
+    rows, ks = case
+    stack = LossPairSample(xs=np.stack([xs for xs, _ in rows]), ys=np.stack([ys for _, ys in rows]))
+    ks = range(ks.start, ks.stop + past)
+    if ks[-1] >= stack.n:
+        with pytest.raises(ValueError, match=rf"^k must satisfy 1 <= k < n, got k={stack.n} with n={stack.n}$"):
+            estimate_k_range(stack, ks, tau_prime)
+        return
+    result = estimate_k_range(stack, ks, tau_prime)
+    errors = [*result.errors.values(), *(o for o in result.outcomes() if isinstance(o, ValueError))]
+    assert len(result.errors) == result.failed.sum()
+    for error in errors:
+        assert type(error) is EstimationError and error.code in ESTIMATION_ERROR_CODES
+
+
+@st.composite
+def k_sequences_with_an_invalid_k(draw):
+    """(n, ks): a sample size and at most 2n k values, some outside
+    [1, n - 1]: a range that starts below 1 or crosses n, or a list with
+    an invalid k at a drawn place."""
+    n = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-2, n))
+        return n, range(lo, draw(st.integers(lo if lo < 1 else n, lo + 2 * n - 1)) + 1)
+    invalid = st.one_of(st.integers(-3, 0), st.integers(n, n + 3))
+    ks = draw(st.lists(st.one_of(st.integers(1, n - 1), invalid), max_size=2 * n - 1))
+    ks.insert(draw(st.integers(0, len(ks))), draw(invalid))
+    return n, ks
+
+
+@SETTINGS
+@given(k_sequences_with_an_invalid_k(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_an_invalid_k_raises_at_the_first_in_order(case, stack_rows, seed):
+    """A k sequence that holds a k outside [1, n - 1] is an argument error,
+    never a failed cell: every estimator entry point raises a plain
+    ``ValueError`` with ``check_tail``'s text for the first such k."""
+    n, ks = case
+    first = next(k for k in ks if not 0 < k < n)
+    with pytest.raises(ValueError) as expected:
+        check_tail(n, first)
+    rng = np.random.default_rng(seed)
+    stack = LossPairSample(xs=rng.standard_t(3, (stack_rows, n)), ys=rng.standard_t(3, (stack_rows, n)))
+    sample = LossPairSample(xs=stack.xs[0], ys=stack.ys[0])
+    calls = [
+        lambda: estimate_k_range(stack, ks, 0.999),
+        lambda: estimate_k_range(sample, ks, 0.999),
+        lambda: estimate_with_k_values(stack, ks, 0.999),
+        lambda: estimate_with_k_values(sample, ks, 0.999),
+        lambda: estimate_all(sample, first, 0.999),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert type(caught.value) is ValueError and str(caught.value) == str(expected.value)
 
 
 @st.composite
