@@ -3,9 +3,9 @@
 A ``LossPairSample`` is a validated, immutable pair of loss vectors and a
 ``MarginIndex`` holds the order statistics and ranks of one margin with a
 deterministic tie-break.  ``check_tail`` is the one check that an
-intermediate order ``k``, or an array of them, and an extrapolation level
-``tau_prime`` are valid for a sample size ``n``; it returns the derived
-count ``m``.
+intermediate order ``k``, or a k-range (a ``range`` of step 1, checked in
+O(1)), and an extrapolation level ``tau_prime`` are valid for a sample
+size ``n``; it returns the derived count ``m`` of one k.
 ``check_level`` is the one rule for a level in (0, 1), tau' or tau.
 
 Each estimator call builds the margin indexes it reads, once per stack,
@@ -261,28 +261,37 @@ def _whole_number(value, name: str) -> int:
     return int(value)
 
 
-def check_tail(n: int, k, tau_prime: float | None = None):
-    """Check (n, k, tau_prime) and return m = ceil(k^2 / n), which lies in [1, k].
+def check_tail(n: int, k, tau_prime: float | None = None) -> int | None:
+    """Check (n, k, tau_prime); for one k, return m = ceil(k^2 / n), which
+    lies in [1, k].
 
-    This is the package's one check of a tail configuration.  The checks
-    run in a fixed order and the first that fails raises: n >= 2, then
-    1 <= k < n, then tau_prime in (0, 1) by ``check_level`` (skipped for
-    intermediate-only use, tau_prime None).  A 1-D integer array ``k``
-    raises at its first k outside [1, n - 1] and gets an int64 array of m.
+    This is the package's one check of a tail configuration.  ``k`` is one
+    integer k or a k-range, a nonempty ``range`` of step 1; anything else
+    raises, unread.  The checks run in a fixed order and the first that
+    fails raises: n >= 2, then tau_prime in (0, 1) by ``check_level``
+    (skipped for intermediate-only use, tau_prime None), then 1 <= k < n at
+    the range's first k that breaks it.  A range is read at its two ends,
+    never built: a rolling window's range may be wider than any sample.
 
     Raises:
         ValueError: the first failing check.
     """
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got n={n}")
-    outside = np.atleast_1d(k)
-    outside = outside[(outside <= 0) | (outside >= n)]
-    if outside.size:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={outside[0]} with n={n}")
     if tau_prime is not None:
         check_level(tau_prime, "tau_prime")
-    k = k.astype(np.int64) if isinstance(k, np.ndarray) else k  # a narrow dtype would overflow k^2
-    return (k * k + n - 1) // n  # exact integer arithmetic
+    one = isinstance(k, numbers.Integral)
+    ks = range(k, k + 1) if one else k
+    if not isinstance(ks, range) or ks.step != 1:
+        shape = repr(k) if isinstance(k, range) else type(k).__name__
+        raise ValueError(f"k must be an integer or a range of step 1, got {shape}")
+    if not ks:
+        raise ValueError("need at least one k value")
+    # the valid k are 1 .. n - 1, so the first invalid k is the first k, or n
+    if ks.start < 1 or ks.stop > n:
+        first = ks.start if ks.start < 1 else max(ks.start, n)
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={first} with n={n}")
+    return (k * k + n - 1) // n if one else None  # exact integer arithmetic
 
 
 def check_level(level, name: str) -> None:

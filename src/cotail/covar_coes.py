@@ -15,8 +15,9 @@ takes a stack of samples, and one sample is a stack of one: only
 row.  The (row, k) grid (values, failures, fired warnings) comes from
 whole-array passes, sized by ``_MATRIX_CELLS``, the one cell budget for
 every stack and block of k; an error is built only for a cell that fails.
-A k outside [1, n - 1] raises (``core.check_tail`` checks all k at once)
-and is never a cell; d and ``small_k`` / ``d_below_one`` are derived here.
+A k-range is a ``range`` of step 1 that ``core.check_tail`` checks: a k
+outside [1, n - 1] raises and is never a cell; d, m and ``small_k`` /
+``d_below_one`` are derived here.
 ``KRangeEstimates.outcomes`` reads each row as its ``Outcome``, the one
 shape of a rolling window and of a Monte Carlo replication: the values
 averaged over the k that succeed with the warning codes, or the coded
@@ -97,7 +98,7 @@ class KRangeEstimates:
     warnings quote.
     """
 
-    ks: list[int]
+    ks: range
     values: np.ndarray
     fired: np.ndarray
     quoted: np.ndarray
@@ -195,27 +196,25 @@ class KRangeEstimates:
 _MATRIX_CELLS = 1 << 15
 
 
-def _stack_rows(n: int, ks) -> int:
+def _stack_rows(n: int, ks: range) -> int:
     """How many samples of n pairs one ``estimate_k_range`` stack holds at
-    the k values ``ks``: the cell budget over the larger of one margin and
+    the k-range ``ks``: the cell budget over the larger of one margin and
     one sample's rank matrix, so that the stack's largest arrays stay
     within ``_MATRIX_CELLS`` cells."""
-    width = min(max(ks), n) + 1
+    width = min(ks[-1], n) + 1
     return max(1, _MATRIX_CELLS // max(n, len(ks) * width))
 
 
-def tail_depth(ks) -> int:
+def tail_depth(ks: range) -> int:
     """How many of the largest values of each margin ``estimate_k_range``
-    reads at the k values ``ks``: k_max + 2.  The tie check at k_max reads
+    reads at the k-range ``ks``: k_max + 2.  The tie check at k_max reads
     Y_(n-k_max-2,n), and X-ranks that deep change no eta-hat
     (``filtered_x_ranks``).  A window whose two tails at this depth do not
     change keeps its estimates (``data_io.rolling_estimates``)."""
-    return int(np.max(ks)) + 2
+    return ks[-1] + 2
 
 
-def estimate_k_range(
-    sample: LossPairSample, ks, tau_prime: float
-) -> KRangeEstimates:
+def estimate_k_range(sample: LossPairSample, ks: range, tau_prime: float) -> KRangeEstimates:
     """Every intermediate and extrapolated estimator at every k of ``ks``.
 
     With d = k/(n(1 - tau')), CoVaR variants 1-2 are
@@ -233,28 +232,17 @@ def estimate_k_range(
     too; its one ``KRangeEstimates`` gives each row, bit for bit, the
     result that row gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
     blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
-    no result depends on the blocks.  An n below 2, a tau' outside (0, 1),
-    more than 2n k values or a k outside [1, n - 1] (the first in order)
-    raises.  A valid k fails, in this order, when X_(n-k,n) is not
+    no result depends on the blocks.  ``check_tail`` raises at an invalid
+    n, tau' or k-range ``ks``.  A valid k fails, in this order, when X_(n-k,n) is not
     positive, when gamma1 lies outside (0, 1) (the variant 1-3
     extrapolations are undefined) or when eta-hat is not attained; its
     failure is recorded as an ``EstimationError``, not raised.
     """
     n = sample.n
-    check_tail(n, 1, tau_prime)  # n and tau' do not depend on k: one error, not one per k
-    # at most n - 1 k values are valid: a sequence of more than 2n, a wide
-    # range say, is mostly invalid k and is not built into an array (a slice
-    # of a range has no len to overflow), while a shorter one raises below
-    if len(ks[: 2 * n + 1]) > 2 * n:
-        raise ValueError(f"more than 2n = {2 * n} k values for n={n} pairs: only 1 <= k < n can be valid")
-    ks = np.asarray(ks)
-    if ks.ndim != 1 or ks.size == 0:
-        raise ValueError("need at least one k value")
-    if ks.dtype.kind not in "iu":
-        raise ValueError(f"k values must be integers, got {ks.tolist()}")
-    m_array = check_tail(n, ks)  # the first k outside [1, n - 1], in order, raises
-    k_array, ks = ks.astype(np.int64), ks.tolist()
-    depth = tail_depth(k_array)
+    check_tail(n, ks, tau_prime)
+    k_array = np.arange(ks.start, ks.stop, dtype=np.int64)  # a narrow dtype would overflow k^2
+    m_array = (k_array * k_array + n - 1) // n  # each k's m = ceil(k^2 / n), as in check_tail
+    depth = tail_depth(ks)
     x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
@@ -336,7 +324,7 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
     """
     if sample.stacked:
         raise ValueError("estimate_all takes one sample; estimate a stack with estimate_k_range")
-    result = estimate_k_range(sample, (k,), tau_prime)
+    result = estimate_k_range(sample, range(k, k + 1), tau_prime)
     if result.failed[0, 0]:
         raise result.errors[0, 0]
     return RiskEstimates(*result.values[0, 0].tolist(), warnings=tuple(result.first_warnings()[0]))

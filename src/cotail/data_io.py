@@ -17,7 +17,8 @@ before.  One ``estimate_with_k_values`` call per stack of estimated
 windows gives each its ``KRangeEstimates.outcomes`` row: its k-averaged
 values and warning codes, or the coded error of a window whose every k
 fails; no warning is worded for a window.  ``k_values`` is the one
-reading of a k or (kmin, kmax) range, and ``format_tsv`` / ``write_text``
+reading of a k or (kmin, kmax) range as the k-range, a ``range`` of step
+1, that every estimator takes, and ``format_tsv`` / ``write_text``
 produce every TSV the package writes: floats as ``.10g``, UTF-8, LF line
 endings.
 """
@@ -56,11 +57,7 @@ class RollingPlan:
             object.__setattr__(self, name, value)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        # the valid k are an interval: its first k, then k = window, the
-        # first above it, fail first, as a walk over every k would meet them
-        ks = k_values(self.k)
-        for k in (ks[0], min(ks[-1], self.window)):
-            check_tail(self.window, k, self.tau_prime)
+        check_tail(self.window, k_values(self.k), self.tau_prime)
 
 
 def k_values(k: int | tuple[int, int]) -> range:
@@ -141,10 +138,8 @@ def load_pair_series(path_x, path_y) -> tuple[tuple[datetime.date, ...], LossPai
     return tuple(dates), LossPairSample(xs=xs, ys=ys)
 
 
-def estimate_with_k_values(
-    sample: LossPairSample, ks: Sequence[int], tau_prime: float
-) -> RiskEstimates | list[Outcome]:
-    """``estimate_k_range`` averaged over the k values that succeed.
+def estimate_with_k_values(sample: LossPairSample, ks: range, tau_prime: float) -> RiskEstimates | list[Outcome]:
+    """``estimate_k_range`` averaged over the k of ``ks`` that succeed.
 
     A stack gets each row's ``KRangeEstimates.outcomes``, with nothing
     worded or raised.  One sample gets a ``RiskEstimates`` with its warnings
@@ -241,11 +236,8 @@ def diagnostics_export(
     """
     ks = k_values(k)
     tau_array = check_tau_grid(tau_grid)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
-    gammas = hill_curve(x_index, ks[0], ks[-1])
+    gammas = hill_curve(x_index, ks)
     hill_rows = []
     for k, gamma in zip(ks, gammas.tolist()):
         if math.isnan(gamma):
@@ -256,7 +248,9 @@ def diagnostics_export(
     p_hat = tail_prob_curve(x_index, y_index, tau_array)
     prob_rows = zip(tau_array.tolist(), p_hat.tolist(), ((1.0 - tau_array) ** 2).tolist())
     r_rows = zip(ks, *(r.tolist() for r in r11_curve(x_index, y_index, ks)))
-
+    # made only once every curve is computed, so an invalid k leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "hill": out / "hill.tsv",
         "tailprob": out / "tailprob.tsv",

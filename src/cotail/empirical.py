@@ -5,8 +5,9 @@ sum of logs; ``covar_coes.estimate_k_range`` reads it, with the (n-k)-th
 order statistic as VaR_X, for the CoVaR/CoES extrapolations.  The two
 curve builders are diagnostics used to choose k and to check the
 joint-tail inequality P(X >= VaR_X, Y >= VaR_Y) > (1-tau)^2.  They read
-margin indexes and return plain arrays; ``data_io.diagnostics_export``
-adds the band and (1-tau)^2.
+margin indexes and return plain arrays, ``hill_curve`` over a k-range
+(a ``range`` of step 1, which ``core.check_tail`` checks);
+``data_io.diagnostics_export`` adds the band and (1-tau)^2.
 """
 
 from __future__ import annotations
@@ -75,18 +76,16 @@ def check_tau_grid(taus) -> np.ndarray:
     return taus
 
 
-def hill_curve(margin: MarginIndex, k_min: int, k_max: int) -> np.ndarray:
-    """Hill estimates for every k in [k_min, k_max], in k order.
+def hill_curve(margin: MarginIndex, ks: range) -> np.ndarray:
+    """Hill estimates for every k of the k-range ``ks``, in k order.
 
     A k whose threshold X_(n-k,n) is not positive gets NaN, and the other k
     keep their estimates.
     """
     n = margin.n
-    check_tail(n, np.array([k_min, k_max]))
-    if k_min > k_max:
-        raise ValueError(f"need k_min <= k_max, got k_min={k_min}, k_max={k_max}")
-    _check_reach((margin,), k_max + 1, f"k={k_max}")
-    ks = np.arange(k_min, k_max + 1, dtype=np.int64)
+    check_tail(n, ks)
+    _check_reach((margin,), ks[-1] + 1, f"k={ks[-1]}")
+    ks = np.arange(ks.start, ks.stop, dtype=np.int64)
     gammas = _hill(margin, ks)
     gammas[margin.sorted[n - 1 - ks] <= 0.0] = np.nan
     return gammas

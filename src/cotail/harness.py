@@ -143,13 +143,14 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> tuple[OracleResult
     """
     _check_workers(workers)
     truth = oracle_result(plan.spec, plan.tau_prime)
-    size = _stack_rows(plan.n, (plan.k,))
+    ks = range(plan.k, plan.k + 1)
+    size = _stack_rows(plan.n, ks)
 
     def task(start: int) -> list[Outcome]:
         # replication l draws from child l of the plan seed, the one SeedSequence.spawn makes
         rows = range(start, min(start + size, plan.replications))
         block = [np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(l,))) for l in rows]
-        return estimate_k_range(sample_model(plan.spec, plan.n, block), (plan.k,), plan.tau_prime).outcomes()
+        return estimate_k_range(sample_model(plan.spec, plan.n, block), ks, plan.tau_prime).outcomes()
 
     # a worker takes whole blocks, and no outcome depends on the blocks
     starts = range(0, plan.replications, size)

@@ -1,7 +1,8 @@
 """Nonparametric upper-tail dependence: R-hat variants and adjustment factors.
 
 Two rank-based estimators of the tail copula R (Schmidt & Stadtmüller,
-2006) are evaluated at (1, 1) at every k by ``r11_curve``, the package's
+2006) are evaluated at (1, 1) at every k of a k-range, a ``range`` of
+step 1 that ``core.check_tail`` checks, by ``r11_curve``, the package's
 one R-hat path.  The adjustment factor eta-hat inverts R-hat(., 1) at level
 k/n; the inversion has a closed order-statistic form on the conditioning
 subsample C(k + 1) (variant 1) or C(k) (variant 2), where C(c), the first
@@ -22,8 +23,8 @@ import numpy as np
 from .core import EstimationError, MarginIndex, _check_reach, check_tail
 
 
-def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarray, np.ndarray]:
-    """R-hat(1, 1) of variants 1 and 2 at every k of ``ks``, from one count.
+def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """R-hat(1, 1) of variants 1 and 2 at every k of the k-range ``ks``, from one count.
 
     Variant 1 (the empirical-CDF form) counts the observations with
     n - min(rank_x, rank_y) <= k and variant 2 (the rank form,
@@ -31,11 +32,10 @@ def r11_curve(x_index: MarginIndex, y_index: MarginIndex, ks) -> tuple[np.ndarra
     count serves every k.  Each index must order the top max(ks) + 1; below
     it the sentinel rank 0 gives n, which no k counts.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    n, k_max = x_index.n, int(ks.max())
-    check_tail(n, int(ks.min()))
-    check_tail(n, k_max)
-    _check_reach((x_index, y_index), k_max + 1, f"k={k_max}")
+    n = x_index.n
+    check_tail(n, ks)
+    _check_reach((x_index, y_index), ks[-1] + 1, f"k={ks[-1]}")
+    ks = np.arange(ks.start, ks.stop, dtype=np.int64)
     counts = np.bincount(n - np.minimum(x_index.ranks, y_index.ranks), minlength=n + 1).cumsum()
     return counts[ks] / ks, counts[ks - 1] / ks
 

@@ -126,7 +126,7 @@ def test_criterion_5_procedure_equals_bruteforce():
             assert np.unique(sample.ys).size == 200
             # the row first, on the tail indexes a fresh sample builds; the
             # selection is read on the full indexes, also where the row fails
-            result = estimate_k_range(sample, [30], 0.99)
+            result = estimate_k_range(sample, range(30, 31), 0.99)
             raw1, raw2, covar_int, _ = selection_at(sample, 30)
             for variant, procedure in ((1, raw1), (2, raw2)):
                 try:
@@ -163,8 +163,8 @@ def test_criterion_6_invariant_suite():
 
         values = np.random.default_rng(52).pareto(3.0, size=2000) + 1.0
         for k in (50, 200):
-            plain = hill_curve(build_margin_index(values), k, k)[0]
-            scaled = hill_curve(build_margin_index(16.0 * values), k, k)[0]
+            plain = hill_curve(build_margin_index(values), range(k, k + 1))[0]
+            scaled = hill_curve(build_margin_index(16.0 * values), range(k, k + 1))[0]
             assert abs(plain - scaled) <= 1e-12
 
         rng = np.random.default_rng(42)
@@ -197,7 +197,7 @@ def test_criterion_7_sampler_fidelity():
             hill_bad = r_bad = 0
             for child in children[20 * index : 20 * (index + 1)]:
                 sample = sample_model(spec, 100_000, np.random.default_rng(child))
-                gamma = hill_curve(build_margin_index(sample.xs), 1000, 1000)[0]
+                gamma = hill_curve(build_margin_index(sample.xs), range(1000, 1001))[0]
                 if not abs(gamma - 1.0 / 3.0) <= 0.05:  # a NaN gap counts as bad
                     hill_bad += 1
                 if abs(r_hat(sample, 1000, 2, 1.0, 1.0) - r_true) > 0.05:

@@ -62,6 +62,35 @@ def test_inverted_k_range_exits_with_error(command, price_files, capsys):
     assert capsys.readouterr().err.startswith("error: empty k range")
 
 
+@pytest.mark.parametrize(
+    "command", [["estimate", "--tau", "0.999"], ["diagnose", "--taugrid", "0.95"], ["rolling", "--window", "1499", "--tau", "0.999"]],
+    ids=["estimate", "diagnose", "rolling"],
+)
+@pytest.mark.parametrize(
+    "k, first",
+    [("99999999999999999999999", 99999999999999999999999), ("1400:1600", 1499), ("1:99999999999", 1499)],
+    ids=["past-int64", "crossing-n", "wide"],
+)
+def test_an_invalid_k_has_one_text_in_every_command(command, k, first, tmp_path, capsys):
+    """On 1499 losses (a window of all of them in ``rolling``) each command
+    exits 1 with one stderr line naming the first invalid k in order."""
+    pair = sample_model(make_spec("Cauchy"), 1499, np.random.default_rng(1499))
+    base = datetime.date(2001, 1, 1)
+    files = []
+    for name, losses in (("x", pair.xs), ("y", pair.ys)):
+        prices = 100.0 * np.exp(-np.concatenate([[0.0], np.cumsum(0.01 * losses)]))
+        lines = [f"{base + datetime.timedelta(days=i)},{price!r}" for i, price in enumerate(prices.tolist())]
+        (tmp_path / f"{name}.csv").write_text("date,price\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        files += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    if command[0] == "diagnose":
+        command = [*command, "--out", str(tmp_path / "out")]
+    assert main([*command, *files, "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must satisfy 1 <= k < n, got k={first} with n=1499\n"
+    assert not (tmp_path / "out").exists()
+
+
 _FLAG_TAILS = {
     "estimate": ["--tau", "0.99"],
     "rolling": ["--window", "300", "--tau", "0.99"],
@@ -141,7 +170,7 @@ def test_estimate_text_output(price_files, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines[: len(RECORD_KEYS)]] == list(RECORD_KEYS)
     _, sample = load_pair_series(price_files["x"], price_files["y"])
-    expected = estimate_with_k_values(sample, (60,), 0.99).to_record()
+    expected = estimate_with_k_values(sample, range(60, 61), 0.99).to_record()
     for line in lines[: len(RECORD_KEYS)]:
         key, value = line.split("\t")
         assert float(value) == pytest.approx(expected[key], rel=1e-9)
@@ -154,7 +183,7 @@ def test_estimate_json_output(price_files, capsys):
     record = json.loads(capsys.readouterr().out)
     assert set(record) == set(RECORD_KEYS) | {"warnings"}
     _, sample = load_pair_series(price_files["x"], price_files["y"])
-    expected = estimate_with_k_values(sample, tuple(range(50, 71)), 0.99).to_record()
+    expected = estimate_with_k_values(sample, range(50, 71), 0.99).to_record()
     for key in RECORD_KEYS:
         assert record[key] == pytest.approx(expected[key], rel=1e-12)
     assert isinstance(record["warnings"], list)
@@ -680,7 +709,7 @@ _SIMULATE = ["simulate", "--plan", "{dir}/plan.json", "--out", "{dir}/out", "--s
 # an infinite CoES whose quantile would overflow, in the oracle and in a plan
 @example((["oracle", "--model", "Pareto2", "--theta", "1e-300", "--tau", "0.99"], {}))
 @example((_SIMULATE + ["1"], _plan(model={"family": "Pareto2", "theta": 1e-300})))
-# more than 2n k values, a grid count past its bound, a plan n past its bound
+# a k range far past n, a grid count past its bound, a plan n past its bound
 @example((_ESTIMATE + ["--k", "1:99999999999"], _PAIR))
 @example((["diagnose", "--x", "{dir}/x.csv", "--y", "{dir}/y.csv", "--k", "5", "--taugrid", "0.9:0.95:99999999999",
            "--out", "{dir}/out"], _PAIR))

@@ -185,10 +185,10 @@ def test_every_entry_point_words_an_invalid_k_alike(k):
     sample = LossPairSample(xs=grid, ys=grid)
     expected = f"k must satisfy 1 <= k < n, got k={k} with n={n}"
     calls = [
-        lambda: r11_curve(build_margin_index(grid), build_margin_index(grid), [k]),
-        lambda: hill_curve(build_margin_index(grid), k, k),
+        lambda: r11_curve(build_margin_index(grid), build_margin_index(grid), range(k, k + 1)),
+        lambda: hill_curve(build_margin_index(grid), range(k, k + 1)),
         lambda: estimate_all(sample, k, 0.99),
-        lambda: estimate_k_range(sample, [k], 0.99),
+        lambda: estimate_k_range(sample, range(k, k + 1), 0.99),
         lambda: ExperimentPlan(make_spec("Cauchy"), n, k, 0.99, replications=1, seed=0),
         lambda: RollingPlan(window=n, k=k, tau_prime=0.99),
     ]

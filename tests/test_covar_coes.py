@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cotail.core import (
     LossPairSample,
     WarningRecord,
     build_margin_index,
+    check_tail,
 )
 from cotail.covar_coes import (
     ESTIMATOR_NAMES,
@@ -36,14 +38,14 @@ def test_intermediate_covar_comonotone():
 def test_intermediate_covar_anti_comonotone():
     # eta-hat variant 2 is not attained, so the row fails before CoVaR_int
     sample = LossPairSample(xs=np.arange(1.0, 9.0), ys=np.arange(8.0, 0.0, -1.0))
-    assert estimate_k_range(sample, [4], 0.99).errors[0, 0].code == "eta_not_attained"
+    assert estimate_k_range(sample, range(4, 5), 0.99).errors[0, 0].code == "eta_not_attained"
     assert selection_at(sample, 4)[2] == 4.0
 
 
 def test_intermediate_covar_m_equals_k():
     # n=5, k=4 gives m=4, so the second smallest filtered value is selected;
     # gamma-hat is above 1 there, so the row fails before CoVaR_int
-    assert estimate_k_range(comonotone(5), [4], 0.99).errors[0, 0].code == "hill_out_of_range"
+    assert estimate_k_range(comonotone(5), range(4, 5), 0.99).errors[0, 0].code == "hill_out_of_range"
     assert selection_at(comonotone(5), 4)[2] == 2.0
 
 
@@ -66,7 +68,7 @@ def test_intermediate_covar_matches_scan():
         k = int(rng.integers(3, n // 3))
         sample = sample_model(make_spec("Cauchy"), n, rng)
         # the row first, on the tail indexes a fresh sample builds
-        result = estimate_k_range(sample, [k], 0.99)
+        result = estimate_k_range(sample, range(k, k + 1), 0.99)
         expected = intermediate_covar_scan(sample, k)
         assert selection_at(sample, k)[2] == expected
         if not result.failed[0, 0]:
@@ -187,7 +189,7 @@ def test_flat_top_is_rejected(value, k):
     n = 200
     xs = np.concatenate([np.linspace(0.01, value / 2.0, n - k - 1), np.full(k + 1, value)])
     sample = LossPairSample(xs=xs, ys=np.arange(float(n)))
-    assert hill_curve(build_margin_index(sample.xs), k, k)[0] == 0.0
+    assert hill_curve(build_margin_index(sample.xs), range(k, k + 1))[0] == 0.0
     with pytest.raises(EstimationError, match="gamma1=0.0000 outside") as caught:
         estimate_all(sample, k, 0.999)
     assert caught.value.code == "hill_out_of_range"
@@ -219,7 +221,7 @@ def test_k_range_rows_are_the_one_k_estimates():
     sample = sample_model(make_spec("StudentT"), 1000, rng)
     result = estimate_k_range(sample, range(55, 86), 0.999)
     for i, k in enumerate(range(55, 86)):
-        one = estimate_k_range(sample, [k], 0.999)
+        one = estimate_k_range(sample, range(k, k + 1), 0.999)
         assert not result.failed[0, i] and not one.failed[0, 0]
         for name in ("values", "fired", "quoted"):
             assert getattr(result, name)[0, i].tolist() == getattr(one, name)[0, 0].tolist()
@@ -229,8 +231,7 @@ def test_k_range_rows_are_the_one_k_estimates():
 def test_k_range_blocks_change_no_row(monkeypatch):
     rng = np.random.default_rng(72)
     sample = sample_model(make_spec("Cauchy"), 600, rng)
-    # two repeated k inside the range: the blocks around them keep every other row
-    ks = [*range(5, 300), 5, 599, *range(300, 600)]
+    ks = range(5, 600)
     whole = estimate_k_range(sample, ks, 0.999)
     monkeypatch.setattr(cotail.covar_coes, "_MATRIX_CELLS", 2000)
     blocked = estimate_k_range(sample, ks, 0.999)
@@ -238,18 +239,33 @@ def test_k_range_blocks_change_no_row(monkeypatch):
     for name in ("values", "fired", "quoted", "failed"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True)
     assert {i: str(e) for i, e in blocked.errors.items()} == {i: str(e) for i, e in whole.errors.items()}
-    valid = estimate_k_range(sample, range(5, 600), 0.999)
-    rows = [k - 5 for k in ks]  # each k's row of the plain range, a repeated k included
-    for name in ("values", "fired", "quoted", "failed"):
-        assert np.array_equal(getattr(blocked, name)[0], getattr(valid, name)[0, rows], equal_nan=True)
+    # a k's row does not depend on the other k of its range
+    for part in (range(5, 6), range(300, 302), range(598, 600)):
+        alone = estimate_k_range(sample, part, 0.999)
+        rows = [k - 5 for k in part]
+        for name in ("values", "fired", "quoted", "failed"):
+            assert np.array_equal(getattr(alone, name)[0], getattr(blocked, name)[0, rows], equal_nan=True)
 
 
 def test_k_range_rejects_empty_and_fractional_k():
+    """A k-range is a nonempty range of step 1; any other shape of k is an
+    argument error that is never read as its two ends."""
     sample = comonotone(20)
-    with pytest.raises(ValueError, match="need at least one k value"):
-        estimate_k_range(sample, [], 0.99)
-    with pytest.raises(ValueError, match="must be integers"):
-        estimate_k_range(sample, [5.5], 0.99)
+    with pytest.raises(ValueError, match=r"^need at least one k value$"):
+        estimate_k_range(sample, range(5, 5), 0.99)
+    shapes = [
+        ([5, 6], "list"),
+        ([5.5], "list"),
+        ((5,), "tuple"),
+        (np.arange(5, 7), "ndarray"),
+        (5.5, "float"),
+        (range(5, 9, 2), "range(5, 9, 2)"),
+    ]
+    for ks, shape in shapes:
+        message = rf"^k must be an integer or a range of step 1, got {re.escape(shape)}$"
+        for call in (lambda: estimate_k_range(sample, ks, 0.99), lambda: check_tail(20, ks)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_warning_codes_collected():
@@ -299,7 +315,7 @@ def _tied_at_180():
 def test_warning_texts(sample, k, tau_prime, expected):
     expected = [WarningRecord(code, message) for code, message in expected]
     assert list(estimate_all(sample, k, tau_prime).warnings) == expected
-    assert estimate_k_range(sample, [k], tau_prime).first_warnings()[0] == expected
+    assert estimate_k_range(sample, range(k, k + 1), tau_prime).first_warnings()[0] == expected
 
 
 def test_pareto_ratio_between_intermediates():
@@ -359,7 +375,7 @@ def test_each_margin_is_sorted_once_per_sample(monkeypatch):
     samples = [sample_model(make_spec("Cauchy"), 1000, rng) for _ in range(5)]
     stack = LossPairSample(xs=np.stack([s.xs for s in samples]), ys=np.stack([s.ys for s in samples]))
     estimate_with_k_values(stack, range(60, 81), 0.999)
-    estimate_k_range(stack, (250,), 0.999)
+    estimate_k_range(stack, range(250, 251), 0.999)
     assert shapes == [(5, 1000)] * 4
 
 
@@ -400,14 +416,13 @@ def test_record_round_trip_follows_record_keys():
     assert RiskEstimates(**record, warnings=estimates.warnings) == estimates
 
 
-def test_more_k_values_than_twice_the_pairs_are_rejected_before_any_array():
-    """A sequence of more than 2n k values holds at most n - 1 valid k; it
-    is rejected from its length alone, so ranges of 10^11 and 10^25 values
-    are never built.  A range of 2n values raises at its first invalid k."""
+def test_wide_k_ranges_are_rejected_before_any_array():
+    """A k-range is checked from its two ends: ranges of 10^11 and 10^25
+    values raise at k = n, the first invalid k, without being built."""
     sample = sample_model(make_spec("Cauchy"), 40, np.random.default_rng(3))
-    message = r"^more than 2n = 80 k values for n=40 pairs: only 1 <= k < n can be valid$"
-    for ks in (range(1, 10**11), range(1, 10**25), range(1, 82), list(range(81))):
+    message = r"^k must satisfy 1 <= k < n, got k=40 with n=40$"
+    for ks in (range(1, 10**11), range(1, 10**25), range(1, 82), range(39, 81)):
         with pytest.raises(ValueError, match=message):
             estimate_k_range(sample, ks, 0.99)
-    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n, got k=40 with n=40$"):
-        estimate_k_range(sample, range(1, 81), 0.99)
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n, got k=-5 with n=40$"):
+        estimate_k_range(sample, range(-5, 10**25), 0.99)

@@ -55,19 +55,21 @@ class TestRollingPlan:
             RollingPlan(window=100, k=120, tau_prime=0.99)
 
     def test_k_range_is_checked_at_its_ends(self, monkeypatch):
-        """The k range is checked at its first k and at k = window, the
-        first k above the valid ones: the errors of a walk over every k,
-        and two checks for a range of 10^12 values."""
+        """The k range is checked by one ``check_tail`` call, from its two
+        ends: the first invalid k of a walk over every k, and one check for
+        a range of 10^12 values."""
         checked = []
         check_tail = cotail.data_io.check_tail
         monkeypatch.setattr(cotail.data_io, "check_tail", lambda *args: checked.append(args) or check_tail(*args))
         assert RollingPlan(window=10**12, k=(1, 10**12 - 1), tau_prime=0.99).k == (1, 10**12 - 1)
-        assert len(checked) == 2
+        assert checked == [(10**12, range(1, 10**12), 0.99)]
         for k, bad in (((0, 10**12), 0), ((1, 10**12), 100), ((150, 160), 150)):
             with pytest.raises(ValueError, match=rf"^k must satisfy 1 <= k < n, got k={bad} with n=100$"):
                 RollingPlan(window=100, k=k, tau_prime=0.99)
-        with pytest.raises(ValueError, match=r"^tau_prime must lie in \(0, 1\), got 1.5$"):
-            RollingPlan(window=100, k=(5, 10**12), tau_prime=1.5)
+        # tau' is checked before k, as in estimate
+        for k in ((5, 10**12), 0):
+            with pytest.raises(ValueError, match=r"^tau_prime must lie in \(0, 1\), got 1.5$"):
+                RollingPlan(window=100, k=k, tau_prime=1.5)
 
 
 def _plan(**fields):
@@ -235,8 +237,8 @@ class TestAveraging:
         sample = self._fixture()
         with pytest.raises(ValueError, match="not positive"):
             estimate_all(sample, 10, 0.9)
-        averaged = estimate_with_k_values(sample, [5, 8, 10], 0.9)
-        direct = [estimate_all(sample, 5, 0.9), estimate_all(sample, 8, 0.9)]
+        averaged = estimate_with_k_values(sample, range(5, 11), 0.9)
+        direct = [estimate_all(sample, k, 0.9) for k in range(5, 10)]
         for name in RECORD_KEYS:
             assert getattr(averaged, name) == np.mean([getattr(est, name) for est in direct])
         partial = [w for w in averaged.warnings if w.code == "k_partial"]
@@ -252,18 +254,18 @@ class TestAveraging:
 
     def test_warning_codes_deduplicated(self):
         sample = self._fixture()
-        averaged = estimate_with_k_values(sample, [5, 8], 0.9)
+        averaged = estimate_with_k_values(sample, range(5, 9), 0.9)
         codes = [w.code for w in averaged.warnings]
         assert codes.count("small_k") == 1
 
     def test_all_k_failing_raises(self):
         sample = self._fixture()
         with pytest.raises(ValueError, match="k=10"):
-            estimate_with_k_values(sample, [10], 0.9)
+            estimate_with_k_values(sample, range(10, 11), 0.9)
 
     def test_average_requires_input(self):
         with pytest.raises(ValueError, match="need at least one k value"):
-            estimate_with_k_values(self._fixture(), [], 0.9)
+            estimate_with_k_values(self._fixture(), range(5, 5), 0.9)
 
 
 def _values_and_codes(estimates):
@@ -593,7 +595,7 @@ class TestRolling:
         assert [date for date, _ in rows] == [days[kept[end]] for end in ends]
         for (_, outcome), end in zip(rows, ends):
             window = LossPairSample(xs=sample.xs[end - 30 : end], ys=sample.ys[end - 30 : end])
-            assert outcome == _values_and_codes(estimate_with_k_values(window, [8], 0.95))
+            assert outcome == _values_and_codes(estimate_with_k_values(window, range(8, 9), 0.95))
 
 
 class TestDiagnostics:
@@ -610,7 +612,7 @@ class TestDiagnostics:
         for line in hill_lines[1:]:
             k, gamma, lo, hi, note = line.split("\t")
             assert note == ""
-            expected = hill_curve(margin, int(k), int(k))[0]
+            expected = hill_curve(margin, range(int(k), int(k) + 1))[0]
             assert float(gamma) == pytest.approx(expected, rel=1e-8)
             assert float(lo) == pytest.approx(expected * (1 - 1.645 / math.sqrt(int(k))), rel=1e-8)
             assert float(hi) == pytest.approx(expected * (1 + 1.645 / math.sqrt(int(k))), rel=1e-8)
@@ -641,7 +643,7 @@ class TestDiagnostics:
         assert [int(row[0]) for row in rows[1:]] == list(range(2, 31))
         for k, gamma, lo, hi, note in rows[1:]:
             if int(k) <= 18:
-                assert float(gamma) == pytest.approx(hill_curve(margin, int(k), int(k))[0], rel=1e-9)
+                assert float(gamma) == pytest.approx(hill_curve(margin, range(int(k), int(k) + 1))[0], rel=1e-9)
                 assert note == ""
             else:
                 assert (gamma, lo, hi, note) == ("", "", "", "threshold_not_positive")
@@ -662,7 +664,7 @@ class TestDiagnostics:
         paths = diagnostics_export(sample, (1, 3), [0.9], tmp_path)
         rows = [line.split("\t") for line in paths["hill"].read_text(encoding="utf-8").splitlines()[1:]]
         assert [(k, lo) for k, _, lo, _, _ in rows[:2]] == [("1", "0"), ("2", "0")]
-        gamma = hill_curve(build_margin_index(values), 3, 3)[0]
+        gamma = hill_curve(build_margin_index(values), range(3, 4))[0]
         assert rows[2][2] == f"{gamma * (1.0 - 1.645 / math.sqrt(3)):.10g}"
         assert all(float(row[1]) > 0.0 for row in rows)
 

@@ -13,38 +13,38 @@ from cotail.models import make_spec, sample_model
 
 def test_hill_constant_top_is_zero():
     margin = build_margin_index([5.0, 5.0, 5.0])
-    assert hill_curve(margin, 2, 2)[0] == 0.0
+    assert hill_curve(margin, range(2, 3))[0] == 0.0
 
 
 @pytest.mark.parametrize("value,k", [(0.1, 35), (3.3, 20)])
 def test_hill_tied_top_is_not_negative(value, k):
     # the mean of k equal logs can round to just below the log itself
-    assert hill_curve(build_margin_index(np.full(60, value)), k, k)[0] == 0.0
+    assert hill_curve(build_margin_index(np.full(60, value)), range(k, k + 1))[0] == 0.0
 
 
 def test_order_statistics_below_a_tail_index_raise():
     margin = build_margin_index(np.arange(1.0, 11.0), depth=3)
     full = build_margin_index(np.arange(1.0, 11.0))
-    assert hill_curve(margin, 2, 2)[0] == hill_curve(full, 2, 2)[0]
+    assert hill_curve(margin, range(2, 3))[0] == hill_curve(full, range(2, 3))[0]
     for k_min in (2, 3):
         with pytest.raises(ValueError, match="k=3 reads the top 4, below the top 3"):
-            hill_curve(margin, k_min, 3)
+            hill_curve(margin, range(k_min, 4))
 
 
 def test_hill_geometric_sample():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
-    assert hill_curve(margin, 2, 2)[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
+    assert hill_curve(margin, range(2, 3))[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
 
 
 def test_hill_rejects_bad_k_and_threshold():
     margin = build_margin_index([1.0, 2.0, 4.0, 8.0])
     with pytest.raises(ValueError):
-        hill_curve(margin, 0, 0)
+        hill_curve(margin, range(0, 1))
     with pytest.raises(ValueError):
-        hill_curve(margin, 4, 4)
+        hill_curve(margin, range(4, 5))
     # X_(2,4) = 0: the curve leaves a gap and the estimator raises
     values = np.array([-1.0, 0.0, 1.0, 2.0])
-    assert np.isnan(hill_curve(build_margin_index(values), 2, 2)[0])
+    assert np.isnan(hill_curve(build_margin_index(values), range(2, 3))[0])
     with pytest.raises(EstimationError) as caught:
         estimate_all(LossPairSample(xs=values, ys=values), 2, 0.99)
     assert caught.value.code == "threshold_not_positive"
@@ -56,8 +56,8 @@ def test_hill_scale_invariance():
     margin = build_margin_index(values)
     for c in (0.01, 2.0**10, 7.3):
         scaled = build_margin_index(c * values)
-        assert hill_curve(scaled, 50, 50)[0] == pytest.approx(
-            hill_curve(margin, 50, 50)[0], abs=1e-12
+        assert hill_curve(scaled, range(50, 51))[0] == pytest.approx(
+            hill_curve(margin, range(50, 51))[0], abs=1e-12
         )
 
 
@@ -65,7 +65,7 @@ def test_hill_statistical_pareto_margin():
     """Hill on 1e5 draws of the heavy-tailed X margin recovers gamma = 1/3."""
     rng = np.random.default_rng(314)
     sample = sample_model(make_spec("Pareto2"), 100_000, rng)
-    gamma = hill_curve(build_margin_index(sample.xs), 1000, 1000)[0]
+    gamma = hill_curve(build_margin_index(sample.xs), range(1000, 1001))[0]
     assert abs(gamma - 1.0 / 3.0) <= 0.05
 
 
@@ -135,16 +135,16 @@ def test_tail_prob_nonincreasing_in_tau():
 
 def test_hill_curve_small_sample_values():
     margin = build_margin_index(np.arange(1.0, 9.0))
-    gammas = hill_curve(margin, 2, 3)
+    gammas = hill_curve(margin, range(2, 4))
     assert gammas.shape == (2,)
-    assert gammas[0] == hill_curve(margin, 2, 2)[0]
+    assert gammas[0] == hill_curve(margin, range(2, 3))[0]
     expected_k3 = (math.log(8.0 / 5.0) + math.log(7.0 / 5.0) + math.log(6.0 / 5.0)) / 3.0
     assert gammas[1] == pytest.approx(expected_k3, rel=1e-14)
 
 
 def test_hill_curve_single_k():
     margin = build_margin_index(np.geomspace(1.0, 128.0, 8))
-    gammas = hill_curve(margin, 2, 2)
+    gammas = hill_curve(margin, range(2, 3))
     assert gammas.shape == (1,)
     assert gammas[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
 
@@ -152,10 +152,10 @@ def test_hill_curve_single_k():
 def test_hill_curve_matches_pointwise_estimates():
     rng = np.random.default_rng(97)
     margin = build_margin_index(rng.pareto(2.0, size=300) + 1.0)
-    gammas = hill_curve(margin, 2, 60)
+    gammas = hill_curve(margin, range(2, 61))
     assert gammas.shape == (59,)
     for k, gamma in zip(range(2, 61), gammas):
-        assert gamma == hill_curve(margin, k, k)[0]
+        assert gamma == hill_curve(margin, range(k, k + 1))[0]
 
 
 def test_hill_curve_bands(tmp_path):
@@ -167,7 +167,7 @@ def test_hill_curve_bands(tmp_path):
     ks = np.array([int(row[0]) for row in rows])
     gammas, lo, hi = (np.array([float(row[j]) for row in rows]) for j in (1, 2, 3))
     assert ks.tolist() == list(range(5, 51))
-    assert np.allclose(gammas, hill_curve(build_margin_index(values), 5, 50))
+    assert np.allclose(gammas, hill_curve(build_margin_index(values), range(5, 51)))
     half = 1.645 / np.sqrt(ks)
     assert np.allclose(lo, gammas * (1.0 - half))
     assert np.allclose(hi, gammas * (1.0 + half))
@@ -180,15 +180,17 @@ def test_hill_curve_pareto_quantile_grid_is_flat():
     n = 2000
     u = np.arange(1, n + 1) / (n + 1.0)
     values = (1.0 - u) ** (-1.0 / 3.0)
-    gammas = hill_curve(build_margin_index(values), 50, 400)
+    gammas = hill_curve(build_margin_index(values), range(50, 401))
     assert np.all(np.abs(gammas - 1.0 / 3.0) < 0.02)
 
 
 def test_hill_curve_rejects_bad_range():
     margin = build_margin_index(np.arange(1.0, 9.0))
-    with pytest.raises(ValueError):
-        hill_curve(margin, 0, 3)
-    with pytest.raises(ValueError):
-        hill_curve(margin, 4, 3)
-    with pytest.raises(ValueError):
-        hill_curve(margin, 2, 8)
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n, got k=0 with n=8$"):
+        hill_curve(margin, range(0, 4))
+    with pytest.raises(ValueError, match=r"^need at least one k value$"):
+        hill_curve(margin, range(4, 4))
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k < n, got k=8 with n=8$"):
+        hill_curve(margin, range(2, 9))
+    with pytest.raises(ValueError, match=r"^k must be an integer or a range of step 1, got tuple$"):
+        hill_curve(margin, (2, 4))

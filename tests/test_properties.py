@@ -39,7 +39,7 @@ from cotail.data_io import (
     load_pair_series,
     rolling_estimates,
 )
-from cotail.empirical import _hill, tail_prob_curve
+from cotail.empirical import _hill, hill_curve, tail_prob_curve
 from cotail.models import FAMILIES, ModelSpec, make_spec, sample_model
 from cotail.tail_copula import _eta, filtered_x_ranks, r11_curve
 from oracles import (
@@ -268,10 +268,10 @@ def test_diagnostic_curves_equal_their_definitions(case, width, taus):
     probability is the value-based one, on full and on minimal tail indexes."""
     sample, k = case
     n = sample.n
-    ks = np.arange(k, min(k + width, n - 1) + 1)
-    expected = [[r_hat(sample, j, variant, 1.0, 1.0) for j in ks.tolist()] for variant in (1, 2)]
+    ks = range(k, min(k + width, n - 1) + 1)
+    expected = [[r_hat(sample, j, variant, 1.0, 1.0) for j in ks] for variant in (1, 2)]
     reach = n + 1 - math.ceil(n * min(taus))
-    for r11_depth, prob_depth in ((None, None), (int(ks.max()) + 1, reach)):
+    for r11_depth, prob_depth in ((None, None), (ks[-1] + 1, reach)):
         indexes = [build_margin_index(v, r11_depth) for v in (sample.xs, sample.ys)]
         assert [r.tolist() for r in r11_curve(*indexes, ks)] == expected
         indexes = [build_margin_index(v, prob_depth) for v in (sample.xs, sample.ys)]
@@ -332,7 +332,7 @@ def test_k_range_rows_equal_estimate_all_on_ties(case, width, tau_prime):
     ks = range(k, min(k + width, sample.n - 1) + 1)
     result = estimate_k_range(sample, ks, tau_prime)
     for i, k in enumerate(ks):
-        assert _row_outcome(result, i) == _row_outcome(estimate_k_range(sample, [k], tau_prime), 0)
+        assert _row_outcome(result, i) == _row_outcome(estimate_k_range(sample, range(k, k + 1), tau_prime), 0)
 
 
 def _bruteforce(sample, k, variant):
@@ -356,13 +356,13 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     sample = sample_model(make_spec(family), n, np.random.default_rng(seed))
     assert np.unique(sample.xs).size == n and np.unique(sample.ys).size == n
     lo = max(1, int(lo_share * n))
-    ks = np.arange(lo, min(lo + width, n - 1) + 1)
-    ms = np.array([check_tail(n, k) for k in ks.tolist()])
+    ks = range(lo, min(lo + width, n - 1) + 1)
+    k_array, ms = np.array(ks), np.array([check_tail(n, k) for k in ks])
     x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
-    rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
-    covar, _ = _intermediate(x_index, ks, ms, rows, r1)
+    rows, r1, r2 = filtered_x_ranks(x_index, y_index, k_array, ms)
+    covar, _ = _intermediate(x_index, k_array, ms, rows, r1)
     result = estimate_k_range(sample, ks, 0.999)
-    for i, k in enumerate(ks.tolist()):
+    for i, k in enumerate(ks):
         raws = []
         for variant, rank in ((1, int(r1[i])), (2, int(r2[i]))):
             raw, _, _, attained = _eta(n, k, variant, rank)
@@ -513,25 +513,23 @@ def test_every_failed_cell_is_coded(case, past, tau_prime):
 
 @st.composite
 def k_sequences_with_an_invalid_k(draw):
-    """(n, ks): a sample size and at most 2n k values, some outside
-    [1, n - 1]: a range that starts below 1 or crosses n, or a list with
-    an invalid k at a drawn place."""
+    """(n, ks): a sample size and a k-range that holds a k outside
+    [1, n - 1]: it starts below 1, crosses n or starts above it, and may
+    reach past 2^63, or start far below -2^63."""
     n = draw(st.integers(2, 60))
-    if draw(st.booleans()):
-        lo = draw(st.integers(-2, n))
-        return n, range(lo, draw(st.integers(lo if lo < 1 else n, lo + 2 * n - 1)) + 1)
-    invalid = st.one_of(st.integers(-3, 0), st.integers(n, n + 3))
-    ks = draw(st.lists(st.one_of(st.integers(1, n - 1), invalid), max_size=2 * n - 1))
-    ks.insert(draw(st.integers(0, len(ks))), draw(invalid))
-    return n, ks
+    lo = draw(st.one_of(st.integers(-2, n + 2), st.integers(-(2**70), 2**70)))
+    # the last k is at least the first invalid one
+    hi = (lo if not 0 < lo < n else n) + draw(st.one_of(st.integers(0, 2 * n), st.integers(2**63, 2**70)))
+    return n, range(lo, hi + 1)
 
 
 @SETTINGS
 @given(k_sequences_with_an_invalid_k(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_an_invalid_k_raises_at_the_first_in_order(case, stack_rows, seed):
-    """A k sequence that holds a k outside [1, n - 1] is an argument error,
-    never a failed cell: every estimator entry point raises a plain
-    ``ValueError`` with ``check_tail``'s text for the first such k."""
+    """A k-range that holds a k outside [1, n - 1] is an argument error,
+    never a failed cell: ``check_tail``, every estimator entry point and
+    both diagnostic curves raise a plain ``ValueError`` with
+    ``check_tail``'s text for the first such k in order."""
     n, ks = case
     first = next(k for k in ks if not 0 < k < n)
     with pytest.raises(ValueError) as expected:
@@ -539,7 +537,12 @@ def test_an_invalid_k_raises_at_the_first_in_order(case, stack_rows, seed):
     rng = np.random.default_rng(seed)
     stack = LossPairSample(xs=rng.standard_t(3, (stack_rows, n)), ys=rng.standard_t(3, (stack_rows, n)))
     sample = LossPairSample(xs=stack.xs[0], ys=stack.ys[0])
+    indexes = [build_margin_index(v) for v in (sample.xs, sample.ys)]
     calls = [
+        lambda: check_tail(n, ks),
+        lambda: check_tail(n, ks, 0.999),
+        lambda: r11_curve(*indexes, ks),
+        lambda: hill_curve(indexes[0], ks),
         lambda: estimate_k_range(stack, ks, 0.999),
         lambda: estimate_k_range(sample, ks, 0.999),
         lambda: estimate_with_k_values(stack, ks, 0.999),
