@@ -1,21 +1,16 @@
 """Shared containers for paired-loss data and ranks, and the one tail check.
 
-A ``LossPairSample`` is a validated, immutable pair of loss vectors and a
-``MarginIndex`` holds the order statistics and ranks of one margin with a
-deterministic tie-break.  ``check_tail`` is the one check that an
-intermediate order ``k``, or a k-range (a ``range`` of step 1, checked in
-O(1)), and an extrapolation level ``tau_prime`` are valid for a sample
-size ``n``; it returns the derived count ``m`` of one k.
-``check_level`` is the one rule for a level in (0, 1), tau' or tau.
-
-Each estimator call builds the margin indexes it reads, once per stack,
-with ``build_margin_index``, the one sort path.  A stack is a (B, n)
-sample (``LossPairSample`` with 2-D arrays) whose rows are estimated
-together, one set of numpy calls for all B; a 1-D sample is a stack of
-one.  An index may order only the top of its margin (a tail index): every
-value at or above the row's cut, its depth-th largest value.  The k-range
-estimators read the top k_max + 2 of each margin, while the diagnostics
-read full indexes.
+A ``LossPairSample`` is a validated, immutable pair of loss vectors, or a
+(B, n) stack of them whose rows are estimated together, one set of numpy
+calls for all B; a 1-D sample is a stack of one.  A ``MarginIndex`` holds
+the order statistics and ranks of the top of one margin, or of each row of
+a stack, with a deterministic tie-break; each estimator call builds the
+indexes it reads, once per stack, with ``build_margin_index``, the one sort
+path.  ``check_tail`` is the one check that an intermediate order ``k``,
+or a k-range (a ``range`` of step 1, checked in O(1)), and an
+extrapolation level ``tau_prime`` are valid for a sample size ``n``; it
+returns the derived count ``m`` of one k.  ``check_level`` is the one
+rule for a level in (0, 1), tau' or tau.
 ``MarginIndex.ranked`` is the one place the tie rule lives: the
 conditioning subsample of every tail estimator is the first k+1 (or k)
 entries of ``y_index.ranked(count)`` for any count > k.
@@ -24,7 +19,7 @@ entries of ``y_index.ranked(count)`` for any count > k.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,6 +89,17 @@ class LossPairSample:
             raise ValueError("need at least one paired observation")
         if not np.isfinite(xs).all() or not np.isfinite(ys).all():
             raise ValueError("loss values must be finite")
+        self._freeze(xs, ys)
+
+    @classmethod
+    def _of_checked(cls, xs: np.ndarray, ys: np.ndarray) -> LossPairSample:
+        """The sample of float arrays of one shape that a ``LossPairSample``
+        checked already, such as rows of a checked series' windows."""
+        sample = object.__new__(cls)
+        sample._freeze(xs, ys)
+        return sample
+
+    def _freeze(self, xs: np.ndarray, ys: np.ndarray) -> None:
         for name, values in (("xs", xs), ("ys", ys)):
             view = values.view()
             view.flags.writeable = False
@@ -134,11 +140,24 @@ class MarginIndex:
     Each row of a stack is cut at its own value, so its tail may be longer
     than another's; ``order`` keeps the top ``depth`` of every row, where
     ``depth`` is the shortest row's tail.
+    ``ranks`` are int32 (n < 2**31), built on first read, from where each
+    kept value lives in a (rows, n + 1) layout (``_home``), and kept in the
+    instance dict: the estimators read those of the x margin alone.
     """
 
     sorted: np.ndarray
-    ranks: np.ndarray
     order: np.ndarray
+    _home: np.ndarray = field(repr=False)
+
+    @property
+    def ranks(self) -> np.ndarray:
+        if "ranks" not in self.__dict__:  # two threads may both build them, equal
+            (rows, width), n = self._home.shape, self.n
+            # column c of a sorted row holds rank n - width + 1 + c
+            ranks = np.zeros((rows, n + 1), dtype=np.int32)
+            ranks.ravel()[self._home] = np.arange(n - width + 1, n + 1, dtype=np.int32)
+            self.__dict__["ranks"] = ranks[:, :n] if self.sorted.ndim == 2 else ranks[0, :n]
+        return self.__dict__["ranks"]
 
     @property
     def n(self) -> int:
@@ -168,25 +187,23 @@ class MarginIndex:
         return self.order[..., self.depth - count :][..., ::-1]
 
 
-def build_margin_index(values, depth: int | None = None) -> MarginIndex:
+def build_margin_index(values, depth: int | None = None, *, _checked: bool = False) -> MarginIndex:
     """Sort the top of one margin, or of each row of a (B, n) stack, and
-    compute tie-broken ranks.
+    compute tie-broken ranks (``MarginIndex``).
 
     The cut is the ``depth``-th largest value; every observation at or
-    above it is kept, so the tail is closed under ties and may hold more
-    than ``depth`` observations.  The kept values are sorted by numpy's
-    default (SIMD) argsort, or stably, by position, where two in a row
-    tie: the full sort's order on them.  At depth n the cut is the minimum
-    and every position is kept: the full index is the stable argsort.  A
-    stack is cut row by row and sorted in one call, so each row's index is
-    the one its row would get alone.
+    above it is kept.  The kept values are sorted by numpy's default (SIMD)
+    argsort, or stably, by position, where two in a row tie: the full
+    sort's order on them.  A stack is cut row by row and sorted in one
+    call, so each row's index is the one its row would get alone.
 
     ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin
-    of its stack.  ``data_io.diagnostics_export`` builds full indexes: it
-    reads ranks or quantiles anywhere in the sample.
+    of its stack, whose values are checked finite already (``_checked``);
+    ``data_io.diagnostics_export`` builds full indexes.
 
     Args:
-        values: nonempty finite reals, 1-D, or 2-D with one margin per row.
+        values: nonempty finite reals, 1-D, or 2-D with one margin per
+            row, fewer than 2**31 per row.
         depth: how many of the largest values must be ordered, at least 1;
             None, or any depth >= n, gives the full index.
 
@@ -199,12 +216,14 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
         raise ValueError("values must be one-dimensional, or a two-dimensional stack")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    if not np.isfinite(arr).all():
+    stack = arr.reshape(-1, arr.shape[-1])
+    rows, n = stack.shape
+    if n >= 2**31:  # the int32 ranks reach n
+        raise ValueError(f"values must number fewer than 2**31 per row, got n={n}")
+    if not _checked and not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     if depth is not None and _whole_number(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    stack = np.atleast_2d(arr)
-    rows, n = stack.shape
     # each row's cut, its depth-th largest value (its minimum at depth >= n), by one partition
     at = 0 if depth is None else max(n - int(depth), 0)
     # the kept observations, grouped by row, each row in position order
@@ -233,14 +252,9 @@ def build_margin_index(values, depth: int | None = None) -> MarginIndex:
     sorted_values = np.full((rows, n), -np.inf)
     sorted_values[:, n - width :] = ascending
     home = home[by_value]
-    # column c of a sorted row holds rank n - width + 1 + c
-    ranks = np.zeros((rows, n + 1), dtype=np.int64)
-    ranks.ravel()[home] = np.arange(n - width + 1, n + 1)
     order = home[:, width - int(tails.min()) :] - np.arange(0, rows * (n + 1), n + 1)[:, None]
-    ranks = ranks[:, :n]
-    if arr.ndim == 1:
-        return MarginIndex(sorted=sorted_values[0], ranks=ranks[0], order=order[0])
-    return MarginIndex(sorted=sorted_values, ranks=ranks, order=order)
+    lead = 0 if arr.ndim == 1 else slice(None)  # one margin's index has no row axis
+    return MarginIndex(sorted=sorted_values[lead], order=order[lead], _home=home)
 
 
 def _check_reach(indexes, reach: int, reader: str) -> None:

@@ -227,23 +227,22 @@ def estimate_k_range(sample: LossPairSample, ks: range, tau_prime: float) -> KRa
     read the top ``tail_depth(ks)`` = k_max + 2 of each margin and no
     deeper, so each margin is sorted to that depth only
     (``build_margin_index``): every array read is a function of the two
-    tails.  A stacked sample runs each of these array passes once for all
-    its rows, and the failure checks and warnings of every (row, k) cell
-    too; its one ``KRangeEstimates`` gives each row, bit for bit, the
-    result that row gets alone.  A 1-D sample is a stack of one.  A wide range is cut into
-    blocks of k whose rank matrices stay below ``_MATRIX_CELLS`` entries;
-    no result depends on the blocks.  ``check_tail`` raises at an invalid
-    n, tau' or k-range ``ks``.  A valid k fails, in this order, when X_(n-k,n) is not
-    positive, when gamma1 lies outside (0, 1) (the variant 1-3
-    extrapolations are undefined) or when eta-hat is not attained; its
-    failure is recorded as an ``EstimationError``, not raised.
+    tails.  Each row of a stack gets, bit for bit, the result it gets
+    alone.  A wide range is cut into blocks of k whose rank matrices stay
+    below ``_MATRIX_CELLS`` entries; no result depends on the blocks.
+    ``check_tail`` raises at an invalid n, tau' or k-range ``ks``.  A valid
+    k fails, in this order, when X_(n-k,n) is not positive, when gamma1
+    lies outside (0, 1) (the variant 1-3 extrapolations are undefined) or
+    when eta-hat is not attained; its failure is recorded as an
+    ``EstimationError``, not raised.
     """
     n = sample.n
     check_tail(n, ks, tau_prime)
     k_array = np.arange(ks.start, ks.stop, dtype=np.int64)  # a narrow dtype would overflow k^2
     m_array = (k_array * k_array + n - 1) // n  # each k's m = ceil(k^2 / n), as in check_tail
     depth = tail_depth(ks)
-    x_index, y_index = (build_margin_index(np.atleast_2d(v), depth) for v in (sample.xs, sample.ys))
+    # a 1-D sample is a stack of one, and a sample's values are checked finite already
+    x_index, y_index = (build_margin_index(v.reshape(-1, n), depth, _checked=True) for v in (sample.xs, sample.ys))
     x_sorted, y_sorted = x_index.sorted, y_index.sorted
     stack = x_sorted.shape[0]
     values = np.empty((stack, len(ks), len(RECORD_KEYS)))
@@ -272,26 +271,25 @@ def estimate_k_range(sample: LossPairSample, ks: range, tau_prime: float) -> KRa
         # library's pow in the last bit on a few percent of pairs
         cells = np.nonzero(done)
         twice, negated = (2.0 * gamma[cells]).tolist(), (-gamma[cells]).tolist()
-        powers = np.full((3, *done.shape), np.nan)
+        powers = np.empty((3, *done.shape))  # a failed cell's is never set: its values are cleared below
         bases = (d[cells[1]], eta1[cells], eta2[cells])
         for power, column, exponent in zip(powers, bases, (twice, negated, negated)):
             power[cells] = list(map(pow, column.tolist(), exponent))
         base, pow1, pow2 = powers
-        # the failed cells take part in the arithmetic and are overwritten below
+        # the failed cells take part in the arithmetic and are cleared below
         with np.errstate(all="ignore"):
             covar1, covar2, covar3 = base * pow1 * var_x, base * pow2 * var_x, base * covar_int
             spread = 1.0 - gamma
-            values[:, part] = np.stack(
-                (gamma, var_x, eta1, eta2, covar_int, coes_int, covar1, covar2, covar3,
-                 covar1 / spread, covar2 / spread, covar3 / spread, base * coes_int),
-                axis=-1,
-            )
+            columns = (gamma, var_x, eta1, eta2, covar_int, coes_int, covar1, covar2, covar3,
+                       covar1 / spread, covar2 / spread, covar3 / spread, base * coes_int)
+        for column, value in enumerate(columns):
+            values[:, part, column] = value
         y_at = y_sorted[:, n - part_ks - 1]
         # Y_(n-k-1,n) wraps to the maximum at k = n - 1, where no tie is possible
         ties = (part_ks < n - 1) & (y_sorted[:, n - part_ks - 2] == y_at)
         for column, flag in enumerate((part_ks < n ** (2.0 / 3.0), d < 1.0, ties, clamped, gamma >= 0.5)):
             fired[:, part, column] = flag
-        quoted[:, part] = np.stack((y_at, raw1), axis=-1)
+        quoted[:, part, 0], quoted[:, part, 1] = y_at, raw1
     # an error is built only for a cell that fails, before its values are cleared
     errors = {}
     rows, columns = np.nonzero(reasons)
@@ -333,8 +331,8 @@ def estimate_all(sample: LossPairSample, k: int, tau_prime: float) -> RiskEstima
 def _intermediate(
     x_index: MarginIndex, ks: np.ndarray, ms: np.ndarray, rows: np.ndarray, r1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(CoVaR, CoES) at level 1 - k/n for each k, from ``filtered_x_ranks``,
-    with a leading row axis on stacked indexes.
+    """(CoVaR, CoES) at level 1 - k/n for each k of each row of a stacked
+    index, from ``filtered_x_ranks``.
 
     CoVaR is the (k+2-m)-th smallest filtered X value, the X order
     statistic at the m-th largest filtered X-rank r1; CoES is
@@ -345,14 +343,15 @@ def _intermediate(
     and the pair is meaningless.
     """
     x_sorted = x_index.sorted
-    covar = np.take_along_axis(x_sorted, r1 - 1, axis=-1)
+    lead = np.arange(len(x_sorted))[:, None]
+    covar = x_sorted[lead, r1 - 1]
     # the filtered X >= CoVaR end each ascending row: the m at ranks >= r1
     # and any lower rank tied with CoVaR.  The last max(m) + 1 columns hold
     # them all unless a tie reaches the first of these; then every column
     full = rows.shape[-1]
     for width in (min(int(ms.max()) + 1, full), full):
         last = rows[..., full - width :]
-        filtered = np.take_along_axis(x_sorted[..., None, :], last - 1, axis=-1)
+        filtered = x_sorted[lead[..., None], last - 1]
         # rank 0 is padding or lies below the tail
         joint = (last > 0) & (filtered >= covar[..., None])
         if width == full or not joint[..., 0].any():

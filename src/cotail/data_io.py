@@ -5,18 +5,11 @@ decimal price).  Each file is read whole and walked row by row with
 ``csv.reader``, which words the first bad row's error.
 ``load_pair_series`` joins two assets on their common day ordinals and
 returns one ``LossPairSample`` of the negative log returns of the aligned
-prices, with the date each loss ends on.  The
-rolling driver estimates a moving window of that sample, optionally
+prices, with the date each loss ends on.  The rolling driver,
+``rolling_estimates``, estimates a moving window of that sample, optionally
 averaging the estimates over a range of k values, and keeps a window's
-failure as its outcome instead of aborting.  The estimates read
-only the two tails of a window, each margin's values at or above its cut
-(the ``covar_coes.tail_depth``-th largest value), so a window is estimated
-only when a loss that enters or leaves has fewer than depth values of the
-window before above it; every other window gets the outcome of the window
-before.  One ``estimate_with_k_values`` call per stack of estimated
-windows gives each its ``KRangeEstimates.outcomes`` row: its k-averaged
-values and warning codes, or the coded error of a window whose every k
-fails; no warning is worded for a window.  ``k_values`` is the one
+failure as its outcome instead of aborting; no warning is worded for a
+window.  ``k_values`` is the one
 reading of a k or (kmin, kmax) range as the k-range, a ``range`` of step
 1, that every estimator takes, and ``format_tsv`` / ``write_text``
 produce every TSV the package writes: floats as ``.10g``, UTF-8, LF line
@@ -174,8 +167,10 @@ def rolling_estimates(
     a depth above the window (k_max = window - 1), or a step >= window,
     every window is estimated.  The windows whose tails change are
     estimated in stacks, copies of their rows, one
-    ``estimate_with_k_values`` call per stack; each window gets, bit for
-    bit, the values and codes it gets alone.
+    ``estimate_with_k_values`` call per stack, which gives each window its
+    ``KRangeEstimates.outcomes`` row, bit for bit the one it gets alone.
+    The series is checked finite once, as its sample is made; the stacks
+    are not checked again.
     """
     if len(dates) != sample.n:
         raise ValueError(f"{len(dates)} dates for {sample.n} losses")
@@ -202,7 +197,7 @@ def rolling_estimates(
     outcomes = []
     for at in range(0, estimated.size, block):
         rows = estimated[at : at + block]
-        outcomes += estimate_with_k_values(LossPairSample(xs=xs[rows], ys=ys[rows]), ks, plan.tau_prime)
+        outcomes += estimate_with_k_values(LossPairSample._of_checked(xs[rows], ys[rows]), ks, plan.tau_prime)
     # each window's outcome is that of the last window estimated at or before it
     return [(dates[end - 1], outcomes[i]) for end, i in zip(ends, (np.cumsum(changed) - 1).tolist())]
 

@@ -137,19 +137,20 @@ def selection_at(
     """(raw eta-hat variant 1, raw variant 2, CoVaR_int, CoES_int) at one k.
 
     The composition ``estimate_k_range`` runs (``filtered_x_ranks``, ``_eta``,
-    ``_intermediate``), on full indexes of the sample and without the checks
-    of X_(n-k,n) and gamma-hat that can fail a row first.  A variant whose
-    eta-hat is not attained reads None; the intermediate CoVaR/CoES are
-    defined on the full indexes whether or not it is.
+    ``_intermediate``), on full indexes of the sample as a stack of one and
+    without the checks of X_(n-k,n) and gamma-hat that can fail a row
+    first.  A variant whose eta-hat is not attained reads None; the
+    intermediate CoVaR/CoES are defined on the full indexes whether or not
+    it is.
     """
     n = sample.n
     ks, ms = np.array([k]), np.array([check_tail(n, k)])
-    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    x_index, y_index = (build_margin_index(v[None]) for v in (sample.xs, sample.ys))
     rows, r1, r2 = filtered_x_ranks(x_index, y_index, ks, ms)
     covar, coes = _intermediate(x_index, ks, ms, rows, r1)
-    etas = (_eta(n, k, 1, int(r1[0])), _eta(n, k, 2, int(r2[0])))
+    etas = (_eta(n, k, 1, int(r1[0, 0])), _eta(n, k, 2, int(r2[0, 0])))
     raw1, raw2 = (float(raw) if attained else None for raw, _, _, attained in etas)
-    return raw1, raw2, float(covar[0]), float(coes[0])
+    return raw1, raw2, float(covar[0, 0]), float(coes[0, 0])
 
 
 def intermediate_covar_scan(sample: LossPairSample, k: int) -> float:
@@ -495,7 +496,7 @@ def margin_index_by_stable_argsort(values, depth: int | None = None) -> tuple[np
     sorted_rows, rank_rows, orders, tails = [], [], [], []
     for row in stack:
         full = np.argsort(row, kind="stable")
-        ranks = np.empty(n, dtype=np.int64)
+        ranks = np.empty(n, dtype=np.int32)
         ranks[full] = np.arange(1, n + 1)
         kept = row >= row[full[n - reach]]
         tails.append(int(kept.sum()))

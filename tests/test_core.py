@@ -88,6 +88,13 @@ def test_margin_index_rejects_bad_input(bad):
         build_margin_index(bad)
 
 
+def test_margin_index_rejects_a_row_past_int32_ranks():
+    """A row of 2**31 values, a zero-stride view of one float, raises before
+    any array is built: its ranks would not fit int32."""
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*31 per row, got n=2147483648"):
+        build_margin_index(np.broadcast_to(1.0, (2**31,)))
+
+
 def test_loss_pair_sample_coerces_and_validates():
     sample = LossPairSample(xs=[1, 2, 3], ys=(4.0, 5.0, 6.0))
     assert sample.n == 3

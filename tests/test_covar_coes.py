@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,48 @@ def test_each_margin_is_sorted_once_per_sample(monkeypatch):
     estimate_with_k_values(stack, range(60, 81), 0.999)
     estimate_k_range(stack, range(250, 251), 0.999)
     assert shapes == [(5, 1000)] * 4
+
+
+def test_only_the_x_ranks_are_built(monkeypatch):
+    """The estimators read the ranks of the x margin alone: the y index's
+    dense ranks are never built, on one sample or on a stack."""
+    built = []
+    original = cotail.covar_coes.build_margin_index
+
+    def keeping(values, depth=None, **options):
+        built.append(original(values, depth, **options))
+        return built[-1]
+
+    monkeypatch.setattr(cotail.covar_coes, "build_margin_index", keeping)
+    one = sample_model(make_spec("StudentT"), 500, np.random.default_rng(23))
+    stack = sample_model(make_spec("StudentT"), 500, [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    for sample in (one, stack):
+        built.clear()
+        estimate_k_range(sample, range(60, 81), 0.999).outcomes()
+        x_index, y_index = built
+        assert "ranks" in vars(x_index) and "ranks" not in vars(y_index)
+
+
+def test_peak_memory_of_a_stack():
+    """On a (16, 2000) stack at k 250, ``estimate_k_range`` peaks while the
+    y index is built, the x index alive: two dense (16, 2000) float arrays
+    (each margin's sorted values) and about a dozen tail-sized arrays of
+    16 x 252 8-byte entries (kept positions, their rows and homes, padded
+    values, sort orders).  The bound adds a quarter dense array of slack:
+    the y ranks built as int32 (half a dense array) or either margin's
+    ranks as int64 (a whole one) exceed it; int64 ranks of both margins,
+    built with their indexes, would make four dense arrays."""
+    rows, n, depth = 16, 2000, 252
+    stack = sample_model(make_spec("Cauchy"), n, [np.random.default_rng(seed) for seed in range(rows)])
+    estimate_k_range(stack, range(250, 251), 0.999)  # so that no first-call allocation counts
+    tracemalloc.start()
+    try:
+        estimate_k_range(stack, range(250, 251), 0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense, tail = 8 * rows * n, 8 * rows * depth
+    assert peak < 2 * dense + 12 * tail + dense // 4
 
 
 @pytest.mark.parametrize("family", ["Logistic", "Cauchy", "Pareto2", "StudentT"])

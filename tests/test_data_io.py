@@ -377,6 +377,27 @@ class TestRolling:
             window = LossPairSample(xs=sample.xs[index : index + 1000], ys=sample.ys[index : index + 1000])
             assert rows[index][1] == _values_and_codes(estimate_with_k_values(window, ks, 0.999))
 
+    def test_the_series_is_checked_finite_once(self, monkeypatch, tmp_path, capsys):
+        """One rolling call checks the losses finite once, one check per
+        margin as the series is loaded, however many stacks it estimates:
+        at window 300, k 5:299 each of the 41 windows is a stack of one."""
+        prices_x, prices_y = _model_prices(seed=41, n=340)
+        _write_csv(tmp_path / "x.csv", _dates(341), prices_x)
+        _write_csv(tmp_path / "y.csv", _dates(341), prices_y)
+        checked = []
+        isfinite = np.isfinite
+
+        def counting(values, *args, **kwargs):
+            checked.append(np.shape(values))
+            return isfinite(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        argv = ["rolling", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                "--window", "300", "--k", "5:299", "--tau", "0.999"]
+        assert cotail.cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 42
+        assert checked == [(340,), (340,)]
+
     def test_reuse_rule_at_the_cut(self):
         """Windows of 12 at k 2:4 read the top 6 of each margin, cut at the
         6th largest value.  On this series the Y loss that leaves between

@@ -53,6 +53,11 @@ def _cases() -> dict[str, list[str]]:
         "rolling", "--x", "x3.csv", "--y", "y3.csv", "--window", "30", "--k", "10:25", "--tau", "0.999",
         "--step", "7",
     ]
+    # a k range wider than a rank-matrix block of k: each of the 951 windows
+    # is a stack of one whose 295 k run in three blocks of at most 109
+    cases["rolling-3-window-300-k5-299"] = [
+        "rolling", "--x", "x3.csv", "--y", "y3.csv", "--window", "300", "--k", "5:299", "--tau", "0.999",
+    ]
     # two failures: a window longer than the 1250 losses, and a missing file
     cases["rolling-3-window-5000"] = [
         "rolling", "--x", "x3.csv", "--y", "y3.csv", "--window", "5000", "--k", "60:80", "--tau", "0.999",

@@ -98,8 +98,8 @@ def _row_outcome(result, i):
 def test_margin_index_is_the_stable_argsort_oracle(values):
     """On tie-heavy stacks and samples, a margin index at every depth from
     1 to n + 2, and the full index, is bit for bit the one read from each
-    row's stable argsort: the default sort's arbitrary order among ties,
-    and the sign of a zero, never show."""
+    row's stable argsort, its ranks int32: the default sort's arbitrary
+    order among ties, and the sign of a zero, never show."""
     n = values.shape[-1]
     for depth in [*range(1, n + 3), None]:
         index = build_margin_index(values, depth)
@@ -358,9 +358,10 @@ def test_k_range_selection_equals_bruteforce(family, seed, n, lo_share, width):
     lo = max(1, int(lo_share * n))
     ks = range(lo, min(lo + width, n - 1) + 1)
     k_array, ms = np.array(ks), np.array([check_tail(n, k) for k in ks])
-    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    x_index, y_index = (build_margin_index(v[None]) for v in (sample.xs, sample.ys))
     rows, r1, r2 = filtered_x_ranks(x_index, y_index, k_array, ms)
-    covar, _ = _intermediate(x_index, k_array, ms, rows, r1)
+    covar = _intermediate(x_index, k_array, ms, rows, r1)[0][0]
+    r1, r2 = r1[0], r2[0]
     result = estimate_k_range(sample, ks, 0.999)
     for i, k in enumerate(ks):
         raws = []
