@@ -199,7 +199,8 @@ def build_margin_index(values, depth: int | None = None, *, _checked: bool = Fal
 
     ``covar_coes.estimate_k_range`` builds depth k_max + 2 of each margin
     of its stack, whose values are checked finite already (``_checked``);
-    ``data_io.diagnostics_export`` builds full indexes.
+    ``data_io.diagnostics_export`` builds each margin of its checked sample
+    to the depth its three curves read.
 
     Args:
         values: nonempty finite reals, 1-D, or 2-D with one margin per

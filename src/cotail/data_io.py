@@ -231,7 +231,11 @@ def diagnostics_export(
     """
     ks = k_values(k)
     tau_array = check_tau_grid(tau_grid)
-    x_index, y_index = (build_margin_index(v) for v in (sample.xs, sample.ys))
+    # the curves read the top k_max + 1 of each margin, the tail probability
+    # the top n + 1 - ceil(n * min tau); the sample's values are checked
+    n = sample.n
+    depth = max(ks[-1] + 1, n + 1 - math.ceil(n * tau_array.min()))
+    x_index, y_index = (build_margin_index(v, depth, _checked=True) for v in (sample.xs, sample.ys))
     gammas = hill_curve(x_index, ks)
     hill_rows = []
     for k, gamma in zip(ks, gammas.tolist()):

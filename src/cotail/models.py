@@ -43,11 +43,12 @@ PARAMETERS = ("theta", "nu", "rho")
 # holds sin(angle)^(-1/theta) at an angle clipped 1e-15 from pi, can
 # overflow on one rare draw (at 0.09 with a stable denominator below 1e-16;
 # at 0.1 only below 1e-19), and a non-finite sample fails the whole plan.
-# Pareto2 theta and StudentT nu stop where the oracle stops: as either
-# grows the pair nears independence, the joint survival at VaR_X rounds
-# below (1 - tau)^2 and no CoVaR root is found.  Pareto2 first fails near
-# theta = 4e8, StudentT near nu = 3e14 at rho 0.3 (sooner at rho < 0.1),
-# at tau 0.95-0.9999.
+# Pareto2 theta stops where the oracle stops: as it grows the pair nears
+# independence, the joint survival at VaR_X rounds below (1 - tau)^2 and
+# no CoVaR root is found, first near theta = 4e8 at tau 0.95-0.9999.
+# StudentT nu stops where the Gaussian limit checks the oracle (1e10 and
+# 1e14); with the t density's constant exact the oracle returns a row at
+# every nu probed up to 1e308, rho 1e-8 to 0.99, tau 0.95-0.9999.
 _Family = namedtuple("_Family", ("x_exponent", "tail_index", "parameters"))
 _TABLE = {
     "Logistic": _Family(1.0 / 3.0, None, {"theta": (0.6, 0.1, 1.0, True)}),

@@ -703,14 +703,16 @@ class TestDiagnostics:
         calls = []
         original = cotail.data_io.build_margin_index
 
-        def counting(values, depth=None):
-            calls.append(len(values))
-            return original(values, depth)
+        def counting(values, depth=None, **options):
+            calls.append((len(values), depth, options))
+            return original(values, depth, **options)
 
         monkeypatch.setattr(cotail.data_io, "build_margin_index", counting)
         sample = sample_model(make_spec("Cauchy"), 500, np.random.default_rng(3))
         diagnostics_export(sample, (20, 100), [0.9, 0.95, 0.99], tmp_path)
-        assert calls == [500, 500]
+        # to k_max + 1 = 101, below which tau = 0.9 reads no deeper (51),
+        # on values the sample has checked
+        assert calls == [(500, 101, {"_checked": True})] * 2
 
     def test_line_endings_are_unix(self, tmp_path):
         values = np.arange(1.0, 101.0)

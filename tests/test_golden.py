@@ -16,10 +16,7 @@ seeds 3 and 11 and the simulate-grid benchmark's 18 cells at R = 5.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -27,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from cotail.cli import main
+from cli_cases import run_in_process
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -77,30 +74,17 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def run_case(argv: list[str], inputs: Path = INPUTS) -> dict[str, bytes]:
+def _inputs() -> dict[str, str]:
+    """The text of each file in ``golden/inputs``, by name."""
+    return {path.name: path.read_bytes().decode("utf-8") for path in sorted(INPUTS.iterdir())}
+
+
+def run_case(argv: list[str], files: dict[str, str]) -> dict[str, bytes]:
     """stdout, stderr, exit code and written files of one command, by name,
-    run on a copy of ``inputs``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp) / "work"
-        shutil.copytree(inputs, work)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
-        outputs = {
-            "stdout": stdout.getvalue().encode("utf-8"),
-            "stderr": stderr.getvalue().encode("utf-8"),
-            "exit_code": f"{code}\n".encode("utf-8"),
-        }
-        for path in sorted(work.rglob("*")):
-            name = path.relative_to(work).as_posix()
-            if path.is_file() and not (inputs / name).exists():
-                outputs[name] = path.read_bytes()
-        return outputs
+    run on ``files`` (``cli_cases.run_in_process``)."""
+    outputs = run_in_process(argv, files)
+    code = outputs.pop("exit")
+    return {**{name: text.encode("utf-8") for name, text in outputs.items()}, "exit_code": f"{code}\n".encode("utf-8")}
 
 
 def _expected(case: str) -> dict[str, bytes]:
@@ -122,7 +106,7 @@ def _first_difference(name: str, got: bytes, want: bytes) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
-    got, want = run_case(CASES[case]), _expected(case)
+    got, want = run_case(CASES[case], _inputs()), _expected(case)
     assert sorted(got) == sorted(want), "written file names differ"
     for name in want:
         if got[name] != want[name]:
@@ -131,19 +115,17 @@ def test_golden_output(case):
 
 @pytest.mark.parametrize("shape", ["crlf", "quoted"])
 @pytest.mark.parametrize("case", ["rolling-3", "estimate-3-k70"])
-def test_price_files_in_other_shapes(tmp_path, case, shape):
+def test_price_files_in_other_shapes(case, shape):
     """The seed-3 price files rewritten with CRLF line ends, or with every
     cell quoted, give the expected output of the LF files byte for byte."""
-    inputs = tmp_path / "inputs"
-    shutil.copytree(INPUTS, inputs)
+    files = _inputs()
     for name in ("x3.csv", "y3.csv"):
-        lines = (INPUTS / name).read_text(encoding="utf-8").splitlines()
+        lines = files[name].splitlines()
         if shape == "crlf":
-            text = "\r\n".join(lines) + "\r\n"
+            files[name] = "\r\n".join(lines) + "\r\n"
         else:
-            text = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in lines)
-        (inputs / name).write_bytes(text.encode("utf-8"))
-    assert run_case(CASES[case], inputs) == _expected(case)
+            files[name] = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in lines)
+    assert run_case(CASES[case], files) == _expected(case)
 
 
 def regenerate() -> None:
@@ -161,7 +143,7 @@ def regenerate() -> None:
     lines = ",\n".join(json.dumps(record) for record in records)
     (INPUTS / "plan.json").write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     for case, argv in CASES.items():
-        for name, data in run_case(argv).items():
+        for name, data in run_case(argv, _inputs()).items():
             path = EXPECTED / case / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)

@@ -2,6 +2,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -16,7 +17,7 @@ from cotail.models import (
     pre_margin_survival,
     sample_model,
 )
-from cotail.oracle import _RTOL, _brentq, _kronrod21, _quad, joint_survival, oracle_result
+from cotail.oracle import _RTOL, _brentq, _kronrod21, _quad, _t_log_norm, joint_survival, oracle_result
 from oracles import covar_coes_mp, eta_star, eta_true, joint_survival_quad, true_tail_copula
 
 
@@ -262,6 +263,44 @@ def test_student_far_tail_at_a_large_nu_is_zero(nu):
     result, at_200 = oracle_result(make_spec("StudentT", nu=nu), 0.99), oracle_result(make_spec("StudentT", nu=200.0), 0.99)
     assert math.isfinite(result.coes) and result.abs_tol < 1e-6 * result.coes
     assert result.covar < at_200.covar and result.coes < at_200.coes
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.7, 1.5, 10.0] + [10.0**e for e in range(2, 15)])
+def test_t_log_norm_is_exact(nu):
+    """The t density's log constant is within 1e-15 of mpmath's at every
+    nu, where the difference of two gammaln values is 5.6e-7 off at 1e10."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(nu) / 2
+        exact = mpmath.loggamma(half + 0.5) - mpmath.loggamma(half) - mpmath.log(2 * half * mpmath.pi) / 2
+        assert abs(_t_log_norm(nu) - exact) <= 1e-15
+
+
+def test_student_covar_nears_its_gaussian_limit():
+    """As nu grows the t pair nears the normal pair of the same rho: at rho
+    0.3 and tau 0.99, CoVaR of X = |Z1|^(1/2) given |Z2| >= VaR_Y by mpmath
+    (1.76003774692811), which the oracle meets within 1e-9 at nu = 1e10
+    and 1e14, O(1/nu) from it."""
+    with mpmath.workdps(30):
+        rho, level = mpmath.mpf("0.3"), mpmath.mpf("0.01")
+        var_y = mpmath.findroot(lambda v: 2 * mpmath.ncdf(-v) - level, 2.5)
+        spread = mpmath.sqrt(1 - rho**2)
+        # P(|Z1| >= a, |Z2| >= var_y), by central symmetry
+        tails = lambda z: mpmath.npdf(z) * (mpmath.ncdf((rho * z - var_y) / spread) + mpmath.ncdf((-var_y - rho * z) / spread))
+        survival = lambda a: 2 * mpmath.quad(tails, [a, a + 5, mpmath.inf])
+        limit = float(mpmath.sqrt(mpmath.findroot(lambda a: survival(a) - level**2, 3.0)))
+    for nu in (1e10, 1e14):
+        assert oracle_result(make_spec("StudentT", nu=nu), 0.99).covar == pytest.approx(limit, rel=1e-9)
+
+
+@pytest.mark.parametrize("nu", [1e9, 1e10, 3.2e12, 1e14])
+@pytest.mark.parametrize("rho", [1e-4, 0.01])
+def test_student_covar_near_independence_is_a_root(nu, rho):
+    """Where the t pair nears independence, CoVaR is still a root at or above
+    VaR_X at every level: the cancelling density constant once put the
+    survival at VaR_X below (1 - tau)^2."""
+    spec = make_spec("StudentT", nu=nu, rho=rho)
+    for tau in (0.95, 0.99, 0.999, 0.9999):
+        assert oracle_result(spec, tau).covar >= marginal_quantiles(spec, tau)[0]
 
 
 def test_infinite_coes_is_raised_before_any_survival(monkeypatch):
