@@ -235,6 +235,10 @@ GROUPS = {
         )
         for command, line in _OVER_ALL.items()
     },
+    # a k range from 1 past all 1499 losses names k = n, as in ``rolling``,
+    # never a k_partial row
+    "estimate_range_crossing_n_is_one_error": Case(f"{_OVER_ALL['estimate']} --k 1:2500",
+                                                   error="k must satisfy 1 <= k < n, got k=1499 with n=1499"),
     "inverted_k_range_exits_with_error": {
         command: Case(f"{line} --k 100:80", error="empty k range (100, 80)")
         for command, line in (("estimate", _OVER_ALL["estimate"]), ("rolling", f"rolling {_PAIR} --window 300 --tau 0.99"))
