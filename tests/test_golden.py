@@ -84,6 +84,7 @@ def run_case(argv: list[str], files: dict[str, str]) -> dict[str, bytes]:
     run on ``files`` (``cli_cases.run_in_process``)."""
     outputs = run_in_process(argv, files)
     code = outputs.pop("exit")
+    del outputs["dirs"]  # a written file's path names its directory
     return {**{name: text.encode("utf-8") for name, text in outputs.items()}, "exit_code": f"{code}\n".encode("utf-8")}
 
 
