@@ -201,58 +201,70 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("simulate", "estimate", "diagnose", "rolling", "oracle")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cotail`` parser: only ``command``'s subparser if it is one of
+    ``COMMANDS``, whose usage line still spells all five; else all five."""
     parser = argparse.ArgumentParser(
         prog="cotail",
         description="Extreme CoVaR/CoES estimation under tail dependence.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    built = (command,) if command in COMMANDS else COMMANDS
+    metavar = None if built is COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo plan file")
-    p.add_argument("--plan", required=True, help="JSON plan file")
-    p.add_argument("--seed", type=int, required=True, help="base seed for plans without one")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="worker threads per experiment")
-    p.set_defaults(func=_cmd_simulate)
+    if "simulate" in built:
+        p = sub.add_parser("simulate", help="run a Monte Carlo plan file")
+        p.add_argument("--plan", required=True, help="JSON plan file")
+        p.add_argument("--seed", type=int, required=True, help="base seed for plans without one")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--workers", type=int, default=1, help="worker threads per experiment")
+        p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="estimate from two price files")
-    p.add_argument("--x", required=True, help="institution price CSV")
-    p.add_argument("--y", required=True, help="system price CSV")
-    p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
-    p.add_argument("--tau", type=float, required=True, help="extreme level tau'")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
-    p.set_defaults(func=_cmd_estimate)
+    if "estimate" in built:
+        p = sub.add_parser("estimate", help="estimate from two price files")
+        p.add_argument("--x", required=True, help="institution price CSV")
+        p.add_argument("--y", required=True, help="system price CSV")
+        p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
+        p.add_argument("--tau", type=float, required=True, help="extreme level tau'")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
+        p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("diagnose", help="export diagnostic curves")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
-    p.add_argument("--taugrid", required=True, help="comma list or lo:hi:count")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_diagnose)
+    if "diagnose" in built:
+        p = sub.add_parser("diagnose", help="export diagnostic curves")
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
+        p.add_argument("--taugrid", required=True, help="comma list or lo:hi:count")
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("rolling", help="moving-window estimates")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--out", default=None, help="output TSV (default stdout)")
-    p.set_defaults(func=_cmd_rolling)
+    if "rolling" in built:
+        p = sub.add_parser("rolling", help="moving-window estimates")
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--window", type=int, required=True)
+        p.add_argument("--k", required=True, help="k or inclusive range KMIN:KMAX")
+        p.add_argument("--tau", type=float, required=True)
+        p.add_argument("--step", type=int, default=1)
+        p.add_argument("--out", default=None, help="output TSV (default stdout)")
+        p.set_defaults(func=_cmd_rolling)
 
-    p = sub.add_parser("oracle", help="population truth for a model")
-    p.add_argument("--model", required=True, help=", ".join(FAMILIES[:-1]) + ", or " + FAMILIES[-1])
-    p.add_argument("--tau", type=float, required=True)
-    for name in PARAMETERS:
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.set_defaults(func=_cmd_oracle)
+    if "oracle" in built:
+        p = sub.add_parser("oracle", help="population truth for a model")
+        p.add_argument("--model", required=True, help=", ".join(FAMILIES[:-1]) + ", or " + FAMILIES[-1])
+        p.add_argument("--tau", type=float, required=True)
+        for name in PARAMETERS:
+            p.add_argument(f"--{name}", type=float, default=None)
+        p.set_defaults(func=_cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

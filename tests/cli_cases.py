@@ -4,8 +4,11 @@ patched code, as one case table.
 A case is one command line and what it must do.  It runs in a fresh
 directory that holds each input file its argv names (``INPUTS``).  A case
 with an ``error`` must exit 1 with nothing on stdout and the one line
-``error: <error>`` on stderr, and make no file or directory unless a
-check reads what it wrote; any other must exit 0 with nothing on stderr.
+``error: <error>`` on stderr; one with a ``usage_error`` is argparse's to
+reject, and must exit 2 with nothing on stdout and, after argparse's usage
+lines, the stderr line ``usage_error``.  Either must make no file or
+directory unless a check reads what it wrote; any other case must exit 0
+with nothing on stderr.
 Each check must hold on the outputs: stdout, or a file the command wrote,
 by path.
 
@@ -83,10 +86,11 @@ INPUTS = _inputs()
 
 class Case:
     """A command line (split at spaces), its checks, and the text of its
-    ``error:`` line if it must fail."""
+    ``error:`` line if it must fail, or argparse's last stderr line if
+    argparse must reject it."""
 
-    def __init__(self, argv: str, *checks, error: str = ""):
-        self.argv, self.checks, self.error = argv.split(), checks, error
+    def __init__(self, argv: str, *checks, error: str = "", usage_error: str = ""):
+        self.argv, self.checks, self.error, self.usage_error = argv.split(), checks, error, usage_error
 
     @property
     def files(self) -> dict[str, str]:
@@ -320,6 +324,24 @@ GROUPS = {
     "simulate_rejects_workers_below_one": Case(f"{_SIMULATE} --workers -3", error="workers must be at least 1, got -3"),
     "deeply_nested_plan_is_a_worded_error": Case("simulate --plan plan_deep.json --seed 1 --out out",
                                                  error="plan_deep.json: JSON nested too deep to read"),
+    # argparse rejects a malformed command line before any command runs; its
+    # error line names the parser that raised it: a command's own, or the
+    # top level's for what no parser took
+    "diagnose_takes_no_kmin_kmax": Case(f"diagnose {_PAIR} --kmin 20 --kmax 60 --taugrid 0.9 --out d",
+                                        usage_error="cotail diagnose: error: the following arguments are required: --k"),
+    "a_malformed_command_line_exits_2": {
+        "oracle-unrecognized": Case("oracle --model Cauchy --tau 0.99 --bogus 1",
+                                    usage_error="cotail: error: unrecognized arguments: --bogus 1"),
+        "oracle-missing": Case("oracle --tau 0.99",
+                               usage_error="cotail oracle: error: the following arguments are required: --model"),
+        "oracle-bad-float": Case("oracle --model Cauchy --tau x",
+                                 usage_error="cotail oracle: error: argument --tau: invalid float value: 'x'"),
+        "rolling-unrecognized": Case(f"{_ROLLING} --kmin 20", usage_error="cotail: error: unrecognized arguments: --kmin 20"),
+        "rolling-missing": Case(f"rolling {_PAIR} --k 60 --tau 0.99",
+                                usage_error="cotail rolling: error: the following arguments are required: --window"),
+        "rolling-bad-float": Case(f"rolling {_PAIR} --window 1000 --k 60 --tau nine",
+                                  usage_error="cotail rolling: error: argument --tau: invalid float value: 'nine'"),
+    },
 }
 # each case by its test's id: the group, and the case in brackets
 CASES = {
@@ -375,11 +397,15 @@ def failures(name: str, results) -> list[str]:
     case, out = CASES[name], results(name)
     if case.error:
         want = {"exit": 1, "stdout": "", "stderr": f"error: {case.error}\n"}
+    elif case.usage_error:
+        want = {"exit": 2, "stdout": ""}
     else:
         want = {"exit": 0, "stderr": ""}
     wrong = [f"{key} is {out[key]!r}, not {value!r}" for key, value in want.items() if out[key] != value]
+    if case.usage_error and not out["stderr"].endswith(f"\n{case.usage_error}\n"):
+        wrong.append(f"stderr is {out['stderr']!r}, whose last line is not {case.usage_error!r}")
     made = out["dirs"] + sorted(set(out) - {"exit", "stdout", "stderr", "dirs"})
-    if case.error and not case.checks and made:
+    if (case.error or case.usage_error) and not case.checks and made:
         wrong.append(f"it made {made}")
     return wrong or [what for what, holds in case.checks if not holds(out, results)]
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import datetime
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import cotail
 import cotail.cli
-from cotail.cli import MAX_TAU_LEVELS, _parse_k, _parse_tau_grid, main
+from cotail.cli import COMMANDS, MAX_TAU_LEVELS, _parse_k, _parse_tau_grid, build_parser, main
 from cotail.covar_coes import RECORD_KEYS, WARNING_CODES
 from cotail.core import LossPairSample
 from cotail.data_io import RollingPlan, estimate_with_k_values, format_tsv, load_pair_series, rolling_estimates
@@ -74,14 +75,6 @@ def test_parse_k():
     for text in ("80:", "60:", ":80", "60:80:2", "a"):
         with pytest.raises(ValueError, match=r"^--k takes an integer k or a range KMIN:KMAX, got "):
             _parse_k(text)
-
-
-def test_diagnose_takes_no_kmin_kmax(capsys):
-    with pytest.raises(SystemExit) as caught:
-        main(["diagnose", "--x", "x.csv", "--y", "y.csv", "--kmin", "20", "--kmax", "60",
-              "--taugrid", "0.9", "--out", "d"])
-    assert caught.value.code == 2
-    assert capsys.readouterr().err.endswith("error: the following arguments are required: --k\n")
 
 
 def test_parse_tau_grid():
@@ -304,23 +297,77 @@ def test_missing_subcommand_exits():
         main([])
 
 
+def _parsed(parser, argv):
+    """What ``parser.parse_args(argv)`` gives (the parsed values, or its exit
+    code), and what it prints on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ends = vars(parser.parse_args(argv))
+        except SystemExit as stop:
+            ends = stop.code
+    return ends, out.getvalue(), err.getvalue()
+
+
+# a command line of each command that parses, and a bad value of one of its
+# typed options (diagnose has none: a flag without its value)
+_PARSES = {
+    "simulate": ("simulate --plan plan.json --seed 1 --out out", "--seed 1.5"),
+    "estimate": ("estimate --x x.csv --y y.csv --k 60 --tau 0.99", "--tau x"),
+    "diagnose": ("diagnose --x x.csv --y y.csv --k 60 --taugrid 0.9 --out d", "--k"),
+    "rolling": ("rolling --x x.csv --y y.csv --window 300 --k 60 --tau 0.99", "--window x"),
+    "oracle": ("oracle --model Cauchy --tau 0.99", "--nu x"),
+}
+_ARGVS = {
+    **{
+        f"{command}-{name}": argv
+        for command, (line, bad) in _PARSES.items()
+        for name, argv in {
+            "parses": line.split(),
+            "help": [command, "-h"],
+            "missing-required": line.split()[:-2],  # each line's last flag is required
+            "bad-type": [*line.split(), *bad.split()],
+            "unrecognized": [*line.split(), "--bogus"],
+            "abbreviated": [*line.split(), "--mod", "Logistic"],  # oracle's --model, else unrecognized
+            "stray-positional": [*line.split(), "stray"],
+        }.items()
+    },
+    "top-help": ["--help"],
+    "no-argv": [],
+    "bogus": ["bogus"],
+    "double-dash": ["--"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_ARGVS.values()), ids=list(_ARGVS))
+def test_a_one_command_parser_words_everything_as_the_full_one(argv):
+    """``main`` parses with the parser its first token names: on help, on
+    argparse's errors and on a line that parses, it ends as the parser of
+    all five commands does."""
+    assert _parsed(build_parser(argv[0] if argv else None), argv) == _parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("first", [*COMMANDS, None, "--help", "bogus", "--"])
+def test_a_command_builds_its_subparser_alone(first):
+    """A command's parser holds that command's subparser alone; any other
+    first token, or none, gets all five."""
+    (subparsers,) = [action for action in build_parser(first)._actions if isinstance(action, argparse._SubParsersAction)]
+    five = ["simulate", "estimate", "diagnose", "rolling", "oracle"]
+    assert list(subparsers.choices) == ([first] if first in COMMANDS else five)
+
+
 @pytest.mark.parametrize(
-    "seed, replications, error",
-    [
-        ("-5", 3, "seed must be a nonnegative integer, got -5"),
-        ("1", 1e20, "replications must lie in [1, 1000000], got 100000000000000000000"),
-    ],
+    "name",
+    ["simulate_rejects_a_plan_it_cannot_run[negative-seed]", "a_size_past_its_bound_is_rejected_first[plan-replications]"],
     ids=["negative-seed", "replications-1e20"],
 )
-def test_simulate_integers_get_cotail_checks(seed, replications, error, tmp_path, capsys, monkeypatch):
+def test_simulate_integers_get_cotail_checks(name, monkeypatch):
     """A negative --seed meets the plan's own seed check, and a plan's
-    replications its bound, before any experiment runs."""
+    replications its bound, before any experiment runs: each table case
+    ends as the table says with ``run_experiment`` patched out."""
     monkeypatch.setattr(cotail.cli, "run_experiment", None)
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps([{**_plan_records()[0], "replications": replications}]), encoding="utf-8")
-    rc = main(["simulate", "--plan", str(plan_path), "--seed", seed, "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    ends = run_in_process(CASES[name].argv, CASES[name].files)
+    assert failures(name, lambda _: ends) == []
 
 
 def test_simulate_holds_one_plan_at_a_time(tmp_path):
@@ -510,7 +557,7 @@ def _table_examples(test):
     """Every error case of ``cli_cases`` as an example, so that a new error
     text is one table row."""
     for case in CASES.values():
-        if case.error:
+        if case.error or case.usage_error:
             test = example((case.argv, case.files))(test)
     return test
 
@@ -524,12 +571,15 @@ def _table_examples(test):
 @example((["oracle", "--model", "StudentT", "--nu", "1e10", "--tau", "0.99"], {}))
 def test_cli_ends_in_one_of_three_ways(case):
     """Every argv ends in exit 0 with nothing on stderr, exit 1 with one
-    ``error:`` line and nothing on stdout, or argparse's exit 2: never a
-    traceback, a warning or a NumPy message."""
+    ``error:`` line and nothing on stdout, or argparse's exit 2, worded as
+    the parser of all five commands words it: never a traceback, a warning
+    or a NumPy message."""
     ends = run_in_process(*case)
     code, out, err = ends["exit"], ends["stdout"], ends["stderr"]
     if code == 1:
         assert out == "" and err.startswith("error: ") and err.endswith("\n")
         assert err.splitlines(keepends=True) == [err]  # one line, by any line break
+    elif code == 2:
+        assert _parsed(build_parser(), case[0]) == (2, out, err)
     else:
-        assert code == 0 and err == "" or code == 2
+        assert code == 0 and err == ""
